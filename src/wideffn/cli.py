@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .bench import batch_size_sweep, corpus_bleu, decode_greedy
-from .checkpoint import load_model_checkpoint, save_model_checkpoint
+from .checkpoint import load_checkpoint, load_model_checkpoint, restore_into, save_model_checkpoint
 from .config import ModelConfig, apply_preset
 from .counting import BREAKDOWN_KEYS, baseline_of, count_params, percent_of_baseline
 from .errors import ConfigError, DataError, NumericError, ShapeError, WideFFNError
@@ -192,9 +192,7 @@ def cmd_train(args) -> int:
     corpus = build_corpus(run)
     model = build_model(run.model, seed=run.seed)
     if args.resume:
-        resumed = load_model_checkpoint(args.resume, config=run.model)
-        for name, tensor in model.store.physical.items():
-            tensor.data[...] = resumed.store.physical[name].data
+        restore_into(load_checkpoint(args.resume), model.store)
         print(f"resumed parameters from {args.resume}")
     losses = train(model, corpus, steps=run.steps, batch_size=run.batch_size,
                    seed=run.seed, schedule=run.training)

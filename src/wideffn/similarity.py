@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .transformer import TransformerModel, decoder_forward, encoder_forward
-from .vocab import BOS, EOS, Corpus
+from .transformer import TransformerModel, encoder_forward
+from .vocab import EOS, Corpus
 
 log = logging.getLogger(__name__)
 
@@ -56,12 +56,8 @@ def collect_activations(model: TransformerModel, corpus: Corpus, side: str,
     for src, tgt in pairs:
         if side == "encoder":
             _, taps = encoder_forward(model, list(src) + [EOS])
-        elif model.config.architecture == "encoder-decoder":
-            enc_out, _ = encoder_forward(model, list(src) + [EOS])
-            _, taps = decoder_forward(model, enc_out, [BOS] + list(tgt))
         else:
-            seq = list(src) + [EOS, BOS] + list(tgt)
-            _, taps = decoder_forward(model, None, seq, prefix_len=len(src) + 1)
+            _, taps = model.teacher_forced(src, tgt)
         for name, tensor in taps.items():
             rows.setdefault(name, []).append(tensor.data.mean(axis=0))
     corpus_hash = corpus.content_hash()
@@ -216,9 +212,9 @@ def pairwise_layer_similarity(taps_a: dict[str, ActivationMatrix],
     for i, rn in enumerate(rows):
         for j, cn in enumerate(cols):
             matrix[i, j] = fn(taps_a[rn], taps_b[cn])
-    common = [name for name in rows if name in taps_b]
+    common = [(i, cols.index(name)) for i, name in enumerate(rows) if name in taps_b]
     if common:
-        aggregate = float(np.mean([fn(taps_a[n], taps_b[n]) for n in common]))
+        aggregate = float(np.mean([matrix[i, j] for i, j in common]))
     else:
         outs_a = _layer_outputs(taps_a)
         outs_b = _layer_outputs(taps_b)
@@ -235,8 +231,7 @@ def self_similarity(taps: dict[str, ActivationMatrix], metric: str = "cka",
     """Module-by-module similarity of one model against itself."""
     if len(taps) < 2:
         raise DataError("self-similarity needs at least 2 tapped modules")
-    report = pairwise_layer_similarity(taps, taps, metric=metric, k=k)
-    return report
+    return pairwise_layer_similarity(taps, taps, metric=metric, k=k)
 
 
 def normalize_against_benchmark(raw: float, benchmark_raws) -> float:

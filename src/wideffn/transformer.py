@@ -96,11 +96,6 @@ def _make_ffn(store: ParamStore, rng, prefix: str, d: int, width: int) -> FFNBlo
     return FFNBlock(**parts)
 
 
-def _bind_block(store: ParamStore, logical_prefix: str, canonical_prefix: str, parts):
-    for name in parts:
-        store.bind(f"{logical_prefix}.{name}", f"{canonical_prefix}.{name}")
-
-
 def sinusoidal_positions(n_positions: int, d_model: int) -> np.ndarray:
     """Fixed sin/cos position table, shape (n_positions, d_model), float32."""
     pos = np.arange(n_positions, dtype=np.float64)[:, None]
@@ -147,13 +142,27 @@ class TransformerModel:
         out, _ = encoder_forward(self, list(src_tokens) + [EOS])
         return out
 
+    def teacher_forced(self, src: list[int], tgt: list[int], enc_out: Tensor | None = None,
+                       train: bool = False, rng: np.random.Generator | None = None):
+        """Decoder logits and taps with `tgt` fed as the decoder input.
+
+        Encoder-decoder: the encoder sees src + <eos> (skipped when enc_out
+        is given) and the decoder sees <bos> + tgt. Decoder-only: one
+        sequence src + <eos> + <bos> + tgt whose source span, <eos>
+        included, is bidirectional. Either way the last len(tgt) + 1 logit
+        rows predict tgt + <eos>.
+        """
+        if self.config.architecture == "decoder-only":
+            seq = list(src) + [EOS, BOS] + list(tgt)
+            return decoder_forward(self, None, seq, prefix_len=len(src) + 1,
+                                   train=train, rng=rng)
+        if enc_out is None:
+            enc_out, _ = encoder_forward(self, list(src) + [EOS], train=train, rng=rng)
+        return decoder_forward(self, enc_out, [BOS] + list(tgt), train=train, rng=rng)
+
     def step_logits(self, enc_ctx, src_tokens: list[int], prefix: list[int]) -> np.ndarray:
         """Next-token logits after the given generated prefix."""
-        if self.config.architecture == "decoder-only":
-            seq = list(src_tokens) + [EOS, BOS] + list(prefix)
-            logits, _ = decoder_forward(self, None, seq, prefix_len=len(src_tokens) + 1)
-        else:
-            logits, _ = decoder_forward(self, enc_ctx, [BOS] + list(prefix))
+        logits, _ = self.teacher_forced(src_tokens, prefix, enc_out=enc_ctx)
         return np.asarray(logits.data[-1], dtype=np.float32)
 
     # -- training protocol ------------------------------------------------
@@ -162,38 +171,19 @@ class TransformerModel:
                       rng: np.random.Generator | None = None):
         """Teacher-forced loss for one pair; returns (loss, n_predictions).
 
-        Encoder-decoder: encoder sees src + <eos>, decoder sees <bos> + tgt
-        and predicts tgt + <eos>. Decoder-only: one sequence
-        src + <eos> + <bos> + tgt with the source span (incl. <eos>)
-        bidirectional; loss covers the target span plus the final <eos>.
+        The loss covers the predictions of tgt + <eos>; a decoder-only
+        model's source rows are padded out of it.
         """
-        if self.config.architecture == "decoder-only":
-            seq = list(src) + [EOS, BOS] + list(tgt)
-            prefix_len = len(src) + 1
-            labels = [PAD] * prefix_len + list(tgt) + [EOS]
-            logits, _ = decoder_forward(self, None, seq, prefix_len=prefix_len,
-                                        train=train, rng=rng)
-            loss = cross_entropy(logits, labels, ignore_index=PAD)
-            return loss, len(tgt) + 1
-        enc_out, _ = encoder_forward(self, list(src) + [EOS], train=train, rng=rng)
-        logits, _ = decoder_forward(self, enc_out, [BOS] + list(tgt), train=train, rng=rng)
+        logits, _ = self.teacher_forced(src, tgt, train=train, rng=rng)
         labels = list(tgt) + [EOS]
-        loss = cross_entropy(logits, labels, ignore_index=PAD)
-        return loss, len(labels)
+        padded = [PAD] * (logits.shape[0] - len(labels)) + labels
+        return cross_entropy(logits, padded, ignore_index=PAD), len(labels)
 
     def predictions_for_pair(self, src: list[int], tgt: list[int]):
         """Teacher-forced argmax ids and gold labels for accuracy counting."""
-        if self.config.architecture == "decoder-only":
-            seq = list(src) + [EOS, BOS] + list(tgt)
-            prefix_len = len(src) + 1
-            logits, _ = decoder_forward(self, None, seq, prefix_len=prefix_len)
-            rows = np.asarray(logits.data)[prefix_len:]
-            labels = list(tgt) + [EOS]
-        else:
-            enc_out, _ = encoder_forward(self, list(src) + [EOS])
-            logits, _ = decoder_forward(self, enc_out, [BOS] + list(tgt))
-            rows = np.asarray(logits.data)
-            labels = list(tgt) + [EOS]
+        logits, _ = self.teacher_forced(src, tgt)
+        labels = list(tgt) + [EOS]
+        rows = np.asarray(logits.data)[-len(labels):]
         return rows.argmax(axis=1).tolist(), labels
 
 
@@ -208,56 +198,46 @@ def build_model(config: ModelConfig, seed: int = 0) -> TransformerModel:
     for site in ("src_embed", "tgt_embed", "out_proj"):
         store.bind(site, "embedding")
 
-    def attn_stack(side: str, kind: str, n_layers: int, sharing_rule: str):
-        n_phys = 1 if sharing_rule == "SharedAll" else n_layers
-        blocks = [_make_attention(store, rng, f"{side}.{kind}{m}", d) for m in range(n_phys)]
-        per_layer = []
-        for i in range(n_layers):
-            m = 0 if sharing_rule == "SharedAll" else i
-            _bind_block(store, f"{side}.layer{i}.{kind}", f"{side}.{kind}{m}", ATTN_PARTS)
-            per_layer.append(blocks[m])
-        return per_layer
+    def stack(side: str, kind: str, n_layers: int, strategy, make,
+              canonical_side: str | None = None, blocks=None):
+        """Per-layer blocks of one sublayer kind, laid out by `strategy`.
 
-    def ffn_stack(side: str, n_layers: int, strategy, width: int, canonical_side: str | None = None):
+        Attention's Individual/SharedAll rules are FFN strategy kinds too.
+        Physical blocks are made in index order under `canonical_side`
+        (default `side`) unless `blocks` reuses another stack's; layer sites
+        are bound after them, in layer order. NoOp layers get None.
+        """
         assignment = resolve_ffn_assignment(strategy, n_layers)
-        if not assignment:
-            return [None] * n_layers, []
-        n_phys = max(assignment) + 1
         cside = canonical_side or side
-        blocks = [_make_ffn(store, rng, f"{cside}.ffn{m}", d, width) for m in range(n_phys)]
-        per_layer = []
+        if blocks is None:
+            blocks = [make(f"{cside}.{kind}{m}") for m in range(max(assignment, default=-1) + 1)]
+        parts = FFN_PARTS if kind == "ffn" else ATTN_PARTS
         for i, m in enumerate(assignment):
-            _bind_block(store, f"{side}.layer{i}.ffn", f"{cside}.ffn{m}", FFN_PARTS)
-            per_layer.append(blocks[m])
-        return per_layer, blocks
+            for part in parts:
+                store.bind(f"{side}.layer{i}.{kind}.{part}", f"{cside}.{kind}{m}.{part}")
+        return [blocks[m] for m in assignment] or [None] * n_layers, blocks
+
+    def attention(prefix: str) -> AttentionBlock:
+        return _make_attention(store, rng, prefix, d)
+
+    def ffn(side: str):
+        width = config.ffn_width(side)
+        return lambda prefix: _make_ffn(store, rng, prefix, d, width)
 
     sharing = config.sharing
-    enc_attn, enc_ffn = [], []
+    # A tied decoder reuses the encoder's single FFN, named under side encdec.
+    tied = "encdec" if sharing.tie_enc_dec_ffn else None
+    enc_attn, enc_ffn, enc_ffn_blocks = [], [], None
     if config.n_enc > 0:
-        enc_attn = attn_stack("enc", "sa", config.n_enc, sharing.enc_self_attn)
-        if sharing.tie_enc_dec_ffn:
-            enc_ffn, tied_blocks = ffn_stack(
-                "enc", config.n_enc, sharing.enc_ffn, config.ffn_width("enc"),
-                canonical_side="encdec",
-            )
-        else:
-            enc_ffn, _ = ffn_stack("enc", config.n_enc, sharing.enc_ffn, config.ffn_width("enc"))
-
-    dec_self = attn_stack("dec", "sa", config.n_dec, sharing.dec_self_attn)
-    dec_cross: list[AttentionBlock | None]
+        enc_attn, _ = stack("enc", "sa", config.n_enc, sharing.enc_self_attn, attention)
+        enc_ffn, enc_ffn_blocks = stack("enc", "ffn", config.n_enc, sharing.enc_ffn,
+                                        ffn("enc"), tied)
+    dec_self, _ = stack("dec", "sa", config.n_dec, sharing.dec_self_attn, attention)
+    dec_cross: list[AttentionBlock | None] = [None] * config.n_dec
     if config.architecture == "encoder-decoder":
-        dec_cross = attn_stack("dec", "ca", config.n_dec, sharing.dec_cross_attn)
-    else:
-        dec_cross = [None] * config.n_dec
-
-    if sharing.tie_enc_dec_ffn:
-        # Decoder layers alias the single encoder/decoder FFN made above.
-        dec_ffn = []
-        for i in range(config.n_dec):
-            _bind_block(store, f"dec.layer{i}.ffn", "encdec.ffn0", FFN_PARTS)
-            dec_ffn.append(tied_blocks[0])
-    else:
-        dec_ffn, _ = ffn_stack("dec", config.n_dec, sharing.dec_ffn, config.ffn_width("dec"))
+        dec_cross, _ = stack("dec", "ca", config.n_dec, sharing.dec_cross_attn, attention)
+    dec_ffn, _ = stack("dec", "ffn", config.n_dec, sharing.dec_ffn, ffn("dec"), tied,
+                       enc_ffn_blocks if tied else None)
 
     return TransformerModel(config, store, embedding, enc_attn, enc_ffn,
                             dec_self, dec_cross, dec_ffn)

@@ -5,6 +5,7 @@ import wideffn as w
 from wideffn.config import PRESETS, SharingSpec
 from wideffn.errors import ConfigError, DataError
 from wideffn.sharing import FFNStrategy
+from wideffn.similarity import collect_activations
 from wideffn.tensor import ComputeTape, Tensor, recording
 from wideffn.transformer import (
     attention_forward,
@@ -15,6 +16,7 @@ from wideffn.transformer import (
     prefix_lm_mask,
     sinusoidal_positions,
 )
+from wideffn.vocab import BOS, EOS, generate_toy_task
 
 from conftest import tiny_config
 
@@ -227,3 +229,48 @@ def test_decoder_only_census_matches_count():
         cfg = w.apply_preset(tiny_config(n_enc=0, architecture="decoder-only"), preset)
         m = w.build_model(cfg, seed=0)
         assert m.store.total_params() == w.count_params(cfg)[0], preset
+
+
+def _teacher_forced_layout(m, src, tgt):
+    """Reference layout: decoder-only runs src <eos> <bos> tgt with a
+    bidirectional source prefix; encoder-decoder encodes src <eos> and
+    decodes <bos> tgt."""
+    if m.config.architecture == "decoder-only":
+        return decoder_forward(m, None, src + [EOS, BOS] + tgt, prefix_len=len(src) + 1)
+    enc_out, _ = encoder_forward(m, src + [EOS])
+    return decoder_forward(m, enc_out, [BOS] + tgt)
+
+
+@pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
+def test_decode_loss_accuracy_and_taps_share_the_teacher_forced_layout(arch):
+    n_enc = 0 if arch == "decoder-only" else 2
+    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch), seed=3)
+    src, tgt = [4, 5, 6], [7, 8, 9, 10]
+    logits, _ = _teacher_forced_layout(m, src, tgt)
+    labels = tgt + [EOS]
+    rows = np.asarray(logits.data)[-len(labels):]
+
+    enc = m.encode(src)
+    for t in range(len(labels)):
+        step = m.step_logits(enc, src, tgt[:t])
+        assert np.allclose(step, rows[t], rtol=0.0, atol=1e-5), t
+
+    pred, gold = m.predictions_for_pair(src, tgt)
+    assert pred == rows.argmax(axis=1).tolist()
+    assert gold == labels
+
+    loss, n = m.loss_for_pair(src, tgt)
+    z = rows.astype(np.float64)
+    z = z - z.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    expected = -logp[np.arange(len(labels)), labels].mean()
+    assert n == len(labels)
+    assert float(loss.data) == pytest.approx(expected, abs=1e-5)
+
+    corpus = generate_toy_task("copy", 5, (3, 6), 12, seed=4)
+    mats = collect_activations(m, corpus, "decoder")
+    per_pair = [_teacher_forced_layout(m, list(s), list(g))[1] for s, g in corpus.pairs]
+    assert set(mats) == set(per_pair[0])
+    for name, mat in mats.items():
+        means = np.stack([taps[name].data.mean(axis=0) for taps in per_pair])
+        assert np.allclose(mat.values, means, rtol=0.0, atol=1e-5), name

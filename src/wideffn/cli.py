@@ -59,15 +59,28 @@ _TOP_KEYS = {"seed", "preset", "model", "training", "task", "corpus", "decode"}
 
 
 def _check_keys(section: str, d: dict, allowed: set):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section} section must be a mapping, got {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown {section} keys: {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
+def _typed(kind, value, what: str):
+    """`kind(value)`, with a value that does not convert raised as a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from None
+
+
 def load_run_config(path: str) -> RunConfig:
     """Parse and validate a run file; applies preset expansion and WFN_SEED."""
     with open(path, encoding="utf-8") as f:
-        doc = yaml.safe_load(f)
+        try:
+            doc = yaml.safe_load(f)
+        except yaml.YAMLError as e:
+            raise ConfigError(f"{path}: not valid YAML: {e}") from None
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
@@ -78,17 +91,14 @@ def load_run_config(path: str) -> RunConfig:
         model = apply_preset(model, doc["preset"])
     model = model.validate()
     run = RunConfig(model=model)
-    if "seed" in doc:
-        run.seed = int(doc["seed"])
-    if "WFN_SEED" in os.environ:
-        run.seed = int(os.environ["WFN_SEED"])
+    run.seed = _typed(int, os.environ.get("WFN_SEED", doc.get("seed", run.seed)), "seed/WFN_SEED")
     training = doc.get("training", {})
     _check_keys("training", training, _TRAINING_KEYS)
-    run.steps = int(training.get("steps", run.steps))
-    run.batch_size = int(training.get("batch_size", run.batch_size))
+    run.steps = _typed(int, training.get("steps", run.steps), "training steps")
+    run.batch_size = _typed(int, training.get("batch_size", run.batch_size), "training batch_size")
     run.training = Schedule(
-        base_lr=float(training.get("base_lr", 7e-4)),
-        warmup_steps=int(training.get("warmup_steps", 4000)),
+        base_lr=_typed(float, training.get("base_lr", 7e-4), "training base_lr"),
+        warmup_steps=_typed(int, training.get("warmup_steps", 4000), "training warmup_steps"),
     )
     if "task" in doc and "corpus" in doc:
         raise ConfigError("give either a toy task or corpus paths, not both")
@@ -100,8 +110,8 @@ def load_run_config(path: str) -> RunConfig:
         run.corpus = doc["corpus"]
     decode = doc.get("decode", {})
     _check_keys("decode", decode, _DECODE_KEYS)
-    run.beam = int(decode.get("beam", 1))
-    run.decode_max_len = int(decode.get("max_len", 32))
+    run.beam = _typed(int, decode.get("beam", 1), "decode beam")
+    run.decode_max_len = _typed(int, decode.get("max_len", 32), "decode max_len")
     return run
 
 
@@ -109,15 +119,18 @@ def build_corpus(run: RunConfig) -> Corpus:
     if run.task is not None:
         task = run.task
         kind = task.get("kind", "copy")
-        count = int(task.get("count", 512))
-        len_range = tuple(task.get("len_range", (3, 8)))
-        vocab_size = int(task.get("vocab_size", run.model.vocab_size))
+        count = _typed(int, task.get("count", 512), "task count")
+        bounds = task.get("len_range", (3, 8))
+        if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+            raise ConfigError(f"task len_range must be [min, max], got {bounds!r}")
+        len_range = tuple(_typed(int, n, "task len_range") for n in bounds)
+        vocab_size = _typed(int, task.get("vocab_size", run.model.vocab_size), "task vocab_size")
         if vocab_size != run.model.vocab_size:
             raise ConfigError(
                 f"task vocab_size {vocab_size} != model vocab_size {run.model.vocab_size}"
             )
         return generate_toy_task(kind, count, len_range, vocab_size,
-                                 seed=int(task.get("seed", run.seed)))
+                                 seed=_typed(int, task.get("seed", run.seed), "task seed"))
     if run.corpus is not None:
         corpus = load_parallel_corpus(run.corpus["src"], run.corpus["tgt"])
         if corpus.vocab.size > run.model.vocab_size:
@@ -383,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="decode throughput sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoints", nargs="+", required=True)
-    p.add_argument("--batch-sizes", default="1")
+    p.add_argument("--batch-sizes", default="1", help="comma-separated; decoding is "
+                   "unbatched, so a batch size only sets the reported n_batches")
     p.add_argument("--beam", type=int, default=1)
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--out", required=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -25,6 +26,8 @@ class SharingSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "SharingSpec":
+        if not isinstance(d, dict):
+            raise ConfigError(f"sharing must be a mapping, got {d!r}")
         d = dict(d)
         kwargs = {}
         for side in ("enc_ffn", "dec_ffn"):
@@ -74,6 +77,13 @@ class ModelConfig:
 
     def validate(self) -> "ModelConfig":
         """Check invariants; returns a normalized copy."""
+        for name in ("n_enc", "n_dec", "d_model", "d_ff", "heads", "vocab_size", "max_len",
+                     "d_ff_shared", "d_ff_enc", "d_ff_dec"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) and not (v is None and name.startswith("d_ff_")):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+        if not isinstance(self.dropout, numbers.Real):
+            raise ConfigError(f"dropout must be a number, got {self.dropout!r}")
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"architecture must be one of {ARCHITECTURES}")
         if self.architecture == "decoder-only":
@@ -149,6 +159,8 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"model must be a mapping, got {d!r}")
         d = dict(d)
         known = {f.name for f in dataclasses.fields(ModelConfig)}
         unknown = set(d) - known
@@ -201,7 +213,7 @@ DECODER_ONLY_PRESETS = ("baseline", "SharedDec", "NoDec")
 
 def apply_preset(config: ModelConfig, name: str) -> ModelConfig:
     """Return a copy of `config` with the named sharing preset applied."""
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; valid: {sorted(PRESETS)}")
     if config.architecture == "decoder-only" and name not in DECODER_ONLY_PRESETS:
         raise ConfigError(

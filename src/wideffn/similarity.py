@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,35 +243,3 @@ def normalize_against_benchmark(raw: float, benchmark_raws) -> float:
         raise DataError(f"benchmark mean must be positive, got {mean}")
     return 100.0 * raw / mean
 
-
-def save_activation(path: str, mat: ActivationMatrix):
-    """Dump: model_id, corpus hash, module name, then n, d and raw float32."""
-    def pack(s: str) -> bytes:
-        raw = s.encode("utf-8")
-        return struct.pack("<H", len(raw)) + raw
-
-    n, d = mat.values.shape
-    with open(path, "wb") as f:
-        f.write(pack(mat.model_id))
-        f.write(pack(mat.corpus_hash))
-        f.write(pack(mat.module_name))
-        f.write(struct.pack("<II", n, d))
-        f.write(np.ascontiguousarray(mat.values, dtype="<f4").tobytes())
-
-
-def load_activation(path: str) -> ActivationMatrix:
-    with open(path, "rb") as f:
-        buf = f.read()
-
-    def unpack(at: int) -> tuple[str, int]:
-        (ln,) = struct.unpack_from("<H", buf, at)
-        at += 2
-        return buf[at : at + ln].decode("utf-8"), at + ln
-
-    model_id, at = unpack(0)
-    corpus_hash, at = unpack(at)
-    module_name, at = unpack(at)
-    n, d = struct.unpack_from("<II", buf, at)
-    at += 8
-    values = np.frombuffer(buf, dtype="<f4", count=n * d, offset=at).reshape(n, d)
-    return ActivationMatrix(values.copy(), module_name, model_id, corpus_hash)

@@ -100,14 +100,15 @@ def _require_rank(t: Tensor, rank: int, op: str):
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _require_rank(a, 2, "matmul")
-    _require_rank(b, 2, "matmul")
-    if a.shape[1] != b.shape[0]:
+    """Product of two matrices, or of two equal-length stacks of matrices."""
+    if a.data.ndim not in (2, 3) or a.data.ndim != b.data.ndim:
+        raise ShapeError(f"matmul: ranks of {a.shape} and {b.shape} must both be 2 or 3")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape} do not agree")
     out = Tensor(a.data @ b.data)
 
     def backward_fn(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
 
     return _emit(out, (a, b), backward_fn)
 
@@ -156,12 +157,24 @@ def relu(x: Tensor) -> Tensor:
     return _emit(out, (x,), backward_fn)
 
 
-def transpose(x: Tensor) -> Tensor:
-    _require_rank(x, 2, "transpose")
-    out = Tensor(x.data.T.copy())
+def transpose(x: Tensor, axes=(1, 0)) -> Tensor:
+    """Permute the axes of x; the default swaps the two axes of a matrix."""
+    if sorted(axes) != list(range(x.data.ndim)):
+        raise ShapeError(f"transpose: {axes} is not a permutation of the axes of {x.shape}")
+    out = Tensor(x.data.transpose(axes).copy())
+    inverse = np.argsort(axes)
+
+    def backward_fn(g):  # row-major like the forward copy, so later sums keep their order
+        return (np.ascontiguousarray(g.transpose(inverse)),)
+
+    return _emit(out, (x,), backward_fn)
+
+
+def reshape(x: Tensor, shape) -> Tensor:
+    out = Tensor(x.data.reshape(shape))
 
     def backward_fn(g):
-        return (g.T,)
+        return (g.reshape(x.data.shape),)
 
     return _emit(out, (x,), backward_fn)
 
@@ -204,10 +217,9 @@ def concat_cols(parts) -> Tensor:
 
 
 def mask_fill(x: Tensor, keep: np.ndarray, fill=MASK_FILL_VALUE) -> Tensor:
-    """Replace entries where `keep` is False with `fill` (no grad flows there)."""
-    _require_rank(x, 2, "mask_fill")
+    """Put `fill` where `keep` is False in each matrix of x; no grad flows there."""
     keep = np.asarray(keep, dtype=bool)
-    if keep.shape != x.shape:
+    if keep.shape != x.shape[-2:]:
         raise ShapeError(f"mask_fill: mask {keep.shape} vs input {x.shape}")
     out = Tensor(np.where(keep, x.data, np.float32(fill)))
 
@@ -218,15 +230,14 @@ def mask_fill(x: Tensor, keep: np.ndarray, fill=MASK_FILL_VALUE) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with max subtraction for stability."""
-    _require_rank(x, 2, "softmax_rows")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    """Softmax over the last axis with max subtraction for stability."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(p)
 
     def backward_fn(g):
-        dot = (g * p).sum(axis=1, keepdims=True)
+        dot = (g * p).sum(axis=-1, keepdims=True)
         return (p * (g - dot),)
 
     return _emit(out, (x,), backward_fn)

@@ -22,7 +22,6 @@ from .tensor import (
     Tensor,
     add,
     add_bias,
-    concat_cols,
     cross_entropy,
     dropout,
     embedding_lookup,
@@ -30,8 +29,8 @@ from .tensor import (
     mask_fill,
     matmul,
     relu,
+    reshape,
     scale,
-    slice_cols,
     softmax_rows,
     transpose,
 )
@@ -249,33 +248,28 @@ def attention_forward(q_in: Tensor, k_in: Tensor, v_in: Tensor, block: Attention
                       rng: np.random.Generator | None = None) -> Tensor:
     """Multi-head attention sublayer: projection, residual from q_in, norm.
 
+    Each projection is split by reshape into a stack of heads, so one
+    stacked matmul scores every head and one more weights the values.
     A fully masked score row degrades to a uniform attention row, because
     max subtraction inside the softmax cancels the shared fill value.
     """
-    d = q_in.shape[1]
+    t_q, d = q_in.shape
     if d % heads != 0:
         raise ConfigError(f"width {d} not divisible by {heads} heads")
     dh = d // heads
-    q = add_bias(matmul(q_in, block.wq), block.bq)
-    k = add_bias(matmul(k_in, block.wk), block.bk)
-    v = add_bias(matmul(v_in, block.wv), block.bv)
-    if mask is not None and mask.shape != (q_in.shape[0], k_in.shape[0]):
-        raise ConfigError(f"mask shape {mask.shape} vs scores ({q_in.shape[0]}, {k_in.shape[0]})")
-    outs = []
-    inv_sqrt = 1.0 / math.sqrt(dh)
-    for h in range(heads):
-        if heads == 1:
-            qh, kh, vh = q, k, v
-        else:
-            qh = slice_cols(q, h * dh, (h + 1) * dh)
-            kh = slice_cols(k, h * dh, (h + 1) * dh)
-            vh = slice_cols(v, h * dh, (h + 1) * dh)
-        scores = scale(matmul(qh, transpose(kh)), inv_sqrt)
-        if mask is not None:
-            scores = mask_fill(scores, mask)
-        weights = softmax_rows(scores)
-        outs.append(matmul(weights, vh))
-    merged = outs[0] if heads == 1 else concat_cols(outs)
+
+    def split(x: Tensor, w: Tensor, b: Tensor, axes) -> Tensor:
+        proj = add_bias(matmul(x, w), b)
+        return transpose(reshape(proj, (x.shape[0], heads, dh)), axes)
+
+    q = split(q_in, block.wq, block.bq, (1, 0, 2))  # (heads, t_q, dh)
+    k = split(k_in, block.wk, block.bk, (1, 2, 0))  # (heads, dh, t_k)
+    v = split(v_in, block.wv, block.bv, (1, 0, 2))  # (heads, t_k, dh)
+    scores = scale(matmul(q, k), 1.0 / math.sqrt(dh))
+    if mask is not None:
+        scores = mask_fill(scores, mask)
+    heads_out = matmul(softmax_rows(scores), v)
+    merged = reshape(transpose(heads_out, (1, 0, 2)), (t_q, d))
     proj = add_bias(matmul(merged, block.wo), block.bo)
     if train and dropout_p > 0.0:
         proj = dropout(proj, dropout_p, rng)

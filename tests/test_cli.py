@@ -240,13 +240,36 @@ def test_sweep_verb_rows(tmp_path, capsys):
 
 # ---------------------------------------------------------------- exit codes
 
-def test_exit_code_2_for_config_errors(tmp_path, capsys):
+def test_exit_code_2_for_config_errors(tmp_path, capsys, monkeypatch):
     bad = write_config(tmp_path, training={"momentum": 0.9})
     assert main(["params", "--config", bad]) == 2
     assert "error:" in capsys.readouterr().err
     listy = tmp_path / "list.yaml"
     listy.write_text("- a\n- b\n")
     assert main(["params", "--config", str(listy)]) == 2
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("model: {d_model: [1\n")
+    assert main(["params", "--config", str(broken)]) == 2
+    assert "error:" in capsys.readouterr().err
+    malformed = [
+        {"seed": "abc"},
+        {"training": {"steps": "ten"}},
+        {"training": 5},
+        {"model": {"d_model": "wide"}},
+        {"model": {"dropout": "high"}},
+        {"model": {"sharing": 3}},
+        {"preset": ["baseline"]},
+        {"decode": {"beam": "x"}},
+        {"task": {"count": "many"}},
+        {"task": {"len_range": 5}},
+    ]
+    for edit in malformed:
+        cfg = write_config(tmp_path, **edit)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.ckpt")]) == 2, edit
+        assert "error:" in capsys.readouterr().err, edit
+    monkeypatch.setenv("WFN_SEED", "x")
+    assert main(["params", "--config", write_config(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_exit_code_3_for_missing_files(tmp_path, capsys):

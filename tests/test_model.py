@@ -6,8 +6,10 @@ from wideffn.config import PRESETS, SharingSpec
 from wideffn.errors import ConfigError, DataError
 from wideffn.sharing import FFNStrategy
 from wideffn.similarity import collect_activations
-from wideffn.tensor import ComputeTape, Tensor, recording
+from wideffn.tensor import ComputeTape, Tensor, cross_entropy, grad_check, recording
 from wideffn.transformer import (
+    ATTN_PARTS,
+    AttentionBlock,
     attention_forward,
     causal_mask,
     decoder_forward,
@@ -158,6 +160,67 @@ def test_fully_masked_row_stays_finite():
     keep[1, :] = False
     out = attention_forward(x, x, x, m.enc_attn[0], mask=keep, heads=2)
     assert np.isfinite(out.data).all()
+
+
+def _random_attention_block(rng, d):
+    """An attention block with every weight, bias and norm parameter random."""
+    return AttentionBlock(**{
+        name: Tensor(rng.uniform(-0.5, 0.5, size=(d, d) if name.startswith("w") else d))
+        for name in ATTN_PARTS
+    })
+
+
+def _reference_attention(q_in, kv_in, block, keep, heads):
+    """Multi-head attention one head at a time, in float64 numpy."""
+    p = {name: getattr(block, name).data.astype(np.float64) for name in ATTN_PARTS}
+    q = q_in @ p["wq"] + p["bq"]
+    k = kv_in @ p["wk"] + p["bk"]
+    v = kv_in @ p["wv"] + p["bv"]
+    dh = q.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = q[:, cols] @ k[:, cols].T / np.sqrt(dh)
+        if keep is not None:
+            scores = np.where(keep, scores, -1e9)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        outs.append(e / e.sum(axis=1, keepdims=True) @ v[:, cols])
+    y = q_in + np.concatenate(outs, axis=1) @ p["wo"] + p["bo"]
+    y = (y - y.mean(axis=1, keepdims=True)) / np.sqrt(y.var(axis=1, keepdims=True) + 1e-5)
+    return y * p["ln_gain"] + p["ln_bias"]
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("case", ["self", "causal", "prefix", "cross"])
+def test_attention_matches_per_head_reference(heads, case):
+    rng = np.random.default_rng(heads)
+    d, t = 16, 5
+    block = _random_attention_block(rng, d)
+    q_in = rng.standard_normal((t, d)).astype(np.float32)
+    kv_in = rng.standard_normal((3, d)).astype(np.float32) if case == "cross" else q_in
+    keep = {"causal": causal_mask(t), "prefix": prefix_lm_mask(2, t - 2)}.get(case)
+    q_t = Tensor(q_in)
+    kv_t = Tensor(kv_in) if case == "cross" else q_t
+    out = attention_forward(q_t, kv_t, kv_t, block, mask=keep, heads=heads)
+    expect = _reference_attention(q_in.astype(np.float64), kv_in.astype(np.float64),
+                                  block, keep, heads)
+    assert out.shape == (t, d)
+    assert np.abs(out.data - expect).max() < 1e-6
+
+
+def test_attention_passes_grad_check_with_four_heads():
+    rng = np.random.default_rng(3)
+    d, t = 16, 5
+    block = _random_attention_block(rng, d)
+    x = Tensor(rng.standard_normal((t, d)))
+    keep = prefix_lm_mask(2, t - 2)
+
+    def f(params):
+        out = attention_forward(params[0], params[0], params[0], block, mask=keep, heads=4)
+        return cross_entropy(out, np.arange(t))
+
+    params = [x] + [getattr(block, name) for name in ATTN_PARTS]
+    assert grad_check(f, params, coords_per_tensor=3) < 1e-3
 
 
 def test_forward_is_deterministic_in_eval_mode():

@@ -17,6 +17,7 @@ from wideffn.tensor import (
     matmul,
     recording,
     relu,
+    reshape,
     scale,
     slice_cols,
     softmax_rows,
@@ -48,6 +49,53 @@ def test_matmul_matches_numpy_and_checks_shapes():
     assert np.array_equal(out.data, a @ b)
     with pytest.raises(ShapeError):
         matmul(Tensor(a), Tensor(a))
+
+
+def test_stacked_ops_forward_and_shape_errors():
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((2, 3, 4)).astype(np.float32)
+    b = rng.standard_normal((2, 4, 5)).astype(np.float32)
+    assert np.array_equal(matmul(Tensor(a), Tensor(b)).data, a @ b)
+    assert np.array_equal(transpose(Tensor(a), (2, 0, 1)).data, a.transpose(2, 0, 1))
+    assert np.array_equal(reshape(Tensor(a), (6, 4)).data, a.reshape(6, 4))
+    keep = np.tri(3, 4, dtype=bool)
+    assert np.array_equal(mask_fill(Tensor(a), keep).data[1], mask_fill(Tensor(a[1]), keep).data)
+    assert np.array_equal(softmax_rows(Tensor(a)).data[0], softmax_rows(Tensor(a[0])).data)
+    with pytest.raises(ShapeError):  # stacks of different lengths
+        matmul(Tensor(a), Tensor(b[:1]))
+    with pytest.raises(ShapeError):  # a stack times a matrix
+        matmul(Tensor(a), Tensor(b[0]))
+    for axes in [(0, 0, 1), (0, 1), (0, 1, 3)]:
+        with pytest.raises(ShapeError):
+            transpose(Tensor(a), axes)
+    with pytest.raises(ShapeError):
+        mask_fill(Tensor(a), np.ones((4, 3), dtype=bool))
+
+
+def _row_loss(y):
+    """Cross-entropy over the rows of y flattened to a matrix, fixed targets."""
+    cols = y.shape[-1]
+    rows = y.data.size // cols
+    return cross_entropy(reshape(y, (rows, cols)), np.arange(rows) % cols)
+
+
+@pytest.mark.parametrize("op", ["matmul", "transpose", "reshape", "softmax_rows", "mask_fill"])
+def test_stacked_ops_pass_grad_check(op):
+    rng = np.random.default_rng(6)
+    a = Tensor(rng.standard_normal((2, 3, 4)))
+    b = Tensor(rng.standard_normal((2, 4, 3)))
+    keep = np.tri(3, 4, dtype=bool)
+    build = {
+        "matmul": lambda p: matmul(p[0], p[1]),
+        "transpose": lambda p: transpose(p[0], (2, 0, 1)),
+        "reshape": lambda p: reshape(p[0], (4, 6)),
+        "softmax_rows": lambda p: softmax_rows(p[0]),
+        # A moderate fill keeps the loss in float32 range without a softmax,
+        # which would zero the filled entries' gradient on its own.
+        "mask_fill": lambda p: mask_fill(p[0], keep, fill=0.5),
+    }[op]
+    err = grad_check(lambda p: _row_loss(build(p)), [a, b], coords_per_tensor=8)
+    assert err < 1e-3
 
 
 def test_elementwise_forward_oracles():

@@ -12,10 +12,8 @@ from wideffn.similarity import (
     knn,
     linear_cka,
     lns,
-    load_activation,
     normalize_against_benchmark,
     pairwise_layer_similarity,
-    save_activation,
     self_similarity,
 )
 from wideffn.vocab import generate_toy_task
@@ -273,14 +271,3 @@ def test_lns_report_over_real_activations():
     same = pairwise_layer_similarity(ta, ta, metric="lns", k=2)
     assert same.aggregate == pytest.approx(1.0)
 
-
-def test_activation_dump_round_trip(tmp_path):
-    rng = np.random.default_rng(13)
-    mat = _mat(rng.standard_normal((9, 5)), name="1.ffn", model="mx", h="abc123")
-    p = tmp_path / "act.bin"
-    save_activation(str(p), mat)
-    back = load_activation(str(p))
-    assert back.module_name == "1.ffn"
-    assert back.model_id == "mx"
-    assert back.corpus_hash == "abc123"
-    assert back.values.tobytes() == mat.values.tobytes()

@@ -15,21 +15,23 @@ Layout (all integers little-endian):
     payloads: row-major little-endian float32, in header order
 
 Aliased tensors appear once; the alias table is metadata only. A model
-checkpoint also writes a '<path>.config.json' sidecar so the exact model
-can be rebuilt before the bytes are restored.
+checkpoint also writes a '<path>.config.json' sidecar, the config whose
+`param_layout` the file must match when the model is wired onto it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
 from .config import ModelConfig
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .store import ParamStore
 from .tensor import Tensor
+from .transformer import param_layout, wire_model
 
 MAGIC = b"WFN1"
 DTYPE_F32 = 0
@@ -98,36 +100,22 @@ def load_checkpoint(path: str) -> ParamStore:
             aliases.append((logical, canonical))
     except (struct.error, UnicodeDecodeError) as e:
         raise DataError(f"{path}: corrupt header ({e})")
-    payload = sum(4 * int(np.prod(shape)) if shape else 4 for _, shape in headers)
-    if len(buf) - at != payload:
-        raise DataError(f"{path}: payload is {len(buf) - at} bytes, header says {payload}")
+    count = [math.prod(shape) for _, shape in headers]
+    if len(buf) - at != 4 * sum(count):
+        raise DataError(f"{path}: payload is {len(buf) - at} bytes, header says {4 * sum(count)}")
+    payload = np.frombuffer(buf, dtype="<f4", offset=at)
+    if not np.isfinite(payload).all():
+        raise DataError(f"{path}: payload holds non-finite values")
     store = ParamStore()
-    for name, shape in headers:
-        count = int(np.prod(shape)) if shape else 1
-        flat = np.frombuffer(buf, dtype="<f4", count=count, offset=at)
-        at += 4 * count
-        store.add(name, Tensor(flat.reshape(shape).astype(np.float32)))
-    for logical, canonical in aliases:
-        store.bind(logical, canonical)
+    try:
+        for (name, shape), n in zip(headers, count):
+            store.add(name, Tensor(payload[:n].reshape(shape).astype(np.float32)))
+            payload = payload[n:]
+        for logical, canonical in aliases:
+            store.bind(logical, canonical)
+    except ConfigError as e:
+        raise DataError(f"{path}: {e}") from None
     return store
-
-
-def restore_into(store: ParamStore, model_store: ParamStore):
-    """Copy loaded payloads into an existing store's tensors, in place.
-
-    In-place copy keeps every block's Tensor references (and tying) intact.
-    """
-    loaded = store.physical
-    target = model_store.physical
-    if set(loaded) != set(target):
-        missing = sorted(set(target) - set(loaded))
-        extra = sorted(set(loaded) - set(target))
-        raise DataError(f"checkpoint/model mismatch; missing {missing}, extra {extra}")
-    for name, tensor in target.items():
-        src = loaded[name].data
-        if src.shape != tensor.data.shape:
-            raise DataError(f"{name}: checkpoint shape {src.shape} vs model {tensor.data.shape}")
-        tensor.data[...] = src
 
 
 def sidecar_path(path: str) -> str:
@@ -142,18 +130,38 @@ def save_model_checkpoint(model, path: str) -> int:
     return n
 
 
-def load_model_checkpoint(path: str, config: ModelConfig | None = None):
-    """Rebuild the model (from the sidecar unless a config is given) and
-    restore its exact parameter bytes."""
-    from .transformer import build_model
+def _mismatch(what: str, want: dict, got: dict) -> list[str]:
+    """What `got` lacks, adds or holds differently, as message fragments."""
+    wrong = sorted(k for k in want.keys() & got.keys() if want[k] != got[k])
+    return [f"{label} {what} {names}" for label, names in (
+        ("missing", sorted(want.keys() - got.keys())),
+        ("extra", sorted(got.keys() - want.keys())),
+        ("mismatched", [f"{k}: file {got[k]} vs config {want[k]}" for k in wrong]),
+    ) if names]
 
+
+def load_model_checkpoint(path: str, config: ModelConfig | None = None):
+    """The model saved at `path`, wired straight onto the loaded tensors.
+
+    The config comes from the sidecar unless one is given. The file's
+    tensor names and shapes and its alias table must be exactly those of
+    `param_layout(config)`; anything else raises DataError.
+    """
     if config is None:
+        side = sidecar_path(path)
         try:
-            with open(sidecar_path(path), encoding="utf-8") as f:
-                config = ModelConfig.from_dict(json.load(f))
+            with open(side, encoding="utf-8") as f:
+                config = ModelConfig.from_dict(json.load(f)).validate()
         except FileNotFoundError:
-            raise DataError(f"no config sidecar next to {path}; pass one explicitly")
-    model = build_model(config, seed=0)
-    loaded = load_checkpoint(path)
-    restore_into(loaded, model.store)
-    return model
+            raise DataError(f"no config sidecar next to {path}; pass one explicitly") from None
+        except (ValueError, ConfigError) as e:
+            raise DataError(f"{side}: not a valid model config: {e}") from None
+    config = config.validate()
+    store = load_checkpoint(path)
+    tensors, aliases = param_layout(config)
+    shapes = {name: t.data.shape for name, t in store.physical.items()}
+    problems = _mismatch("tensors", dict(tensors), shapes)
+    problems += _mismatch("aliases", dict(aliases), store.aliases)
+    if problems:
+        raise DataError(f"{path} does not match its model config: " + "; ".join(problems))
+    return wire_model(config, store)

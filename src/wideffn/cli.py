@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .bench import batch_size_sweep, corpus_bleu, decode_greedy
-from .checkpoint import load_checkpoint, load_model_checkpoint, restore_into, save_model_checkpoint
+from .checkpoint import load_model_checkpoint, save_model_checkpoint
 from .config import ModelConfig, apply_preset
 from .counting import BREAKDOWN_KEYS, baseline_of, count_params, percent_of_baseline
 from .errors import ConfigError, DataError, NumericError, ShapeError, WideFFNError
@@ -107,6 +107,8 @@ def load_run_config(path: str) -> RunConfig:
         run.task = doc["task"]
     if "corpus" in doc:
         _check_keys("corpus", doc["corpus"], _CORPUS_KEYS)
+        if not all(isinstance(doc["corpus"].get(key), str) for key in _CORPUS_KEYS):
+            raise ConfigError(f"corpus needs src and tgt file paths, got {doc['corpus']!r}")
         run.corpus = doc["corpus"]
     decode = doc.get("decode", {})
     _check_keys("decode", decode, _DECODE_KEYS)
@@ -203,10 +205,11 @@ def cmd_params(args) -> int:
 def cmd_train(args) -> int:
     run = load_run_config(args.config)
     corpus = build_corpus(run)
-    model = build_model(run.model, seed=run.seed)
     if args.resume:
-        restore_into(load_checkpoint(args.resume), model.store)
+        model = load_model_checkpoint(args.resume, config=run.model)
         print(f"resumed parameters from {args.resume}")
+    else:
+        model = build_model(run.model, seed=run.seed)
     losses = train(model, corpus, steps=run.steps, batch_size=run.batch_size,
                    seed=run.seed, schedule=run.training)
     save_model_checkpoint(model, args.out)

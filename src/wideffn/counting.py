@@ -1,9 +1,8 @@
-"""Exact parameter arithmetic, computed from the config alone.
+"""Exact parameter arithmetic, summed from the census build_model materializes.
 
-Counts never materialize tensors, so table-scale models (hundreds of
-millions of parameters) cost microseconds. build_model must agree with
-these numbers exactly; the test suite cross-checks the census at small
-shapes for every preset.
+`count_params` reads `param_layout`, which lists every physical tensor's
+shape without allocating it, so table-scale models (hundreds of millions
+of parameters) cost no memory and always agree with the built model.
 
 Breakdown convention: the named buckets (embedding, *_attn, *_ffn) hold
 matrix entries only; every layer-norm gain/bias pair lands in
@@ -14,9 +13,11 @@ encoder-decoder FFN is attributed to 'enc_ffn'.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .config import ModelConfig, SharingSpec
 from .errors import ConfigError
+from .transformer import param_layout
 
 BREAKDOWN_KEYS = (
     "embedding",
@@ -29,47 +30,30 @@ BREAKDOWN_KEYS = (
     "biases",
 )
 
-
-def _attn_physical(rule: str, n_layers: int) -> int:
-    if n_layers == 0:
-        return 0
-    return 1 if rule == "SharedAll" else n_layers
+# Matrix bucket of each block kind, keyed by canonical name less its block index.
+_MATRIX_BUCKETS = {
+    "embedding": "embedding",
+    "enc.sa": "enc_attn",
+    "enc.ffn": "enc_ffn",
+    "encdec.ffn": "enc_ffn",
+    "dec.sa": "dec_self_attn",
+    "dec.ca": "dec_cross_attn",
+    "dec.ffn": "dec_ffn",
+}
 
 
 def count_params(config: ModelConfig) -> tuple[int, dict[str, int]]:
     """Total parameter count and its breakdown for one configuration."""
-    config = config.validate()
-    d = config.d_model
-    sharing = config.sharing
-    out = {key: 0 for key in BREAKDOWN_KEYS}
-    out["embedding"] = config.vocab_size * d
-
-    def add_attention(bucket: str, n_phys: int):
-        out[bucket] += n_phys * 4 * d * d
-        out["biases"] += n_phys * 4 * d
-        out["layer_norms"] += n_phys * 2 * d
-
-    def add_ffn(bucket: str, n_phys: int, width: int):
-        out[bucket] += n_phys * 2 * d * width
-        out["biases"] += n_phys * (width + d)
-        out["layer_norms"] += n_phys * 2 * d
-
-    if config.n_enc > 0:
-        add_attention("enc_attn", _attn_physical(sharing.enc_self_attn, config.n_enc))
-        if not sharing.tie_enc_dec_ffn:
-            n_phys = sharing.enc_ffn.n_physical(config.n_enc)
-            add_ffn("enc_ffn", n_phys, config.ffn_width("enc"))
-
-    add_attention("dec_self_attn", _attn_physical(sharing.dec_self_attn, config.n_dec))
-    if config.architecture == "encoder-decoder":
-        add_attention("dec_cross_attn", _attn_physical(sharing.dec_cross_attn, config.n_dec))
-
-    if sharing.tie_enc_dec_ffn:
-        add_ffn("enc_ffn", 1, config.ffn_width("enc"))
-    else:
-        n_phys = sharing.dec_ffn.n_physical(config.n_dec)
-        add_ffn("dec_ffn", n_phys, config.ffn_width("dec"))
-
+    out = dict.fromkeys(BREAKDOWN_KEYS, 0)
+    for name, shape in param_layout(config)[0]:
+        block, _, part = name.rpartition(".")
+        if part.startswith("ln_"):
+            key = "layer_norms"
+        elif len(shape) == 1:
+            key = "biases"
+        else:
+            key = _MATRIX_BUCKETS[block.rstrip("0123456789") or part]
+        out[key] += math.prod(shape)
     return sum(out.values()), out
 
 

@@ -60,15 +60,6 @@ class FFNStrategy:
         """True when at least two layers can map to the same physical FFN."""
         return self.kind in ("SharedAll",) + GROUPED_KINDS
 
-    def n_physical(self, n_layers: int) -> int:
-        if n_layers == 0 or self.kind == "NoOp":
-            return 0
-        if self.kind == "Individual":
-            return n_layers
-        if self.kind == "SharedAll":
-            return 1
-        return self.m
-
 
 def resolve_ffn_assignment(strategy, n_layers: int) -> list[int]:
     """Map each of n_layers layers (0-based) to a physical FFN index.

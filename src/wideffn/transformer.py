@@ -1,4 +1,4 @@
-"""Transformer blocks, the deterministic builder, and forward passes.
+"""Transformer blocks, the parameter layout and builder, and forward passes.
 
 Post-norm residual blocks throughout: sublayer output is
 layer_norm(x + f(x)). A NoOp FFN removes the whole sublayer, residual and
@@ -67,32 +67,6 @@ class FFNBlock:
 def _xavier(rng: np.random.Generator, n_in: int, n_out: int) -> Tensor:
     limit = math.sqrt(6.0 / (n_in + n_out))
     return Tensor(rng.uniform(-limit, limit, size=(n_in, n_out)).astype(np.float32))
-
-
-def _make_attention(store: ParamStore, rng, prefix: str, d: int) -> AttentionBlock:
-    parts = {
-        "wq": _xavier(rng, d, d), "bq": Tensor(np.zeros(d, dtype=np.float32)),
-        "wk": _xavier(rng, d, d), "bk": Tensor(np.zeros(d, dtype=np.float32)),
-        "wv": _xavier(rng, d, d), "bv": Tensor(np.zeros(d, dtype=np.float32)),
-        "wo": _xavier(rng, d, d), "bo": Tensor(np.zeros(d, dtype=np.float32)),
-        "ln_gain": Tensor(np.ones(d, dtype=np.float32)),
-        "ln_bias": Tensor(np.zeros(d, dtype=np.float32)),
-    }
-    for name in ATTN_PARTS:
-        store.add(f"{prefix}.{name}", parts[name])
-    return AttentionBlock(**parts)
-
-
-def _make_ffn(store: ParamStore, rng, prefix: str, d: int, width: int) -> FFNBlock:
-    parts = {
-        "w1": _xavier(rng, d, width), "b1": Tensor(np.zeros(width, dtype=np.float32)),
-        "w2": _xavier(rng, width, d), "b2": Tensor(np.zeros(d, dtype=np.float32)),
-        "ln_gain": Tensor(np.ones(d, dtype=np.float32)),
-        "ln_bias": Tensor(np.zeros(d, dtype=np.float32)),
-    }
-    for name in FFN_PARTS:
-        store.add(f"{prefix}.{name}", parts[name])
-    return FFNBlock(**parts)
 
 
 def sinusoidal_positions(n_positions: int, d_model: int) -> np.ndarray:
@@ -186,60 +160,98 @@ class TransformerModel:
         return rows.argmax(axis=1).tolist(), labels
 
 
+def param_layout(config: ModelConfig):
+    """The parameter census of a model, allocating nothing.
+
+    Returns (tensors, aliases). `tensors` lists each physical tensor as
+    (canonical name, shape) in creation order, which fixes both the order of
+    the initialisation draws and the checkpoint order. `aliases` lists each
+    usage site as (site, canonical name) in registration order; layers that
+    share a block alias the same canonical names. Attention's
+    Individual/SharedAll rules are FFN strategy kinds too, NoOp layers have
+    no sites, and a tied decoder FFN aliases the encoder's single FFN, which
+    is named under side `encdec`.
+    """
+    config = config.validate()
+    d = config.d_model
+    sharing = config.sharing
+    tensors = [("embedding", (config.vocab_size, d))]
+    aliases = [(site, "embedding") for site in ("src_embed", "tgt_embed", "out_proj")]
+
+    def stack(side: str, kind: str, n_layers: int, strategy, cside: str | None = None,
+              new: bool = True):
+        if kind == "ffn":
+            w = config.ffn_width(side)
+            parts = list(zip(FFN_PARTS, ((d, w), (w,), (w, d), (d,), (d,), (d,))))
+        else:
+            parts = list(zip(ATTN_PARTS, ((d, d), (d,)) * 4 + ((d,), (d,))))
+        assignment = resolve_ffn_assignment(strategy, n_layers)
+        blocks = [f"{cside or side}.{kind}{m}." for m in range(max(assignment, default=-1) + 1)]
+        if new:
+            for block in blocks:
+                tensors.extend([(block + part, shape) for part, shape in parts])
+        for i, m in enumerate(assignment):
+            site = f"{side}.layer{i}.{kind}."
+            aliases.extend([(site + part, blocks[m] + part) for part, _ in parts])
+
+    tied = "encdec" if sharing.tie_enc_dec_ffn else None
+    if config.n_enc > 0:
+        stack("enc", "sa", config.n_enc, sharing.enc_self_attn)
+        stack("enc", "ffn", config.n_enc, sharing.enc_ffn, tied)
+    stack("dec", "sa", config.n_dec, sharing.dec_self_attn)
+    if config.architecture == "encoder-decoder":
+        stack("dec", "ca", config.n_dec, sharing.dec_cross_attn)
+    stack("dec", "ffn", config.n_dec, sharing.dec_ffn, tied, new=not tied)
+    return tensors, aliases
+
+
+def wire_model(config: ModelConfig, store: ParamStore) -> TransformerModel:
+    """The model over a store that holds `param_layout(config)`.
+
+    Each layer's block is read through its sites, and layers whose sites
+    alias the same tensors share one block object, so tying is object
+    identity all the way up. A layer without sites (a NoOp FFN, or cross
+    attention in a decoder-only model) gets None.
+    """
+    made: dict[str, AttentionBlock | FFNBlock] = {}
+    physical, aliases = store.physical, store.aliases
+
+    def stack(side: str, kind: str, n_layers: int):
+        cls, parts = (FFNBlock, FFN_PARTS) if kind == "ffn" else (AttentionBlock, ATTN_PARTS)
+        out = []
+        for i in range(n_layers):
+            site = f"{side}.layer{i}.{kind}."
+            key = aliases.get(site + parts[0])
+            if key is not None and key not in made:
+                made[key] = cls(*[physical[aliases[site + part]] for part in parts])
+            out.append(made.get(key))
+        return out
+
+    return TransformerModel(config, store, store.resolve("tgt_embed"),
+                            stack("enc", "sa", config.n_enc), stack("enc", "ffn", config.n_enc),
+                            stack("dec", "sa", config.n_dec), stack("dec", "ca", config.n_dec),
+                            stack("dec", "ffn", config.n_dec))
+
+
 def build_model(config: ModelConfig, seed: int = 0) -> TransformerModel:
-    """Materialize parameters in a fixed creation order and wire aliases."""
+    """Materialize `param_layout(config)` in creation order and wire the model.
+
+    Rank-2 tensors are Xavier-uniform draws from one generator seeded with
+    `seed`, layer-norm gains are ones and everything else is zeros.
+    """
     config = config.validate()
     rng = np.random.default_rng(seed)
     store = ParamStore()
-    d = config.d_model
-
-    embedding = store.add("embedding", _xavier(rng, config.vocab_size, d))
-    for site in ("src_embed", "tgt_embed", "out_proj"):
-        store.bind(site, "embedding")
-
-    def stack(side: str, kind: str, n_layers: int, strategy, make,
-              canonical_side: str | None = None, blocks=None):
-        """Per-layer blocks of one sublayer kind, laid out by `strategy`.
-
-        Attention's Individual/SharedAll rules are FFN strategy kinds too.
-        Physical blocks are made in index order under `canonical_side`
-        (default `side`) unless `blocks` reuses another stack's; layer sites
-        are bound after them, in layer order. NoOp layers get None.
-        """
-        assignment = resolve_ffn_assignment(strategy, n_layers)
-        cside = canonical_side or side
-        if blocks is None:
-            blocks = [make(f"{cside}.{kind}{m}") for m in range(max(assignment, default=-1) + 1)]
-        parts = FFN_PARTS if kind == "ffn" else ATTN_PARTS
-        for i, m in enumerate(assignment):
-            for part in parts:
-                store.bind(f"{side}.layer{i}.{kind}.{part}", f"{cside}.{kind}{m}.{part}")
-        return [blocks[m] for m in assignment] or [None] * n_layers, blocks
-
-    def attention(prefix: str) -> AttentionBlock:
-        return _make_attention(store, rng, prefix, d)
-
-    def ffn(side: str):
-        width = config.ffn_width(side)
-        return lambda prefix: _make_ffn(store, rng, prefix, d, width)
-
-    sharing = config.sharing
-    # A tied decoder reuses the encoder's single FFN, named under side encdec.
-    tied = "encdec" if sharing.tie_enc_dec_ffn else None
-    enc_attn, enc_ffn, enc_ffn_blocks = [], [], None
-    if config.n_enc > 0:
-        enc_attn, _ = stack("enc", "sa", config.n_enc, sharing.enc_self_attn, attention)
-        enc_ffn, enc_ffn_blocks = stack("enc", "ffn", config.n_enc, sharing.enc_ffn,
-                                        ffn("enc"), tied)
-    dec_self, _ = stack("dec", "sa", config.n_dec, sharing.dec_self_attn, attention)
-    dec_cross: list[AttentionBlock | None] = [None] * config.n_dec
-    if config.architecture == "encoder-decoder":
-        dec_cross, _ = stack("dec", "ca", config.n_dec, sharing.dec_cross_attn, attention)
-    dec_ffn, _ = stack("dec", "ffn", config.n_dec, sharing.dec_ffn, ffn("dec"), tied,
-                       enc_ffn_blocks if tied else None)
-
-    return TransformerModel(config, store, embedding, enc_attn, enc_ffn,
-                            dec_self, dec_cross, dec_ffn)
+    tensors, aliases = param_layout(config)
+    for name, shape in tensors:
+        if len(shape) == 2:
+            store.add(name, _xavier(rng, *shape))
+        else:
+            fill = np.ones if name.endswith(".ln_gain") else np.zeros
+            store.add(name, Tensor(fill(shape, dtype=np.float32)))
+    for site, canonical in aliases:
+        store.bind(site, canonical)
+    return wire_model(config, store)
 
 
 def attention_forward(q_in: Tensor, k_in: Tensor, v_in: Tensor, block: AttentionBlock,

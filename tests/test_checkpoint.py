@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 
 import wideffn as w
+from wideffn import transformer
 from wideffn.checkpoint import (
     checkpoint_bytes,
     load_checkpoint,
     load_model_checkpoint,
-    restore_into,
     save_checkpoint,
     save_model_checkpoint,
     sidecar_path,
 )
+from wideffn.config import SharingSpec
 from wideffn.errors import DataError
+from wideffn.sharing import FFNStrategy
 from wideffn.transformer import encoder_forward
 
 from conftest import tiny_config
@@ -71,39 +73,86 @@ def test_trailing_garbage_rejected(tmp_path):
         load_checkpoint(str(p))
 
 
+def test_corrupt_names_and_non_finite_payloads_rejected(tmp_path):
+    blob = checkpoint_bytes(w.build_model(tiny_config(), seed=0).store)
+    dangling = bytearray(blob)
+    at = blob.index(b"embedding", blob.index(b"src_embed"))
+    dangling[at + 8] = ord("G")  # alias target 'embeddinG' does not exist
+    duplicate = bytearray(blob)
+    duplicate[blob.index(b"enc.sa0.bq") + 8] = ord("w")  # a second 'enc.sa0.wq'
+    cases = {"dangling": dangling, "duplicate": duplicate}
+    for value in (np.nan, np.inf):
+        cases[f"{value}"] = blob[:-4] + struct.pack("<f", value)
+    for label, data in cases.items():
+        p = tmp_path / f"{label}.ckpt"
+        p.write_bytes(bytes(data))
+        with pytest.raises(DataError):
+            load_checkpoint(str(p))
+
+
 def test_restore_preserves_tying(tmp_path):
     cfg = w.apply_preset(tiny_config(), "SharedEncDec")
     src = w.build_model(cfg, seed=1)
     p = tmp_path / "tied.ckpt"
     save_checkpoint(src.store, str(p))
 
-    dst = w.build_model(cfg, seed=9)
-    restore_into(load_checkpoint(str(p)), dst.store)
+    dst = load_model_checkpoint(str(p), config=cfg)
     # values came over
     for name, t in src.store.physical.items():
         assert np.array_equal(dst.store.physical[name].data, t.data)
-    # tying survives: one object behind both layers, still the build-time object
+    # tying survives: one block object behind both layers, holding the store's tensor
     a = dst.store.resolve("enc.layer0.ffn.w1")
     assert a is dst.store.resolve("dec.layer1.ffn.w1")
     assert a is dst.enc_ffn[0].w1
+    assert dst.enc_ffn[0] is dst.enc_ffn[1] is dst.dec_ffn[0] is dst.dec_ffn[1]
 
 
 def test_restore_rejects_shape_mismatch(tmp_path):
     src = w.build_model(tiny_config(), seed=0)
     p = tmp_path / "m.ckpt"
     save_checkpoint(src.store, str(p))
-    other = w.build_model(tiny_config(d_ff=64), seed=0)
-    with pytest.raises(DataError):
-        restore_into(load_checkpoint(str(p)), other.store)
+    with pytest.raises(DataError, match="mismatched tensors"):
+        load_model_checkpoint(str(p), config=tiny_config(d_ff=64))
 
 
 def test_restore_rejects_name_mismatch(tmp_path):
     src = w.build_model(tiny_config(), seed=0)
     p = tmp_path / "m.ckpt"
     save_checkpoint(src.store, str(p))
-    other = w.build_model(w.apply_preset(tiny_config(), "NoDec"), seed=0)
-    with pytest.raises(DataError):
-        restore_into(load_checkpoint(str(p)), other.store)
+    with pytest.raises(DataError, match="extra tensors"):
+        load_model_checkpoint(str(p), config=w.apply_preset(tiny_config(), "NoDec"))
+
+
+def test_load_rejects_alias_mismatch_with_equal_tensors(tmp_path):
+    # Cycle(2) and Sequence(2) over 4 layers make the same two FFNs per side
+    # but tie different layers to them.
+    def grouped(kind):
+        strategy = FFNStrategy.parse(f"{kind}(2)")
+        return tiny_config(n_enc=4, n_dec=4,
+                           sharing=SharingSpec(enc_ffn=strategy, dec_ffn=strategy))
+
+    src = w.build_model(grouped("Cycle"), seed=0)
+    p = tmp_path / "cycle.ckpt"
+    save_checkpoint(src.store, str(p))
+    with pytest.raises(DataError, match="mismatched aliases"):
+        load_model_checkpoint(str(p), config=grouped("Sequence"))
+
+
+def test_load_builds_no_model(tmp_path, monkeypatch):
+    cfg = w.apply_preset(tiny_config(), "OneWideFFN")
+    m = w.build_model(cfg, seed=2)
+    p = tmp_path / "m.ckpt"
+    save_model_checkpoint(m, str(p))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_model_checkpoint built a model")
+
+    monkeypatch.setattr(transformer, "build_model", refuse)
+    for loaded in (load_model_checkpoint(str(p)), load_model_checkpoint(str(p), config=cfg)):
+        assert checkpoint_bytes(loaded.store) == checkpoint_bytes(m.store)
+        a, _ = encoder_forward(m, [4, 5, 6])
+        b, _ = encoder_forward(loaded, [4, 5, 6])
+        assert np.array_equal(a.data, b.data)
 
 
 def test_model_checkpoint_sidecar_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 import yaml
@@ -262,6 +263,8 @@ def test_exit_code_2_for_config_errors(tmp_path, capsys, monkeypatch):
         {"decode": {"beam": "x"}},
         {"task": {"count": "many"}},
         {"task": {"len_range": 5}},
+        {"task": ..., "corpus": {"src": "a.txt"}},
+        {"task": ..., "corpus": {"src": 0, "tgt": 0}},
     ]
     for edit in malformed:
         cfg = write_config(tmp_path, **edit)
@@ -277,6 +280,28 @@ def test_exit_code_3_for_missing_files(tmp_path, capsys):
     assert main(["eval", "--config", cfg, "--checkpoint",
                  str(tmp_path / "nope.ckpt")]) == 3
     assert main(["params", "--config", str(tmp_path / "missing.yaml")]) == 3
+
+
+def test_exit_code_3_for_malformed_checkpoints_and_sidecars(tmp_path, trained_ckpt, capsys):
+    cfg, out = trained_ckpt
+    blob = open(out, "rb").read()
+    sidecar = json.loads(open(out + ".config.json").read())
+    at = blob.index(b"embedding", blob.index(b"src_embed"))
+    cases = {
+        "dangling_alias": (blob[:at] + b"embeddinG" + blob[at + 9:], sidecar),
+        "nan_payload": (blob[:-4] + struct.pack("<f", float("nan")), sidecar),
+        "bad_json": (blob, "{not json"),
+        "non_mapping": (blob, [1, 2]),
+        "unknown_key": (blob, {**sidecar, "depth": 3}),
+        "invalid_value": (blob, {**sidecar, "d_model": "wide"}),
+    }
+    for label, (data, side) in cases.items():
+        path = tmp_path / f"{label}.ckpt"
+        path.write_bytes(data)
+        text = side if isinstance(side, str) else json.dumps(side)
+        (tmp_path / f"{label}.ckpt.config.json").write_text(text)
+        assert main(["eval", "--config", cfg, "--checkpoint", str(path)]) == 3, label
+        assert "error:" in capsys.readouterr().err, label
 
 
 def test_exit_code_3_for_bad_corpus(tmp_path):

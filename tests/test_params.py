@@ -44,6 +44,37 @@ def test_baseline_breakdown_by_hand():
     assert total == sum(b.values())
 
 
+def test_shared_and_dropped_breakdowns_by_hand():
+    # d=4, ff=8, vocab 8: an attention block holds 4*16 matrix entries, 4*4
+    # biases and 2*4 layer-norm entries; an FFN block 2*32, 8+4 and 2*4.
+    def cfg(preset=None, **over):
+        c = tiny_config(d_model=4, d_ff=8, heads=1, vocab_size=8, **over)
+        return w.apply_preset(c, preset) if preset else c
+
+    cycle = SharingSpec(enc_ffn=FFNStrategy.parse("Cycle(2)"),
+                        dec_ffn=FFNStrategy.parse("Cycle(2)"))
+    cases = {
+        # one FFN tied across both sides, counted once, under the encoder
+        "SharedEncDec": (cfg("SharedEncDec"), dict(
+            enc_attn=2 * 64, enc_ffn=64, dec_self_attn=2 * 64, dec_cross_attn=2 * 64,
+            dec_ffn=0, layer_norms=(6 + 1) * 8, biases=6 * 16 + 12)),
+        "NoDec": (cfg("NoDec"), dict(
+            enc_attn=2 * 64, enc_ffn=2 * 64, dec_self_attn=2 * 64, dec_cross_attn=2 * 64,
+            dec_ffn=0, layer_norms=(6 + 2) * 8, biases=6 * 16 + 2 * 12)),
+        # 4 layers per side cycling through 2 FFNs
+        "Cycle(2)": (cfg(n_enc=4, n_dec=4, sharing=cycle), dict(
+            enc_attn=4 * 64, enc_ffn=2 * 64, dec_self_attn=4 * 64, dec_cross_attn=4 * 64,
+            dec_ffn=2 * 64, layer_norms=(12 + 4) * 8, biases=12 * 16 + 4 * 12)),
+        "decoder-only SharedDec": (cfg("SharedDec", n_enc=0, architecture="decoder-only"), dict(
+            enc_attn=0, enc_ffn=0, dec_self_attn=2 * 64, dec_cross_attn=0,
+            dec_ffn=64, layer_norms=(2 + 1) * 8, biases=2 * 16 + 12)),
+    }
+    for label, (config, expect) in cases.items():
+        total, b = w.count_params(config)
+        assert b == {"embedding": 8 * 4, **expect}, label
+        assert total == sum(b.values()), label
+
+
 def test_percent_of_baseline_is_100_for_baseline():
     cfg = big()
     assert percent_of_baseline(cfg) == pytest.approx(100.0)

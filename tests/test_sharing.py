@@ -52,9 +52,7 @@ def test_physical_counts_match_assignments():
         ("Cycle(2)", 6, 2),
         ("CycleRev(3)", 6, 3),
     ]:
-        s = FFNStrategy.parse(text)
-        assert s.n_physical(n) == expect
-        assignment = resolve_ffn_assignment(s, n)
+        assignment = resolve_ffn_assignment(FFNStrategy.parse(text), n)
         assert len(set(assignment)) == expect
         if assignment:
             assert len(assignment) == n

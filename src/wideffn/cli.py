@@ -3,8 +3,8 @@
 Verbs: params | train | eval | compare | selfsim | bench | sweep.
 Runs are driven by a YAML config file; unknown keys anywhere in the file
 are rejected. The WFN_SEED environment variable overrides the config
-seed. Exit codes: 0 success, 2 config error, 3 data error, 4 numeric
-failure.
+seed. Exit codes: 0 success, 2 config error, 3 data error or a file that
+cannot be opened, 4 numeric failure.
 
 Every command's CSV/JSON output is byte-reproducible from (config, seed)
 except the timing commands, whose CSVs carry a '# nondeterministic:
@@ -424,7 +424,7 @@ def main(argv=None) -> int:
     except (ConfigError, DataError, NumericError, ShapeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return getattr(e, "exit_code", 4)
-    except FileNotFoundError as e:
+    except OSError as e:  # an input that is missing, a directory or unreadable
         print(f"error: {e}", file=sys.stderr)
         return 3
     except WideFFNError as e:

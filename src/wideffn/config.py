@@ -36,6 +36,9 @@ class SharingSpec:
         for key in ("tie_enc_dec_ffn", "enc_self_attn", "dec_self_attn", "dec_cross_attn"):
             if key in d:
                 kwargs[key] = d.pop(key)
+        tie = kwargs.get("tie_enc_dec_ffn", False)
+        if not isinstance(tie, bool):
+            raise ConfigError(f"tie_enc_dec_ffn must be true or false, got {tie!r}")
         if d:
             raise ConfigError(f"unknown sharing keys: {sorted(d)}")
         return SharingSpec(**kwargs)
@@ -84,6 +87,9 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
         if not isinstance(self.dropout, numbers.Real):
             raise ConfigError(f"dropout must be a number, got {self.dropout!r}")
+        if not isinstance(self.sharing.tie_enc_dec_ffn, bool):
+            raise ConfigError(
+                f"tie_enc_dec_ffn must be true or false, got {self.sharing.tie_enc_dec_ffn!r}")
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"architecture must be one of {ARCHITECTURES}")
         if self.architecture == "decoder-only":

@@ -9,6 +9,7 @@ objects, so the tape accumulates their gradients automatically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,6 +79,18 @@ def sinusoidal_positions(n_positions: int, d_model: int) -> np.ndarray:
     return table.astype(np.float32)
 
 
+@functools.lru_cache(maxsize=8)
+def _position_table(max_len: int, d_model: int) -> np.ndarray:
+    """`sinusoidal_positions(max_len, d_model)`, made once and read-only.
+
+    Each row depends only on its own position, so a slice of this table
+    equals the table of that many positions bit for bit.
+    """
+    table = sinusoidal_positions(max_len, d_model)
+    table.setflags(write=False)
+    return table
+
+
 def causal_mask(n: int) -> np.ndarray:
     """keep[i, j] is True when position i may attend to position j <= i."""
     return np.tril(np.ones((n, n), dtype=bool))
@@ -85,12 +98,58 @@ def causal_mask(n: int) -> np.ndarray:
 
 def prefix_lm_mask(prefix_len: int, suffix_len: int) -> np.ndarray:
     """Bidirectional visibility inside the prefix, causal over the suffix."""
-    if prefix_len < 0 or suffix_len < 1:
+    if prefix_len < 0 or suffix_len < 0:
         raise ConfigError(f"bad prefix mask sizes ({prefix_len}, {suffix_len})")
     n = prefix_len + suffix_len
     keep = causal_mask(n)
     keep[:, :prefix_len] = True
     return keep
+
+
+class DecodeMemo:
+    """Incremental decoding state of one source.
+
+    `entries` maps a decoder input, as a tuple of ids, to each decoder
+    layer's self-attention [keys, values] over it. `cross` holds each
+    layer's cross-attention [keys, values], projected from the encoder
+    output by the first step. Only the two newest input lengths stay: a
+    step reads the entry one id shorter than its input, and every
+    hypothesis of a beam grows by one id per step, so its parent is kept
+    and no rows need reordering. A step whose entry is gone runs its whole
+    input again, which is slower but gives the same logits.
+    """
+
+    __slots__ = ("entries", "cross")
+
+    def __init__(self, n_layers: int):
+        self.entries: dict[tuple, list] = {}
+        self.cross: list[list] = [[] for _ in range(n_layers)]
+
+    def run(self, model: "TransformerModel", enc_out: Tensor | None, ids: tuple,
+            prefix_len: int) -> Tensor:
+        """Logits of the last id of `ids` (one row), running only the
+        positions no entry holds; keeps the K/V of `ids` as a new entry."""
+        past = self.entries.get(ids[:-1])
+        start = 0 if past is None else len(ids) - 1
+        selfs = [[] for _ in self.cross] if past is None else [list(layer) for layer in past]
+        logits, _ = decoder_forward(model, enc_out, list(ids[start:]), prefix_len,
+                                    kv=list(zip(selfs, self.cross)))
+        n = len(ids)
+        self.entries = {key: kv for key, kv in self.entries.items()
+                        if n - 1 <= len(key) <= n}
+        self.entries[ids] = selfs
+        return logits
+
+
+class EncodedSource(Tensor):
+    """`encode`'s result for an encoder-decoder model: the encoder output,
+    usable wherever that Tensor is, plus the source's DecodeMemo."""
+
+    __slots__ = ("memo",)
+
+    def __init__(self, data, memo: DecodeMemo):
+        super().__init__(data)
+        self.memo = memo
 
 
 class TransformerModel:
@@ -109,11 +168,26 @@ class TransformerModel:
 
     # -- decode protocol -------------------------------------------------
 
-    def encode(self, src_tokens: list[int]) -> Tensor | None:
+    def encode(self, src_tokens: list[int]) -> EncodedSource | DecodeMemo:
+        """The decode context of one source, for `step_logits`.
+
+        Encoder-decoder: the encoder output over src + <eos> with a fresh
+        memo. Decoder-only: a memo that already holds the K/V of the
+        bidirectional source prefix src + <eos>, run once here.
+        """
+        memo = DecodeMemo(self.config.n_dec)
         if self.config.architecture == "decoder-only":
-            return None
+            ids = tuple(src_tokens) + (EOS,)
+            memo.run(self, None, ids, prefix_len=len(ids))
+            return memo
         out, _ = encoder_forward(self, list(src_tokens) + [EOS])
-        return out
+        return EncodedSource(out.data, memo)
+
+    def _decoder_input(self, src: list[int], tgt: list[int]) -> tuple[list[int], int]:
+        """The decoder ids with `tgt` fed, and the length of their bidirectional prefix."""
+        if self.config.architecture == "decoder-only":
+            return list(src) + [EOS, BOS] + list(tgt), len(src) + 1
+        return [BOS] + list(tgt), 0
 
     def teacher_forced(self, src: list[int], tgt: list[int], enc_out: Tensor | None = None,
                        train: bool = False, rng: np.random.Generator | None = None):
@@ -125,17 +199,28 @@ class TransformerModel:
         included, is bidirectional. Either way the last len(tgt) + 1 logit
         rows predict tgt + <eos>.
         """
+        ids, prefix_len = self._decoder_input(src, tgt)
         if self.config.architecture == "decoder-only":
-            seq = list(src) + [EOS, BOS] + list(tgt)
-            return decoder_forward(self, None, seq, prefix_len=len(src) + 1,
-                                   train=train, rng=rng)
-        if enc_out is None:
+            enc_out = None
+        elif enc_out is None:
             enc_out, _ = encoder_forward(self, list(src) + [EOS], train=train, rng=rng)
-        return decoder_forward(self, enc_out, [BOS] + list(tgt), train=train, rng=rng)
+        return decoder_forward(self, enc_out, ids, prefix_len=prefix_len, train=train, rng=rng)
 
     def step_logits(self, enc_ctx, src_tokens: list[int], prefix: list[int]) -> np.ndarray:
-        """Next-token logits after the given generated prefix."""
-        logits, _ = self.teacher_forced(src_tokens, prefix, enc_out=enc_ctx)
+        """Next-token logits after the given generated prefix.
+
+        With the context `encode` returned, only the positions its memo
+        lacks run, normally just the newest one. With enc_ctx None (or a
+        bare encoder output) the whole teacher-forced sequence runs again:
+        that recompute is the reference the cached path is tested against.
+        """
+        memo = enc_ctx if isinstance(enc_ctx, DecodeMemo) else getattr(enc_ctx, "memo", None)
+        if memo is None:
+            logits, _ = self.teacher_forced(src_tokens, prefix, enc_out=enc_ctx)
+        else:
+            ids, prefix_len = self._decoder_input(src_tokens, prefix)
+            enc_out = None if enc_ctx is memo else enc_ctx
+            logits = memo.run(self, enc_out, tuple(ids), prefix_len)
         return np.asarray(logits.data[-1], dtype=np.float32)
 
     # -- training protocol ------------------------------------------------
@@ -254,16 +339,23 @@ def build_model(config: ModelConfig, seed: int = 0) -> TransformerModel:
     return wire_model(config, store)
 
 
-def attention_forward(q_in: Tensor, k_in: Tensor, v_in: Tensor, block: AttentionBlock,
-                      mask: np.ndarray | None = None, *, heads: int = 1,
-                      dropout_p: float = 0.0, train: bool = False,
-                      rng: np.random.Generator | None = None) -> Tensor:
+def attention_forward(q_in: Tensor, k_in: Tensor | None, v_in: Tensor | None,
+                      block: AttentionBlock, mask: np.ndarray | None = None, *,
+                      heads: int = 1, dropout_p: float = 0.0, train: bool = False,
+                      rng: np.random.Generator | None = None,
+                      kv: list | None = None) -> Tensor:
     """Multi-head attention sublayer: projection, residual from q_in, norm.
 
     Each projection is split by reshape into a stack of heads, so one
     stacked matmul scores every head and one more weights the values.
     A fully masked score row degrades to a uniform attention row, because
     max subtraction inside the softmax cancels the shared fill value.
+
+    Incremental decoding passes `kv`, a list holding the [keys, values]
+    head stacks of earlier calls, or nothing yet. The projections of
+    k_in/v_in are appended to them (k_in None appends nothing) and the list
+    is set to the result, so a step projects only its new positions. The
+    kept keys and values carry no gradient.
     """
     t_q, d = q_in.shape
     if d % heads != 0:
@@ -275,8 +367,16 @@ def attention_forward(q_in: Tensor, k_in: Tensor, v_in: Tensor, block: Attention
         return transpose(reshape(proj, (x.shape[0], heads, dh)), axes)
 
     q = split(q_in, block.wq, block.bq, (1, 0, 2))  # (heads, t_q, dh)
-    k = split(k_in, block.wk, block.bk, (1, 2, 0))  # (heads, dh, t_k)
-    v = split(v_in, block.wv, block.bv, (1, 0, 2))  # (heads, t_k, dh)
+    if k_in is not None:
+        k = split(k_in, block.wk, block.bk, (1, 2, 0))  # (heads, dh, t_k)
+        v = split(v_in, block.wv, block.bv, (1, 0, 2))  # (heads, t_k, dh)
+        if kv:
+            k = Tensor(np.concatenate((kv[0].data, k.data), axis=2))
+            v = Tensor(np.concatenate((kv[1].data, v.data), axis=1))
+    else:
+        k, v = kv
+    if kv is not None:
+        kv[:] = k, v
     scores = scale(matmul(q, k), 1.0 / math.sqrt(dh))
     if mask is not None:
         scores = mask_fill(scores, mask)
@@ -300,15 +400,17 @@ def ffn_forward(x: Tensor, block: FFNBlock | None, *, dropout_p: float = 0.0,
     return layer_norm(add(x, y), block.ln_gain, block.ln_bias)
 
 
-def _embed(model: TransformerModel, ids: list[int], train: bool, rng) -> Tensor:
+def _embed(model: TransformerModel, ids: list[int], train: bool, rng, offset: int = 0) -> Tensor:
+    """Scaled embeddings plus positions offset, ..., offset + len(ids) - 1."""
     cfg = model.config
     if len(ids) == 0:
         raise DataError("empty token sequence")
-    if len(ids) > cfg.max_len:
-        raise DataError(f"sequence length {len(ids)} exceeds max_len {cfg.max_len}")
+    end = offset + len(ids)
+    if end > cfg.max_len:
+        raise DataError(f"sequence length {end} exceeds max_len {cfg.max_len}")
     x = embedding_lookup(model.embedding, ids)
     x = scale(x, math.sqrt(cfg.d_model))
-    x = add(x, Tensor(sinusoidal_positions(len(ids), cfg.d_model)))
+    x = add(x, Tensor(_position_table(cfg.max_len, cfg.d_model)[offset:end]))
     if train and cfg.dropout > 0.0:
         x = dropout(x, cfg.dropout, rng)
     return x
@@ -335,12 +437,18 @@ def encoder_forward(model: TransformerModel, src_ids: list[int], train: bool = F
 
 def decoder_forward(model: TransformerModel, enc_out: Tensor | None, ids: list[int],
                     prefix_len: int = 0, train: bool = False,
-                    rng: np.random.Generator | None = None):
+                    rng: np.random.Generator | None = None, *, kv: list | None = None):
     """Run the decoder stack to vocabulary logits.
 
     Encoder-decoder mode needs enc_out and uses a causal self mask;
     decoder-only mode needs enc_out None and uses a prefix mask when
     prefix_len > 0. Returns (logits, taps keyed '<i>.sa'/'<i>.ca'/'<i>.ffn').
+
+    Incremental decoding passes `kv`, one (self, cross) pair of
+    attention_forward kv lists per layer. `ids` then continue the positions
+    the self lists hold, cross attention reuses the source K/V once they
+    are projected, and only the last row's logits are computed. A prefix
+    may then fill the whole sequence, to keep a decoder-only source's K/V.
     """
     cfg = model.config
     if cfg.architecture == "encoder-decoder":
@@ -349,26 +457,35 @@ def decoder_forward(model: TransformerModel, enc_out: Tensor | None, ids: list[i
     else:
         if enc_out is not None:
             raise ConfigError("decoder-only model takes no encoder output")
-    x = _embed(model, ids, train, rng)
-    n = len(ids)
+    past = kv[0][0] if kv is not None else None
+    offset = past[1].shape[1] if past else 0
+    x = _embed(model, ids, train, rng, offset)
+    n = offset + len(ids)
     if prefix_len > 0:
-        if prefix_len >= n:
+        if prefix_len > n or (prefix_len == n and kv is None):
             raise ConfigError(f"prefix_len {prefix_len} must leave a suffix in {n} positions")
         mask = prefix_lm_mask(prefix_len, n - prefix_len)
     else:
         mask = causal_mask(n)
+    if offset:
+        mask = mask[offset:]
     taps: dict[str, Tensor] = {}
     for i in range(cfg.n_dec):
+        self_kv, cross_kv = kv[i] if kv is not None else (None, None)
         x = attention_forward(x, x, x, model.dec_self[i], mask=mask, heads=cfg.heads,
-                              dropout_p=cfg.dropout, train=train, rng=rng)
+                              dropout_p=cfg.dropout, train=train, rng=rng, kv=self_kv)
         taps[f"{i}.sa"] = x
         if model.dec_cross[i] is not None:
-            x = attention_forward(x, enc_out, enc_out, model.dec_cross[i], mask=None,
-                                  heads=cfg.heads, dropout_p=cfg.dropout, train=train, rng=rng)
+            src = None if cross_kv else enc_out
+            x = attention_forward(x, src, src, model.dec_cross[i], mask=None, heads=cfg.heads,
+                                  dropout_p=cfg.dropout, train=train, rng=rng, kv=cross_kv)
             taps[f"{i}.ca"] = x
         block = model.dec_ffn[i]
         if block is not None:
             x = ffn_forward(x, block, dropout_p=cfg.dropout, train=train, rng=rng)
             taps[f"{i}.ffn"] = x
+    if kv is not None:  # one row: (E x^T)^T spares copying the transposed table
+        row = transpose(Tensor(x.data[-1:]))
+        return transpose(matmul(model.embedding, row)), taps
     logits = matmul(x, transpose(model.embedding))
     return logits, taps

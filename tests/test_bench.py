@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+import wideffn as w
 from wideffn.bench import (
     ThroughputReport,
     _MEASURE_LOCK,
@@ -15,8 +16,11 @@ from wideffn.bench import (
     measure_throughput,
     score_sequence,
 )
+from wideffn.config import DECODER_ONLY_PRESETS, PRESETS
 from wideffn.errors import ConfigError, DataError
 from wideffn.vocab import EOS, generate_toy_task
+
+from conftest import tiny_config
 
 
 class Scripted:
@@ -38,6 +42,20 @@ class Scripted:
         for tok, p in self.table.get(tuple(prefix), {EOS: 1.0}).items():
             probs[tok] = p
         return np.log(probs)
+
+
+class Recompute:
+    """A real model behind a context that is hidden from it, so every step
+    runs the teacher-forced recompute instead of the K/V memo."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def encode(self, src):
+        return None
+
+    def step_logits(self, enc, src, prefix):
+        return self.model.step_logits(None, src, prefix)
 
 
 def _drifter(n_tokens):
@@ -73,6 +91,31 @@ def test_beam_one_equals_greedy_on_trained_model(trained_copy_model, toy_corpus)
         g = decode_greedy(trained_copy_model, src, max_len=12)
         b = decode_beam(trained_copy_model, src, beam=1, max_len=12)
         assert b == g
+
+
+def test_cached_decode_matches_recompute_on_trained_model(trained_copy_model, toy_corpus):
+    oracle = Recompute(trained_copy_model)
+    for src, _ in toy_corpus.pairs[:8]:
+        assert decode_greedy(trained_copy_model, src, 12) == decode_greedy(oracle, src, 12)
+        assert (decode_beam(trained_copy_model, src, beam=4, max_len=12)
+                == decode_beam(oracle, src, beam=4, max_len=12))
+
+
+def test_cached_decode_matches_recompute_on_random_models():
+    rng = np.random.default_rng(11)
+    for i in range(20):
+        heads = int(rng.choice([1, 2, 4]))
+        if i % 4 == 3:
+            cfg = tiny_config(n_enc=0, architecture="decoder-only", heads=heads)
+            cfg = w.apply_preset(cfg, DECODER_ONLY_PRESETS[i % 3])
+        else:
+            cfg = w.apply_preset(tiny_config(heads=heads), sorted(PRESETS)[i % len(PRESETS)])
+        model = w.build_model(cfg, seed=i)
+        src = rng.integers(4, 12, size=int(rng.integers(1, 6))).tolist()
+        oracle = Recompute(model)
+        assert decode_greedy(model, src, 8) == decode_greedy(oracle, src, 8), i
+        assert (decode_beam(model, src, beam=4, max_len=8)
+                == decode_beam(oracle, src, beam=4, max_len=8)), i
 
 
 def test_beam_one_equals_greedy_under_exact_ties():

@@ -265,6 +265,8 @@ def test_exit_code_2_for_config_errors(tmp_path, capsys, monkeypatch):
         {"task": {"len_range": 5}},
         {"task": ..., "corpus": {"src": "a.txt"}},
         {"task": ..., "corpus": {"src": 0, "tgt": 0}},
+        {"model": {"sharing": {"enc_ffn": "SharedAll", "dec_ffn": "SharedAll",
+                               "tie_enc_dec_ffn": "false"}}},
     ]
     for edit in malformed:
         cfg = write_config(tmp_path, **edit)
@@ -280,6 +282,19 @@ def test_exit_code_3_for_missing_files(tmp_path, capsys):
     assert main(["eval", "--config", cfg, "--checkpoint",
                  str(tmp_path / "nope.ckpt")]) == 3
     assert main(["params", "--config", str(tmp_path / "missing.yaml")]) == 3
+
+
+def test_exit_code_3_for_unreadable_inputs(tmp_path, trained_ckpt, capsys):
+    cfg, out = trained_ckpt
+    no_sidecar = tmp_path / "dir_sidecar.ckpt"
+    no_sidecar.write_bytes(open(out, "rb").read())
+    (tmp_path / "dir_sidecar.ckpt.config.json").mkdir()
+    (tmp_path / "dir.ckpt").mkdir()
+    for argv in (["eval", "--config", cfg, "--checkpoint", str(no_sidecar)],
+                 ["eval", "--config", cfg, "--checkpoint", str(tmp_path / "dir.ckpt")],
+                 ["params", "--config", str(tmp_path)]):
+        assert main(argv) == 3, argv
+        assert "error:" in capsys.readouterr().err, argv
 
 
 def test_exit_code_3_for_malformed_checkpoints_and_sidecars(tmp_path, trained_ckpt, capsys):

@@ -39,6 +39,18 @@ def test_tie_requires_shared_all_on_both_sides():
     ModelConfig(sharing=ok).validate()
 
 
+def test_tie_flag_must_be_a_bool():
+    both = {"enc_ffn": "SharedAll", "dec_ffn": "SharedAll"}
+    for flag in ("false", 1, None):
+        with pytest.raises(ConfigError):
+            SharingSpec.from_dict({**both, "tie_enc_dec_ffn": flag})
+        sharing = SharingSpec(enc_ffn=FFNStrategy("SharedAll"), dec_ffn=FFNStrategy("SharedAll"),
+                              tie_enc_dec_ffn=flag)
+        with pytest.raises(ConfigError):
+            ModelConfig(sharing=sharing).validate()
+    assert SharingSpec.from_dict({**both, "tie_enc_dec_ffn": False}).tie_enc_dec_ffn is False
+
+
 def test_zero_shared_width_normalizes_to_noop():
     sharing = SharingSpec(enc_ffn=FFNStrategy("SharedAll"))
     cfg = ModelConfig(sharing=sharing, d_ff_shared=0).validate()

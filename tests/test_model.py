@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import wideffn as w
+from wideffn import transformer
+from wideffn.bench import decode_beam, decode_greedy
 from wideffn.checkpoint import checkpoint_bytes
-from wideffn.config import PRESETS, SharingSpec
+from wideffn.config import DECODER_ONLY_PRESETS, PRESETS, SharingSpec
 from wideffn.errors import ConfigError, DataError
 from wideffn.sharing import FFNStrategy
 from wideffn.similarity import collect_activations
@@ -50,6 +52,9 @@ def test_sinusoidal_positions_structure():
     assert np.allclose(pe[0, 0::2], 0.0)  # sin(0)
     assert np.allclose(pe[0, 1::2], 1.0)  # cos(0)
     assert np.allclose(pe[3, 0], np.sin(3.0), atol=1e-6)
+    table = transformer._position_table(64, 8)  # what _embed slices
+    assert table[:10].tobytes() == pe.tobytes()
+    assert not table.flags.writeable
 
 
 def test_build_is_deterministic_per_seed():
@@ -359,3 +364,82 @@ def test_decode_loss_accuracy_and_taps_share_the_teacher_forced_layout(arch):
     for name, mat in mats.items():
         means = np.stack([taps[name].data.mean(axis=0) for taps in per_pair])
         assert np.allclose(mat.values, means, rtol=0.0, atol=1e-5), name
+
+
+def _every_preset(heads):
+    configs = [w.apply_preset(tiny_config(heads=heads), name) for name in PRESETS]
+    dec_only = tiny_config(n_enc=0, architecture="decoder-only", heads=heads)
+    return configs + [w.apply_preset(dec_only, name) for name in DECODER_ONLY_PRESETS]
+
+
+def _memo(ctx):
+    return getattr(ctx, "memo", ctx)  # decoder-only contexts are the memo itself
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_cached_step_logits_match_the_recompute(heads):
+    src = [4, 5, 6, 7]
+    prefix = [9, 4, 11, 8, 5, 10, 6]
+    for cfg in _every_preset(heads):
+        m = w.build_model(cfg, seed=heads)
+        ctx = m.encode(src)
+        if cfg.architecture == "encoder-decoder":
+            plain, _ = encoder_forward(m, src + [EOS])
+            assert np.array_equal(ctx.data, plain.data)
+        for t in range(len(prefix) + 1):
+            cached = m.step_logits(ctx, src, prefix[:t])
+            assert np.abs(cached - m.step_logits(None, src, prefix[:t])).max() < 1e-5, (cfg, t)
+        shorter, longer = sorted({len(key) for key in _memo(ctx).entries})  # the bound
+        assert longer == shorter + 1
+
+
+@pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
+def test_memo_misses_recompute_the_same_logits(arch):
+    n_enc = 0 if arch == "decoder-only" else 2
+    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch), seed=8)
+    src, prefix = [4, 5, 6], [7, 8, 9, 10, 11, 4]
+    ctx = m.encode(src)
+    for t in range(len(prefix) + 1):
+        m.step_logits(ctx, src, prefix[:t])
+    fresh = m.encode(src)
+    for t, c in [(2, ctx), (3, ctx), (5, fresh)]:  # evicted parent, its child, empty memo
+        got = m.step_logits(c, src, prefix[:t])
+        assert np.abs(got - m.step_logits(None, src, prefix[:t])).max() < 1e-5, t
+
+
+@pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
+def test_decoding_runs_one_new_position_per_step(arch, monkeypatch):
+    n_enc = 0 if arch == "decoder-only" else 2
+    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch), seed=2)
+    src = [4, 5, 6]
+    lengths = []
+    forward = transformer.decoder_forward
+
+    def counted(model, enc_out, ids, *args, **kwargs):
+        lengths.append(len(ids))
+        return forward(model, enc_out, ids, *args, **kwargs)
+
+    monkeypatch.setattr(transformer, "decoder_forward", counted)
+    for decode in (lambda: decode_greedy(m, src, 6), lambda: decode_beam(m, src, 4, 6)):
+        lengths.clear()
+        decode()
+        source = [len(src) + 1] if arch == "decoder-only" else []  # run once by encode
+        assert lengths[:len(source)] == source
+        assert set(lengths[len(source):]) == {1}
+
+
+@pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
+def test_cached_decode_past_max_len_raises_like_the_recompute(arch):
+    n_enc = 0 if arch == "decoder-only" else 2
+    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch, max_len=8), seed=1)
+    src = [4, 5]
+    room = 8 - (1 if arch == "encoder-decoder" else len(src) + 2)
+    prefix = [6] * (room + 1)
+    ctx = m.encode(src)
+    for t in range(room + 1):
+        m.step_logits(ctx, src, prefix[:t])
+    with pytest.raises(DataError) as cached:
+        m.step_logits(ctx, src, prefix)
+    with pytest.raises(DataError) as recompute:
+        m.step_logits(None, src, prefix)
+    assert str(cached.value) == str(recompute.value) == "sequence length 9 exceeds max_len 8"

@@ -15,8 +15,8 @@ Subpackages:
     cli         command line front end
 """
 
-from .config import ModelConfig, SharingSpec, apply_preset
-from .counting import count_params, one_wide_dff
+from .config import ModelConfig, SharingSpec, apply_preset, one_wide_dff
+from .counting import count_params
 from .errors import ConfigError, DataError, NumericError, ShapeError, WideFFNError
 from .sharing import FFNStrategy, resolve_ffn_assignment
 from .store import ParamStore

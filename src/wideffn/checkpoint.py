@@ -151,12 +151,11 @@ def load_model_checkpoint(path: str, config: ModelConfig | None = None):
         side = sidecar_path(path)
         try:
             with open(side, encoding="utf-8") as f:
-                config = ModelConfig.from_dict(json.load(f)).validate()
+                config = ModelConfig.from_dict(json.load(f))
         except FileNotFoundError:
             raise DataError(f"no config sidecar next to {path}; pass one explicitly") from None
         except (ValueError, ConfigError) as e:
             raise DataError(f"{side}: not a valid model config: {e}") from None
-    config = config.validate()
     store = load_checkpoint(path)
     tensors, aliases = param_layout(config)
     shapes = {name: t.data.shape for name, t in store.physical.items()}

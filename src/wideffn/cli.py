@@ -25,7 +25,7 @@ from .bench import batch_size_sweep, corpus_bleu, decode_greedy
 from .checkpoint import load_model_checkpoint, save_model_checkpoint
 from .config import ModelConfig, apply_preset
 from .counting import BREAKDOWN_KEYS, baseline_of, count_params, percent_of_baseline
-from .errors import ConfigError, DataError, NumericError, ShapeError, WideFFNError
+from .errors import ConfigError, DataError, WideFFNError
 from .similarity import (
     SimilarityReport,
     collect_activations,
@@ -89,7 +89,6 @@ def load_run_config(path: str) -> RunConfig:
     model = ModelConfig.from_dict(doc.get("model", {}))
     if "preset" in doc:
         model = apply_preset(model, doc["preset"])
-    model = model.validate()
     run = RunConfig(model=model)
     run.seed = _typed(int, os.environ.get("WFN_SEED", doc.get("seed", run.seed)), "seed/WFN_SEED")
     training = doc.get("training", {})
@@ -421,15 +420,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DataError, NumericError, ShapeError) as e:
+    except WideFFNError as e:
         print(f"error: {e}", file=sys.stderr)
-        return getattr(e, "exit_code", 4)
+        return e.exit_code
     except OSError as e:  # an input that is missing, a directory or unreadable
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except WideFFNError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ ATTN_KINDS = ("Individual", "SharedAll")
 
 @dataclass(frozen=True)
 class SharingSpec:
-    """Per-side FFN strategies plus attention sharing switches."""
+    """Per-side FFN strategies plus attention sharing switches, checked when made."""
 
     enc_ffn: FFNStrategy = FFNStrategy("Individual")
     dec_ffn: FFNStrategy = FFNStrategy("Individual")
@@ -24,24 +24,28 @@ class SharingSpec:
     dec_self_attn: str = "Individual"
     dec_cross_attn: str = "Individual"
 
+    def __post_init__(self):
+        for kind_name in ("enc_self_attn", "dec_self_attn", "dec_cross_attn"):
+            if getattr(self, kind_name) not in ATTN_KINDS:
+                raise ConfigError(f"{kind_name} must be one of {ATTN_KINDS}")
+        if not isinstance(self.tie_enc_dec_ffn, bool):
+            raise ConfigError(f"tie_enc_dec_ffn must be true or false, got {self.tie_enc_dec_ffn!r}")
+        if self.tie_enc_dec_ffn:
+            if self.enc_ffn.kind != "SharedAll" or self.dec_ffn.kind != "SharedAll":
+                raise ConfigError("tie_enc_dec_ffn requires SharedAll on both sides")
+
     @staticmethod
     def from_dict(d: dict) -> "SharingSpec":
         if not isinstance(d, dict):
             raise ConfigError(f"sharing must be a mapping, got {d!r}")
         d = dict(d)
-        kwargs = {}
         for side in ("enc_ffn", "dec_ffn"):
             if side in d:
-                kwargs[side] = FFNStrategy.parse(d.pop(side))
-        for key in ("tie_enc_dec_ffn", "enc_self_attn", "dec_self_attn", "dec_cross_attn"):
-            if key in d:
-                kwargs[key] = d.pop(key)
-        tie = kwargs.get("tie_enc_dec_ffn", False)
-        if not isinstance(tie, bool):
-            raise ConfigError(f"tie_enc_dec_ffn must be true or false, got {tie!r}")
-        if d:
-            raise ConfigError(f"unknown sharing keys: {sorted(d)}")
-        return SharingSpec(**kwargs)
+                d[side] = FFNStrategy.parse(d[side])
+        unknown = set(d) - {f.name for f in dataclasses.fields(SharingSpec)}
+        if unknown:
+            raise ConfigError(f"unknown sharing keys: {sorted(unknown)}")
+        return SharingSpec(**d)
 
     def to_dict(self) -> dict:
         return {
@@ -56,7 +60,8 @@ class SharingSpec:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Shape and sharing description of one model.
+    """Shape and sharing description of one model, checked and normalised
+    whenever one is made (`dataclasses.replace` included).
 
     d_ff is the default FFN width. Layers governed by a shared strategy use
     d_ff_shared instead (None means same as d_ff); Individual layers on one
@@ -78,8 +83,8 @@ class ModelConfig:
     d_ff_enc: int | None = None
     d_ff_dec: int | None = None
 
-    def validate(self) -> "ModelConfig":
-        """Check invariants; returns a normalized copy."""
+    def __post_init__(self):
+        """Check invariants and normalise a shared width of 0 to NoOp."""
         for name in ("n_enc", "n_dec", "d_model", "d_ff", "heads", "vocab_size", "max_len",
                      "d_ff_shared", "d_ff_enc", "d_ff_dec"):
             v = getattr(self, name)
@@ -87,9 +92,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
         if not isinstance(self.dropout, numbers.Real):
             raise ConfigError(f"dropout must be a number, got {self.dropout!r}")
-        if not isinstance(self.sharing.tie_enc_dec_ffn, bool):
-            raise ConfigError(
-                f"tie_enc_dec_ffn must be true or false, got {self.sharing.tie_enc_dec_ffn!r}")
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"architecture must be one of {ARCHITECTURES}")
         if self.architecture == "decoder-only":
@@ -120,31 +122,21 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be positive; express width 0 as NoOp")
         if self.d_ff_shared is not None and self.d_ff_shared < 0:
             raise ConfigError("d_ff_shared must be >= 0")
-        sharing = self.sharing
-        for kind_name in ("enc_self_attn", "dec_self_attn", "dec_cross_attn"):
-            if getattr(sharing, kind_name) not in ATTN_KINDS:
-                raise ConfigError(f"{kind_name} must be one of {ATTN_KINDS}")
-        if sharing.tie_enc_dec_ffn:
-            if sharing.enc_ffn.kind != "SharedAll" or sharing.dec_ffn.kind != "SharedAll":
-                raise ConfigError("tie_enc_dec_ffn requires SharedAll on both sides")
         # A shared width of exactly 0 means the shared FFN degenerates to NoOp.
-        enc_ffn, dec_ffn = sharing.enc_ffn, sharing.dec_ffn
-        if self.d_ff_shared == 0:
-            tie = sharing.tie_enc_dec_ffn
-            if enc_ffn.is_shared:
-                enc_ffn = FFNStrategy("NoOp")
-                tie = False
-            if dec_ffn.is_shared:
-                dec_ffn = FFNStrategy("NoOp")
-                tie = False
+        sharing = self.sharing
+        if self.d_ff_shared == 0 and (sharing.enc_ffn.is_shared or sharing.dec_ffn.is_shared):
+            noop = FFNStrategy("NoOp")
             sharing = dataclasses.replace(
-                sharing, enc_ffn=enc_ffn, dec_ffn=dec_ffn, tie_enc_dec_ffn=tie
+                sharing,
+                enc_ffn=noop if sharing.enc_ffn.is_shared else sharing.enc_ffn,
+                dec_ffn=noop if sharing.dec_ffn.is_shared else sharing.dec_ffn,
+                tie_enc_dec_ffn=False,
             )
+            object.__setattr__(self, "sharing", sharing)  # the dataclass is frozen
         # Surface group-count errors now rather than at build time.
         if self.n_enc > 0:
             resolve_ffn_assignment(sharing.enc_ffn, self.n_enc)
         resolve_ffn_assignment(sharing.dec_ffn, self.n_dec)
-        return dataclasses.replace(self, sharing=sharing)
 
     def ffn_width(self, side: str) -> int:
         """Effective FFN width for the given side ('enc' or 'dec')."""
@@ -197,7 +189,7 @@ def decoder_only_big(vocab_size: int = 32000) -> ModelConfig:
 
 
 # Named sharing presets. Each maps to (enc strategy, dec strategy, tie flag);
-# OneWideFFN additionally sets the shared width to (n_enc + n_dec) * d_ff.
+# OneWideFFN additionally sets the shared width to `one_wide_dff`.
 PRESETS = {
     "baseline": ("Individual", "Individual", False),
     "SharedEnc": ("SharedAll", "Individual", False),
@@ -217,6 +209,14 @@ PRESETS = {
 DECODER_ONLY_PRESETS = ("baseline", "SharedDec", "NoDec")
 
 
+def one_wide_dff(config: ModelConfig) -> int:
+    """Width that spends one side's whole shared-FFN budget in a single FFN:
+    (n_enc + n_dec) * d_ff."""
+    if config.architecture != "encoder-decoder":
+        raise ConfigError("the widened single-FFN width is defined for encoder-decoder models")
+    return (config.n_enc + config.n_dec) * config.d_ff
+
+
 def apply_preset(config: ModelConfig, name: str) -> ModelConfig:
     """Return a copy of `config` with the named sharing preset applied."""
     if not isinstance(name, str) or name not in PRESETS:
@@ -227,23 +227,11 @@ def apply_preset(config: ModelConfig, name: str) -> ModelConfig:
             f"support {DECODER_ONLY_PRESETS}"
         )
     enc, dec, tie = PRESETS[name]
-    if config.architecture == "decoder-only":
-        enc_rule = "Individual"
-        dec_rule = {"baseline": "Individual", "SharedDec": "SharedAll", "NoDec": "NoOp"}[name]
-        sharing = dataclasses.replace(
-            config.sharing,
-            enc_ffn=FFNStrategy.parse(enc_rule),
-            dec_ffn=FFNStrategy.parse(dec_rule),
-            tie_enc_dec_ffn=False,
-        )
-        return dataclasses.replace(config, sharing=sharing).validate()
     sharing = dataclasses.replace(
         config.sharing,
         enc_ffn=FFNStrategy.parse(enc),
         dec_ffn=FFNStrategy.parse(dec),
         tie_enc_dec_ffn=tie,
     )
-    out = dataclasses.replace(config, sharing=sharing)
-    if name == "OneWideFFN":
-        out = dataclasses.replace(out, d_ff_shared=(config.n_enc + config.n_dec) * config.d_ff)
-    return out.validate()
+    d_ff_shared = one_wide_dff(config) if name == "OneWideFFN" else config.d_ff_shared
+    return dataclasses.replace(config, sharing=sharing, d_ff_shared=d_ff_shared)

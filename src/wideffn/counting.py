@@ -59,9 +59,7 @@ def count_params(config: ModelConfig) -> tuple[int, dict[str, int]]:
 
 def baseline_of(config: ModelConfig) -> ModelConfig:
     """Same shape with Individual FFNs/attention everywhere, no shared width."""
-    return dataclasses.replace(
-        config, sharing=SharingSpec(), d_ff_shared=None
-    ).validate()
+    return dataclasses.replace(config, sharing=SharingSpec(), d_ff_shared=None)
 
 
 def percent_of_baseline(config: ModelConfig) -> float:
@@ -69,14 +67,6 @@ def percent_of_baseline(config: ModelConfig) -> float:
     total, _ = count_params(config)
     base_total, _ = count_params(baseline_of(config))
     return 100.0 * total / base_total
-
-
-def one_wide_dff(config: ModelConfig) -> int:
-    """Width that spends one side's whole shared-FFN budget in a single FFN:
-    (n_enc + n_dec) * d_ff."""
-    if config.architecture != "encoder-decoder":
-        raise ConfigError("the widened single-FFN width is defined for encoder-decoder models")
-    return (config.n_enc + config.n_dec) * config.d_ff
 
 
 def shared_side_savings(n_layers: int, d_model: int, width: int) -> dict[str, int]:

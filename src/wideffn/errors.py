@@ -1,12 +1,14 @@
 """Exception types shared across the package.
 
 Each maps to a process exit code in the command line front end:
-ConfigError -> 2, DataError -> 3, NumericError -> 4.
+ConfigError -> 2, DataError -> 3, and 4 for the rest (NumericError, ShapeError).
 """
 
 
 class WideFFNError(Exception):
     """Base class for package errors."""
+
+    exit_code = 4
 
 
 class ConfigError(WideFFNError):
@@ -24,10 +26,6 @@ class DataError(WideFFNError):
 class NumericError(WideFFNError):
     """Numerical failure (non-finite loss, diverged optimizer, ...)."""
 
-    exit_code = 4
-
 
 class ShapeError(WideFFNError):
     """Tensor rank or dimension mismatch in a primitive op."""
-
-    exit_code = 4

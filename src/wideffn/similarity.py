@@ -169,18 +169,6 @@ def _label_key(name: str):
     return int(layer), _SUBLAYER_ORDER[part]
 
 
-def _layer_outputs(taps: dict[str, ActivationMatrix]) -> dict[int, ActivationMatrix]:
-    """Last recorded module of each layer, i.e. the layer output."""
-    best: dict[int, tuple[int, ActivationMatrix]] = {}
-    for name, mat in taps.items():
-        layer, part = name.split(".")
-        r = _SUBLAYER_ORDER[part]
-        i = int(layer)
-        if i not in best or r > best[i][0]:
-            best[i] = (r, mat)
-    return {i: mat for i, (_, mat) in best.items()}
-
-
 def _metric_fn(metric: str, k: int | None):
     if metric == "cka":
         return linear_cka
@@ -196,8 +184,8 @@ def pairwise_layer_similarity(taps_a: dict[str, ActivationMatrix],
     """Full module-by-module similarity matrix plus a scalar aggregate.
 
     The aggregate averages the diagonal over module names present in both
-    models. When no names are shared (e.g. one side lost its FFNs) but the
-    layer counts agree, corresponding layer outputs are compared instead.
+    models; tap sets from `collect_activations` always share every layer's
+    '<i>.sa', so a pair that shares no name is not comparable.
     """
     if not taps_a or not taps_b:
         raise DataError("empty activation tap set")
@@ -207,21 +195,14 @@ def pairwise_layer_similarity(taps_a: dict[str, ActivationMatrix],
         raise DataError("activation sets come from different corpora")
     rows = sorted(taps_a, key=_label_key)
     cols = sorted(taps_b, key=_label_key)
+    common = [(i, cols.index(name)) for i, name in enumerate(rows) if name in taps_b]
+    if not common:
+        raise DataError("the two tap sets share no module names; nothing comparable")
     matrix = np.zeros((len(rows), len(cols)))
     for i, rn in enumerate(rows):
         for j, cn in enumerate(cols):
             matrix[i, j] = fn(taps_a[rn], taps_b[cn])
-    common = [(i, cols.index(name)) for i, name in enumerate(rows) if name in taps_b]
-    if common:
-        aggregate = float(np.mean([matrix[i, j] for i, j in common]))
-    else:
-        outs_a = _layer_outputs(taps_a)
-        outs_b = _layer_outputs(taps_b)
-        if sorted(outs_a) != sorted(outs_b):
-            raise DataError(
-                "no shared module names and layer counts differ; nothing comparable"
-            )
-        aggregate = float(np.mean([fn(outs_a[i], outs_b[i]) for i in sorted(outs_a)]))
+    aggregate = float(np.mean([matrix[i, j] for i, j in common]))
     return SimilarityReport(metric, rows, cols, matrix, aggregate)
 
 

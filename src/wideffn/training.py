@@ -157,7 +157,6 @@ def ffn_dim_sweep(base_config: ModelConfig, side: str, dims: list[int], corpus: 
     """
     if side not in ("encoder", "decoder"):
         raise ConfigError(f"side must be 'encoder' or 'decoder', got {side!r}")
-    base_config = base_config.validate()
     attr = "enc_ffn" if side == "encoder" else "dec_ffn"
     strategy = getattr(base_config.sharing, attr)
     if strategy.kind != "Individual":
@@ -172,7 +171,6 @@ def ffn_dim_sweep(base_config: ModelConfig, side: str, dims: list[int], corpus: 
         else:
             key = "d_ff_enc" if side == "encoder" else "d_ff_dec"
             cfg = dataclasses.replace(base_config, **{key: dim})
-        cfg = cfg.validate()
         model = build_model(cfg, seed=seed)
         train(model, corpus, steps=steps, batch_size=batch_size, seed=seed, schedule=schedule)
         acc = token_accuracy(model, corpus)

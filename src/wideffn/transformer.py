@@ -257,7 +257,6 @@ def param_layout(config: ModelConfig):
     no sites, and a tied decoder FFN aliases the encoder's single FFN, which
     is named under side `encdec`.
     """
-    config = config.validate()
     d = config.d_model
     sharing = config.sharing
     tensors = [("embedding", (config.vocab_size, d))]
@@ -324,7 +323,6 @@ def build_model(config: ModelConfig, seed: int = 0) -> TransformerModel:
     Rank-2 tensors are Xavier-uniform draws from one generator seeded with
     `seed`, layer-norm gains are ones and everything else is zeros.
     """
-    config = config.validate()
     rng = np.random.default_rng(seed)
     store = ParamStore()
     tensors, aliases = param_layout(config)
@@ -484,8 +482,7 @@ def decoder_forward(model: TransformerModel, enc_out: Tensor | None, ids: list[i
         if block is not None:
             x = ffn_forward(x, block, dropout_p=cfg.dropout, train=train, rng=rng)
             taps[f"{i}.ffn"] = x
-    if kv is not None:  # one row: (E x^T)^T spares copying the transposed table
-        row = transpose(Tensor(x.data[-1:]))
-        return transpose(matmul(model.embedding, row)), taps
-    logits = matmul(x, transpose(model.embedding))
-    return logits, taps
+    if kv is not None:  # a decode step needs the last row's logits only
+        x = Tensor(x.data[-1:])
+    # (E x^T)^T spares copying the transposed embedding table
+    return transpose(matmul(model.embedding, transpose(x))), taps

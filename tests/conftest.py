@@ -1,3 +1,10 @@
+import os
+
+# Pin BLAS to one thread before numpy loads, so that timing tests such as c08
+# do not depend on how many cores other processes leave free.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import pytest
 
 import wideffn as w

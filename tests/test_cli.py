@@ -267,6 +267,9 @@ def test_exit_code_2_for_config_errors(tmp_path, capsys, monkeypatch):
         {"task": ..., "corpus": {"src": 0, "tgt": 0}},
         {"model": {"sharing": {"enc_ffn": "SharedAll", "dec_ffn": "SharedAll",
                                "tie_enc_dec_ffn": "false"}}},
+        # a model section must be valid on its own, even where the preset overrides it
+        {"model": {"n_enc": 3, "sharing": {"enc_ffn": "Cycle(2)"}}, "preset": "baseline"},
+        {"model": {"sharing": {"tie_enc_dec_ffn": True}}, "preset": "SharedEncDec"},
     ]
     for edit in malformed:
         cfg = write_config(tmp_path, **edit)

@@ -17,26 +17,26 @@ from wideffn.sharing import FFNStrategy
 
 def test_validation_catches_bad_shapes():
     with pytest.raises(ConfigError):
-        ModelConfig(d_model=10, heads=3).validate()
+        ModelConfig(d_model=10, heads=3)
     with pytest.raises(ConfigError):
-        ModelConfig(vocab_size=4).validate()
+        ModelConfig(vocab_size=4)
     with pytest.raises(ConfigError):
-        ModelConfig(dropout=1.0).validate()
+        ModelConfig(dropout=1.0)
     with pytest.raises(ConfigError):
-        ModelConfig(n_enc=0).validate()  # encoder-decoder needs an encoder
+        ModelConfig(n_enc=0)  # encoder-decoder needs an encoder
     with pytest.raises(ConfigError):
-        ModelConfig(architecture="decoder-only", n_enc=2).validate()
+        ModelConfig(architecture="decoder-only", n_enc=2)
     with pytest.raises(ConfigError):
-        ModelConfig(d_ff=0).validate()
+        ModelConfig(d_ff=0)
 
 
 def test_tie_requires_shared_all_on_both_sides():
-    sharing = SharingSpec(enc_ffn=FFNStrategy("SharedAll"), tie_enc_dec_ffn=True)
     with pytest.raises(ConfigError):
-        ModelConfig(sharing=sharing).validate()
+        sharing = SharingSpec(enc_ffn=FFNStrategy("SharedAll"), tie_enc_dec_ffn=True)
+        ModelConfig(sharing=sharing)
     ok = SharingSpec(enc_ffn=FFNStrategy("SharedAll"), dec_ffn=FFNStrategy("SharedAll"),
                      tie_enc_dec_ffn=True)
-    ModelConfig(sharing=ok).validate()
+    ModelConfig(sharing=ok)
 
 
 def test_tie_flag_must_be_a_bool():
@@ -44,34 +44,46 @@ def test_tie_flag_must_be_a_bool():
     for flag in ("false", 1, None):
         with pytest.raises(ConfigError):
             SharingSpec.from_dict({**both, "tie_enc_dec_ffn": flag})
-        sharing = SharingSpec(enc_ffn=FFNStrategy("SharedAll"), dec_ffn=FFNStrategy("SharedAll"),
-                              tie_enc_dec_ffn=flag)
         with pytest.raises(ConfigError):
-            ModelConfig(sharing=sharing).validate()
+            sharing = SharingSpec(enc_ffn=FFNStrategy("SharedAll"),
+                                  dec_ffn=FFNStrategy("SharedAll"), tie_enc_dec_ffn=flag)
+            ModelConfig(sharing=sharing)
     assert SharingSpec.from_dict({**both, "tie_enc_dec_ffn": False}).tie_enc_dec_ffn is False
 
 
 def test_zero_shared_width_normalizes_to_noop():
     sharing = SharingSpec(enc_ffn=FFNStrategy("SharedAll"))
-    cfg = ModelConfig(sharing=sharing, d_ff_shared=0).validate()
+    cfg = ModelConfig(sharing=sharing, d_ff_shared=0)
     assert cfg.sharing.enc_ffn.kind == "NoOp"
     assert cfg.sharing.dec_ffn.kind == "Individual"  # untouched
     assert cfg.ffn_width("enc") == 0
     assert cfg.ffn_width("dec") == cfg.d_ff
 
 
+def test_a_config_is_checked_and_normalised_when_made():
+    cfg = ModelConfig(d_model=16, heads=2)
+    with pytest.raises(ConfigError):
+        dataclasses.replace(cfg, heads=3)
+    shared_cfg = apply_preset(cfg, "SharedEncDec")
+    noop = dataclasses.replace(shared_cfg, d_ff_shared=0)
+    assert (noop.sharing.enc_ffn.kind, noop.sharing.dec_ffn.kind) == ("NoOp", "NoOp")
+    assert noop.sharing.tie_enc_dec_ffn is False
+    with pytest.raises(ConfigError):
+        SharingSpec(enc_self_attn="Bogus")
+
+
 def test_ffn_width_resolution():
-    cfg = ModelConfig(d_ff=64, d_ff_enc=128).validate()
+    cfg = ModelConfig(d_ff=64, d_ff_enc=128)
     assert cfg.ffn_width("enc") == 128
     assert cfg.ffn_width("dec") == 64
     shared = ModelConfig(
         d_ff=64, d_ff_shared=256,
         sharing=SharingSpec(enc_ffn=FFNStrategy("SharedAll")),
-    ).validate()
+    )
     assert shared.ffn_width("enc") == 256
     default_shared = ModelConfig(
         d_ff=64, sharing=SharingSpec(enc_ffn=FFNStrategy("SharedAll"))
-    ).validate()
+    )
     assert default_shared.ffn_width("enc") == 64
 
 

@@ -3,11 +3,10 @@ import dataclasses
 import pytest
 
 import wideffn as w
-from wideffn.config import PRESETS, SharingSpec, transformer_big
+from wideffn.config import PRESETS, SharingSpec, one_wide_dff, transformer_big
 from wideffn.counting import (
     BREAKDOWN_KEYS,
     baseline_of,
-    one_wide_dff,
     percent_of_baseline,
     shared_side_savings,
 )
@@ -145,7 +144,7 @@ def test_grouped_strategy_counts():
 
 def test_widened_shared_ffn_width_enters_count():
     narrow = w.apply_preset(big(), "SharedEncNoDec")
-    wide = dataclasses.replace(narrow, d_ff_shared=4096 * 4).validate()
+    wide = dataclasses.replace(narrow, d_ff_shared=4096 * 4)
     assert w.count_params(wide)[0] > w.count_params(narrow)[0]
 
 

@@ -236,7 +236,7 @@ def test_self_similarity_diagonal_is_one():
         assert rep.matrix[i, i] == pytest.approx(1.0)
 
 
-def test_zero_overlap_falls_back_to_layer_outputs():
+def test_zero_overlap_is_a_data_error():
     rng = np.random.default_rng(11)
     h = "same"
     a = {
@@ -247,12 +247,9 @@ def test_zero_overlap_falls_back_to_layer_outputs():
         "0.sa": _mat(rng.standard_normal((12, 4)), "0.sa", "b", h),
         "1.sa": _mat(rng.standard_normal((12, 4)), "1.sa", "b", h),
     }
-    rep = pairwise_layer_similarity(a, b, metric="cka")
-    expect = np.mean([linear_cka(a["0.ffn"], b["0.sa"]),
-                      linear_cka(a["1.ffn"], b["1.sa"])])
-    assert rep.aggregate == pytest.approx(float(expect))
-    # layer sets must then match
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="share no module names"):
+        pairwise_layer_similarity(a, b, metric="cka")
+    with pytest.raises(DataError, match="share no module names"):
         pairwise_layer_similarity(a, {"0.sa": b["0.sa"]})
 
 

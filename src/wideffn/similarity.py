@@ -56,7 +56,7 @@ def collect_activations(model: TransformerModel, corpus: Corpus, side: str,
         if side == "encoder":
             _, taps = encoder_forward(model, list(src) + [EOS])
         else:
-            _, taps = model.teacher_forced(src, tgt)
+            _, taps = model.teacher_forced([(src, tgt)])
         for name, tensor in taps.items():
             rows.setdefault(name, []).append(tensor.data.mean(axis=0))
     corpus_hash = corpus.content_hash()

@@ -23,13 +23,13 @@ MASK_FILL_VALUE = np.float32(-1e9)
 
 
 class Tensor:
-    """A float32 array (rank 0 to 3) plus an optional gradient buffer."""
+    """A float32 array (rank 0 to 4) plus an optional gradient buffer."""
 
     __slots__ = ("data", "grad")
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float32)
-        if arr.ndim > 3:
+        if arr.ndim > 4:
             raise ShapeError(f"rank {arr.ndim} not supported, shape {arr.shape}")
         self.data = arr
         self.grad = None
@@ -55,7 +55,12 @@ class ComputeTape:
         self.nodes.append((out, inputs, backward_fn))
 
     def backward(self, loss):
-        """Seed d(loss)/d(loss) = 1 and accumulate grads into every input."""
+        """Seed d(loss)/d(loss) = 1 and accumulate grads into every input.
+
+        An op's output drops its gradient once the op has passed it on, so
+        the gradients of a step's activations are not all alive at once;
+        only tensors no recorded op produced (parameters, inputs) keep theirs.
+        """
         if loss.data.shape != ():
             raise ShapeError(f"backward needs a scalar, got shape {loss.data.shape}")
         if not np.isfinite(loss.data):
@@ -66,6 +71,7 @@ class ComputeTape:
             if g is None:
                 continue
             grads = backward_fn(g)
+            out.grad = None
             for tensor, piece in zip(inputs, grads):
                 if piece is None:
                     continue
@@ -162,7 +168,7 @@ def transpose(x: Tensor, axes=(1, 0)) -> Tensor:
     if sorted(axes) != list(range(x.data.ndim)):
         raise ShapeError(f"transpose: {axes} is not a permutation of the axes of {x.shape}")
     out = Tensor(x.data.transpose(axes).copy())
-    inverse = np.argsort(axes)
+    inverse = sorted(range(len(axes)), key=axes.__getitem__)  # argsort, minus numpy's call cost
 
     def backward_fn(g):  # row-major like the forward copy, so later sums keep their order
         return (np.ascontiguousarray(g.transpose(inverse)),)
@@ -217,9 +223,12 @@ def concat_cols(parts) -> Tensor:
 
 
 def mask_fill(x: Tensor, keep: np.ndarray, fill=MASK_FILL_VALUE) -> Tensor:
-    """Put `fill` where `keep` is False in each matrix of x; no grad flows there."""
+    """Put `fill` where `keep` is False; no grad flows there.
+
+    `keep` is one mask for every matrix of x, or one per matrix (x's shape).
+    """
     keep = np.asarray(keep, dtype=bool)
-    if keep.shape != x.shape[-2:]:
+    if keep.shape not in (x.shape[-2:], x.shape):
         raise ShapeError(f"mask_fill: mask {keep.shape} vs input {x.shape}")
     out = Tensor(np.where(keep, x.data, np.float32(fill)))
 

@@ -1,9 +1,9 @@
 """Optimization: inverse-sqrt schedule, Adam, and the training loop.
 
-Batches are index groups over the corpus; each sentence runs at its own
-length (no padding), and the batch loss is the token-weighted mean of the
-per-pair losses, which equals the mean negative log-likelihood over all
-predicted positions in the batch.
+Batches are index groups over the corpus. A step runs its batch as one
+right-padded block on one tape, and the batch loss is the mean negative
+log-likelihood over all predicted (non-pad) positions in the batch, which
+equals the token-weighted mean of the per-pair losses.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .counting import count_params
 from .errors import ConfigError, NumericError
 from .sharing import FFNStrategy
 from .store import ParamStore
-from .tensor import ComputeTape, add, recording, scale
+from .tensor import ComputeTape, recording
 from .transformer import TransformerModel, build_model
 from .vocab import Corpus
 
@@ -115,15 +115,8 @@ def train(model: TransformerModel, corpus: Corpus, steps: int, batch_size: int,
             model.store.zero_grad()
             tape = ComputeTape()
             with recording(tape):
-                weighted = None
-                n_tokens = 0
-                for idx in batch:
-                    src, tgt = corpus.pairs[int(idx)]
-                    loss_i, n_i = model.loss_for_pair(src, tgt, train=True, rng=dropout_rng)
-                    n_tokens += n_i
-                    piece = scale(loss_i, float(n_i))
-                    weighted = piece if weighted is None else add(weighted, piece)
-                batch_loss = scale(weighted, 1.0 / n_tokens)
+                batch_loss, _ = model.loss_for_pair([corpus.pairs[int(i)] for i in batch],
+                                                    train=True, rng=dropout_rng)
             tape.backward(batch_loss)
             adam_step(model.store, state, lr_at(schedule, state.t + 1))
             losses.append(float(batch_loss.data))

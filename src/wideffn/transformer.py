@@ -189,22 +189,26 @@ class TransformerModel:
             return list(src) + [EOS, BOS] + list(tgt), len(src) + 1
         return [BOS] + list(tgt), 0
 
-    def teacher_forced(self, src: list[int], tgt: list[int], enc_out: Tensor | None = None,
-                       train: bool = False, rng: np.random.Generator | None = None):
-        """Decoder logits and taps with `tgt` fed as the decoder input.
+    def teacher_forced(self, pairs: list, enc_out: Tensor | None = None, train: bool = False,
+                       rng: np.random.Generator | None = None):
+        """Decoder logits and taps of a batch of (src, tgt) pairs, each tgt
+        fed as its decoder input.
 
         Encoder-decoder: the encoder sees src + <eos> (skipped when enc_out
         is given) and the decoder sees <bos> + tgt. Decoder-only: one
         sequence src + <eos> + <bos> + tgt whose source span, <eos>
-        included, is bidirectional. Either way the last len(tgt) + 1 logit
-        rows predict tgt + <eos>.
+        included, is bidirectional. The decoder inputs are right-padded to
+        the longest, T, and pair b owns rows [b*T, (b+1)*T) of the logits;
+        the last len(tgt) + 1 rows of its unpadded input predict tgt + <eos>.
         """
-        ids, prefix_len = self._decoder_input(src, tgt)
+        ids, prefix_lens = zip(*[self._decoder_input(src, tgt) for src, tgt in pairs])
         if self.config.architecture == "decoder-only":
-            enc_out = None
-        elif enc_out is None:
-            enc_out, _ = encoder_forward(self, list(src) + [EOS], train=train, rng=rng)
-        return decoder_forward(self, enc_out, ids, prefix_len=prefix_len, train=train, rng=rng)
+            return decoder_forward(self, None, ids, prefix_lens, train=train, rng=rng)
+        srcs = [list(src) + [EOS] for src, _ in pairs]
+        if enc_out is None:
+            enc_out, _ = encoder_forward(self, srcs, train=train, rng=rng)
+        return decoder_forward(self, enc_out, ids, prefix_lens, train=train, rng=rng,
+                               src_lengths=[len(s) for s in srcs])
 
     def step_logits(self, enc_ctx, src_tokens: list[int], prefix: list[int]) -> np.ndarray:
         """Next-token logits after the given generated prefix.
@@ -216,7 +220,7 @@ class TransformerModel:
         """
         memo = enc_ctx if isinstance(enc_ctx, DecodeMemo) else getattr(enc_ctx, "memo", None)
         if memo is None:
-            logits, _ = self.teacher_forced(src_tokens, prefix, enc_out=enc_ctx)
+            logits, _ = self.teacher_forced([(src_tokens, prefix)], enc_out=enc_ctx)
         else:
             ids, prefix_len = self._decoder_input(src_tokens, prefix)
             enc_out = None if enc_ctx is memo else enc_ctx
@@ -225,21 +229,26 @@ class TransformerModel:
 
     # -- training protocol ------------------------------------------------
 
-    def loss_for_pair(self, src: list[int], tgt: list[int], train: bool = False,
+    def loss_for_pair(self, pairs: list, train: bool = False,
                       rng: np.random.Generator | None = None):
-        """Teacher-forced loss for one pair; returns (loss, n_predictions).
+        """Teacher-forced loss of a batch of (src, tgt) pairs; returns
+        (loss, n_predictions).
 
-        The loss covers the predictions of tgt + <eos>; a decoder-only
-        model's source rows are padded out of it.
+        The loss is the mean negative log-likelihood over the predictions of
+        every tgt + <eos> in the batch, so each pair weighs by its length;
+        padding and a decoder-only model's source rows are left out of it.
         """
-        logits, _ = self.teacher_forced(src, tgt, train=train, rng=rng)
-        labels = list(tgt) + [EOS]
-        padded = [PAD] * (logits.shape[0] - len(labels)) + labels
-        return cross_entropy(logits, padded, ignore_index=PAD), len(labels)
+        logits, _ = self.teacher_forced(pairs, train=train, rng=rng)
+        labels = np.full((len(pairs), logits.shape[0] // len(pairs)), PAD)
+        for row, (src, tgt) in zip(labels, pairs):
+            end = len(self._decoder_input(src, tgt)[0])
+            row[end - len(tgt) - 1 : end] = list(tgt) + [EOS]
+        loss = cross_entropy(logits, labels.reshape(-1), ignore_index=PAD)
+        return loss, sum(len(tgt) + 1 for _, tgt in pairs)
 
     def predictions_for_pair(self, src: list[int], tgt: list[int]):
         """Teacher-forced argmax ids and gold labels for accuracy counting."""
-        logits, _ = self.teacher_forced(src, tgt)
+        logits, _ = self.teacher_forced([(src, tgt)])
         labels = list(tgt) + [EOS]
         rows = np.asarray(logits.data)[-len(labels):]
         return rows.argmax(axis=1).tolist(), labels
@@ -339,15 +348,19 @@ def build_model(config: ModelConfig, seed: int = 0) -> TransformerModel:
 
 def attention_forward(q_in: Tensor, k_in: Tensor | None, v_in: Tensor | None,
                       block: AttentionBlock, mask: np.ndarray | None = None, *,
-                      heads: int = 1, dropout_p: float = 0.0, train: bool = False,
+                      heads: int = 1, batch: int = 1, dropout_p: float = 0.0, train: bool = False,
                       rng: np.random.Generator | None = None,
                       kv: list | None = None) -> Tensor:
     """Multi-head attention sublayer: projection, residual from q_in, norm.
 
-    Each projection is split by reshape into a stack of heads, so one
-    stacked matmul scores every head and one more weights the values.
-    A fully masked score row degrades to a uniform attention row, because
-    max subtraction inside the softmax cancels the shared fill value.
+    The inputs hold `batch` sequences, B, as equal row blocks: q_in is
+    (B*T_q, d) and k_in/v_in are (B*T_k, d). Each projection is split by
+    reshape into a (B*heads, T, d_h) stack of heads, sequence-major, so one
+    stacked matmul scores every head of every sequence and one more weights
+    the values. `mask` is None, one (T_q, T_k) keep mask for every score
+    matrix, or a (B*heads, T_q, T_k) stack of one per score matrix. A fully masked
+    score row degrades to a uniform attention row, because max subtraction
+    inside the softmax cancels the shared fill value.
 
     Incremental decoding passes `kv`, a list holding the [keys, values]
     head stacks of earlier calls, or nothing yet. The projections of
@@ -355,19 +368,21 @@ def attention_forward(q_in: Tensor, k_in: Tensor | None, v_in: Tensor | None,
     is set to the result, so a step projects only its new positions. The
     kept keys and values carry no gradient.
     """
-    t_q, d = q_in.shape
+    rows, d = q_in.shape
     if d % heads != 0:
         raise ConfigError(f"width {d} not divisible by {heads} heads")
     dh = d // heads
+    t_q = rows // batch
 
     def split(x: Tensor, w: Tensor, b: Tensor, axes) -> Tensor:
         proj = add_bias(matmul(x, w), b)
-        return transpose(reshape(proj, (x.shape[0], heads, dh)), axes)
+        split4 = transpose(reshape(proj, (batch, x.shape[0] // batch, heads, dh)), axes)
+        return reshape(split4, (batch * heads,) + split4.shape[2:])
 
-    q = split(q_in, block.wq, block.bq, (1, 0, 2))  # (heads, t_q, dh)
+    q = split(q_in, block.wq, block.bq, (0, 2, 1, 3))  # (B*heads, t_q, dh)
     if k_in is not None:
-        k = split(k_in, block.wk, block.bk, (1, 2, 0))  # (heads, dh, t_k)
-        v = split(v_in, block.wv, block.bv, (1, 0, 2))  # (heads, t_k, dh)
+        k = split(k_in, block.wk, block.bk, (0, 2, 3, 1))  # (B*heads, dh, t_k)
+        v = split(v_in, block.wv, block.bv, (0, 2, 1, 3))  # (B*heads, t_k, dh)
         if kv:
             k = Tensor(np.concatenate((kv[0].data, k.data), axis=2))
             v = Tensor(np.concatenate((kv[1].data, v.data), axis=1))
@@ -378,8 +393,8 @@ def attention_forward(q_in: Tensor, k_in: Tensor | None, v_in: Tensor | None,
     scores = scale(matmul(q, k), 1.0 / math.sqrt(dh))
     if mask is not None:
         scores = mask_fill(scores, mask)
-    heads_out = matmul(softmax_rows(scores), v)
-    merged = reshape(transpose(heads_out, (1, 0, 2)), (t_q, d))
+    heads_out = reshape(matmul(softmax_rows(scores), v), (batch, heads, t_q, dh))
+    merged = reshape(transpose(heads_out, (0, 2, 1, 3)), (rows, d))
     proj = add_bias(matmul(merged, block.wo), block.bo)
     if train and dropout_p > 0.0:
         proj = dropout(proj, dropout_p, rng)
@@ -398,32 +413,60 @@ def ffn_forward(x: Tensor, block: FFNBlock | None, *, dropout_p: float = 0.0,
     return layer_norm(add(x, y), block.ln_gain, block.ln_bias)
 
 
-def _embed(model: TransformerModel, ids: list[int], train: bool, rng, offset: int = 0) -> Tensor:
-    """Scaled embeddings plus positions offset, ..., offset + len(ids) - 1."""
-    cfg = model.config
-    if len(ids) == 0:
+def _as_batch(ids) -> tuple[np.ndarray, np.ndarray]:
+    """One id sequence (a batch of one) or a list of them, as a (B, T)
+    id matrix right-padded with PAD and the length of each sequence."""
+    seqs = [ids] if len(ids) == 0 or np.isscalar(ids[0]) else ids
+    lengths = [len(s) for s in seqs]
+    if min(lengths) == 0:
         raise DataError("empty token sequence")
-    end = offset + len(ids)
+    width = max(lengths)
+    padded = [list(s) + [PAD] * (width - n) for s, n in zip(seqs, lengths)]
+    return np.array(padded, dtype=np.int64), np.array(lengths)
+
+
+def _key_mask(lengths, t_q: int, t_k: int, heads: int) -> np.ndarray:
+    """attention_forward's (B*heads, t_q, t_k) mask in which every head of
+    sequence b sees its first lengths[b] keys."""
+    keep = np.arange(t_k) < np.asarray(lengths)[:, None, None]
+    return keep.repeat(heads, axis=0).repeat(t_q, axis=1)
+
+
+def _embed(model: TransformerModel, ids: np.ndarray, train: bool, rng, offset: int = 0) -> Tensor:
+    """Scaled embeddings of a (B, T) id matrix as a (B*T, d) row block, plus
+    positions offset, ..., offset + T - 1 in each sequence's T rows."""
+    cfg = model.config
+    batch, t = ids.shape
+    end = offset + t
     if end > cfg.max_len:
         raise DataError(f"sequence length {end} exceeds max_len {cfg.max_len}")
-    x = embedding_lookup(model.embedding, ids)
+    x = embedding_lookup(model.embedding, ids.reshape(-1))
     x = scale(x, math.sqrt(cfg.d_model))
-    x = add(x, Tensor(_position_table(cfg.max_len, cfg.d_model)[offset:end]))
+    positions = _position_table(cfg.max_len, cfg.d_model)[offset:end]
+    x = add(x, Tensor(np.tile(positions, (batch, 1))))
     if train and cfg.dropout > 0.0:
         x = dropout(x, cfg.dropout, rng)
     return x
 
 
-def encoder_forward(model: TransformerModel, src_ids: list[int], train: bool = False,
+def encoder_forward(model: TransformerModel, src_ids, train: bool = False,
                     rng: np.random.Generator | None = None):
-    """Run the encoder stack; returns (output, taps keyed '<i>.sa'/'<i>.ffn')."""
+    """Run the encoder stack over one source or a list of them; returns
+    (output, taps keyed '<i>.sa'/'<i>.ffn').
+
+    A list is right-padded to its longest source, S, and source b owns
+    rows [b*S, (b+1)*S) of the output and taps; no query sees a pad key.
+    """
     cfg = model.config
     if cfg.architecture != "encoder-decoder":
         raise ConfigError("model has no encoder")
-    x = _embed(model, src_ids, train, rng)
+    ids, lengths = _as_batch(src_ids)
+    batch, t = ids.shape
+    x = _embed(model, ids, train, rng)
+    mask = _key_mask(lengths, t, t, cfg.heads)
     taps: dict[str, Tensor] = {}
     for i in range(cfg.n_enc):
-        x = attention_forward(x, x, x, model.enc_attn[i], mask=None, heads=cfg.heads,
+        x = attention_forward(x, x, x, model.enc_attn[i], mask=mask, heads=cfg.heads, batch=batch,
                               dropout_p=cfg.dropout, train=train, rng=rng)
         taps[f"{i}.sa"] = x
         block = model.enc_ffn[i]
@@ -433,14 +476,22 @@ def encoder_forward(model: TransformerModel, src_ids: list[int], train: bool = F
     return x, taps
 
 
-def decoder_forward(model: TransformerModel, enc_out: Tensor | None, ids: list[int],
-                    prefix_len: int = 0, train: bool = False,
-                    rng: np.random.Generator | None = None, *, kv: list | None = None):
-    """Run the decoder stack to vocabulary logits.
+def decoder_forward(model: TransformerModel, enc_out: Tensor | None, ids,
+                    prefix_len=0, train: bool = False,
+                    rng: np.random.Generator | None = None, *, kv: list | None = None,
+                    src_lengths=None):
+    """Run the decoder stack over one id sequence or a list of them to
+    vocabulary logits.
 
     Encoder-decoder mode needs enc_out and uses a causal self mask;
     decoder-only mode needs enc_out None and uses a prefix mask when
     prefix_len > 0. Returns (logits, taps keyed '<i>.sa'/'<i>.ca'/'<i>.ffn').
+
+    A list is right-padded to its longest sequence, T, and sequence b owns
+    rows [b*T, (b+1)*T) of the logits and taps. prefix_len is then one
+    length per sequence (or one for all), and enc_out holds one source per
+    sequence as equal row blocks; src_lengths, when given, are the sources'
+    unpadded lengths, and cross attention sees no key past them.
 
     Incremental decoding passes `kv`, one (self, cross) pair of
     attention_forward kv lists per layer. `ids` then continue the positions
@@ -455,27 +506,30 @@ def decoder_forward(model: TransformerModel, enc_out: Tensor | None, ids: list[i
     else:
         if enc_out is not None:
             raise ConfigError("decoder-only model takes no encoder output")
+    ids, lengths = _as_batch(ids)
+    batch, t = ids.shape
     past = kv[0][0] if kv is not None else None
     offset = past[1].shape[1] if past else 0
     x = _embed(model, ids, train, rng, offset)
-    n = offset + len(ids)
-    if prefix_len > 0:
-        if prefix_len > n or (prefix_len == n and kv is None):
-            raise ConfigError(f"prefix_len {prefix_len} must leave a suffix in {n} positions")
-        mask = prefix_lm_mask(prefix_len, n - prefix_len)
-    else:
-        mask = causal_mask(n)
-    if offset:
-        mask = mask[offset:]
+    n = offset + t
+    prefix = np.broadcast_to(prefix_len, (batch,))
+    for p, end in zip(prefix, offset + lengths):
+        if p > end or (p == end and kv is None):
+            raise ConfigError(f"prefix_len {p} must leave a suffix in {end} positions")
+    mask = np.stack([prefix_lm_mask(p, n - p)[offset:] for p in prefix]).repeat(cfg.heads, axis=0)
+    cross_mask = None
+    if src_lengths is not None:
+        cross_mask = _key_mask(src_lengths, t, enc_out.shape[0] // batch, cfg.heads)
     taps: dict[str, Tensor] = {}
     for i in range(cfg.n_dec):
         self_kv, cross_kv = kv[i] if kv is not None else (None, None)
-        x = attention_forward(x, x, x, model.dec_self[i], mask=mask, heads=cfg.heads,
+        x = attention_forward(x, x, x, model.dec_self[i], mask=mask, heads=cfg.heads, batch=batch,
                               dropout_p=cfg.dropout, train=train, rng=rng, kv=self_kv)
         taps[f"{i}.sa"] = x
         if model.dec_cross[i] is not None:
             src = None if cross_kv else enc_out
-            x = attention_forward(x, src, src, model.dec_cross[i], mask=None, heads=cfg.heads,
+            x = attention_forward(x, src, src, model.dec_cross[i], mask=cross_mask,
+                                  heads=cfg.heads, batch=batch,
                                   dropout_p=cfg.dropout, train=train, rng=rng, kv=cross_kv)
             taps[f"{i}.ca"] = x
         block = model.dec_ffn[i]

@@ -146,7 +146,7 @@ def test_c03_gradients_match_finite_differences_under_every_preset():
         model = w.build_model(cfg, seed=0)
 
         def forward(params, model=model):
-            loss, _ = model.loss_for_pair([4, 5, 6, 7], [7, 6, 5, 4])
+            loss, _ = model.loss_for_pair([([4, 5, 6, 7], [7, 6, 5, 4])])
             return loss
 
         worst = grad_check(forward, model.store.physical.values(), eps=1e-3,
@@ -177,8 +177,8 @@ def test_c04_tying_invariants():
     parts = ("w1", "b1", "w2", "b2", "ln_gain", "ln_bias")
 
     # (a) forwards agree bit for bit
-    loss_t, _ = tied.loss_for_pair(src, tgt)
-    loss_u, _ = untied.loss_for_pair(src, tgt)
+    loss_t, _ = tied.loss_for_pair([(src, tgt)])
+    loss_u, _ = untied.loss_for_pair([(src, tgt)])
     bit_identical = loss_t.data.tobytes() == loss_u.data.tobytes()
 
     # (b) the tied gradient is the sum of the per-site gradients
@@ -186,7 +186,7 @@ def test_c04_tying_invariants():
         model.store.zero_grad()
         tape = ComputeTape()
         with recording(tape):
-            loss, _ = model.loss_for_pair(src, tgt)
+            loss, _ = model.loss_for_pair([(src, tgt)])
         tape.backward(loss)
 
     grads(tied)

@@ -260,7 +260,7 @@ def test_gradients_flow_to_every_parameter():
     tape = ComputeTape()
     m.store.zero_grad()
     with recording(tape):
-        loss, _ = m.loss_for_pair([4, 5, 6], [6, 5, 4])
+        loss, _ = m.loss_for_pair([([4, 5, 6], [6, 5, 4])])
     tape.backward(loss)
     for name, p in m.store.physical.items():
         assert p.grad is not None, name
@@ -349,7 +349,7 @@ def test_decode_loss_accuracy_and_taps_share_the_teacher_forced_layout(arch):
     assert pred == rows.argmax(axis=1).tolist()
     assert gold == labels
 
-    loss, n = m.loss_for_pair(src, tgt)
+    loss, n = m.loss_for_pair([(src, tgt)])
     z = rows.astype(np.float64)
     z = z - z.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -364,6 +364,42 @@ def test_decode_loss_accuracy_and_taps_share_the_teacher_forced_layout(arch):
     for name, mat in mats.items():
         means = np.stack([taps[name].data.mean(axis=0) for taps in per_pair])
         assert np.allclose(mat.values, means, rtol=0.0, atol=1e-5), name
+
+
+RAGGED_PAIRS = [([4, 5, 6], [7, 8]), ([9], [4, 5, 6, 7, 8]), ([5, 6, 7, 8, 9, 10], [11])]
+
+
+@pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
+def test_a_padded_batch_gives_each_pair_the_rows_it_gets_alone(arch):
+    n_enc = 0 if arch == "decoder-only" else 2
+    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch), seed=6)
+    logits, _ = m.teacher_forced(RAGGED_PAIRS)
+    blocks = logits.data.reshape(len(RAGGED_PAIRS), -1, logits.shape[1])
+    if arch == "encoder-decoder":
+        enc, _ = encoder_forward(m, [src + [EOS] for src, _ in RAGGED_PAIRS])
+        enc_blocks = enc.data.reshape(len(RAGGED_PAIRS), -1, enc.shape[1])
+    for b, (src, tgt) in enumerate(RAGGED_PAIRS):
+        alone, _ = m.teacher_forced([(src, tgt)])
+        assert np.abs(blocks[b, :alone.shape[0]] - alone.data).max() < 1e-6, b
+        if arch == "encoder-decoder":
+            enc_alone, _ = encoder_forward(m, src + [EOS])
+            assert np.abs(enc_blocks[b, :len(src) + 1] - enc_alone.data).max() < 1e-6, b
+
+
+@pytest.mark.parametrize("preset", ["baseline", "OneWideFFN", "decoder-only baseline"])
+def test_a_padded_two_pair_batch_passes_grad_check(preset):
+    if preset == "decoder-only baseline":
+        cfg = tiny_config(n_enc=0, architecture="decoder-only")
+    else:
+        cfg = w.apply_preset(tiny_config(), preset)
+    m = w.build_model(cfg, seed=0)
+    pairs = [([4, 5, 6, 7], [7, 6]), ([8], [4, 5, 6, 9, 10])]
+
+    def f(params):
+        loss, _ = m.loss_for_pair(pairs)
+        return loss
+
+    assert grad_check(f, m.store.physical.values(), coords_per_tensor=2) < 1e-3
 
 
 def _every_preset(heads):

@@ -37,8 +37,9 @@ def run_backward(build):
 def test_tensor_is_float32_and_rank_limited():
     t = Tensor([[1.0, 2.0]])
     assert t.data.dtype == np.float32
+    assert Tensor(np.zeros((2, 2, 2, 2))).shape == (2, 2, 2, 2)  # a transient head view
     with pytest.raises(ShapeError):
-        Tensor(np.zeros((2, 2, 2, 2)))
+        Tensor(np.zeros((2, 2, 2, 2, 2)))
 
 
 def test_matmul_matches_numpy_and_checks_shapes():
@@ -70,6 +71,15 @@ def test_stacked_ops_forward_and_shape_errors():
             transpose(Tensor(a), axes)
     with pytest.raises(ShapeError):
         mask_fill(Tensor(a), np.ones((4, 3), dtype=bool))
+    # rank 4 (a transient head view) and one mask per matrix of a stack
+    a4 = a.reshape(2, 3, 2, 2)
+    assert np.array_equal(transpose(Tensor(a4), (0, 2, 1, 3)).data, a4.transpose(0, 2, 1, 3))
+    assert np.array_equal(reshape(Tensor(a4), (4, 3, 2)).data, a.reshape(4, 3, 2))
+    per_matrix = np.stack([keep, ~keep])
+    filled = mask_fill(Tensor(a), per_matrix).data
+    assert np.array_equal(filled[1], mask_fill(Tensor(a[1]), ~keep).data)
+    with pytest.raises(ShapeError):  # neither one mask nor one per matrix
+        mask_fill(Tensor(a), per_matrix[:1])
 
 
 def _row_loss(y):
@@ -79,7 +89,8 @@ def _row_loss(y):
     return cross_entropy(reshape(y, (rows, cols)), np.arange(rows) % cols)
 
 
-@pytest.mark.parametrize("op", ["matmul", "transpose", "reshape", "softmax_rows", "mask_fill"])
+@pytest.mark.parametrize("op", ["matmul", "transpose", "reshape", "softmax_rows", "mask_fill",
+                                "rank4_transpose", "per_matrix_mask_fill"])
 def test_stacked_ops_pass_grad_check(op):
     rng = np.random.default_rng(6)
     a = Tensor(rng.standard_normal((2, 3, 4)))
@@ -93,6 +104,8 @@ def test_stacked_ops_pass_grad_check(op):
         # A moderate fill keeps the loss in float32 range without a softmax,
         # which would zero the filled entries' gradient on its own.
         "mask_fill": lambda p: mask_fill(p[0], keep, fill=0.5),
+        "rank4_transpose": lambda p: transpose(reshape(p[0], (2, 3, 2, 2)), (0, 2, 1, 3)),
+        "per_matrix_mask_fill": lambda p: mask_fill(p[0], np.stack([keep, ~keep]), fill=0.5),
     }[op]
     err = grad_check(lambda p: _row_loss(build(p)), [a, b], coords_per_tensor=8)
     assert err < 1e-3
@@ -190,9 +203,11 @@ def test_tape_accumulates_across_reuse():
     x = Tensor([[1.0, 2.0]])
     tape = ComputeTape()
     with recording(tape):
-        loss = sum_all(add(x, x))
+        y = add(x, x)
+        loss = sum_all(y)
     tape.backward(loss)
     assert np.array_equal(x.grad, [[2.0, 2.0]])
+    assert y.grad is None and loss.grad is None  # op outputs drop theirs once passed on
 
 
 def test_backward_requires_finite_scalar():

@@ -4,6 +4,7 @@ import pytest
 import wideffn as w
 from wideffn.errors import ConfigError, NumericError
 from wideffn.store import ParamStore
+from wideffn import training
 from wideffn.tensor import ComputeTape, Tensor, matmul, recording, sum_all
 from wideffn.training import (
     AdamState,
@@ -131,12 +132,75 @@ def test_train_zero_steps_is_a_noop():
 
 def test_train_is_deterministic():
     c = generate_toy_task("copy", 32, (2, 5), 12, seed=2)
-    la = train(w.build_model(tiny_config(), seed=1), c, 6, 8, seed=9)
-    lb = train(w.build_model(tiny_config(), seed=1), c, 6, 8, seed=9)
-    lc = train(w.build_model(tiny_config(), seed=1), c, 6, 8, seed=10)
-    assert la == lb
-    assert la != lc
-    assert len(la) == 6
+    for cfg in (tiny_config(), tiny_config(dropout=0.3)):  # dropout draws per padded block
+        la = train(w.build_model(cfg, seed=1), c, 6, 8, seed=9)
+        lb = train(w.build_model(cfg, seed=1), c, 6, 8, seed=9)
+        lc = train(w.build_model(cfg, seed=1), c, 6, 8, seed=10)
+        assert la == lb
+        assert la != lc
+        assert len(la) == 6
+
+
+def test_a_step_records_one_tape_whatever_its_batch_size(monkeypatch):
+    tapes, batches = [], []
+
+    class KeptTape(ComputeTape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    m = w.build_model(tiny_config(dropout=0.1), seed=0)
+    loss_for_pair = type(m).loss_for_pair
+
+    def counted(self, pairs, **kwargs):
+        batches.append(len(pairs))
+        return loss_for_pair(self, pairs, **kwargs)
+
+    monkeypatch.setattr(training, "ComputeTape", KeptTape)
+    monkeypatch.setattr(type(m), "loss_for_pair", counted)
+    c = generate_toy_task("copy", 64, (2, 7), 12, seed=1)
+    train(m, c, 2, 32, seed=0)
+    train(m, c, 1, 1, seed=0)
+    assert batches == [32, 32, 1]
+    assert len(tapes) == 3
+    assert len(tapes[0].nodes) == len(tapes[1].nodes) == len(tapes[2].nodes)
+
+
+RAGGED_BATCH = [([4, 5, 6], [7, 8]), ([9], [4, 5, 6, 7, 8]), ([5, 6, 7, 8, 9, 10], [11]),
+                ([4, 4], [6, 6, 6])]
+
+
+def _loss_and_grads(m, pairs):
+    m.store.zero_grad()
+    tape = ComputeTape()
+    with recording(tape):
+        loss, n = m.loss_for_pair(pairs)
+    tape.backward(loss)
+    grads = {name: np.zeros(p.shape) if p.grad is None else p.grad.astype(np.float64)
+             for name, p in m.store.physical.items()}
+    return float(loss.data), n, grads
+
+
+@pytest.mark.parametrize("preset", ["baseline", "SharedEncDec", "NoDec", "OneWideFFN",
+                                    "decoder-only baseline"])
+def test_batch_loss_and_grads_are_the_token_weighted_per_pair_ones(preset):
+    if preset == "decoder-only baseline":
+        cfg = tiny_config(n_enc=0, architecture="decoder-only")
+    else:
+        cfg = w.apply_preset(tiny_config(), preset)
+    m = w.build_model(cfg, seed=3)
+    loss, n, grads = _loss_and_grads(m, RAGGED_BATCH)
+    per_pair = [_loss_and_grads(m, [pair]) for pair in RAGGED_BATCH]
+    assert n == sum(n_i for _, n_i, _ in per_pair) == 15
+    expect = sum(loss_i * n_i for loss_i, n_i, _ in per_pair) / n
+    assert abs(loss - expect) <= 1e-6 * abs(expect)
+    # One bound over the whole model, none per tensor: softmax ignores a
+    # per-row shift, so each bk's gradient is zero in exact arithmetic and
+    # holds roundoff alone, as large as itself between the two paths.
+    want = {name: sum(g[name] * n_i for _, n_i, g in per_pair) / n for name in grads}
+    bound = 1e-6 * max(np.abs(g).max() for g in want.values())
+    for name in grads:
+        assert np.abs(grads[name] - want[name]).max() <= bound, name
 
 
 def test_train_reduces_loss():

@@ -95,10 +95,9 @@ def load_run_config(path: str) -> RunConfig:
     _check_keys("training", training, _TRAINING_KEYS)
     run.steps = _typed(int, training.get("steps", run.steps), "training steps")
     run.batch_size = _typed(int, training.get("batch_size", run.batch_size), "training batch_size")
-    run.training = Schedule(
-        base_lr=_typed(float, training.get("base_lr", 7e-4), "training base_lr"),
-        warmup_steps=_typed(int, training.get("warmup_steps", 4000), "training warmup_steps"),
-    )
+    run.training = Schedule(**{
+        key: _typed(type(default), training.get(key, default), f"training {key}")
+        for key, default in vars(run.training).items()})
     if "task" in doc and "corpus" in doc:
         raise ConfigError("give either a toy task or corpus paths, not both")
     if "task" in doc:
@@ -111,8 +110,8 @@ def load_run_config(path: str) -> RunConfig:
         run.corpus = doc["corpus"]
     decode = doc.get("decode", {})
     _check_keys("decode", decode, _DECODE_KEYS)
-    run.beam = _typed(int, decode.get("beam", 1), "decode beam")
-    run.decode_max_len = _typed(int, decode.get("max_len", 32), "decode max_len")
+    run.beam = _typed(int, decode.get("beam", run.beam), "decode beam")
+    run.decode_max_len = _typed(int, decode.get("max_len", run.decode_max_len), "decode max_len")
     return run
 
 
@@ -223,6 +222,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise ConfigError(f"--limit must be at least 1, got {args.limit}")
     run = load_run_config(args.config)
     corpus = build_corpus(run)
     model = load_model_checkpoint(args.checkpoint)
@@ -316,13 +317,13 @@ def cmd_selfsim(args) -> int:
 def cmd_bench(args) -> int:
     run = load_run_config(args.config)
     corpus = build_corpus(run)
+    batch_sizes = [_typed(int, b, "--batch-sizes entry") for b in args.batch_sizes.split(",") if b]
+    if not batch_sizes or any(b < 1 for b in batch_sizes):
+        raise ConfigError(f"bad batch sizes {args.batch_sizes!r}")
     models = []
     for path in args.checkpoints:
         label = os.path.splitext(os.path.basename(path))[0]
         models.append((label, load_model_checkpoint(path)))
-    batch_sizes = [int(b) for b in args.batch_sizes.split(",") if b]
-    if not batch_sizes or any(b < 1 for b in batch_sizes):
-        raise ConfigError(f"bad batch sizes {args.batch_sizes!r}")
     rows = batch_size_sweep(models, batch_sizes, corpus, beam=args.beam,
                             runs=args.runs, max_len=run.decode_max_len)
     header = ["config", "batch_size", "tokens_per_sec", "std", "delta_pct", "n_batches"]
@@ -340,7 +341,7 @@ def cmd_bench(args) -> int:
 def cmd_sweep(args) -> int:
     run = load_run_config(args.config)
     corpus = build_corpus(run)
-    dims = [int(d) for d in args.dims.split(",") if d]
+    dims = [_typed(int, d, "--dims entry") for d in args.dims.split(",") if d]
     if not dims:
         raise ConfigError(f"no dims in {args.dims!r}")
     rows = ffn_dim_sweep(run.model, args.side, dims, corpus, steps=run.steps,

@@ -75,10 +75,8 @@ class ComputeTape:
             for tensor, piece in zip(inputs, grads):
                 if piece is None:
                     continue
-                if tensor.grad is None:
-                    tensor.grad = piece.astype(np.float32, copy=True)
-                else:
-                    tensor.grad = tensor.grad + piece.astype(np.float32, copy=False)
+                piece = piece.astype(np.float32, copy=False)
+                tensor.grad = piece if tensor.grad is None else tensor.grad + piece
 
 
 _TAPE_STACK: list[ComputeTape] = []

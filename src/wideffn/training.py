@@ -116,7 +116,7 @@ def train(model: TransformerModel, corpus: Corpus, steps: int, batch_size: int,
             tape = ComputeTape()
             with recording(tape):
                 batch_loss, _ = model.loss_for_pair([corpus.pairs[int(i)] for i in batch],
-                                                    train=True, rng=dropout_rng)
+                                                    rng=dropout_rng)
             tape.backward(batch_loss)
             adam_step(model.store, state, lr_at(schedule, state.t + 1))
             losses.append(float(batch_loss.data))

@@ -5,6 +5,9 @@ layer_norm(x + f(x)). A NoOp FFN removes the whole sublayer, residual and
 normalization included, so the layer output is exactly the attention
 output. Sharing works by aliasing: shared blocks hold the same Tensor
 objects, so the tape accumulates their gradients automatically.
+
+The encoder and decoder run one layer loop, `attention_mask` builds every
+attention mask, and dropout runs exactly when a forward pass gets a generator.
 """
 
 from __future__ import annotations
@@ -91,21 +94,6 @@ def _position_table(max_len: int, d_model: int) -> np.ndarray:
     return table
 
 
-def causal_mask(n: int) -> np.ndarray:
-    """keep[i, j] is True when position i may attend to position j <= i."""
-    return np.tril(np.ones((n, n), dtype=bool))
-
-
-def prefix_lm_mask(prefix_len: int, suffix_len: int) -> np.ndarray:
-    """Bidirectional visibility inside the prefix, causal over the suffix."""
-    if prefix_len < 0 or suffix_len < 0:
-        raise ConfigError(f"bad prefix mask sizes ({prefix_len}, {suffix_len})")
-    n = prefix_len + suffix_len
-    keep = causal_mask(n)
-    keep[:, :prefix_len] = True
-    return keep
-
-
 class DecodeMemo:
     """Incremental decoding state of one source.
 
@@ -189,56 +177,52 @@ class TransformerModel:
             return list(src) + [EOS, BOS] + list(tgt), len(src) + 1
         return [BOS] + list(tgt), 0
 
-    def teacher_forced(self, pairs: list, enc_out: Tensor | None = None, train: bool = False,
-                       rng: np.random.Generator | None = None):
+    def teacher_forced(self, pairs: list, *, rng: np.random.Generator | None = None):
         """Decoder logits and taps of a batch of (src, tgt) pairs, each tgt
-        fed as its decoder input.
+        fed as its decoder input; dropout runs when `rng` is given.
 
-        Encoder-decoder: the encoder sees src + <eos> (skipped when enc_out
-        is given) and the decoder sees <bos> + tgt. Decoder-only: one
-        sequence src + <eos> + <bos> + tgt whose source span, <eos>
-        included, is bidirectional. The decoder inputs are right-padded to
-        the longest, T, and pair b owns rows [b*T, (b+1)*T) of the logits;
-        the last len(tgt) + 1 rows of its unpadded input predict tgt + <eos>.
+        Encoder-decoder: the encoder sees src + <eos> and the decoder sees
+        <bos> + tgt. Decoder-only: one sequence src + <eos> + <bos> + tgt
+        whose source span, <eos> included, is bidirectional. The decoder
+        inputs are right-padded to the longest, T, and pair b owns rows
+        [b*T, (b+1)*T) of the logits; the last len(tgt) + 1 rows of its
+        unpadded input predict tgt + <eos>.
         """
         ids, prefix_lens = zip(*[self._decoder_input(src, tgt) for src, tgt in pairs])
         if self.config.architecture == "decoder-only":
-            return decoder_forward(self, None, ids, prefix_lens, train=train, rng=rng)
+            return decoder_forward(self, None, ids, prefix_lens, rng=rng)
         srcs = [list(src) + [EOS] for src, _ in pairs]
-        if enc_out is None:
-            enc_out, _ = encoder_forward(self, srcs, train=train, rng=rng)
-        return decoder_forward(self, enc_out, ids, prefix_lens, train=train, rng=rng,
+        enc_out, _ = encoder_forward(self, srcs, rng=rng)
+        return decoder_forward(self, enc_out, ids, prefix_lens, rng=rng,
                                src_lengths=[len(s) for s in srcs])
 
     def step_logits(self, enc_ctx, src_tokens: list[int], prefix: list[int]) -> np.ndarray:
         """Next-token logits after the given generated prefix.
 
         With the context `encode` returned, only the positions its memo
-        lacks run, normally just the newest one. With enc_ctx None (or a
-        bare encoder output) the whole teacher-forced sequence runs again:
-        that recompute is the reference the cached path is tested against.
+        lacks run, normally just the newest one. With enc_ctx None the whole
+        teacher-forced sequence runs again: that recompute is the reference
+        the cached path is tested against.
         """
-        memo = enc_ctx if isinstance(enc_ctx, DecodeMemo) else getattr(enc_ctx, "memo", None)
-        if memo is None:
-            logits, _ = self.teacher_forced([(src_tokens, prefix)], enc_out=enc_ctx)
+        if enc_ctx is None:
+            logits, _ = self.teacher_forced([(src_tokens, prefix)])
         else:
+            memo = getattr(enc_ctx, "memo", enc_ctx)  # decoder-only: the memo itself
             ids, prefix_len = self._decoder_input(src_tokens, prefix)
-            enc_out = None if enc_ctx is memo else enc_ctx
-            logits = memo.run(self, enc_out, tuple(ids), prefix_len)
+            logits = memo.run(self, None if enc_ctx is memo else enc_ctx, tuple(ids), prefix_len)
         return np.asarray(logits.data[-1], dtype=np.float32)
 
     # -- training protocol ------------------------------------------------
 
-    def loss_for_pair(self, pairs: list, train: bool = False,
-                      rng: np.random.Generator | None = None):
+    def loss_for_pair(self, pairs: list, *, rng: np.random.Generator | None = None):
         """Teacher-forced loss of a batch of (src, tgt) pairs; returns
-        (loss, n_predictions).
+        (loss, n_predictions). Dropout runs when `rng` is given.
 
         The loss is the mean negative log-likelihood over the predictions of
         every tgt + <eos> in the batch, so each pair weighs by its length;
         padding and a decoder-only model's source rows are left out of it.
         """
-        logits, _ = self.teacher_forced(pairs, train=train, rng=rng)
+        logits, _ = self.teacher_forced(pairs, rng=rng)
         labels = np.full((len(pairs), logits.shape[0] // len(pairs)), PAD)
         for row, (src, tgt) in zip(labels, pairs):
             end = len(self._decoder_input(src, tgt)[0])
@@ -346,9 +330,25 @@ def build_model(config: ModelConfig, seed: int = 0) -> TransformerModel:
     return wire_model(config, store)
 
 
+def attention_mask(key_len, prefix, t_q: int, t_k: int, heads: int, offset: int = 0) -> np.ndarray:
+    """attention_forward's (B*heads, t_q, t_k) keep mask, one per sequence
+    repeated for its heads: query i of sequence b, at position offset + i,
+    sees key j when j < key_len[b] and either j < prefix[b] or j <= offset + i.
+
+    prefix = key_len sees every real key (encoder, cross attention), prefix 0
+    is causal and one in between is a prefix LM.
+    """
+    key_len, prefix = (np.asarray(a)[:, None, None] for a in (key_len, prefix))
+    if (prefix < 0).any():
+        raise ConfigError(f"negative prefix length in {prefix.ravel().tolist()}")
+    j = np.arange(t_k)
+    keep = (j < key_len) & ((j < prefix) | (j <= offset + np.arange(t_q)[:, None]))
+    return keep.repeat(heads, axis=0)
+
+
 def attention_forward(q_in: Tensor, k_in: Tensor | None, v_in: Tensor | None,
                       block: AttentionBlock, mask: np.ndarray | None = None, *,
-                      heads: int = 1, batch: int = 1, dropout_p: float = 0.0, train: bool = False,
+                      heads: int = 1, batch: int = 1, dropout_p: float = 0.0,
                       rng: np.random.Generator | None = None,
                       kv: list | None = None) -> Tensor:
     """Multi-head attention sublayer: projection, residual from q_in, norm.
@@ -358,9 +358,10 @@ def attention_forward(q_in: Tensor, k_in: Tensor | None, v_in: Tensor | None,
     reshape into a (B*heads, T, d_h) stack of heads, sequence-major, so one
     stacked matmul scores every head of every sequence and one more weights
     the values. `mask` is None, one (T_q, T_k) keep mask for every score
-    matrix, or a (B*heads, T_q, T_k) stack of one per score matrix. A fully masked
-    score row degrades to a uniform attention row, because max subtraction
-    inside the softmax cancels the shared fill value.
+    matrix, or `attention_mask`'s stack of one per score matrix. A fully
+    masked score row degrades to a uniform attention row, because max
+    subtraction inside the softmax cancels the shared fill value. Dropout
+    runs on the output projection when `rng` is given.
 
     Incremental decoding passes `kv`, a list holding the [keys, values]
     head stacks of earlier calls, or nothing yet. The projections of
@@ -396,19 +397,20 @@ def attention_forward(q_in: Tensor, k_in: Tensor | None, v_in: Tensor | None,
     heads_out = reshape(matmul(softmax_rows(scores), v), (batch, heads, t_q, dh))
     merged = reshape(transpose(heads_out, (0, 2, 1, 3)), (rows, d))
     proj = add_bias(matmul(merged, block.wo), block.bo)
-    if train and dropout_p > 0.0:
+    if rng is not None:
         proj = dropout(proj, dropout_p, rng)
     return layer_norm(add(q_in, proj), block.ln_gain, block.ln_bias)
 
 
 def ffn_forward(x: Tensor, block: FFNBlock | None, *, dropout_p: float = 0.0,
-                train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-    """Position-wise FFN sublayer; block None is the exact identity."""
+                rng: np.random.Generator | None = None) -> Tensor:
+    """Position-wise FFN sublayer; block None is the exact identity.
+    Dropout runs on the second projection when `rng` is given."""
     if block is None:
         return x
     h = relu(add_bias(matmul(x, block.w1), block.b1))
     y = add_bias(matmul(h, block.w2), block.b2)
-    if train and dropout_p > 0.0:
+    if rng is not None:
         y = dropout(y, dropout_p, rng)
     return layer_norm(add(x, y), block.ln_gain, block.ln_bias)
 
@@ -425,16 +427,10 @@ def _as_batch(ids) -> tuple[np.ndarray, np.ndarray]:
     return np.array(padded, dtype=np.int64), np.array(lengths)
 
 
-def _key_mask(lengths, t_q: int, t_k: int, heads: int) -> np.ndarray:
-    """attention_forward's (B*heads, t_q, t_k) mask in which every head of
-    sequence b sees its first lengths[b] keys."""
-    keep = np.arange(t_k) < np.asarray(lengths)[:, None, None]
-    return keep.repeat(heads, axis=0).repeat(t_q, axis=1)
-
-
-def _embed(model: TransformerModel, ids: np.ndarray, train: bool, rng, offset: int = 0) -> Tensor:
+def _embed(model: TransformerModel, ids: np.ndarray, rng, offset: int = 0) -> Tensor:
     """Scaled embeddings of a (B, T) id matrix as a (B*T, d) row block, plus
-    positions offset, ..., offset + T - 1 in each sequence's T rows."""
+    positions offset, ..., offset + T - 1 in each sequence's T rows; dropout
+    runs when `rng` is given."""
     cfg = model.config
     batch, t = ids.shape
     end = offset + t
@@ -444,15 +440,34 @@ def _embed(model: TransformerModel, ids: np.ndarray, train: bool, rng, offset: i
     x = scale(x, math.sqrt(cfg.d_model))
     positions = _position_table(cfg.max_len, cfg.d_model)[offset:end]
     x = add(x, Tensor(np.tile(positions, (batch, 1))))
-    if train and cfg.dropout > 0.0:
+    if rng is not None:
         x = dropout(x, cfg.dropout, rng)
     return x
 
 
-def encoder_forward(model: TransformerModel, src_ids, train: bool = False,
-                    rng: np.random.Generator | None = None):
+def _run_layers(model: TransformerModel, x: Tensor, layers, batch: int, rng, self_mask,
+                cross_mask=None, memory: Tensor | None = None, kv: list | None = None):
+    """Run (self-attention, cross-attention or None, FFN or None) block
+    triples over x; returns (output, taps keyed '<i>.sa'/'<i>.ca'/'<i>.ffn').
+    Cross attention reads `memory`; `kv` is decoder_forward's, per layer."""
+    cfg = model.config
+    opts = dict(heads=cfg.heads, batch=batch, dropout_p=cfg.dropout, rng=rng)
+    taps: dict[str, Tensor] = {}
+    for i, (self_attn, cross_attn, ffn) in enumerate(layers):
+        self_kv, cross_kv = kv[i] if kv is not None else (None, None)
+        x = taps[f"{i}.sa"] = attention_forward(x, x, x, self_attn, self_mask, kv=self_kv, **opts)
+        if cross_attn is not None:
+            src = None if cross_kv else memory
+            x = taps[f"{i}.ca"] = attention_forward(x, src, src, cross_attn, cross_mask,
+                                                    kv=cross_kv, **opts)
+        if ffn is not None:
+            x = taps[f"{i}.ffn"] = ffn_forward(x, ffn, dropout_p=cfg.dropout, rng=rng)
+    return x, taps
+
+
+def encoder_forward(model: TransformerModel, src_ids, *, rng: np.random.Generator | None = None):
     """Run the encoder stack over one source or a list of them; returns
-    (output, taps keyed '<i>.sa'/'<i>.ffn').
+    (output, taps keyed '<i>.sa'/'<i>.ffn'). Dropout runs when `rng` is given.
 
     A list is right-padded to its longest source, S, and source b owns
     rows [b*S, (b+1)*S) of the output and taps; no query sees a pad key.
@@ -462,36 +477,27 @@ def encoder_forward(model: TransformerModel, src_ids, train: bool = False,
         raise ConfigError("model has no encoder")
     ids, lengths = _as_batch(src_ids)
     batch, t = ids.shape
-    x = _embed(model, ids, train, rng)
-    mask = _key_mask(lengths, t, t, cfg.heads)
-    taps: dict[str, Tensor] = {}
-    for i in range(cfg.n_enc):
-        x = attention_forward(x, x, x, model.enc_attn[i], mask=mask, heads=cfg.heads, batch=batch,
-                              dropout_p=cfg.dropout, train=train, rng=rng)
-        taps[f"{i}.sa"] = x
-        block = model.enc_ffn[i]
-        if block is not None:
-            x = ffn_forward(x, block, dropout_p=cfg.dropout, train=train, rng=rng)
-            taps[f"{i}.ffn"] = x
-    return x, taps
+    mask = attention_mask(lengths, lengths, t, t, cfg.heads)
+    return _run_layers(model, _embed(model, ids, rng),
+                       zip(model.enc_attn, [None] * cfg.n_enc, model.enc_ffn), batch, rng, mask)
 
 
-def decoder_forward(model: TransformerModel, enc_out: Tensor | None, ids,
-                    prefix_len=0, train: bool = False,
-                    rng: np.random.Generator | None = None, *, kv: list | None = None,
+def decoder_forward(model: TransformerModel, enc_out: Tensor | None, ids, prefix_len=0, *,
+                    rng: np.random.Generator | None = None, kv: list | None = None,
                     src_lengths=None):
     """Run the decoder stack over one id sequence or a list of them to
-    vocabulary logits.
+    vocabulary logits; dropout runs when `rng` is given.
 
-    Encoder-decoder mode needs enc_out and uses a causal self mask;
-    decoder-only mode needs enc_out None and uses a prefix mask when
-    prefix_len > 0. Returns (logits, taps keyed '<i>.sa'/'<i>.ca'/'<i>.ffn').
+    Encoder-decoder mode needs enc_out and is causal; decoder-only mode
+    needs enc_out None and sees its first prefix_len positions
+    bidirectionally. Returns (logits, taps keyed '<i>.sa'/'<i>.ca'/'<i>.ffn').
 
     A list is right-padded to its longest sequence, T, and sequence b owns
-    rows [b*T, (b+1)*T) of the logits and taps. prefix_len is then one
-    length per sequence (or one for all), and enc_out holds one source per
-    sequence as equal row blocks; src_lengths, when given, are the sources'
-    unpadded lengths, and cross attention sees no key past them.
+    rows [b*T, (b+1)*T) of the logits and taps; no query sees a pad key.
+    prefix_len is then one length per sequence (or one for all), and enc_out
+    holds one source per sequence as equal row blocks; src_lengths, when
+    given, are the sources' unpadded lengths, and cross attention sees no
+    key past them.
 
     Incremental decoding passes `kv`, one (self, cross) pair of
     attention_forward kv lists per layer. `ids` then continue the positions
@@ -500,42 +506,24 @@ def decoder_forward(model: TransformerModel, enc_out: Tensor | None, ids,
     may then fill the whole sequence, to keep a decoder-only source's K/V.
     """
     cfg = model.config
-    if cfg.architecture == "encoder-decoder":
-        if enc_out is None:
-            raise ConfigError("encoder-decoder model needs encoder output")
-    else:
-        if enc_out is not None:
-            raise ConfigError("decoder-only model takes no encoder output")
+    if cfg.architecture == "encoder-decoder" and enc_out is None:
+        raise ConfigError("encoder-decoder model needs encoder output")
+    if cfg.architecture == "decoder-only" and enc_out is not None:
+        raise ConfigError("decoder-only model takes no encoder output")
     ids, lengths = _as_batch(ids)
     batch, t = ids.shape
     past = kv[0][0] if kv is not None else None
     offset = past[1].shape[1] if past else 0
-    x = _embed(model, ids, train, rng, offset)
-    n = offset + t
+    x = _embed(model, ids, rng, offset)
     prefix = np.broadcast_to(prefix_len, (batch,))
     for p, end in zip(prefix, offset + lengths):
         if p > end or (p == end and kv is None):
             raise ConfigError(f"prefix_len {p} must leave a suffix in {end} positions")
-    mask = np.stack([prefix_lm_mask(p, n - p)[offset:] for p in prefix]).repeat(cfg.heads, axis=0)
-    cross_mask = None
-    if src_lengths is not None:
-        cross_mask = _key_mask(src_lengths, t, enc_out.shape[0] // batch, cfg.heads)
-    taps: dict[str, Tensor] = {}
-    for i in range(cfg.n_dec):
-        self_kv, cross_kv = kv[i] if kv is not None else (None, None)
-        x = attention_forward(x, x, x, model.dec_self[i], mask=mask, heads=cfg.heads, batch=batch,
-                              dropout_p=cfg.dropout, train=train, rng=rng, kv=self_kv)
-        taps[f"{i}.sa"] = x
-        if model.dec_cross[i] is not None:
-            src = None if cross_kv else enc_out
-            x = attention_forward(x, src, src, model.dec_cross[i], mask=cross_mask,
-                                  heads=cfg.heads, batch=batch,
-                                  dropout_p=cfg.dropout, train=train, rng=rng, kv=cross_kv)
-            taps[f"{i}.ca"] = x
-        block = model.dec_ffn[i]
-        if block is not None:
-            x = ffn_forward(x, block, dropout_p=cfg.dropout, train=train, rng=rng)
-            taps[f"{i}.ffn"] = x
+    mask = attention_mask(offset + lengths, prefix, t, offset + t, cfg.heads, offset)
+    cross_mask = None if src_lengths is None else attention_mask(
+        src_lengths, src_lengths, t, enc_out.shape[0] // batch, cfg.heads)
+    x, taps = _run_layers(model, x, zip(model.dec_self, model.dec_cross, model.dec_ffn), batch,
+                          rng, mask, cross_mask, enc_out, kv)
     if kv is not None:  # a decode step needs the last row's logits only
         x = Tensor(x.data[-1:])
     # (E x^T)^T spares copying the transposed embedding table

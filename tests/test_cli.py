@@ -4,9 +4,10 @@ import struct
 import pytest
 import yaml
 
-from wideffn.cli import load_run_config, main
+from wideffn.cli import RunConfig, load_run_config, main
 from wideffn.counting import count_params
 from wideffn.errors import ConfigError, NumericError
+from wideffn.training import Schedule
 
 BASE_DOC = {
     "seed": 3,
@@ -53,6 +54,11 @@ def test_run_config_defaults_and_sections(tmp_path):
     assert run.training.base_lr == pytest.approx(0.002)
     assert run.beam == 1 and run.decode_max_len == 6
     assert run.model.d_model == 16
+    # an omitted value takes the Schedule/RunConfig default
+    bare = load_run_config(write_config(tmp_path, name="bare.yaml", decode=...,
+                                        training={"base_lr": ..., "warmup_steps": ...}))
+    assert bare.training == Schedule()
+    assert (bare.beam, bare.decode_max_len) == (RunConfig().beam, RunConfig().decode_max_len)
 
 
 def test_run_config_rejects_unknown_keys(tmp_path):
@@ -278,6 +284,20 @@ def test_exit_code_2_for_config_errors(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("WFN_SEED", "x")
     assert main(["params", "--config", write_config(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_exit_code_2_for_bad_verb_arguments(tmp_path, trained_ckpt, capsys):
+    cfg, out = trained_ckpt
+    csv_path = str(tmp_path / "out.csv")
+    for argv in (["sweep", "--config", cfg, "--side", "decoder", "--dims", "0,x",
+                  "--out", csv_path],
+                 ["bench", "--config", cfg, "--checkpoints", out, "--batch-sizes", "1,x",
+                  "--out", csv_path],
+                 # as a slice bound, a negative limit would silently drop pairs
+                 ["eval", "--config", cfg, "--checkpoint", out, "--limit", "-1"],
+                 ["eval", "--config", cfg, "--checkpoint", out, "--limit", "0"]):
+        assert main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err, argv
 
 
 def test_exit_code_3_for_missing_files(tmp_path, capsys):

@@ -16,11 +16,10 @@ from wideffn.transformer import (
     ATTN_PARTS,
     AttentionBlock,
     attention_forward,
-    causal_mask,
+    attention_mask,
     decoder_forward,
     encoder_forward,
     ffn_forward,
-    prefix_lm_mask,
     sinusoidal_positions,
 )
 from wideffn.vocab import BOS, EOS, generate_toy_task
@@ -28,21 +27,40 @@ from wideffn.vocab import BOS, EOS, generate_toy_task
 from conftest import tiny_config
 
 
-def test_causal_mask_shape_and_content():
-    m = causal_mask(3)
-    assert m.tolist() == [[True, False, False], [True, True, False], [True, True, True]]
-
-
-def test_prefix_mask_bidirectional_prefix_causal_suffix():
-    m = prefix_lm_mask(2, 2)
-    assert m.tolist() == [
-        [True, True, False, False],
-        [True, True, False, False],
-        [True, True, True, False],
-        [True, True, True, True],
+def test_attention_mask_covers_every_visibility_rule():
+    T, F = True, False
+    # encoder and cross attention: prefix = key length, so pad keys only are hidden
+    enc = attention_mask([2, 3], [2, 3], 4, 3, heads=1)
+    assert enc[0].tolist() == [[T, T, F]] * 4
+    assert enc[1].all()
+    # causal decoder self attention over a sequence of 2 padded to 3
+    assert attention_mask([2], [0], 3, 3, heads=1)[0].tolist() == [
+        [T, F, F],
+        [T, T, F],
+        [T, T, F],
     ]
+    # prefix LM: bidirectional over the first two positions, causal after
+    full = attention_mask([4], [2], 4, 4, heads=1)[0]
+    assert full.tolist() == [
+        [T, T, F, F],
+        [T, T, F, F],
+        [T, T, T, F],
+        [T, T, T, T],
+    ]
+    # decode steps at an offset are the last rows of the full mask
+    for t_q in (1, 2):
+        step = attention_mask([4], [2], t_q, 4, heads=1, offset=4 - t_q)
+        assert np.array_equal(step[0], full[4 - t_q:]), t_q
+    # each sequence's mask repeats for its heads, sequence-major
+    stack = attention_mask([2, 3], [0, 3], 3, 3, heads=2)
+    assert stack.shape == (4, 3, 3)
+    assert np.array_equal(stack[0], stack[1]) and np.array_equal(stack[2], stack[3])
+    assert not np.array_equal(stack[1], stack[2])
     with pytest.raises(ConfigError):
-        prefix_lm_mask(-1, 2)
+        attention_mask([3], [-1], 3, 3, heads=1)
+    m = w.build_model(tiny_config(n_enc=0, architecture="decoder-only"), seed=0)
+    with pytest.raises(ConfigError):
+        decoder_forward(m, None, [4, 5, 6], prefix_len=-1)
 
 
 def test_sinusoidal_positions_structure():
@@ -190,7 +208,7 @@ def _reference_attention(q_in, kv_in, block, keep, heads):
         cols = slice(h * dh, (h + 1) * dh)
         scores = q[:, cols] @ k[:, cols].T / np.sqrt(dh)
         if keep is not None:
-            scores = np.where(keep, scores, -1e9)
+            scores = np.where(keep[h], scores, -1e9)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         outs.append(e / e.sum(axis=1, keepdims=True) @ v[:, cols])
     y = q_in + np.concatenate(outs, axis=1) @ p["wo"] + p["bo"]
@@ -206,7 +224,8 @@ def test_attention_matches_per_head_reference(heads, case):
     block = _random_attention_block(rng, d)
     q_in = rng.standard_normal((t, d)).astype(np.float32)
     kv_in = rng.standard_normal((3, d)).astype(np.float32) if case == "cross" else q_in
-    keep = {"causal": causal_mask(t), "prefix": prefix_lm_mask(2, t - 2)}.get(case)
+    prefix = {"causal": 0, "prefix": 2}.get(case)
+    keep = None if prefix is None else attention_mask([t], [prefix], t, t, heads)
     q_t = Tensor(q_in)
     kv_t = Tensor(kv_in) if case == "cross" else q_t
     out = attention_forward(q_t, kv_t, kv_t, block, mask=keep, heads=heads)
@@ -221,7 +240,7 @@ def test_attention_passes_grad_check_with_four_heads():
     d, t = 16, 5
     block = _random_attention_block(rng, d)
     x = Tensor(rng.standard_normal((t, d)))
-    keep = prefix_lm_mask(2, t - 2)
+    keep = attention_mask([t], [2], t, t, heads=4)
 
     def f(params):
         out = attention_forward(params[0], params[0], params[0], block, mask=keep, heads=4)
@@ -240,8 +259,8 @@ def test_forward_is_deterministic_in_eval_mode():
 
 def test_dropout_changes_training_forward():
     m = w.build_model(tiny_config(dropout=0.3), seed=0)
-    a, _ = encoder_forward(m, [4, 5, 6], train=True, rng=np.random.default_rng(0))
-    b, _ = encoder_forward(m, [4, 5, 6], train=True, rng=np.random.default_rng(1))
+    a, _ = encoder_forward(m, [4, 5, 6], rng=np.random.default_rng(0))
+    b, _ = encoder_forward(m, [4, 5, 6], rng=np.random.default_rng(1))
     assert not np.array_equal(a.data, b.data)
 
 

@@ -1,0 +1,53 @@
+"""The perfbench span tracer still finds and names every wideffn sublayer.
+
+perfbench/spans.py wraps wideffn functions by name and names each attention
+and FFN span by the forward pass that called it, so a refactor of the forward
+code can break `perfbench/run.py --trace 1` without failing any other test.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import wideffn
+from wideffn import bench, checkpoint, cli, similarity, tensor, training, transformer
+
+from conftest import tiny_config
+
+SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+MODULES = {"wideffn": wideffn, "bench": bench, "checkpoint": checkpoint, "cli": cli,
+           "similarity": similarity, "tensor": tensor, "training": training,
+           "transformer": transformer}
+PATCHED_CLASSES = (transformer.TransformerModel, tensor.ComputeTape)
+
+
+def _bindings():
+    """Every module- and class-level binding the tracer may replace."""
+    out = {(name, attr): value for name, mod in MODULES.items()
+           for attr, value in vars(mod).items() if callable(value)}
+    for cls in PATCHED_CLASSES:
+        out.update({(cls.__name__, attr): value for attr, value in vars(cls).items()})
+    return out
+
+
+def test_tracer_names_every_sublayer_and_restores_the_originals():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    model = wideffn.build_model(tiny_config(), seed=0)
+    before = _bindings()
+    tracer = spans.Tracer()
+    tracer.install(MODULES)
+    try:
+        bench.decode_greedy(model, [4, 5, 6], max_len=4)
+        model.loss_for_pair([([4, 5, 6], [6, 5, 4])])
+    finally:
+        tracer.remove()
+    names = set(tracer.times_by_name(0, tracer.n_spans()))
+    for kind in ("enc_sa", "enc_ffn", "dec_sa", "dec_ca", "dec_ffn", "embed"):
+        assert f"transformer.{kind}" in names, kind
+    assert "transformer.attention_other" not in names
+    assert "transformer.ffn_other" not in names
+    assert {"bench.encode", "bench.step_logits", "training.forward"} <= names
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []

@@ -27,27 +27,44 @@ from wideffn.vocab import BOS, EOS, generate_toy_task
 from conftest import tiny_config
 
 
+def test_causal_mask_shape_and_content():
+    T, F = True, False
+    assert attention_mask([3], [0], 3, 3, heads=1)[0].tolist() == [
+        [T, F, F],
+        [T, T, F],
+        [T, T, T],
+    ]
+    # a sequence of 2 padded to 3 also hides the pad key from the pad query
+    assert attention_mask([2], [0], 3, 3, heads=1)[0].tolist() == [
+        [T, F, F],
+        [T, T, F],
+        [T, T, F],
+    ]
+
+
+def test_prefix_mask_bidirectional_prefix_causal_suffix():
+    T, F = True, False
+    assert attention_mask([4], [2], 4, 4, heads=1)[0].tolist() == [
+        [T, T, F, F],
+        [T, T, F, F],
+        [T, T, T, F],
+        [T, T, T, T],
+    ]
+    with pytest.raises(ConfigError):
+        attention_mask([3], [-1], 3, 3, heads=1)
+    m = w.build_model(tiny_config(n_enc=0, architecture="decoder-only"), seed=0)
+    with pytest.raises(ConfigError):
+        decoder_forward(m, None, [4, 5, 6], prefix_len=-1)
+
+
 def test_attention_mask_covers_every_visibility_rule():
     T, F = True, False
     # encoder and cross attention: prefix = key length, so pad keys only are hidden
     enc = attention_mask([2, 3], [2, 3], 4, 3, heads=1)
     assert enc[0].tolist() == [[T, T, F]] * 4
     assert enc[1].all()
-    # causal decoder self attention over a sequence of 2 padded to 3
-    assert attention_mask([2], [0], 3, 3, heads=1)[0].tolist() == [
-        [T, F, F],
-        [T, T, F],
-        [T, T, F],
-    ]
-    # prefix LM: bidirectional over the first two positions, causal after
+    # decode steps at an offset are the last rows of the full prefix-LM mask
     full = attention_mask([4], [2], 4, 4, heads=1)[0]
-    assert full.tolist() == [
-        [T, T, F, F],
-        [T, T, F, F],
-        [T, T, T, F],
-        [T, T, T, T],
-    ]
-    # decode steps at an offset are the last rows of the full mask
     for t_q in (1, 2):
         step = attention_mask([4], [2], t_q, 4, heads=1, offset=4 - t_q)
         assert np.array_equal(step[0], full[4 - t_q:]), t_q
@@ -56,11 +73,6 @@ def test_attention_mask_covers_every_visibility_rule():
     assert stack.shape == (4, 3, 3)
     assert np.array_equal(stack[0], stack[1]) and np.array_equal(stack[2], stack[3])
     assert not np.array_equal(stack[1], stack[2])
-    with pytest.raises(ConfigError):
-        attention_mask([3], [-1], 3, 3, heads=1)
-    m = w.build_model(tiny_config(n_enc=0, architecture="decoder-only"), seed=0)
-    with pytest.raises(ConfigError):
-        decoder_forward(m, None, [4, 5, 6], prefix_len=-1)
 
 
 def test_sinusoidal_positions_structure():

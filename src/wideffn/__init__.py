@@ -1,11 +1,11 @@
 """Toy-scale Transformer laboratory for FFN sharing, dropping, and widening.
 
-Subpackages:
+Modules:
     tensor      float32 autodiff core (Tensor, ComputeTape, ops, grad_check)
     sharing     FFN sharing strategies and layer assignment
-    config      ModelConfig / SharingSpec, canonical shapes, presets
+    config      ModelConfig / SharingSpec, the key check, presets
     store       physical/logical parameter storage
-    transformer blocks, builder, masks, forward passes
+    transformer blocks, builder, masks, forward passes, decode context
     counting    exact parameter arithmetic
     checkpoint  binary save/load with tie-preserving alias table
     vocab       token conventions, toy tasks, parallel corpora

@@ -1,10 +1,11 @@
 """Command line front end.
 
 Verbs: params | train | eval | compare | selfsim | bench | sweep.
-Runs are driven by a YAML config file; unknown keys anywhere in the file
-are rejected. The WFN_SEED environment variable overrides the config
-seed. Exit codes: 0 success, 2 config error, 3 data error or a file that
-cannot be opened, 4 numeric failure.
+Runs are driven by a YAML config file whose every section is checked when
+it is read: unknown keys, mistyped values and fractional integers are
+rejected, whatever the verb. The WFN_SEED environment variable overrides
+the config seed. Exit codes: 0 success, 2 config error, 3 data error or a
+file that cannot be opened, 4 numeric failure.
 
 Every command's CSV/JSON output is byte-reproducible from (config, seed)
 except the timing commands, whose CSVs carry a '# nondeterministic:
@@ -21,9 +22,9 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .bench import batch_size_sweep, corpus_bleu, decode_greedy
+from .bench import batch_size_sweep, corpus_bleu, decode_beam
 from .checkpoint import load_model_checkpoint, save_model_checkpoint
-from .config import ModelConfig, apply_preset
+from .config import ModelConfig, apply_preset, check_keys
 from .counting import BREAKDOWN_KEYS, baseline_of, count_params, percent_of_baseline
 from .errors import ConfigError, DataError, WideFFNError
 from .similarity import (
@@ -35,7 +36,7 @@ from .similarity import (
 )
 from .training import Schedule, ffn_dim_sweep, token_accuracy, train
 from .transformer import build_model
-from .vocab import Corpus, generate_toy_task, load_parallel_corpus
+from .vocab import Corpus, check_toy_task, generate_toy_task, load_parallel_corpus
 
 
 @dataclass
@@ -51,93 +52,78 @@ class RunConfig:
     decode_max_len: int = 32
 
 
-_TRAINING_KEYS = {"steps", "batch_size", "base_lr", "warmup_steps"}
-_TASK_KEYS = {"kind", "count", "len_range", "vocab_size", "seed"}
-_CORPUS_KEYS = {"src", "tgt"}
-_DECODE_KEYS = {"beam", "max_len"}
-_TOP_KEYS = {"seed", "preset", "model", "training", "task", "corpus", "decode"}
-
-
-def _check_keys(section: str, d: dict, allowed: set):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{section} section must be a mapping, got {d!r}")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}; allowed: {sorted(allowed)}")
+_TOP_KEYS = ("seed", "preset", "model", "training", "task", "corpus", "decode")
 
 
 def _typed(kind, value, what: str):
-    """`kind(value)`, with a value that does not convert raised as a ConfigError."""
+    """`value` as a `kind`, or a ConfigError. An int must be whole, a str must
+    already be one, and a tuple is a pair of ints."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from None
+        if kind is tuple:
+            if isinstance(value, (list, tuple)) and len(value) == 2:
+                return tuple(_typed(int, v, what) for v in value)
+        elif kind is str:
+            if isinstance(value, str):
+                return value
+        elif kind is not int or isinstance(value, str) or int(value) == value:
+            return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}")
+
+
+def _section(doc: dict, name: str, defaults: dict) -> dict:
+    """Run-file section `name`: its keys are those of `defaults`, each value
+    is typed like its default, and an omitted key takes its default."""
+    given = check_keys(name, doc.get(name, {}), defaults)
+    return {key: _typed(type(default), given.get(key, default), f"{name} {key}")
+            for key, default in defaults.items()}
 
 
 def load_run_config(path: str) -> RunConfig:
-    """Parse and validate a run file; applies preset expansion and WFN_SEED."""
+    """Parse and check every section of a run file; applies preset expansion
+    and WFN_SEED."""
     with open(path, encoding="utf-8") as f:
         try:
             doc = yaml.safe_load(f)
         except yaml.YAMLError as e:
             raise ConfigError(f"{path}: not valid YAML: {e}") from None
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-    _check_keys("top-level", doc, _TOP_KEYS)
+    doc = check_keys("top-level", {} if doc is None else doc, _TOP_KEYS)
     model = ModelConfig.from_dict(doc.get("model", {}))
     if "preset" in doc:
         model = apply_preset(model, doc["preset"])
     run = RunConfig(model=model)
     run.seed = _typed(int, os.environ.get("WFN_SEED", doc.get("seed", run.seed)), "seed/WFN_SEED")
-    training = doc.get("training", {})
-    _check_keys("training", training, _TRAINING_KEYS)
-    run.steps = _typed(int, training.get("steps", run.steps), "training steps")
-    run.batch_size = _typed(int, training.get("batch_size", run.batch_size), "training batch_size")
-    run.training = Schedule(**{
-        key: _typed(type(default), training.get(key, default), f"training {key}")
-        for key, default in vars(run.training).items()})
+    training = _section(doc, "training", {"steps": run.steps, "batch_size": run.batch_size,
+                                          **vars(run.training)})
+    run.steps, run.batch_size = training.pop("steps"), training.pop("batch_size")
+    run.training = Schedule(**training)
     if "task" in doc and "corpus" in doc:
         raise ConfigError("give either a toy task or corpus paths, not both")
     if "task" in doc:
-        _check_keys("task", doc["task"], _TASK_KEYS)
-        run.task = doc["task"]
+        run.task = _section(doc, "task", {"kind": "copy", "count": 512, "len_range": (3, 8),
+                                          "vocab_size": model.vocab_size, "seed": run.seed})
+        check_toy_task(**run.task)
+        if run.task["vocab_size"] != model.vocab_size:
+            raise ConfigError(f"task vocab_size {run.task['vocab_size']} != model "
+                              f"vocab_size {model.vocab_size}")
     if "corpus" in doc:
-        _check_keys("corpus", doc["corpus"], _CORPUS_KEYS)
-        if not all(isinstance(doc["corpus"].get(key), str) for key in _CORPUS_KEYS):
+        run.corpus = _section(doc, "corpus", {"src": "", "tgt": ""})
+        if not all(run.corpus.values()):
             raise ConfigError(f"corpus needs src and tgt file paths, got {doc['corpus']!r}")
-        run.corpus = doc["corpus"]
-    decode = doc.get("decode", {})
-    _check_keys("decode", decode, _DECODE_KEYS)
-    run.beam = _typed(int, decode.get("beam", run.beam), "decode beam")
-    run.decode_max_len = _typed(int, decode.get("max_len", run.decode_max_len), "decode max_len")
+    decode = _section(doc, "decode", {"beam": run.beam, "max_len": run.decode_max_len})
+    run.beam, run.decode_max_len = decode["beam"], decode["max_len"]
     return run
 
 
 def build_corpus(run: RunConfig) -> Corpus:
     if run.task is not None:
-        task = run.task
-        kind = task.get("kind", "copy")
-        count = _typed(int, task.get("count", 512), "task count")
-        bounds = task.get("len_range", (3, 8))
-        if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
-            raise ConfigError(f"task len_range must be [min, max], got {bounds!r}")
-        len_range = tuple(_typed(int, n, "task len_range") for n in bounds)
-        vocab_size = _typed(int, task.get("vocab_size", run.model.vocab_size), "task vocab_size")
-        if vocab_size != run.model.vocab_size:
-            raise ConfigError(
-                f"task vocab_size {vocab_size} != model vocab_size {run.model.vocab_size}"
-            )
-        return generate_toy_task(kind, count, len_range, vocab_size,
-                                 seed=_typed(int, task.get("seed", run.seed), "task seed"))
+        return generate_toy_task(**run.task)
     if run.corpus is not None:
         corpus = load_parallel_corpus(run.corpus["src"], run.corpus["tgt"])
         if corpus.vocab.size > run.model.vocab_size:
-            raise ConfigError(
-                f"corpus vocab {corpus.vocab.size} exceeds model vocab_size "
-                f"{run.model.vocab_size}"
-            )
+            raise ConfigError(f"corpus vocab {corpus.vocab.size} exceeds model vocab_size "
+                              f"{run.model.vocab_size}")
         return corpus
     raise ConfigError("config needs a 'task' or 'corpus' section for this command")
 
@@ -237,12 +223,12 @@ def cmd_eval(args) -> int:
     acc = token_accuracy(model, probe)
     hyps, refs = [], []
     for src, tgt in probe.pairs:
-        out = decode_greedy(model, src, max_len=run.decode_max_len)
+        out = decode_beam(model, src, beam=run.beam, max_len=run.decode_max_len)
         hyps.append(corpus.vocab.decode(out))
         refs.append(corpus.vocab.decode(tgt))
     bleu = corpus_bleu(hyps, refs)
     print(f"token accuracy: {acc:.4f}")
-    print(f"greedy BLEU: {bleu:.2f}")
+    print(f"beam-{run.beam} BLEU: {bleu:.2f}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as f:
             json.dump({"token_accuracy": acc, "bleu": bleu, "pairs": len(probe.pairs)},
@@ -324,7 +310,7 @@ def cmd_bench(args) -> int:
     for path in args.checkpoints:
         label = os.path.splitext(os.path.basename(path))[0]
         models.append((label, load_model_checkpoint(path)))
-    rows = batch_size_sweep(models, batch_sizes, corpus, beam=args.beam,
+    rows = batch_size_sweep(models, batch_sizes, corpus, beam=run.beam,
                             runs=args.runs, max_len=run.decode_max_len)
     header = ["config", "batch_size", "tokens_per_sec", "std", "delta_pct", "n_batches"]
     if len(models) == 1:
@@ -372,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", help="restore parameters from this checkpoint first")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="token accuracy and greedy BLEU")
+    p = sub.add_parser("eval", help="token accuracy and BLEU")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--limit", type=int, help="evaluate only the first N pairs")
@@ -401,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", nargs="+", required=True)
     p.add_argument("--batch-sizes", default="1", help="comma-separated; decoding is "
                    "unbatched, so a batch size only sets the reported n_batches")
-    p.add_argument("--beam", type=int, default=1)
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_bench)

@@ -13,6 +13,20 @@ ARCHITECTURES = ("encoder-decoder", "decoder-only")
 ATTN_KINDS = ("Individual", "SharedAll")
 
 
+def check_keys(what: str, d, allowed) -> dict:
+    """`d`, which must be a mapping with no key outside `allowed`."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a mapping, got {d!r}")
+    unknown = set(d) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}; allowed: {sorted(allowed)}")
+    return d
+
+
+def _field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
 @dataclass(frozen=True)
 class SharingSpec:
     """Per-side FFN strategies plus attention sharing switches, checked when made."""
@@ -36,26 +50,16 @@ class SharingSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "SharingSpec":
-        if not isinstance(d, dict):
-            raise ConfigError(f"sharing must be a mapping, got {d!r}")
-        d = dict(d)
+        d = dict(check_keys("sharing", d, _field_names(SharingSpec)))
         for side in ("enc_ffn", "dec_ffn"):
             if side in d:
                 d[side] = FFNStrategy.parse(d[side])
-        unknown = set(d) - {f.name for f in dataclasses.fields(SharingSpec)}
-        if unknown:
-            raise ConfigError(f"unknown sharing keys: {sorted(unknown)}")
         return SharingSpec(**d)
 
     def to_dict(self) -> dict:
-        return {
-            "enc_ffn": str(self.enc_ffn),
-            "dec_ffn": str(self.dec_ffn),
-            "tie_enc_dec_ffn": self.tie_enc_dec_ffn,
-            "enc_self_attn": self.enc_self_attn,
-            "dec_self_attn": self.dec_self_attn,
-            "dec_cross_attn": self.dec_cross_attn,
-        }
+        """The fields by name, each FFN strategy as its text."""
+        return {name: getattr(self, name) for name in _field_names(self)} | {
+            "enc_ffn": str(self.enc_ffn), "dec_ffn": str(self.dec_ffn)}
 
 
 @dataclass(frozen=True)
@@ -151,19 +155,11 @@ class ModelConfig:
         return self.d_ff if override is None else override
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["sharing"] = self.sharing.to_dict()
-        return d
+        return dataclasses.asdict(self) | {"sharing": self.sharing.to_dict()}
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"model must be a mapping, got {d!r}")
-        d = dict(d)
-        known = {f.name for f in dataclasses.fields(ModelConfig)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model keys: {sorted(unknown)}")
+        d = dict(check_keys("model", d, _field_names(ModelConfig)))
         if "sharing" in d and not isinstance(d["sharing"], SharingSpec):
             d["sharing"] = SharingSpec.from_dict(d["sharing"])
         return ModelConfig(**d)

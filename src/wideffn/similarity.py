@@ -157,7 +157,6 @@ class SimilarityReport:
     col_labels: list[str]
     matrix: np.ndarray
     aggregate: float
-    normalized: float | None = None
 
 
 _SUBLAYER_ORDER = {"sa": 0, "ca": 1, "ffn": 2}

@@ -94,32 +94,35 @@ def _position_table(max_len: int, d_model: int) -> np.ndarray:
     return table
 
 
-class DecodeMemo:
-    """Incremental decoding state of one source.
+class DecodeContext(Tensor):
+    """`encode`'s incremental decoding state of one source.
 
-    `entries` maps a decoder input, as a tuple of ids, to each decoder
-    layer's self-attention [keys, values] over it. `cross` holds each
-    layer's cross-attention [keys, values], projected from the encoder
-    output by the first step. Only the two newest input lengths stay: a
-    step reads the entry one id shorter than its input, and every
-    hypothesis of a beam grows by one id per step, so its parent is kept
-    and no rows need reordering. A step whose entry is gone runs its whole
-    input again, which is slower but gives the same logits.
+    Its data is the encoder output over src + <eos>, usable wherever that
+    Tensor is, with zero rows for a decoder-only model. `entries` maps a
+    decoder input, as a tuple of ids, to each decoder layer's
+    self-attention [keys, values] over it. `cross` holds each layer's
+    cross-attention [keys, values], projected from the encoder output by
+    the first step. Only the two newest input lengths stay: a step reads
+    the entry one id shorter than its input, and every hypothesis of a beam
+    grows by one id per step, so its parent is kept and no rows need
+    reordering. A step whose entry is gone runs its whole input again,
+    which is slower but gives the same logits.
     """
 
     __slots__ = ("entries", "cross")
 
-    def __init__(self, n_layers: int):
+    def __init__(self, data, n_layers: int):
+        super().__init__(data)
         self.entries: dict[tuple, list] = {}
         self.cross: list[list] = [[] for _ in range(n_layers)]
 
-    def run(self, model: "TransformerModel", enc_out: Tensor | None, ids: tuple,
-            prefix_len: int) -> Tensor:
+    def run(self, model: "TransformerModel", ids: tuple, prefix_len: int) -> Tensor:
         """Logits of the last id of `ids` (one row), running only the
         positions no entry holds; keeps the K/V of `ids` as a new entry."""
         past = self.entries.get(ids[:-1])
         start = 0 if past is None else len(ids) - 1
         selfs = [[] for _ in self.cross] if past is None else [list(layer) for layer in past]
+        enc_out = self if model.config.architecture == "encoder-decoder" else None
         logits, _ = decoder_forward(model, enc_out, list(ids[start:]), prefix_len,
                                     kv=list(zip(selfs, self.cross)))
         n = len(ids)
@@ -127,17 +130,6 @@ class DecodeMemo:
                         if n - 1 <= len(key) <= n}
         self.entries[ids] = selfs
         return logits
-
-
-class EncodedSource(Tensor):
-    """`encode`'s result for an encoder-decoder model: the encoder output,
-    usable wherever that Tensor is, plus the source's DecodeMemo."""
-
-    __slots__ = ("memo",)
-
-    def __init__(self, data, memo: DecodeMemo):
-        super().__init__(data)
-        self.memo = memo
 
 
 class TransformerModel:
@@ -156,20 +148,21 @@ class TransformerModel:
 
     # -- decode protocol -------------------------------------------------
 
-    def encode(self, src_tokens: list[int]) -> EncodedSource | DecodeMemo:
+    def encode(self, src_tokens: list[int]) -> DecodeContext:
         """The decode context of one source, for `step_logits`.
 
-        Encoder-decoder: the encoder output over src + <eos> with a fresh
-        memo. Decoder-only: a memo that already holds the K/V of the
-        bidirectional source prefix src + <eos>, run once here.
+        Encoder-decoder: the encoder output over src + <eos>. Decoder-only:
+        no rows, and the K/V of the bidirectional source prefix src + <eos>,
+        run once here.
         """
-        memo = DecodeMemo(self.config.n_dec)
-        if self.config.architecture == "decoder-only":
+        cfg = self.config
+        if cfg.architecture == "decoder-only":
+            ctx = DecodeContext(np.zeros((0, cfg.d_model)), cfg.n_dec)
             ids = tuple(src_tokens) + (EOS,)
-            memo.run(self, None, ids, prefix_len=len(ids))
-            return memo
+            ctx.run(self, ids, prefix_len=len(ids))
+            return ctx
         out, _ = encoder_forward(self, list(src_tokens) + [EOS])
-        return EncodedSource(out.data, memo)
+        return DecodeContext(out.data, cfg.n_dec)
 
     def _decoder_input(self, src: list[int], tgt: list[int]) -> tuple[list[int], int]:
         """The decoder ids with `tgt` fed, and the length of their bidirectional prefix."""
@@ -199,17 +192,16 @@ class TransformerModel:
     def step_logits(self, enc_ctx, src_tokens: list[int], prefix: list[int]) -> np.ndarray:
         """Next-token logits after the given generated prefix.
 
-        With the context `encode` returned, only the positions its memo
-        lacks run, normally just the newest one. With enc_ctx None the whole
+        With the context `encode` returned, only the positions it holds no
+        K/V for run, normally just the newest one. With enc_ctx None the whole
         teacher-forced sequence runs again: that recompute is the reference
         the cached path is tested against.
         """
         if enc_ctx is None:
             logits, _ = self.teacher_forced([(src_tokens, prefix)])
         else:
-            memo = getattr(enc_ctx, "memo", enc_ctx)  # decoder-only: the memo itself
             ids, prefix_len = self._decoder_input(src_tokens, prefix)
-            logits = memo.run(self, None if enc_ctx is memo else enc_ctx, tuple(ids), prefix_len)
+            logits = enc_ctx.run(self, tuple(ids), prefix_len)
         return np.asarray(logits.data[-1], dtype=np.float32)
 
     # -- training protocol ------------------------------------------------

@@ -66,27 +66,28 @@ def _symbol_vocab(vocab_size: int) -> Vocab:
     return Vocab(names)
 
 
-def generate_toy_task(
-    kind: str,
-    count: int,
-    len_range: tuple[int, int],
-    vocab_size: int,
-    seed: int = 0,
-) -> Corpus:
+def check_toy_task(kind: str, count: int, len_range: tuple[int, int], vocab_size: int, seed=0):
+    """Raise ConfigError unless `generate_toy_task` can build a task from
+    these same arguments."""
+    if kind not in ("copy", "reverse", "sort"):
+        raise ConfigError(f"unknown toy task {kind!r}")
+    if count < 1:
+        raise ConfigError("count must be positive")
+    if not (1 <= len_range[0] <= len_range[1]):
+        raise ConfigError(f"bad length range {len_range}")
+    if vocab_size < 5:
+        raise ConfigError("toy tasks need at least one payload symbol")
+
+
+def generate_toy_task(kind: str, count: int, len_range: tuple[int, int], vocab_size: int,
+                      seed: int = 0) -> Corpus:
     """Build a synthetic seq2seq corpus: copy, reverse, or sort (ascending).
 
     Sources draw uniformly from the payload ids [4, vocab_size); lengths
     draw uniformly from the inclusive len_range.
     """
-    if kind not in ("copy", "reverse", "sort"):
-        raise ConfigError(f"unknown toy task {kind!r}")
-    if count < 1:
-        raise ConfigError("count must be positive")
+    check_toy_task(kind, count, len_range, vocab_size)
     lo, hi = len_range
-    if not (1 <= lo <= hi):
-        raise ConfigError(f"bad length range {len_range}")
-    if vocab_size < 5:
-        raise ConfigError("toy tasks need at least one payload symbol")
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(count):

@@ -4,6 +4,7 @@ import struct
 import pytest
 import yaml
 
+from wideffn.bench import decode_beam
 from wideffn.cli import RunConfig, load_run_config, main
 from wideffn.counting import count_params
 from wideffn.errors import ConfigError, NumericError
@@ -269,6 +270,14 @@ def test_exit_code_2_for_config_errors(tmp_path, capsys, monkeypatch):
         {"decode": {"beam": "x"}},
         {"task": {"count": "many"}},
         {"task": {"len_range": 5}},
+        # an integer field takes whole numbers only, and len_range is a list
+        {"training": {"steps": 2.7}},
+        {"training": {"batch_size": 4.9}},
+        {"task": {"count": 6.5}},
+        {"task": {"len_range": [3.2, 5.9]}},
+        {"task": {"len_range": "35"}},
+        {"task": {"seed": 1.5}},
+        {"decode": {"max_len": 6.5}},
         {"task": ..., "corpus": {"src": "a.txt"}},
         {"task": ..., "corpus": {"src": 0, "tgt": 0}},
         {"model": {"sharing": {"enc_ffn": "SharedAll", "dec_ffn": "SharedAll",
@@ -284,6 +293,29 @@ def test_exit_code_2_for_config_errors(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("WFN_SEED", "x")
     assert main(["params", "--config", write_config(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_params_checks_the_task_section(tmp_path, capsys):
+    # params builds no corpus, yet every section is checked when the file is read
+    for task in ({"kind": "nope"}, {"kind": "nope", "count": "many", "len_range": 5},
+                 {"count": 0}, {"len_range": [5, 3]}, {"vocab_size": 13}):
+        cfg = write_config(tmp_path, task=task)
+        assert main(["params", "--config", cfg]) == 2, task
+        assert "error:" in capsys.readouterr().err, task
+
+
+def test_eval_decodes_with_the_run_file_beam(tmp_path, trained_ckpt, monkeypatch):
+    cfg, out = trained_ckpt
+    beams = []
+
+    def recorded(model, src, beam, max_len):
+        beams.append((beam, max_len))
+        return decode_beam(model, src, beam=beam, max_len=max_len)
+
+    monkeypatch.setattr("wideffn.cli.decode_beam", recorded)
+    wide = write_config(tmp_path, name="beam2.yaml", decode={"beam": 2})
+    assert main(["eval", "--config", wide, "--checkpoint", out, "--limit", "3"]) == 0
+    assert beams == [(2, 6)] * 3
 
 
 def test_exit_code_2_for_bad_verb_arguments(tmp_path, trained_ckpt, capsys):

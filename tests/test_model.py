@@ -439,10 +439,6 @@ def _every_preset(heads):
     return configs + [w.apply_preset(dec_only, name) for name in DECODER_ONLY_PRESETS]
 
 
-def _memo(ctx):
-    return getattr(ctx, "memo", ctx)  # decoder-only contexts are the memo itself
-
-
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_cached_step_logits_match_the_recompute(heads):
     src = [4, 5, 6, 7]
@@ -453,10 +449,12 @@ def test_cached_step_logits_match_the_recompute(heads):
         if cfg.architecture == "encoder-decoder":
             plain, _ = encoder_forward(m, src + [EOS])
             assert np.array_equal(ctx.data, plain.data)
+        else:
+            assert ctx.shape == (0, cfg.d_model)
         for t in range(len(prefix) + 1):
             cached = m.step_logits(ctx, src, prefix[:t])
             assert np.abs(cached - m.step_logits(None, src, prefix[:t])).max() < 1e-5, (cfg, t)
-        shorter, longer = sorted({len(key) for key in _memo(ctx).entries})  # the bound
+        shorter, longer = sorted({len(key) for key in ctx.entries})  # the bound
         assert longer == shorter + 1
 
 

@@ -218,7 +218,6 @@ def test_pairwise_report_layout_and_aggregate():
     assert rep.matrix.shape == (4, 4)
     diag = [rep.matrix[i, i] for i in range(4)]
     assert rep.aggregate == pytest.approx(float(np.mean(diag)))
-    assert rep.normalized is None
 
 
 def test_decoder_labels_follow_execution_order():

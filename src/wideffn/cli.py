@@ -57,7 +57,7 @@ _TOP_KEYS = ("seed", "preset", "model", "training", "task", "corpus", "decode")
 
 def _typed(kind, value, what: str):
     """`value` as a `kind`, or a ConfigError. An int must be whole, a str must
-    already be one, and a tuple is a pair of ints."""
+    already be one, a tuple is a pair of ints, and no number is a bool."""
     try:
         if kind is tuple:
             if isinstance(value, (list, tuple)) and len(value) == 2:
@@ -65,6 +65,8 @@ def _typed(kind, value, what: str):
         elif kind is str:
             if isinstance(value, str):
                 return value
+        elif isinstance(value, bool):
+            pass
         elif kind is not int or isinstance(value, str) or int(value) == value:
             return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -157,11 +159,25 @@ def write_matrix_csv(path: str, report: SimilarityReport):
         f.write("\n".join(lines) + "\n")
 
 
+def write_json(path: str, payload: dict):
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _load_model(path: str, corpus: Corpus):
+    """The checkpoint at `path`; a DataError unless it embeds every corpus id."""
+    model = load_model_checkpoint(path)
+    if model.config.vocab_size < corpus.vocab.size:
+        raise DataError(f"{path}: model vocab {model.config.vocab_size} smaller than "
+                        f"corpus vocab {corpus.vocab.size}")
+    return model
+
+
 # -- commands ---------------------------------------------------------------
 
 
-def cmd_params(args) -> int:
-    run = load_run_config(args.config)
+def cmd_params(args, run: RunConfig) -> int:
     cfg = run.model
     total, breakdown = count_params(cfg)
     pct = percent_of_baseline(cfg)
@@ -173,21 +189,17 @@ def cmd_params(args) -> int:
     for key in BREAKDOWN_KEYS:
         print(f"  {key:15s} {breakdown[key]:>15,}")
     if args.json:
-        payload = {
+        write_json(args.json, {
             "total": total,
             "baseline_total": base_total,
             "percent_of_baseline": pct,
             "breakdown": breakdown,
-        }
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        })
         print(f"wrote {args.json}")
     return 0
 
 
-def cmd_train(args) -> int:
-    run = load_run_config(args.config)
+def cmd_train(args, run: RunConfig) -> int:
     corpus = build_corpus(run)
     if args.resume:
         model = load_model_checkpoint(args.resume, config=run.model)
@@ -207,17 +219,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, run: RunConfig) -> int:
     if args.limit is not None and args.limit < 1:
         raise ConfigError(f"--limit must be at least 1, got {args.limit}")
-    run = load_run_config(args.config)
     corpus = build_corpus(run)
-    model = load_model_checkpoint(args.checkpoint)
-    if model.config.vocab_size < corpus.vocab.size:
-        raise DataError(
-            f"model vocab {model.config.vocab_size} smaller than corpus vocab "
-            f"{corpus.vocab.size}"
-        )
+    model = _load_model(args.checkpoint, corpus)
     pairs = corpus.pairs if args.limit is None else corpus.pairs[: args.limit]
     probe = Corpus(pairs, corpus.vocab)
     acc = token_accuracy(model, probe)
@@ -230,10 +236,7 @@ def cmd_eval(args) -> int:
     print(f"token accuracy: {acc:.4f}")
     print(f"beam-{run.beam} BLEU: {bleu:.2f}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump({"token_accuracy": acc, "bleu": bleu, "pairs": len(probe.pairs)},
-                      f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(args.json, {"token_accuracy": acc, "bleu": bleu, "pairs": len(probe.pairs)})
         print(f"wrote {args.json}")
     return 0
 
@@ -244,14 +247,13 @@ def _sides(model) -> list[str]:
     return ["decoder"]
 
 
-def cmd_compare(args) -> int:
-    run = load_run_config(args.config)
+def cmd_compare(args, run: RunConfig) -> int:
     corpus = build_corpus(run)
-    model_a = load_model_checkpoint(args.a)
-    model_b = load_model_checkpoint(args.b)
+    model_a = _load_model(args.a, corpus)
+    model_b = _load_model(args.b, corpus)
     if model_a.config.architecture != model_b.config.architecture:
         raise ConfigError("cannot compare models of different architectures")
-    benchmarks = [load_model_checkpoint(p) for p in args.benchmark]
+    benchmarks = [_load_model(p, corpus) for p in args.benchmark]
     os.makedirs(args.out_dir, exist_ok=True)
     summary = {}
     for side in _sides(model_a):
@@ -274,9 +276,7 @@ def cmd_compare(args) -> int:
             entry["normalized"] = normalize_against_benchmark(report.aggregate, raws)
         summary[side] = entry
     summary_path = os.path.join(args.out_dir, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(summary_path, summary)
     print(f"wrote {summary_path}")
     for side, entry in summary.items():
         line = f"{side}: aggregate {entry['aggregate']:.4f}"
@@ -286,10 +286,9 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_selfsim(args) -> int:
-    run = load_run_config(args.config)
+def cmd_selfsim(args, run: RunConfig) -> int:
     corpus = build_corpus(run)
-    model = load_model_checkpoint(args.checkpoint)
+    model = _load_model(args.checkpoint, corpus)
     os.makedirs(args.out_dir, exist_ok=True)
     for side in _sides(model):
         taps = collect_activations(model, corpus, side, model_id=side)
@@ -300,8 +299,7 @@ def cmd_selfsim(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    run = load_run_config(args.config)
+def cmd_bench(args, run: RunConfig) -> int:
     corpus = build_corpus(run)
     batch_sizes = [_typed(int, b, "--batch-sizes entry") for b in args.batch_sizes.split(",") if b]
     if not batch_sizes or any(b < 1 for b in batch_sizes):
@@ -309,7 +307,7 @@ def cmd_bench(args) -> int:
     models = []
     for path in args.checkpoints:
         label = os.path.splitext(os.path.basename(path))[0]
-        models.append((label, load_model_checkpoint(path)))
+        models.append((label, _load_model(path, corpus)))
     rows = batch_size_sweep(models, batch_sizes, corpus, beam=run.beam,
                             runs=args.runs, max_len=run.decode_max_len)
     header = ["config", "batch_size", "tokens_per_sec", "std", "delta_pct", "n_batches"]
@@ -324,8 +322,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    run = load_run_config(args.config)
+def cmd_sweep(args, run: RunConfig) -> int:
     corpus = build_corpus(run)
     dims = [_typed(int, d, "--dims entry") for d in args.dims.split(",") if d]
     if not dims:
@@ -345,28 +342,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wideffn",
         description="Toy-scale Transformer lab: FFN sharing, similarity, latency.",
     )
+    run_file = argparse.ArgumentParser(add_help=False)
+    run_file.add_argument("--config", required=True, help="YAML run file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("params", help="parameter count and breakdown")
-    p.add_argument("--config", required=True)
-    p.add_argument("--json", help="also write the report as JSON")
-    p.set_defaults(fn=cmd_params)
+    def verb(name: str, fn, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=[run_file])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("train", help="train and write a checkpoint")
-    p.add_argument("--config", required=True)
+    p = verb("params", cmd_params, "parameter count and breakdown")
+    p.add_argument("--json", help="also write the report as JSON")
+
+    p = verb("train", cmd_train, "train and write a checkpoint")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--resume", help="restore parameters from this checkpoint first")
-    p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="token accuracy and BLEU")
-    p.add_argument("--config", required=True)
+    p = verb("eval", cmd_eval, "token accuracy and BLEU")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--limit", type=int, help="evaluate only the first N pairs")
     p.add_argument("--json", help="also write metrics as JSON")
-    p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("compare", help="cross-model similarity matrices")
-    p.add_argument("--config", required=True)
+    p = verb("compare", cmd_compare, "cross-model similarity matrices")
     p.add_argument("--a", required=True, help="reference checkpoint")
     p.add_argument("--b", required=True, help="subject checkpoint")
     p.add_argument("--metric", choices=("cka", "lns"), default="cka")
@@ -374,29 +371,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--benchmark", action="append", default=[],
                    help="benchmark checkpoint (repeatable)")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(fn=cmd_compare)
 
-    p = sub.add_parser("selfsim", help="within-model similarity matrices")
-    p.add_argument("--config", required=True)
+    p = verb("selfsim", cmd_selfsim, "within-model similarity matrices")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(fn=cmd_selfsim)
 
-    p = sub.add_parser("bench", help="decode throughput sweep")
-    p.add_argument("--config", required=True)
+    p = verb("bench", cmd_bench, "decode throughput sweep")
     p.add_argument("--checkpoints", nargs="+", required=True)
     p.add_argument("--batch-sizes", default="1", help="comma-separated; decoding is "
                    "unbatched, so a batch size only sets the reported n_batches")
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser("sweep", help="FFN width sweep on one side")
-    p.add_argument("--config", required=True)
+    p = verb("sweep", cmd_sweep, "FFN width sweep on one side")
     p.add_argument("--side", choices=("encoder", "decoder"), required=True)
     p.add_argument("--dims", required=True, help="comma-separated widths; 0 removes the FFN")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_sweep)
 
     return parser
 
@@ -405,7 +395,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, load_run_config(args.config))
     except WideFFNError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

@@ -92,9 +92,10 @@ class ModelConfig:
         for name in ("n_enc", "n_dec", "d_model", "d_ff", "heads", "vocab_size", "max_len",
                      "d_ff_shared", "d_ff_enc", "d_ff_dec"):
             v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) and not (v is None and name.startswith("d_ff_")):
+            whole = isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            if not whole and not (v is None and name.startswith("d_ff_")):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
-        if not isinstance(self.dropout, numbers.Real):
+        if isinstance(self.dropout, bool) or not isinstance(self.dropout, numbers.Real):
             raise ConfigError(f"dropout must be a number, got {self.dropout!r}")
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"architecture must be one of {ARCHITECTURES}")

@@ -205,12 +205,11 @@ def pairwise_layer_similarity(taps_a: dict[str, ActivationMatrix],
     return SimilarityReport(metric, rows, cols, matrix, aggregate)
 
 
-def self_similarity(taps: dict[str, ActivationMatrix], metric: str = "cka",
-                    k: int | None = None) -> SimilarityReport:
-    """Module-by-module similarity of one model against itself."""
+def self_similarity(taps: dict[str, ActivationMatrix]) -> SimilarityReport:
+    """Module-by-module linear CKA of one model against itself."""
     if len(taps) < 2:
         raise DataError("self-similarity needs at least 2 tapped modules")
-    return pairwise_layer_similarity(taps, taps, metric=metric, k=k)
+    return pairwise_layer_similarity(taps, taps)
 
 
 def normalize_against_benchmark(raw: float, benchmark_raws) -> float:

@@ -14,50 +14,35 @@ from .tensor import Tensor
 
 class ParamStore:
     def __init__(self):
-        self._physical: dict[str, Tensor] = {}
-        self._alias: dict[str, str] = {}
+        self.physical: dict[str, Tensor] = {}
+        self.aliases: dict[str, str] = {}
 
     def add(self, canonical: str, tensor: Tensor) -> Tensor:
-        if canonical in self._physical:
+        if canonical in self.physical:
             raise ConfigError(f"duplicate physical tensor {canonical!r}")
-        self._physical[canonical] = tensor
+        self.physical[canonical] = tensor
         return tensor
 
     def bind(self, logical: str, canonical: str):
         """Register a usage site for an existing physical tensor."""
-        if canonical not in self._physical:
+        if canonical not in self.physical:
             raise ConfigError(f"alias target {canonical!r} does not exist")
-        if logical in self._alias:
+        if logical in self.aliases:
             raise ConfigError(f"duplicate logical site {logical!r}")
-        self._alias[logical] = canonical
+        self.aliases[logical] = canonical
 
     def resolve(self, name: str) -> Tensor:
         """Look up by logical site or canonical name."""
-        if name in self._alias:
-            return self._physical[self._alias[name]]
-        if name in self._physical:
-            return self._physical[name]
+        if name in self.aliases:
+            return self.physical[self.aliases[name]]
+        if name in self.physical:
+            return self.physical[name]
         raise KeyError(name)
-
-    def canonical_of(self, logical: str) -> str:
-        if logical in self._alias:
-            return self._alias[logical]
-        if logical in self._physical:
-            return logical
-        raise KeyError(logical)
-
-    @property
-    def physical(self) -> dict[str, Tensor]:
-        return self._physical
-
-    @property
-    def aliases(self) -> dict[str, str]:
-        return self._alias
 
     def total_params(self) -> int:
         """Scalar count over physical tensors only; aliases add nothing."""
-        return sum(t.data.size for t in self._physical.values())
+        return sum(t.data.size for t in self.physical.values())
 
     def zero_grad(self):
-        for t in self._physical.values():
+        for t in self.physical.values():
             t.zero_grad()

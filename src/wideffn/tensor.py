@@ -250,7 +250,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _emit(out, (x,), backward_fn)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance, then scale and shift."""
     _require_rank(x, 2, "layer_norm")
     _require_rank(gain, 1, "layer_norm")
@@ -260,7 +260,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(f"layer_norm: input {x.shape}, gain {gain.shape}, bias {bias.shape}")
     mu = x.data.mean(axis=1, keepdims=True)
     var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.float32(eps))
+    inv = 1.0 / np.sqrt(var + np.float32(1e-5))
     xhat = (x.data - mu) * inv
     out = Tensor(xhat * gain.data + bias.data)
 

@@ -41,14 +41,13 @@ def lr_at(schedule: Schedule, step: int) -> float:
     return schedule.base_lr * min(step * w**-1.5, step**-0.5) / w**-0.5
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9
+
+
 class AdamState:
     """First/second moment buffers per physical tensor plus the step count."""
 
-    def __init__(self, store: ParamStore, beta1: float = 0.9, beta2: float = 0.98,
-                 eps: float = 1e-9):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, store: ParamStore):
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in store.physical.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in store.physical.items()}
@@ -64,7 +63,7 @@ def adam_step(store: ParamStore, state: AdamState, lr: float):
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise NumericError(f"non-finite gradient in {name}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     for name, p in store.physical.items():
@@ -77,7 +76,7 @@ def adam_step(store: ParamStore, state: AdamState, lr: float):
         v += (1.0 - b2) * np.square(g)
         m_hat = m / np.float32(c1)
         v_hat = v / np.float32(c2)
-        p.data -= np.float32(lr) * m_hat / (np.sqrt(v_hat) + np.float32(state.eps))
+        p.data -= np.float32(lr) * m_hat / (np.sqrt(v_hat) + np.float32(ADAM_EPS))
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,28 +45,8 @@ ATTN_PARTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln_gain", "ln_bia
 FFN_PARTS = ("w1", "b1", "w2", "b2", "ln_gain", "ln_bias")
 
 
-@dataclass
-class AttentionBlock:
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    ln_gain: Tensor
-    ln_bias: Tensor
-
-
-@dataclass
-class FFNBlock:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    ln_gain: Tensor
-    ln_bias: Tensor
+AttentionBlock = namedtuple("AttentionBlock", ATTN_PARTS)
+FFNBlock = namedtuple("FFNBlock", FFN_PARTS)
 
 
 def _xavier(rng: np.random.Generator, n_in: int, n_out: int) -> Tensor:
@@ -73,23 +54,18 @@ def _xavier(rng: np.random.Generator, n_in: int, n_out: int) -> Tensor:
     return Tensor(rng.uniform(-limit, limit, size=(n_in, n_out)).astype(np.float32))
 
 
+@functools.lru_cache(maxsize=8)
 def sinusoidal_positions(n_positions: int, d_model: int) -> np.ndarray:
-    """Fixed sin/cos position table, shape (n_positions, d_model), float32."""
+    """Fixed sin/cos position table, shape (n_positions, d_model), float32,
+    made once per shape and read-only.
+
+    Each row depends only on its own position, so a slice of a longer table
+    equals the table of that many positions bit for bit.
+    """
     pos = np.arange(n_positions, dtype=np.float64)[:, None]
     idx = np.arange(d_model, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * (idx // 2) / d_model)
-    table = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
-    return table.astype(np.float32)
-
-
-@functools.lru_cache(maxsize=8)
-def _position_table(max_len: int, d_model: int) -> np.ndarray:
-    """`sinusoidal_positions(max_len, d_model)`, made once and read-only.
-
-    Each row depends only on its own position, so a slice of this table
-    equals the table of that many positions bit for bit.
-    """
-    table = sinusoidal_positions(max_len, d_model)
+    table = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle)).astype(np.float32)
     table.setflags(write=False)
     return table
 
@@ -132,19 +108,18 @@ class DecodeContext(Tensor):
         return logits
 
 
+@dataclass(eq=False)
 class TransformerModel:
     """A built model: config, parameter store, and resolved blocks."""
 
-    def __init__(self, config: ModelConfig, store: ParamStore, embedding: Tensor,
-                 enc_attn, enc_ffn, dec_self, dec_cross, dec_ffn):
-        self.config = config
-        self.store = store
-        self.embedding = embedding
-        self.enc_attn: list[AttentionBlock] = enc_attn
-        self.enc_ffn: list[FFNBlock | None] = enc_ffn
-        self.dec_self: list[AttentionBlock] = dec_self
-        self.dec_cross: list[AttentionBlock | None] = dec_cross
-        self.dec_ffn: list[FFNBlock | None] = dec_ffn
+    config: ModelConfig
+    store: ParamStore
+    embedding: Tensor
+    enc_attn: list[AttentionBlock]
+    enc_ffn: list[FFNBlock | None]
+    dec_self: list[AttentionBlock]
+    dec_cross: list[AttentionBlock | None]
+    dec_ffn: list[FFNBlock | None]
 
     # -- decode protocol -------------------------------------------------
 
@@ -430,7 +405,7 @@ def _embed(model: TransformerModel, ids: np.ndarray, rng, offset: int = 0) -> Te
         raise DataError(f"sequence length {end} exceeds max_len {cfg.max_len}")
     x = embedding_lookup(model.embedding, ids.reshape(-1))
     x = scale(x, math.sqrt(cfg.d_model))
-    positions = _position_table(cfg.max_len, cfg.d_model)[offset:end]
+    positions = sinusoidal_positions(cfg.max_len, cfg.d_model)[offset:end]
     x = add(x, Tensor(np.tile(positions, (batch, 1))))
     if rng is not None:
         x = dropout(x, cfg.dropout, rng)

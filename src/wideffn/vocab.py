@@ -21,13 +21,12 @@ RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 @dataclass
 class Vocab:
     id_to_token: list[str]
-    token_to_id: dict[str, int] = field(default_factory=dict)
+    token_to_id: dict[str, int] = field(init=False)
 
     def __post_init__(self):
         if list(self.id_to_token[:4]) != list(RESERVED_TOKENS):
             raise ConfigError("vocab must start with the 4 reserved tokens")
-        if not self.token_to_id:
-            self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
+        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
 
     @property
     def size(self) -> int:
@@ -59,11 +58,6 @@ class Corpus:
             h.update(b"t")
             h.update(np.asarray(tgt, dtype=np.int64).tobytes())
         return h.hexdigest()
-
-
-def _symbol_vocab(vocab_size: int) -> Vocab:
-    names = list(RESERVED_TOKENS) + [str(i) for i in range(4, vocab_size)]
-    return Vocab(names)
 
 
 def check_toy_task(kind: str, count: int, len_range: tuple[int, int], vocab_size: int, seed=0):
@@ -100,7 +94,7 @@ def generate_toy_task(kind: str, count: int, len_range: tuple[int, int], vocab_s
         else:
             tgt = sorted(src)
         pairs.append((src, tgt))
-    return Corpus(pairs, _symbol_vocab(vocab_size))
+    return Corpus(pairs, Vocab(list(RESERVED_TOKENS) + [str(i) for i in range(4, vocab_size)]))
 
 
 def load_parallel_corpus(src_path: str, tgt_path: str) -> Corpus:

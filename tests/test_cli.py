@@ -285,6 +285,13 @@ def test_exit_code_2_for_config_errors(tmp_path, capsys, monkeypatch):
         # a model section must be valid on its own, even where the preset overrides it
         {"model": {"n_enc": 3, "sharing": {"enc_ffn": "Cycle(2)"}}, "preset": "baseline"},
         {"model": {"sharing": {"tie_enc_dec_ffn": True}}, "preset": "SharedEncDec"},
+        # a YAML true/false is no number
+        {"training": {"steps": True}},
+        {"training": {"base_lr": True}},
+        {"task": {"count": True}},
+        {"task": {"len_range": [True, 5]}},
+        {"decode": {"beam": True}},
+        {"model": {"heads": True}},
     ]
     for edit in malformed:
         cfg = write_config(tmp_path, **edit)
@@ -329,6 +336,37 @@ def test_exit_code_2_for_bad_verb_arguments(tmp_path, trained_ckpt, capsys):
                  ["eval", "--config", cfg, "--checkpoint", out, "--limit", "-1"],
                  ["eval", "--config", cfg, "--checkpoint", out, "--limit", "0"]):
         assert main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err, argv
+
+
+def test_every_verb_requires_a_run_file(tmp_path, capsys):
+    ckpt, out = str(tmp_path / "m.ckpt"), str(tmp_path / "out")
+    for argv in (["params"], ["train", "--out", ckpt], ["eval", "--checkpoint", ckpt],
+                 ["compare", "--a", ckpt, "--b", ckpt, "--out-dir", out],
+                 ["selfsim", "--checkpoint", ckpt, "--out-dir", out],
+                 ["bench", "--checkpoints", ckpt, "--out", out],
+                 ["sweep", "--side", "encoder", "--dims", "8", "--out", out]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2, argv
+        assert "--config" in capsys.readouterr().err, argv
+
+
+def test_exit_code_3_for_a_checkpoint_vocab_smaller_than_the_corpus(tmp_path, capsys):
+    small = write_config(tmp_path, name="small.yaml", model={"vocab_size": 10},
+                         task={"vocab_size": 10})
+    cfg = write_config(tmp_path, model={"vocab_size": 50}, task={"vocab_size": 50})
+    ckpt, fits = str(tmp_path / "small.ckpt"), str(tmp_path / "fits.ckpt")
+    assert main(["train", "--config", small, "--out", ckpt]) == 0
+    assert main(["train", "--config", cfg, "--out", fits]) == 0
+    out = str(tmp_path / "out")
+    for argv in (["eval", "--checkpoint", ckpt],
+                 ["compare", "--a", ckpt, "--b", fits, "--out-dir", out],
+                 ["compare", "--a", fits, "--b", ckpt, "--out-dir", out],
+                 ["compare", "--a", fits, "--b", fits, "--benchmark", ckpt, "--out-dir", out],
+                 ["selfsim", "--checkpoint", ckpt, "--out-dir", out],
+                 ["bench", "--checkpoints", fits, ckpt, "--out", out]):
+        assert main(argv + ["--config", cfg]) == 3, argv
         assert "error:" in capsys.readouterr().err, argv
 
 

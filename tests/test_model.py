@@ -82,7 +82,7 @@ def test_sinusoidal_positions_structure():
     assert np.allclose(pe[0, 0::2], 0.0)  # sin(0)
     assert np.allclose(pe[0, 1::2], 1.0)  # cos(0)
     assert np.allclose(pe[3, 0], np.sin(3.0), atol=1e-6)
-    table = transformer._position_table(64, 8)  # what _embed slices
+    table = sinusoidal_positions(64, 8)  # what _embed slices
     assert table[:10].tobytes() == pe.tobytes()
     assert not table.flags.writeable
 

@@ -230,7 +230,7 @@ def test_decoder_labels_follow_execution_order():
 
 def test_self_similarity_diagonal_is_one():
     ta, _ = _two_tap_sets()
-    rep = self_similarity(ta, metric="cka")
+    rep = self_similarity(ta)
     for i in range(len(rep.row_labels)):
         assert rep.matrix[i, i] == pytest.approx(1.0)
 

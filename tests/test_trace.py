@@ -1,12 +1,16 @@
 """The perfbench span tracer still finds and names every wideffn sublayer.
 
 perfbench/spans.py wraps wideffn functions by name and names each attention
-and FFN span by the forward pass that called it, so a refactor of the forward
-code can break `perfbench/run.py --trace 1` without failing any other test.
+and FFN span by the forward pass that called it, and its counting hooks read
+the positional arguments of the calls they wrap, so a refactor of the forward,
+similarity or command-line code can break `perfbench/run.py --trace 1`
+without failing any other test.
 """
 
 import importlib.util
 from pathlib import Path
+
+import yaml
 
 import wideffn
 from wideffn import bench, checkpoint, cli, similarity, tensor, training, transformer
@@ -29,13 +33,17 @@ def _bindings():
     return out
 
 
-def test_tracer_names_every_sublayer_and_restores_the_originals():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans.Tracer()
+
+
+def test_tracer_names_every_sublayer_and_restores_the_originals():
     model = wideffn.build_model(tiny_config(), seed=0)
     before = _bindings()
-    tracer = spans.Tracer()
+    tracer = _tracer()
     tracer.install(MODULES)
     try:
         bench.decode_greedy(model, [4, 5, 6], max_len=4)
@@ -51,3 +59,27 @@ def test_tracer_names_every_sublayer_and_restores_the_originals():
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_tracer_spans_and_counts_the_similarity_verbs(tmp_path):
+    ckpts = []
+    for seed in (0, 1):
+        ckpts.append(str(tmp_path / f"m{seed}.ckpt"))
+        checkpoint.save_model_checkpoint(wideffn.build_model(tiny_config(), seed=seed), ckpts[-1])
+    run = tmp_path / "run.yaml"
+    run.write_text(yaml.safe_dump({"model": tiny_config().to_dict(),
+                                   "task": {"count": 8, "len_range": [3, 5], "vocab_size": 12}}))
+    tracer = _tracer()
+    tracer.install(MODULES)
+    try:
+        assert cli.main(["selfsim", "--config", str(run), "--checkpoint", ckpts[0],
+                         "--out-dir", str(tmp_path / "selfsim")]) == 0
+        assert cli.main(["compare", "--config", str(run), "--a", ckpts[0], "--b", ckpts[1],
+                         "--metric", "lns", "--out-dir", str(tmp_path / "lns")]) == 0
+    finally:
+        tracer.remove()
+    names = set(tracer.times_by_name(0, tracer.n_spans()))
+    assert {"similarity.lns", "similarity.knn", "similarity.pairwise_layer_similarity",
+            "checkpoint.load_checkpoint", "cli.main"} <= names
+    assert tracer.counts["similarity.cells"] > 0
+    assert tracer.counts["checkpoint.bytes_read"] > 0

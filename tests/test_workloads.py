@@ -1,13 +1,17 @@
-"""perfbench's workloads still load their run file and check decoding.
+"""perfbench's workloads still load their run file, check decoding and meet
+their anchors.
 
 perfbench/workloads.py drives the analyze workload through a run file and
 `cli.main`, and checks every greedy decode of decode-base against a
 teacher-forced `decoder_forward` over `model.encode(src)`. A change to the
 run-file reader or to the decode context can break either without failing
 any other test; the benchmark would only show it as failed operations.
+Each workload's anchors (decode tokens, training losses, similarity values)
+must also still match perfbench/reference.json.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -20,6 +24,7 @@ from wideffn.cli import build_corpus, load_run_config
 from conftest import tiny_config
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+REFERENCE_JSON = WORKLOADS_PY.parent / "reference.json"
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +56,13 @@ def test_check_greedy_accepts_a_greedy_decode(workloads, arch):
     for src in ([4, 5, 6], [7, 8, 9, 10, 11]):
         out = decode_greedy(model, src, max_len=6)
         assert workloads.check_greedy(model, src, out, 6) == (True, "")
+
+
+def test_every_workload_meets_its_committed_anchors(workloads, tmp_path):
+    reference = json.loads(REFERENCE_JSON.read_text())
+    for name, cls in workloads.WORKLOADS.items():
+        wl = cls(0, str(tmp_path / name))
+        wl.setup()
+        rec = workloads.Record()
+        wl.anchor(rec, reference)
+        assert rec.problems == [], name

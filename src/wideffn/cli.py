@@ -25,7 +25,7 @@ import yaml
 from .bench import batch_size_sweep, corpus_bleu, decode_beam
 from .checkpoint import load_model_checkpoint, save_model_checkpoint
 from .config import ModelConfig, apply_preset, check_keys
-from .counting import BREAKDOWN_KEYS, baseline_of, count_params, percent_of_baseline
+from .counting import BREAKDOWN_KEYS, baseline_of, count_params
 from .errors import ConfigError, DataError, WideFFNError
 from .similarity import (
     SimilarityReport,
@@ -57,7 +57,7 @@ _TOP_KEYS = ("seed", "preset", "model", "training", "task", "corpus", "decode")
 
 def _typed(kind, value, what: str):
     """`value` as a `kind`, or a ConfigError. An int must be whole, a str must
-    already be one, a tuple is a pair of ints, and no number is a bool."""
+    already be one, a tuple is a pair of ints, and no number is a bool or a str."""
     try:
         if kind is tuple:
             if isinstance(value, (list, tuple)) and len(value) == 2:
@@ -65,13 +65,21 @@ def _typed(kind, value, what: str):
         elif kind is str:
             if isinstance(value, str):
                 return value
-        elif isinstance(value, bool):
+        elif isinstance(value, (bool, str)):
             pass
-        elif kind is not int or isinstance(value, str) or int(value) == value:
+        elif kind is not int or int(value) == value:
             return kind(value)
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}")
+
+
+def _int_text(text: str, what: str) -> int:
+    """An integer written as text (WFN_SEED, a --dims or --batch-sizes entry)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{what} must be int, got {text!r}") from None
 
 
 def _section(doc: dict, name: str, defaults: dict) -> dict:
@@ -95,7 +103,9 @@ def load_run_config(path: str) -> RunConfig:
     if "preset" in doc:
         model = apply_preset(model, doc["preset"])
     run = RunConfig(model=model)
-    run.seed = _typed(int, os.environ.get("WFN_SEED", doc.get("seed", run.seed)), "seed/WFN_SEED")
+    env_seed = os.environ.get("WFN_SEED")
+    run.seed = (_typed(int, doc.get("seed", run.seed), "seed") if env_seed is None
+                else _int_text(env_seed, "WFN_SEED"))
     training = _section(doc, "training", {"steps": run.steps, "batch_size": run.batch_size,
                                           **vars(run.training)})
     run.steps, run.batch_size = training.pop("steps"), training.pop("batch_size")
@@ -180,8 +190,8 @@ def _load_model(path: str, corpus: Corpus):
 def cmd_params(args, run: RunConfig) -> int:
     cfg = run.model
     total, breakdown = count_params(cfg)
-    pct = percent_of_baseline(cfg)
     base_total, _ = count_params(baseline_of(cfg))
+    pct = 100.0 * total / base_total
     print(f"total parameters: {total:,}")
     print(f"same-shape unshared baseline: {base_total:,}")
     print(f"percent of baseline: {pct:.1f}%")
@@ -220,15 +230,12 @@ def cmd_train(args, run: RunConfig) -> int:
 
 
 def cmd_eval(args, run: RunConfig) -> int:
-    if args.limit is not None and args.limit < 1:
-        raise ConfigError(f"--limit must be at least 1, got {args.limit}")
     corpus = build_corpus(run)
     model = _load_model(args.checkpoint, corpus)
-    pairs = corpus.pairs if args.limit is None else corpus.pairs[: args.limit]
-    probe = Corpus(pairs, corpus.vocab)
-    acc = token_accuracy(model, probe)
+    acc = token_accuracy(model, corpus, limit=args.limit)
+    pairs = corpus.pairs[: args.limit]
     hyps, refs = [], []
-    for src, tgt in probe.pairs:
+    for src, tgt in pairs:
         out = decode_beam(model, src, beam=run.beam, max_len=run.decode_max_len)
         hyps.append(corpus.vocab.decode(out))
         refs.append(corpus.vocab.decode(tgt))
@@ -236,15 +243,9 @@ def cmd_eval(args, run: RunConfig) -> int:
     print(f"token accuracy: {acc:.4f}")
     print(f"beam-{run.beam} BLEU: {bleu:.2f}")
     if args.json:
-        write_json(args.json, {"token_accuracy": acc, "bleu": bleu, "pairs": len(probe.pairs)})
+        write_json(args.json, {"token_accuracy": acc, "bleu": bleu, "pairs": len(pairs)})
         print(f"wrote {args.json}")
     return 0
-
-
-def _sides(model) -> list[str]:
-    if model.config.architecture == "encoder-decoder":
-        return ["encoder", "decoder"]
-    return ["decoder"]
 
 
 def cmd_compare(args, run: RunConfig) -> int:
@@ -253,27 +254,23 @@ def cmd_compare(args, run: RunConfig) -> int:
     model_b = _load_model(args.b, corpus)
     if model_a.config.architecture != model_b.config.architecture:
         raise ConfigError("cannot compare models of different architectures")
-    benchmarks = [_load_model(p, corpus) for p in args.benchmark]
+    sides_a = collect_activations(model_a, corpus, model_id="a")
+    sides_b = collect_activations(model_b, corpus, model_id="b")
+    sides_bench = [collect_activations(_load_model(path, corpus), corpus, model_id=f"bench{i}")
+                   for i, path in enumerate(args.benchmark)]
     os.makedirs(args.out_dir, exist_ok=True)
     summary = {}
-    for side in _sides(model_a):
-        taps_a = collect_activations(model_a, corpus, side, model_id="a")
-        taps_b = collect_activations(model_b, corpus, side, model_id="b")
-        report = pairwise_layer_similarity(taps_a, taps_b, metric=args.metric, k=args.k)
+    for side, taps_a in sides_a.items():
+        report = pairwise_layer_similarity(taps_a, sides_b[side], metric=args.metric, k=args.k)
         path = os.path.join(args.out_dir, f"{args.metric}_{side}.csv")
         write_matrix_csv(path, report)
         print(f"wrote {path}")
         entry = {"aggregate": report.aggregate}
-        if benchmarks:
-            raws = []
-            for i, bench in enumerate(benchmarks):
-                taps_bench = collect_activations(bench, corpus, side, model_id=f"bench{i}")
-                raws.append(
-                    pairwise_layer_similarity(taps_a, taps_bench, metric=args.metric,
-                                              k=args.k).aggregate
-                )
-            entry["benchmark_raws"] = raws
-            entry["normalized"] = normalize_against_benchmark(report.aggregate, raws)
+        if sides_bench:
+            raws = [pairwise_layer_similarity(taps_a, bench[side], metric=args.metric,
+                                              k=args.k).aggregate for bench in sides_bench]
+            entry.update(benchmark_raws=raws,
+                         normalized=normalize_against_benchmark(report.aggregate, raws))
         summary[side] = entry
     summary_path = os.path.join(args.out_dir, "summary.json")
     write_json(summary_path, summary)
@@ -290,8 +287,7 @@ def cmd_selfsim(args, run: RunConfig) -> int:
     corpus = build_corpus(run)
     model = _load_model(args.checkpoint, corpus)
     os.makedirs(args.out_dir, exist_ok=True)
-    for side in _sides(model):
-        taps = collect_activations(model, corpus, side, model_id=side)
+    for side, taps in collect_activations(model, corpus).items():
         report = self_similarity(taps)
         path = os.path.join(args.out_dir, f"selfsim_{side}.csv")
         write_matrix_csv(path, report)
@@ -301,7 +297,7 @@ def cmd_selfsim(args, run: RunConfig) -> int:
 
 def cmd_bench(args, run: RunConfig) -> int:
     corpus = build_corpus(run)
-    batch_sizes = [_typed(int, b, "--batch-sizes entry") for b in args.batch_sizes.split(",") if b]
+    batch_sizes = [_int_text(b, "--batch-sizes entry") for b in args.batch_sizes.split(",") if b]
     if not batch_sizes or any(b < 1 for b in batch_sizes):
         raise ConfigError(f"bad batch sizes {args.batch_sizes!r}")
     models = []
@@ -324,7 +320,7 @@ def cmd_bench(args, run: RunConfig) -> int:
 
 def cmd_sweep(args, run: RunConfig) -> int:
     corpus = build_corpus(run)
-    dims = [_typed(int, d, "--dims entry") for d in args.dims.split(",") if d]
+    dims = [_int_text(d, "--dims entry") for d in args.dims.split(",") if d]
     if not dims:
         raise ConfigError(f"no dims in {args.dims!r}")
     rows = ffn_dim_sweep(run.model, args.side, dims, corpus, steps=run.steps,

@@ -16,7 +16,6 @@ import dataclasses
 import math
 
 from .config import ModelConfig, SharingSpec
-from .errors import ConfigError
 from .transformer import param_layout
 
 BREAKDOWN_KEYS = (
@@ -60,31 +59,3 @@ def count_params(config: ModelConfig) -> tuple[int, dict[str, int]]:
 def baseline_of(config: ModelConfig) -> ModelConfig:
     """Same shape with Individual FFNs/attention everywhere, no shared width."""
     return dataclasses.replace(config, sharing=SharingSpec(), d_ff_shared=None)
-
-
-def percent_of_baseline(config: ModelConfig) -> float:
-    """Parameter count as a percentage of the unshared same-shape model."""
-    total, _ = count_params(config)
-    base_total, _ = count_params(baseline_of(config))
-    return 100.0 * total / base_total
-
-
-def shared_side_savings(n_layers: int, d_model: int, width: int) -> dict[str, int]:
-    """Parameters removed when one side's N individual FFNs collapse to one.
-
-    'matrices' is the widely quoted (N-1)(2*d*w + w + d) term split into its
-    matrix and bias parts; collapsing also removes N-1 layer-norm pairs, so
-    the exact total includes a (N-1)*2*d term.
-    """
-    if n_layers < 1:
-        raise ConfigError("need at least one layer")
-    folds = n_layers - 1
-    matrices = folds * 2 * d_model * width
-    biases = folds * (width + d_model)
-    layer_norms = folds * 2 * d_model
-    return {
-        "matrices": matrices,
-        "biases": biases,
-        "layer_norms": layer_norms,
-        "total": matrices + biases + layer_norms,
-    }

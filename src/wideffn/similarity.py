@@ -1,7 +1,7 @@
 """Representation similarity: linear CKA and local neighborhood overlap.
 
 Activation matrices are n_sentences x d_model, one row per sentence (mean
-over that sentence's positions), collected with dropout off and the
+over that sentence's real positions), collected with dropout off and the
 decoder force-decoding the reference. Cross-model pairings insist on an
 identical probe corpus, enforced through a content hash carried on every
 ActivationMatrix.
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .transformer import TransformerModel, encoder_forward
-from .vocab import EOS, Corpus
+from .transformer import TransformerModel
+from .vocab import Corpus
 
 log = logging.getLogger(__name__)
 
@@ -35,35 +35,29 @@ class ActivationMatrix:
             raise DataError(f"activation matrix must be rank 2, got {self.values.shape}")
 
 
-def collect_activations(model: TransformerModel, corpus: Corpus, side: str,
-                        model_id: str = "model", limit: int | None = None
-                        ) -> dict[str, ActivationMatrix]:
-    """Sentence-mean activations per tapped module on one side.
-
-    side 'encoder' taps '<i>.sa'/'<i>.ffn'; side 'decoder' taps
-    '<i>.sa'/'<i>.ca'/'<i>.ffn'. The decoder is teacher-forced on the
-    reference target. Rows follow corpus order.
+def collect_activations(model: TransformerModel, corpus: Corpus, model_id: str = "model"
+                        ) -> dict[str, dict[str, ActivationMatrix]]:
+    """Sentence-mean activations per tapped module of every side the model
+    has, {side: {module: matrix}}, from one teacher-forced pass per evaluation
+    chunk: 'encoder' taps '<i>.sa'/'<i>.ffn' over src + <eos> and 'decoder'
+    taps '<i>.sa'/'<i>.ca'/'<i>.ffn' over the decoder input, the reference fed.
+    A sentence mean covers that pair's real rows only. Rows follow corpus order.
     """
-    if side not in ("encoder", "decoder"):
-        raise ConfigError(f"side must be 'encoder' or 'decoder', got {side!r}")
-    if side == "encoder" and model.config.architecture != "encoder-decoder":
-        raise ConfigError("decoder-only model has no encoder side")
-    pairs = corpus.pairs if limit is None else corpus.pairs[:limit]
-    if not pairs:
+    if not corpus.pairs:
         raise DataError("empty corpus")
-    rows: dict[str, list[np.ndarray]] = {}
-    for src, tgt in pairs:
-        if side == "encoder":
-            _, taps = encoder_forward(model, list(src) + [EOS])
-        else:
-            _, taps = model.teacher_forced([(src, tgt)])
-        for name, tensor in taps.items():
-            rows.setdefault(name, []).append(tensor.data.mean(axis=0))
+    rows: dict[str, dict[str, list[np.ndarray]]] = {}
+    for chunk, _, sides in model.eval_chunks(corpus.pairs):
+        lengths = {"encoder": [len(src) + 1 for src, _ in chunk],
+                   "decoder": [len(model.decoder_input(src, tgt)[0]) for src, tgt in chunk]}
+        for side, taps in sides.items():
+            for name, tensor in taps.items():
+                blocks = tensor.data.reshape(len(chunk), -1, tensor.shape[1])
+                rows.setdefault(side, {}).setdefault(name, []).extend(
+                    block[:n].mean(axis=0) for block, n in zip(blocks, lengths[side]))
     corpus_hash = corpus.content_hash()
-    return {
-        name: ActivationMatrix(np.stack(vals), name, model_id, corpus_hash)
-        for name, vals in rows.items()
-    }
+    return {side: {name: ActivationMatrix(np.stack(vals), name, model_id, corpus_hash)
+                   for name, vals in taps.items()}
+            for side, taps in rows.items()}
 
 
 def _values(x) -> np.ndarray:

@@ -20,7 +20,7 @@ from .sharing import FFNStrategy
 from .store import ParamStore
 from .tensor import ComputeTape, recording
 from .transformer import TransformerModel, build_model
-from .vocab import Corpus
+from .vocab import PAD, Corpus
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class Schedule:
     warmup_steps: int = 4000
 
     def __post_init__(self):
-        if self.base_lr <= 0 or self.warmup_steps < 1:
-            raise ConfigError("schedule needs base_lr > 0 and warmup_steps >= 1")
+        if not (np.isfinite(self.base_lr) and self.base_lr > 0) or self.warmup_steps < 1:
+            raise ConfigError("schedule needs a finite base_lr > 0 and warmup_steps >= 1")
 
 
 def lr_at(schedule: Schedule, step: int) -> float:
@@ -124,16 +124,19 @@ def train(model: TransformerModel, corpus: Corpus, steps: int, batch_size: int,
 
 def token_accuracy(model: TransformerModel, corpus: Corpus, limit: int | None = None) -> float:
     """Teacher-forced next-token accuracy over the corpus (or its first
-    `limit` pairs)."""
-    pairs = corpus.pairs if limit is None else corpus.pairs[:limit]
+    `limit` pairs): the share of tgt + <eos> labels that are the argmax of
+    their logits row, run in the model's padded evaluation chunks."""
+    if limit is not None and limit < 1:
+        raise ConfigError(f"limit must be at least 1, got {limit}")
+    pairs = corpus.pairs[:limit]
     if not pairs:
         raise ConfigError("empty corpus")
-    hit = 0
-    total = 0
-    for src, tgt in pairs:
-        pred, gold = model.predictions_for_pair(src, tgt)
-        hit += sum(int(p == g) for p, g in zip(pred, gold))
-        total += len(gold)
+    hit = total = 0
+    for chunk, logits, _ in model.eval_chunks(pairs):
+        labels = model.target_labels(chunk, logits.shape[0])
+        real = labels != PAD
+        hit += int((logits.data.argmax(axis=1)[real] == labels[real]).sum())
+        total += int(real.sum())
     return hit / total
 
 

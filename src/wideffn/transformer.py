@@ -43,6 +43,7 @@ from .vocab import BOS, EOS, PAD
 
 ATTN_PARTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln_gain", "ln_bias")
 FFN_PARTS = ("w1", "b1", "w2", "b2", "ln_gain", "ln_bias")
+EVAL_CHUNK = 8  # pairs per evaluation batch; a larger one costs memory and gains little speed
 
 
 AttentionBlock = namedtuple("AttentionBlock", ATTN_PARTS)
@@ -139,30 +140,49 @@ class TransformerModel:
         out, _ = encoder_forward(self, list(src_tokens) + [EOS])
         return DecodeContext(out.data, cfg.n_dec)
 
-    def _decoder_input(self, src: list[int], tgt: list[int]) -> tuple[list[int], int]:
+    def decoder_input(self, src: list[int], tgt: list[int]) -> tuple[list[int], int]:
         """The decoder ids with `tgt` fed, and the length of their bidirectional prefix."""
         if self.config.architecture == "decoder-only":
             return list(src) + [EOS, BOS] + list(tgt), len(src) + 1
         return [BOS] + list(tgt), 0
 
     def teacher_forced(self, pairs: list, *, rng: np.random.Generator | None = None):
-        """Decoder logits and taps of a batch of (src, tgt) pairs, each tgt
-        fed as its decoder input; dropout runs when `rng` is given.
+        """(logits, {side: taps}) of a batch of (src, tgt) pairs, each tgt fed
+        as its decoder input; dropout runs when `rng` is given.
 
-        Encoder-decoder: the encoder sees src + <eos> and the decoder sees
-        <bos> + tgt. Decoder-only: one sequence src + <eos> + <bos> + tgt
-        whose source span, <eos> included, is bidirectional. The decoder
-        inputs are right-padded to the longest, T, and pair b owns rows
-        [b*T, (b+1)*T) of the logits; the last len(tgt) + 1 rows of its
-        unpadded input predict tgt + <eos>.
+        Encoder-decoder: side 'encoder' sees src + <eos> and side 'decoder'
+        sees <bos> + tgt. Decoder-only: side 'decoder' sees src + <eos> +
+        <bos> + tgt, whose source span, <eos> included, is bidirectional. Each
+        side's inputs are right-padded to the longest, T, and pair b owns rows
+        [b*T, (b+1)*T) of its taps and the decoder's logits; the last
+        len(tgt) + 1 rows of its unpadded decoder input predict tgt + <eos>.
         """
-        ids, prefix_lens = zip(*[self._decoder_input(src, tgt) for src, tgt in pairs])
+        ids, prefix_lens = zip(*[self.decoder_input(src, tgt) for src, tgt in pairs])
         if self.config.architecture == "decoder-only":
-            return decoder_forward(self, None, ids, prefix_lens, rng=rng)
+            logits, taps = decoder_forward(self, None, ids, prefix_lens, rng=rng)
+            return logits, {"decoder": taps}
         srcs = [list(src) + [EOS] for src, _ in pairs]
-        enc_out, _ = encoder_forward(self, srcs, rng=rng)
-        return decoder_forward(self, enc_out, ids, prefix_lens, rng=rng,
-                               src_lengths=[len(s) for s in srcs])
+        enc_out, enc_taps = encoder_forward(self, srcs, rng=rng)
+        logits, taps = decoder_forward(self, enc_out, ids, prefix_lens, rng=rng,
+                                       src_lengths=[len(s) for s in srcs])
+        return logits, {"encoder": enc_taps, "decoder": taps}
+
+    def eval_chunks(self, pairs: list):
+        """(chunk, logits, taps) of `teacher_forced` over consecutive chunks of
+        EVAL_CHUNK pairs, in order, with dropout off."""
+        for at in range(0, len(pairs), EVAL_CHUNK):
+            chunk = pairs[at : at + EVAL_CHUNK]
+            yield (chunk, *self.teacher_forced(chunk))
+
+    def target_labels(self, pairs: list, rows: int) -> np.ndarray:
+        """The label of each of the `rows` logits rows of a `teacher_forced`
+        batch: each pair's tgt + <eos> on the rows that predict them and PAD
+        on every other row."""
+        labels = np.full((len(pairs), rows // len(pairs)), PAD)
+        for row, (src, tgt) in zip(labels, pairs):
+            ids, start = self.decoder_input(src, tgt)
+            row[start : len(ids)] = list(tgt) + [EOS]
+        return labels.reshape(-1)
 
     def step_logits(self, enc_ctx, src_tokens: list[int], prefix: list[int]) -> np.ndarray:
         """Next-token logits after the given generated prefix.
@@ -175,7 +195,7 @@ class TransformerModel:
         if enc_ctx is None:
             logits, _ = self.teacher_forced([(src_tokens, prefix)])
         else:
-            ids, prefix_len = self._decoder_input(src_tokens, prefix)
+            ids, prefix_len = self.decoder_input(src_tokens, prefix)
             logits = enc_ctx.run(self, tuple(ids), prefix_len)
         return np.asarray(logits.data[-1], dtype=np.float32)
 
@@ -190,19 +210,8 @@ class TransformerModel:
         padding and a decoder-only model's source rows are left out of it.
         """
         logits, _ = self.teacher_forced(pairs, rng=rng)
-        labels = np.full((len(pairs), logits.shape[0] // len(pairs)), PAD)
-        for row, (src, tgt) in zip(labels, pairs):
-            end = len(self._decoder_input(src, tgt)[0])
-            row[end - len(tgt) - 1 : end] = list(tgt) + [EOS]
-        loss = cross_entropy(logits, labels.reshape(-1), ignore_index=PAD)
+        loss = cross_entropy(logits, self.target_labels(pairs, logits.shape[0]), ignore_index=PAD)
         return loss, sum(len(tgt) + 1 for _, tgt in pairs)
-
-    def predictions_for_pair(self, src: list[int], tgt: list[int]):
-        """Teacher-forced argmax ids and gold labels for accuracy counting."""
-        logits, _ = self.teacher_forced([(src, tgt)])
-        labels = list(tgt) + [EOS]
-        rows = np.asarray(logits.data)[-len(labels):]
-        return rows.argmax(axis=1).tolist(), labels
 
 
 def param_layout(config: ModelConfig):

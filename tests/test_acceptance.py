@@ -38,7 +38,7 @@ from wideffn.config import (
     transformer_base,
     transformer_big,
 )
-from wideffn.counting import count_params, percent_of_baseline
+from wideffn.counting import count_params
 from wideffn.errors import ConfigError
 from wideffn.sharing import FFNStrategy, resolve_ffn_assignment
 from wideffn.similarity import linear_cka, lns, normalize_against_benchmark
@@ -47,6 +47,7 @@ from wideffn.training import AdamState, Schedule, adam_step, token_accuracy, tra
 from wideffn.vocab import EOS, generate_toy_task
 
 from conftest import tiny_config
+from test_params import percent_of_baseline
 
 
 def _line(criterion: int, ok: bool, detail: str):

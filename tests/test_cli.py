@@ -292,6 +292,16 @@ def test_exit_code_2_for_config_errors(tmp_path, capsys, monkeypatch):
         {"task": {"len_range": [True, 5]}},
         {"decode": {"beam": True}},
         {"model": {"heads": True}},
+        # a learning rate must be finite
+        {"training": {"base_lr": float("nan")}},
+        {"training": {"base_lr": float("inf")}},
+        # a quoted number is a string, not a number
+        {"seed": "3"},
+        {"training": {"steps": "10"}},
+        {"training": {"base_lr": "0.002"}},
+        {"task": {"count": "6"}},
+        {"task": {"len_range": ["3", "5"]}},
+        {"decode": {"beam": "2"}},
     ]
     for edit in malformed:
         cfg = write_config(tmp_path, **edit)

@@ -12,8 +12,10 @@ from wideffn.errors import ConfigError, DataError
 from wideffn.sharing import FFNStrategy
 from wideffn.similarity import collect_activations
 from wideffn.tensor import ComputeTape, Tensor, cross_entropy, grad_check, recording
+from wideffn.training import token_accuracy
 from wideffn.transformer import (
     ATTN_PARTS,
+    EVAL_CHUNK,
     AttentionBlock,
     attention_forward,
     attention_mask,
@@ -22,7 +24,7 @@ from wideffn.transformer import (
     ffn_forward,
     sinusoidal_positions,
 )
-from wideffn.vocab import BOS, EOS, generate_toy_task
+from wideffn.vocab import BOS, EOS, Corpus, generate_toy_task
 
 from conftest import tiny_config
 
@@ -376,9 +378,9 @@ def test_decode_loss_accuracy_and_taps_share_the_teacher_forced_layout(arch):
         step = m.step_logits(enc, src, tgt[:t])
         assert np.allclose(step, rows[t], rtol=0.0, atol=1e-5), t
 
-    pred, gold = m.predictions_for_pair(src, tgt)
-    assert pred == rows.argmax(axis=1).tolist()
-    assert gold == labels
+    corpus = generate_toy_task("copy", 5, (3, 6), 12, seed=4)
+    hits = int((rows.argmax(axis=1) == labels).sum())
+    assert token_accuracy(m, Corpus([(src, tgt)], corpus.vocab)) == hits / len(labels)
 
     loss, n = m.loss_for_pair([(src, tgt)])
     z = rows.astype(np.float64)
@@ -388,8 +390,7 @@ def test_decode_loss_accuracy_and_taps_share_the_teacher_forced_layout(arch):
     assert n == len(labels)
     assert float(loss.data) == pytest.approx(expected, abs=1e-5)
 
-    corpus = generate_toy_task("copy", 5, (3, 6), 12, seed=4)
-    mats = collect_activations(m, corpus, "decoder")
+    mats = collect_activations(m, corpus)["decoder"]
     per_pair = [_teacher_forced_layout(m, list(s), list(g))[1] for s, g in corpus.pairs]
     assert set(mats) == set(per_pair[0])
     for name, mat in mats.items():
@@ -415,6 +416,29 @@ def test_a_padded_batch_gives_each_pair_the_rows_it_gets_alone(arch):
         if arch == "encoder-decoder":
             enc_alone, _ = encoder_forward(m, src + [EOS])
             assert np.abs(enc_blocks[b, :len(src) + 1] - enc_alone.data).max() < 1e-6, b
+
+
+@pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
+def test_evaluation_chunks_give_each_pair_what_it_gets_alone(arch):
+    # ragged pairs over more than one chunk, so the last chunk is partial
+    n_enc = 0 if arch == "decoder-only" else 2
+    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch), seed=7)
+    corpus = generate_toy_task("copy", EVAL_CHUNK + 3, (1, 8), 12, seed=8)
+    assert len({len(src) for src, _ in corpus.pairs}) > 1
+    sides = collect_activations(m, corpus)
+    assert list(sides) == (["decoder"] if arch == "decoder-only" else ["encoder", "decoder"])
+    hits = total = 0
+    for b, (src, tgt) in enumerate(corpus.pairs):
+        alone = collect_activations(m, Corpus([(src, tgt)], corpus.vocab))
+        for side, taps in sides.items():
+            for name, mat in taps.items():
+                assert np.abs(mat.values[b] - alone[side][name].values[0]).max() < 1e-6, \
+                    (b, side, name)
+        logits, _ = m.teacher_forced([(src, tgt)])
+        labels = list(tgt) + [EOS]
+        hits += int((logits.data[-len(labels):].argmax(axis=1) == labels).sum())
+        total += len(labels)
+    assert token_accuracy(m, corpus) == hits / total
 
 
 @pytest.mark.parametrize("preset", ["baseline", "OneWideFFN", "decoder-only baseline"])

@@ -4,16 +4,35 @@ import pytest
 
 import wideffn as w
 from wideffn.config import PRESETS, SharingSpec, one_wide_dff, transformer_big
-from wideffn.counting import (
-    BREAKDOWN_KEYS,
-    baseline_of,
-    percent_of_baseline,
-    shared_side_savings,
-)
+from wideffn.counting import BREAKDOWN_KEYS, baseline_of
 from wideffn.errors import ConfigError
 from wideffn.sharing import FFNStrategy
 
 from conftest import tiny_config
+
+
+def percent_of_baseline(config) -> float:
+    """Parameter count as a percentage of the unshared same-shape model."""
+    return 100.0 * w.count_params(config)[0] / w.count_params(baseline_of(config))[0]
+
+
+def shared_side_savings(n_layers: int, d_model: int, width: int) -> dict[str, int]:
+    """Parameters removed when one side's N individual FFNs collapse to one.
+
+    'matrices' is the widely quoted (N-1)(2*d*w + w + d) term split into its
+    matrix and bias parts; collapsing also removes N-1 layer-norm pairs, so
+    the exact total includes a (N-1)*2*d term.
+    """
+    folds = n_layers - 1
+    matrices = folds * 2 * d_model * width
+    biases = folds * (width + d_model)
+    layer_norms = folds * 2 * d_model
+    return {
+        "matrices": matrices,
+        "biases": biases,
+        "layer_norms": layer_norms,
+        "total": matrices + biases + layer_norms,
+    }
 
 
 def big(vocab=50_000, **over):

@@ -16,7 +16,7 @@ from wideffn.similarity import (
     pairwise_layer_similarity,
     self_similarity,
 )
-from wideffn.vocab import generate_toy_task
+from wideffn.vocab import Corpus, generate_toy_task
 
 from conftest import tiny_config
 
@@ -191,23 +191,27 @@ def _two_tap_sets():
     corpus = generate_toy_task("copy", 24, (3, 6), 12, seed=1)
     ma = w.build_model(tiny_config(), seed=0)
     mb = w.build_model(tiny_config(), seed=1)
-    ta = collect_activations(ma, corpus, "encoder", model_id="a")
-    tb = collect_activations(mb, corpus, "encoder", model_id="b")
+    ta = collect_activations(ma, corpus, model_id="a")["encoder"]
+    tb = collect_activations(mb, corpus, model_id="b")["encoder"]
     return ta, tb
 
 
 def test_collect_activations_shapes_and_labels():
     corpus = generate_toy_task("copy", 10, (3, 6), 12, seed=1)
     m = w.build_model(tiny_config(), seed=0)
-    taps = collect_activations(m, corpus, "encoder", limit=7)
-    assert set(taps) == {"0.sa", "0.ffn", "1.sa", "1.ffn"}
-    for mat in taps.values():
-        assert mat.values.shape == (7, 16)
-        assert mat.corpus_hash == corpus.content_hash()
-    dtaps = collect_activations(m, corpus, "decoder")
-    assert set(dtaps) == {"0.sa", "0.ca", "0.ffn", "1.sa", "1.ca", "1.ffn"}
-    with pytest.raises(ConfigError):
-        collect_activations(m, corpus, "both")
+    sides = collect_activations(m, corpus, model_id="m")
+    assert list(sides) == ["encoder", "decoder"]
+    assert set(sides["encoder"]) == {"0.sa", "0.ffn", "1.sa", "1.ffn"}
+    assert set(sides["decoder"]) == {"0.sa", "0.ca", "0.ffn", "1.sa", "1.ca", "1.ffn"}
+    for taps in sides.values():
+        for name, mat in taps.items():
+            assert mat.values.shape == (10, 16)
+            assert (mat.module_name, mat.model_id) == (name, "m")
+            assert mat.corpus_hash == corpus.content_hash()
+    dec_only = w.build_model(tiny_config(n_enc=0, architecture="decoder-only"), seed=0)
+    assert list(collect_activations(dec_only, corpus)) == ["decoder"]
+    with pytest.raises(DataError):
+        collect_activations(m, Corpus([], corpus.vocab))
 
 
 def test_pairwise_report_layout_and_aggregate():
@@ -223,7 +227,7 @@ def test_pairwise_report_layout_and_aggregate():
 def test_decoder_labels_follow_execution_order():
     corpus = generate_toy_task("copy", 8, (3, 5), 12, seed=2)
     m = w.build_model(tiny_config(), seed=0)
-    taps = collect_activations(m, corpus, "decoder")
+    taps = collect_activations(m, corpus)["decoder"]
     rep = self_similarity(taps)
     assert rep.row_labels == ["0.sa", "0.ca", "0.ffn", "1.sa", "1.ca", "1.ffn"]
 

@@ -8,6 +8,7 @@ without failing any other test.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import yaml
@@ -83,3 +84,7 @@ def test_tracer_spans_and_counts_the_similarity_verbs(tmp_path):
             "checkpoint.load_checkpoint", "cli.main"} <= names
     assert tracer.counts["similarity.cells"] > 0
     assert tracer.counts["checkpoint.bytes_read"] > 0
+    # one encoder and one decoder forward per model per evaluation chunk of
+    # the 8 probe pairs: one model for selfsim, two for compare
+    chunks = math.ceil(8 / transformer.EVAL_CHUNK)
+    assert tracer.counts["transformer.forward_calls"] == 3 * 2 * chunks

@@ -234,8 +234,9 @@ def test_token_accuracy_bounds_and_limit():
     m = w.build_model(tiny_config(), seed=0)
     acc = token_accuracy(m, c, limit=8)
     assert 0.0 <= acc <= 1.0
-    with pytest.raises(ConfigError):
-        token_accuracy(m, c, limit=0)
+    for limit in (0, -1):  # as a slice bound, -1 would drop the last pair
+        with pytest.raises(ConfigError):
+            token_accuracy(m, c, limit=limit)
 
 
 def test_sum_all_matmul_training_smoke():

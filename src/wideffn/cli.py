@@ -32,7 +32,6 @@ from .similarity import (
     collect_activations,
     normalize_against_benchmark,
     pairwise_layer_similarity,
-    self_similarity,
 )
 from .training import Schedule, ffn_dim_sweep, token_accuracy, train
 from .transformer import build_model
@@ -234,12 +233,8 @@ def cmd_eval(args, run: RunConfig) -> int:
     model = _load_model(args.checkpoint, corpus)
     acc = token_accuracy(model, corpus, limit=args.limit)
     pairs = corpus.pairs[: args.limit]
-    hyps, refs = [], []
-    for src, tgt in pairs:
-        out = decode_beam(model, src, beam=run.beam, max_len=run.decode_max_len)
-        hyps.append(corpus.vocab.decode(out))
-        refs.append(corpus.vocab.decode(tgt))
-    bleu = corpus_bleu(hyps, refs)
+    hyps = [decode_beam(model, src, beam=run.beam, max_len=run.decode_max_len) for src, _ in pairs]
+    bleu = corpus_bleu(hyps, [tgt for _, tgt in pairs])
     print(f"token accuracy: {acc:.4f}")
     print(f"beam-{run.beam} BLEU: {bleu:.2f}")
     if args.json:
@@ -254,10 +249,9 @@ def cmd_compare(args, run: RunConfig) -> int:
     model_b = _load_model(args.b, corpus)
     if model_a.config.architecture != model_b.config.architecture:
         raise ConfigError("cannot compare models of different architectures")
-    sides_a = collect_activations(model_a, corpus, model_id="a")
-    sides_b = collect_activations(model_b, corpus, model_id="b")
-    sides_bench = [collect_activations(_load_model(path, corpus), corpus, model_id=f"bench{i}")
-                   for i, path in enumerate(args.benchmark)]
+    sides_a = collect_activations(model_a, corpus)
+    sides_b = collect_activations(model_b, corpus)
+    sides_bench = [collect_activations(_load_model(path, corpus), corpus) for path in args.benchmark]
     os.makedirs(args.out_dir, exist_ok=True)
     summary = {}
     for side, taps_a in sides_a.items():
@@ -288,7 +282,7 @@ def cmd_selfsim(args, run: RunConfig) -> int:
     model = _load_model(args.checkpoint, corpus)
     os.makedirs(args.out_dir, exist_ok=True)
     for side, taps in collect_activations(model, corpus).items():
-        report = self_similarity(taps)
+        report = pairwise_layer_similarity(taps, taps)
         path = os.path.join(args.out_dir, f"selfsim_{side}.csv")
         write_matrix_csv(path, report)
         print(f"wrote {path}")

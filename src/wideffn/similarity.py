@@ -25,8 +25,6 @@ log = logging.getLogger(__name__)
 @dataclass
 class ActivationMatrix:
     values: np.ndarray  # (n_sentences, width) float32
-    module_name: str
-    model_id: str
     corpus_hash: str
 
     def __post_init__(self):
@@ -35,7 +33,7 @@ class ActivationMatrix:
             raise DataError(f"activation matrix must be rank 2, got {self.values.shape}")
 
 
-def collect_activations(model: TransformerModel, corpus: Corpus, model_id: str = "model"
+def collect_activations(model: TransformerModel, corpus: Corpus
                         ) -> dict[str, dict[str, ActivationMatrix]]:
     """Sentence-mean activations per tapped module of every side the model
     has, {side: {module: matrix}}, from one teacher-forced pass per evaluation
@@ -55,7 +53,7 @@ def collect_activations(model: TransformerModel, corpus: Corpus, model_id: str =
                 rows.setdefault(side, {}).setdefault(name, []).extend(
                     block[:n].mean(axis=0) for block, n in zip(blocks, lengths[side]))
     corpus_hash = corpus.content_hash()
-    return {side: {name: ActivationMatrix(np.stack(vals), name, model_id, corpus_hash)
+    return {side: {name: ActivationMatrix(np.stack(vals), corpus_hash)
                    for name, vals in taps.items()}
             for side, taps in rows.items()}
 
@@ -88,17 +86,18 @@ def linear_cka(a, b) -> float:
     return float(cross / (norm_a * norm_b))
 
 
-def knn(space, query_index: int, k: int) -> list[int]:
-    """Indices of the k nearest rows to row `query_index` in cosine distance.
+def knn(space, k: int) -> np.ndarray:
+    """The k nearest rows to every row in cosine distance, as an (n, k) table:
+    row i holds the neighbours of row i, nearest first.
 
-    The query row itself is excluded. Ties in distance break toward the
-    lower index; all-zero rows sit at distance 1 from everything (a warning
-    is logged once per call when any are present).
+    No row is its own neighbour. Ties in distance break toward the lower
+    index; all-zero rows sit at distance 1 from everything (a warning is
+    logged once per table when any are present). Each row's distances come
+    from its own product `unit @ unit[i]`: a Gram product `unit @ unit.T`
+    rounds some dot products differently and so reorders exact ties.
     """
     x = _values(space).astype(np.float64)
     n = x.shape[0]
-    if not 0 <= query_index < n:
-        raise ConfigError(f"query index {query_index} out of range for {n} rows")
     if not 1 <= k <= n - 1:
         raise ConfigError(f"k must be in [1, {n - 1}], got {k}")
     norms = np.linalg.norm(x, axis=1)
@@ -107,11 +106,13 @@ def knn(space, query_index: int, k: int) -> list[int]:
         log.warning("knn: %d all-zero rows treated as distance 1 from everything", int(zero.sum()))
     safe = np.where(zero, 1.0, norms)
     unit = x / safe[:, None]  # zero rows stay zero -> cosine similarity 0
-    sims = unit @ unit[query_index]
-    dist = 1.0 - sims
-    dist[query_index] = np.inf
-    order = np.lexsort((np.arange(n), dist))
-    return order[:k].tolist()
+    index = np.arange(n)
+    table = np.empty((n, k), dtype=np.intp)
+    for i in range(n):
+        dist = 1.0 - unit @ unit[i]
+        dist[i] = np.inf
+        table[i] = np.lexsort((index, dist))[:k]
+    return table
 
 
 def default_k(n: int) -> int:
@@ -120,7 +121,8 @@ def default_k(n: int) -> int:
 
 
 def lns(a, b, k: int | None = None) -> float:
-    """Local neighborhood similarity: mean Jaccard overlap of k-NN sets.
+    """Local neighborhood similarity: mean Jaccard overlap of the rows of
+    the two spaces' k-NN tables.
 
     Both spaces must describe the same sentences in the same order; when
     ActivationMatrix metadata is available the corpus hashes must agree.
@@ -137,9 +139,8 @@ def lns(a, b, k: int | None = None) -> float:
     if k is None:
         k = default_k(n)
     total = 0.0
-    for i in range(n):
-        sa = set(knn(va, i, k))
-        sb = set(knn(vb, i, k))
+    for row_a, row_b in zip(knn(va, k).tolist(), knn(vb, k).tolist()):
+        sa, sb = set(row_a), set(row_b)
         total += len(sa & sb) / len(sa | sb)
     return total / n
 
@@ -197,13 +198,6 @@ def pairwise_layer_similarity(taps_a: dict[str, ActivationMatrix],
             matrix[i, j] = fn(taps_a[rn], taps_b[cn])
     aggregate = float(np.mean([matrix[i, j] for i, j in common]))
     return SimilarityReport(metric, rows, cols, matrix, aggregate)
-
-
-def self_similarity(taps: dict[str, ActivationMatrix]) -> SimilarityReport:
-    """Module-by-module linear CKA of one model against itself."""
-    if len(taps) < 2:
-        raise DataError("self-similarity needs at least 2 tapped modules")
-    return pairwise_layer_similarity(taps, taps)
 
 
 def normalize_against_benchmark(raw: float, benchmark_raws) -> float:

@@ -35,9 +35,6 @@ class Vocab:
     def encode(self, tokens: list[str]) -> list[int]:
         return [self.token_to_id.get(t, UNK) for t in tokens]
 
-    def decode(self, ids: list[int]) -> list[str]:
-        return [self.id_to_token[i] for i in ids]
-
 
 @dataclass
 class Corpus:

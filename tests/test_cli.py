@@ -207,6 +207,17 @@ def test_selfsim_labels_reflect_missing_ffn(tmp_path):
     assert "0.ffn" in enc_header
 
 
+def test_selfsim_writes_a_side_with_one_tap(tmp_path):
+    cfg = write_config(tmp_path, preset="NoEnc", model={"n_enc": 1})
+    out = str(tmp_path / "noenc.ckpt")
+    assert main(["train", "--config", cfg, "--out", out]) == 0
+    out_dir = tmp_path / "ss"
+    assert main(["selfsim", "--config", cfg, "--checkpoint", out, "--out-dir", str(out_dir)]) == 0
+    enc = (out_dir / "selfsim_encoder.csv").read_text().splitlines()
+    assert enc[0].split(",")[1:] == ["0.sa"] and len(enc) == 2
+    assert (out_dir / "selfsim_decoder.csv").exists()
+
+
 def test_bench_verb_csv_shape(tmp_path, trained_ckpt):
     cfg, out = trained_ckpt
     other = str(tmp_path / "other.ckpt")
@@ -450,3 +461,16 @@ def test_corpus_files_drive_training(tmp_path):
     out = str(tmp_path / "files.ckpt")
     assert main(["train", "--config", cfg, "--out", out]) == 0
     assert main(["eval", "--config", cfg, "--checkpoint", out]) == 0
+
+
+def test_eval_scores_ids_past_the_corpus_vocab(tmp_path, capsys):
+    # the model has 40 ids and the corpus 7; at seed 4 the barely trained
+    # model decodes ids that name no corpus token, which BLEU must accept
+    src = tmp_path / "s.txt"
+    src.write_text("a b c\nb c a\nc a b\na c b\n")
+    cfg = write_config(tmp_path, seed=4, task=..., model={"vocab_size": 40},
+                       corpus={"src": str(src), "tgt": str(src)})
+    out = str(tmp_path / "wide_vocab.ckpt")
+    assert main(["train", "--config", cfg, "--out", out]) == 0
+    assert main(["eval", "--config", cfg, "--checkpoint", out]) == 0
+    assert "BLEU" in capsys.readouterr().out

@@ -14,15 +14,14 @@ from wideffn.similarity import (
     lns,
     normalize_against_benchmark,
     pairwise_layer_similarity,
-    self_similarity,
 )
 from wideffn.vocab import Corpus, generate_toy_task
 
 from conftest import tiny_config
 
 
-def _mat(values, name="0.sa", model="m", h="hash"):
-    return ActivationMatrix(np.asarray(values, dtype=np.float32), name, model, h)
+def _mat(values, h="hash"):
+    return ActivationMatrix(np.asarray(values, dtype=np.float32), h)
 
 
 # ---------------------------------------------------------------- linear CKA
@@ -91,34 +90,64 @@ def test_knn_ordering_by_cosine_angle():
         [0.0, 1.0],     # 90 degrees
         [-1.0, 0.1],    # ~174 degrees
     ])
-    assert knn(pts, 0, 3) == [1, 2, 3]
-    assert knn(pts, 0, 4) == [1, 2, 3, 4]
+    assert knn(pts, 3)[0].tolist() == [1, 2, 3]
+    assert knn(pts, 4)[0].tolist() == [1, 2, 3, 4]
 
 
 def test_knn_excludes_query_and_breaks_ties_low():
     pts = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [0.0, 1.0]])
     # rows 1 and 2 are both at distance 0 from row 0 (same direction)
-    assert knn(pts, 0, 1) == [1]
-    assert knn(pts, 0, 2) == [1, 2]
-    assert 0 not in knn(pts, 0, 3)
+    assert knn(pts, 1)[0].tolist() == [1]
+    assert knn(pts, 2)[0].tolist() == [1, 2]
+    table = knn(pts, 3)
+    assert all(i not in row for i, row in enumerate(table.tolist()))
 
 
 def test_knn_zero_rows_warn_and_rank_last(caplog):
     pts = np.array([[1.0, 0.0], [0.0, 0.0], [0.9, 0.1]])
     with caplog.at_level(logging.WARNING, logger="wideffn.similarity"):
-        got = knn(pts, 0, 2)
-    assert got == [2, 1]
-    assert any("all-zero" in r.message for r in caplog.records)
+        table = knn(pts, 2)
+    assert table[0].tolist() == [2, 1]
+    assert [r.message for r in caplog.records] == [
+        "knn: 1 all-zero rows treated as distance 1 from everything"]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="wideffn.similarity"):
+        lns(pts, pts, k=1)
+    assert len(caplog.records) == 2  # one per neighbour table
+
+
+def _knn_oracle(x, k):
+    """c05's brute force, one query row at a time; zero rows stay zero."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    unit = x / np.where(norms == 0.0, 1.0, norms)
+    rows = []
+    for i in range(len(x)):
+        dist = 1.0 - unit @ unit[i]
+        dist[i] = np.inf
+        rows.append(np.lexsort((np.arange(len(x)), dist))[:k].tolist())
+    return rows
+
+
+def test_knn_table_rows_equal_the_per_row_oracle():
+    rng = np.random.default_rng(13)
+    spaces = [rng.standard_normal((32, 64)).astype(np.float32) for _ in range(3)]
+    # repeated rows put exact ties in every neighbour list
+    spaces.append(rng.standard_normal((6, 8)).astype(np.float32)[rng.integers(0, 6, 30)])
+    with_zeros = rng.standard_normal((20, 5)).astype(np.float32)
+    with_zeros[[3, 11]] = 0.0
+    spaces.append(with_zeros)
+    for space in spaces:
+        x = space.astype(np.float64)
+        for k in (1, 3, len(x) - 1):
+            assert knn(space, k).tolist() == _knn_oracle(x, k)
 
 
 def test_knn_argument_guards():
     pts = np.eye(3)
     with pytest.raises(ConfigError):
-        knn(pts, 3, 1)
+        knn(pts, 0)
     with pytest.raises(ConfigError):
-        knn(pts, 0, 0)
-    with pytest.raises(ConfigError):
-        knn(pts, 0, 3)  # k can be at most n-1
+        knn(pts, 3)  # k can be at most n-1
 
 
 def test_default_k_is_five_percent_rounded_up():
@@ -191,22 +220,21 @@ def _two_tap_sets():
     corpus = generate_toy_task("copy", 24, (3, 6), 12, seed=1)
     ma = w.build_model(tiny_config(), seed=0)
     mb = w.build_model(tiny_config(), seed=1)
-    ta = collect_activations(ma, corpus, model_id="a")["encoder"]
-    tb = collect_activations(mb, corpus, model_id="b")["encoder"]
+    ta = collect_activations(ma, corpus)["encoder"]
+    tb = collect_activations(mb, corpus)["encoder"]
     return ta, tb
 
 
 def test_collect_activations_shapes_and_labels():
     corpus = generate_toy_task("copy", 10, (3, 6), 12, seed=1)
     m = w.build_model(tiny_config(), seed=0)
-    sides = collect_activations(m, corpus, model_id="m")
+    sides = collect_activations(m, corpus)
     assert list(sides) == ["encoder", "decoder"]
     assert set(sides["encoder"]) == {"0.sa", "0.ffn", "1.sa", "1.ffn"}
     assert set(sides["decoder"]) == {"0.sa", "0.ca", "0.ffn", "1.sa", "1.ca", "1.ffn"}
     for taps in sides.values():
-        for name, mat in taps.items():
+        for mat in taps.values():
             assert mat.values.shape == (10, 16)
-            assert (mat.module_name, mat.model_id) == (name, "m")
             assert mat.corpus_hash == corpus.content_hash()
     dec_only = w.build_model(tiny_config(n_enc=0, architecture="decoder-only"), seed=0)
     assert list(collect_activations(dec_only, corpus)) == ["decoder"]
@@ -228,13 +256,13 @@ def test_decoder_labels_follow_execution_order():
     corpus = generate_toy_task("copy", 8, (3, 5), 12, seed=2)
     m = w.build_model(tiny_config(), seed=0)
     taps = collect_activations(m, corpus)["decoder"]
-    rep = self_similarity(taps)
+    rep = pairwise_layer_similarity(taps, taps)
     assert rep.row_labels == ["0.sa", "0.ca", "0.ffn", "1.sa", "1.ca", "1.ffn"]
 
 
 def test_self_similarity_diagonal_is_one():
     ta, _ = _two_tap_sets()
-    rep = self_similarity(ta)
+    rep = pairwise_layer_similarity(ta, ta)
     for i in range(len(rep.row_labels)):
         assert rep.matrix[i, i] == pytest.approx(1.0)
 
@@ -243,12 +271,12 @@ def test_zero_overlap_is_a_data_error():
     rng = np.random.default_rng(11)
     h = "same"
     a = {
-        "0.ffn": _mat(rng.standard_normal((12, 4)), "0.ffn", "a", h),
-        "1.ffn": _mat(rng.standard_normal((12, 4)), "1.ffn", "a", h),
+        "0.ffn": _mat(rng.standard_normal((12, 4)), h),
+        "1.ffn": _mat(rng.standard_normal((12, 4)), h),
     }
     b = {
-        "0.sa": _mat(rng.standard_normal((12, 4)), "0.sa", "b", h),
-        "1.sa": _mat(rng.standard_normal((12, 4)), "1.sa", "b", h),
+        "0.sa": _mat(rng.standard_normal((12, 4)), h),
+        "1.sa": _mat(rng.standard_normal((12, 4)), h),
     }
     with pytest.raises(DataError, match="share no module names"):
         pairwise_layer_similarity(a, b, metric="cka")

@@ -75,6 +75,7 @@ def test_tracer_spans_and_counts_the_similarity_verbs(tmp_path):
     try:
         assert cli.main(["selfsim", "--config", str(run), "--checkpoint", ckpts[0],
                          "--out-dir", str(tmp_path / "selfsim")]) == 0
+        selfsim_cells = tracer.counts["similarity.cells"]
         assert cli.main(["compare", "--config", str(run), "--a", ckpts[0], "--b", ckpts[1],
                          "--metric", "lns", "--out-dir", str(tmp_path / "lns")]) == 0
     finally:
@@ -82,7 +83,10 @@ def test_tracer_spans_and_counts_the_similarity_verbs(tmp_path):
     names = set(tracer.times_by_name(0, tracer.n_spans()))
     assert {"similarity.lns", "similarity.knn", "similarity.pairwise_layer_similarity",
             "checkpoint.load_checkpoint", "cli.main"} <= names
-    assert tracer.counts["similarity.cells"] > 0
+    assert selfsim_cells > 0
+    # one neighbour table per activation matrix of each lns cell
+    lns_cells = tracer.counts["similarity.cells"] - selfsim_cells
+    assert tracer.counts["similarity.knn_calls"] == 2 * lns_cells > 0
     assert tracer.counts["checkpoint.bytes_read"] > 0
     # one encoder and one decoder forward per model per evaluation chunk of
     # the 8 probe pairs: one model for selfsim, two for compare

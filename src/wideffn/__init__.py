@@ -5,13 +5,13 @@ Modules:
     sharing     FFN sharing strategies and layer assignment
     config      ModelConfig / SharingSpec, the key check, presets
     store       physical/logical parameter storage
-    transformer blocks, builder, masks, forward passes, decode context
+    transformer blocks, builder, masks, forward passes, decode rows
     counting    exact parameter arithmetic
     checkpoint  binary save/load with tie-preserving alias table
     vocab       token conventions, toy tasks, parallel corpora
     training    schedule, Adam, train loop, width sweep
     similarity  linear CKA, local neighborhood similarity, reports
-    bench       greedy/beam decoding, throughput, corpus BLEU
+    bench       batched greedy/beam search, throughput, corpus BLEU
     cli         command line front end
 """
 

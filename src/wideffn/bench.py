@@ -1,11 +1,14 @@
 """Decoding, latency measurement, and corpus BLEU.
 
-Scoring convention shared by both decoders and score_sequence: a
-hypothesis's score is its summed token log-probability divided by the
-number of scored steps, where a sequence that genuinely ended includes
-its end-of-sequence step and one cut off at the length cap does not.
-Beam width 1 reproduces greedy decoding exactly (ties break toward the
-lower token id in both).
+`search` is the one decoder: a batch of sources, every live hypothesis one
+row of the decoding state, stepped together. Greedy and beam decoding of
+one source, `measure_throughput` and `eval` all run it.
+
+Scoring convention shared by search and score_sequence: a hypothesis's
+score is its summed token log-probability divided by the number of scored
+steps, where a sequence that genuinely ended includes its end-of-sequence
+step and one cut off at the length cap does not. Beam width 1 reproduces
+greedy decoding exactly (ties break toward the lower token id).
 """
 
 from __future__ import annotations
@@ -19,95 +22,117 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .transformer import TransformerModel
-from .vocab import EOS, Corpus
+from .transformer import DecodeRows, TransformerModel
+from .vocab import BOS, EOS, PAD, Corpus
 
 _MEASURE_LOCK = threading.Lock()
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits.astype(np.float64)
-    z = z - z.max()
-    return z - math.log(np.exp(z).sum())
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def decode_greedy(model: TransformerModel, src: list[int], max_len: int = 32) -> list[int]:
-    """Argmax next-token loop; stops at end-of-sequence or after max_len
-    generated tokens. The end token is not part of the output."""
-    if max_len < 1:
-        raise ConfigError("max_len must be positive")
-    enc = model.encode(src)
-    out: list[int] = []
-    for _ in range(max_len):
-        logits = model.step_logits(enc, src, out)
-        nxt = int(np.argmax(logits))
-        if nxt == EOS:
-            break
-        out.append(nxt)
-    return out
+def _top(logp: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k best ids, best first, ties toward the lower id (a stable argsort's first k)."""
+    if k == 1:
+        return logp.argmax(axis=1)[:, None]
+    k = min(k, logp.shape[1])
+    kth = np.partition(logp, logp.shape[1] - k, axis=1)[:, -k, None]  # each row's k-th best
+    return np.argsort(np.where(logp >= kth, -logp, np.inf), axis=1, kind="stable")[:, :k]
 
 
-def score_sequence(model: TransformerModel, src: list[int], tokens: list[int],
-                   ended: bool = True) -> float:
-    """Length-normalized log-probability of a decoded continuation."""
-    enc = model.encode(src)
-    total = 0.0
-    steps = 0
-    prefix: list[int] = []
-    for tok in tokens:
-        logp = _log_softmax(model.step_logits(enc, src, prefix))
-        total += float(logp[tok])
-        steps += 1
-        prefix.append(tok)
-    if ended:
-        logp = _log_softmax(model.step_logits(enc, src, prefix))
-        total += float(logp[EOS])
-        steps += 1
-    if steps == 0:
-        raise DataError("nothing to score")
-    return total / steps
+class _SentenceRows:
+    """DecodeRows' step and keep, one sentence a row, for a model with only encode/step_logits."""
+
+    def __init__(self, model, srcs: list):
+        self.model, self.rows = model, [(src, model.encode(src), ()) for src in srcs]
+
+    def step(self, ids) -> np.ndarray:
+        self.rows = [(src, ctx, fed + (tok,)) for (src, ctx, fed), tok in zip(self.rows, ids)]
+        return np.stack([self.model.step_logits(c, s, list(f[1:])) for s, c, f in self.rows])
+
+    def keep(self, rows) -> None:
+        self.rows = [self.rows[r] for r in rows]
 
 
-def decode_beam(model: TransformerModel, src: list[int], beam: int = 5,
-                max_len: int = 32) -> list[int]:
-    """Beam search returning the best hypothesis by normalized score.
+def search(model: TransformerModel, srcs: list, beam: int = 1, max_len: int = 32) -> list:
+    """Beam search over a batch of sources; returns each source's best
+    hypothesis by normalized score, end token dropped.
 
-    Live hypotheses carry summed log-probability; finished ones are ranked
-    by sum / steps (end step included). All ties resolve by insertion
-    order, which is score order then token id, so beam=1 walks exactly the
-    greedy path.
+    One step scores every row, then `keep` reorders the rows by parent and
+    drops those of finished sources. PAD and BOS are never candidates, though
+    log-probabilities are normalized over the whole vocabulary. Ties resolve
+    by insertion order, score order then token id, so beam=1 is greedy.
     """
     if beam < 1:
         raise ConfigError("beam must be >= 1")
     if max_len < 1:
         raise ConfigError("max_len must be positive")
-    enc = model.encode(src)
-    live: list[tuple[list[int], float]] = [([], 0.0)]
-    finished: list[tuple[list[int], float]] = []
+    rows = (DecodeRows if isinstance(model, TransformerModel) else _SentenceRows)(model, srcs)
+    beams = [[([], 0.0)] for _ in srcs]  # live (tokens, summed log-prob) per source, a row each
+    finished: list[list] = [[] for _ in srcs]  # (tokens, normalized score) per source
     for _ in range(max_len):
-        candidates: list[tuple[list[int], float, int]] = []
-        for tokens, score in live:
-            logp = _log_softmax(model.step_logits(enc, src, tokens))
-            top = np.argsort(-logp, kind="stable")[:beam]
-            for tok in top:
-                candidates.append((tokens, score + float(logp[tok]), int(tok)))
-        candidates.sort(key=lambda c: -c[1])
-        live = []
-        for tokens, score, tok in candidates:
-            if len(live) == beam:
-                break
-            if tok == EOS:
-                finished.append((tokens, score / (len(tokens) + 1)))
-            else:
-                live.append((tokens + [tok], score))
-        if not live:
+        flat = [(s, tokens, score) for s, live in enumerate(beams) for tokens, score in live]
+        logp = rows.step([tokens[-1] if tokens else BOS for _, tokens, _ in flat])
+        if beam > 1:  # at beam 1 a source never compares two scores
+            logp = _log_softmax(logp)
+        logp[:, [PAD, BOS]] = -np.inf  # never decoded; UNK stays a candidate
+        top = _top(logp, beam)
+        by_source: list[list] = [[] for _ in srcs]
+        for row, (s, tokens, score) in enumerate(flat):
+            by_source[s] += [(tokens, score + logp[row, tok], int(tok), row) for tok in top[row]]
+        parents = []
+        for s, candidates in enumerate(by_source):
+            candidates.sort(key=lambda c: -c[1])
+            beams[s] = []
+            for tokens, score, tok, parent in candidates:
+                if len(beams[s]) == beam or score == -np.inf:
+                    break
+                if tok == EOS:
+                    finished[s].append((tokens, score / (len(tokens) + 1)))
+                else:
+                    beams[s].append((tokens + [tok], score))
+                    parents.append(parent)
+        if not parents:
             break
-    for tokens, score in live:
-        finished.append((tokens, score / len(tokens)))
-    if not finished:
+        if parents != list(range(len(flat))):
+            rows.keep(parents)
+    for hyps, live in zip(finished, beams):
+        hyps += [(tokens, score / len(tokens)) for tokens, score in live]
+    if not all(finished):
         raise DataError("beam search produced no hypothesis")
-    best = max(range(len(finished)), key=lambda i: finished[i][1])
-    return finished[best][0]
+    return [max(hyps, key=lambda h: h[1])[0] for hyps in finished]
+
+
+def decode_greedy(model: TransformerModel, src: list[int], max_len: int = 32) -> list[int]:
+    """Greedy decoding of one source: `search` at beam 1."""
+    return search(model, [src], 1, max_len)[0]
+
+
+def decode_beam(model: TransformerModel, src: list[int], beam: int = 5,
+                max_len: int = 32) -> list[int]:
+    """Beam search of one source: `search` of a batch of one."""
+    return search(model, [src], beam, max_len)[0]
+
+
+def decode_corpus(model: TransformerModel, srcs: list, batch_size: int, beam: int, max_len: int):
+    """`search` over consecutive batches of batch_size sources, outputs in order."""
+    return [out for at in range(0, len(srcs), batch_size)
+            for out in search(model, srcs[at : at + batch_size], beam, max_len)]
+
+
+def score_sequence(model: TransformerModel, src: list[int], tokens: list[int],
+                   ended: bool = True) -> float:
+    """Length-normalized log-probability of a decoded continuation."""
+    targets = list(tokens) + [EOS] if ended else list(tokens)
+    if not targets:
+        raise DataError("nothing to score")
+    enc = model.encode(src)
+    logps = [_log_softmax(model.step_logits(enc, src, list(tokens[:t])))[tok]
+             for t, tok in enumerate(targets)]
+    return float(sum(logps)) / len(targets)
 
 
 @dataclass
@@ -127,8 +152,8 @@ class ThroughputReport:
 def measure_throughput(model: TransformerModel, corpus: Corpus, batch_size: int = 1,
                        beam: int = 1, runs: int = 5, max_len: int = 32,
                        config_id: str = "model") -> ThroughputReport:
-    """Decode the corpus `runs` times on a monotonic clock after one untimed
-    warmup pass; reports mean and sample std of generated tokens/second.
+    """Decode the corpus `runs` times, batch_size sources per search, after one
+    untimed warmup pass; reports mean and sample std of generated tokens/second.
 
     Refuses to run while another measurement is in flight in this process,
     since overlapping measurements would time each other.
@@ -142,28 +167,18 @@ def measure_throughput(model: TransformerModel, corpus: Corpus, batch_size: int 
     if not _MEASURE_LOCK.acquire(blocking=False):
         raise ConfigError("another throughput measurement is already running")
     try:
-        decode = (lambda s: decode_greedy(model, s, max_len=max_len)) if beam == 1 \
-            else (lambda s: decode_beam(model, s, beam=beam, max_len=max_len))
-
-        def one_pass() -> int:
-            tokens = 0
-            for src, _ in corpus.pairs:
-                tokens += len(decode(src))
-            return tokens
-
-        warm_tokens = one_pass()
-        if warm_tokens == 0:
-            raise DataError("decoder generated no tokens; nothing to measure")
+        srcs = [src for src, _ in corpus.pairs]
         rates = []
-        for _ in range(runs):
+        for run in range(runs + 1):
             t0 = time.perf_counter()
-            tokens = one_pass()
-            dt = time.perf_counter() - t0
-            rates.append(tokens / dt)
-        mean = float(np.mean(rates))
-        std = float(np.std(rates, ddof=1))
-        n_batches = math.ceil(len(corpus) / batch_size)
-        return ThroughputReport(config_id, batch_size, mean, std, runs, n_batches)
+            tokens = sum(map(len, decode_corpus(model, srcs, batch_size, beam, max_len)))
+            if tokens == 0:
+                raise DataError("decoder generated no tokens; nothing to measure")
+            if run > 0:  # run 0 is the warm-up
+                rates.append(tokens / (time.perf_counter() - t0))
+        n_batches = math.ceil(len(srcs) / batch_size)
+        return ThroughputReport(config_id, batch_size, float(np.mean(rates)),
+                                float(np.std(rates, ddof=1)), runs, n_batches)
     finally:
         _MEASURE_LOCK.release()
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .bench import batch_size_sweep, corpus_bleu, decode_beam
+from .bench import batch_size_sweep, corpus_bleu, decode_corpus
 from .checkpoint import load_model_checkpoint, save_model_checkpoint
 from .config import ModelConfig, apply_preset, check_keys
 from .counting import BREAKDOWN_KEYS, baseline_of, count_params
@@ -34,7 +34,7 @@ from .similarity import (
     pairwise_layer_similarity,
 )
 from .training import Schedule, ffn_dim_sweep, token_accuracy, train
-from .transformer import build_model
+from .transformer import EVAL_CHUNK, build_model
 from .vocab import Corpus, check_toy_task, generate_toy_task, load_parallel_corpus
 
 
@@ -233,7 +233,7 @@ def cmd_eval(args, run: RunConfig) -> int:
     model = _load_model(args.checkpoint, corpus)
     acc = token_accuracy(model, corpus, limit=args.limit)
     pairs = corpus.pairs[: args.limit]
-    hyps = [decode_beam(model, src, beam=run.beam, max_len=run.decode_max_len) for src, _ in pairs]
+    hyps = decode_corpus(model, [src for src, _ in pairs], EVAL_CHUNK, run.beam, run.decode_max_len)
     bleu = corpus_bleu(hyps, [tgt for _, tgt in pairs])
     print(f"token accuracy: {acc:.4f}")
     print(f"beam-{run.beam} BLEU: {bleu:.2f}")

@@ -71,42 +71,52 @@ def sinusoidal_positions(n_positions: int, d_model: int) -> np.ndarray:
     return table
 
 
-class DecodeContext(Tensor):
-    """`encode`'s incremental decoding state of one source.
+class DecodeRows(Tensor):
+    """Incremental decoding state of R sequences, one row each: `encode`
+    makes it for one source, beam search for a batch.
 
-    Its data is the encoder output over src + <eos>, usable wherever that
-    Tensor is, with zero rows for a decoder-only model. `entries` maps a
-    decoder input, as a tuple of ids, to each decoder layer's
-    self-attention [keys, values] over it. `cross` holds each layer's
-    cross-attention [keys, values], projected from the encoder output by
-    the first step. Only the two newest input lengths stay: a step reads
-    the entry one id shorter than its input, and every hypothesis of a beam
-    grows by one id per step, so its parent is kept and no rows need
-    reordering. A step whose entry is gone runs its whole input again,
-    which is slower but gives the same logits.
-    """
+    Its data is the encoder output over each row's src + <eos>, S rows per
+    source of which `src_lengths` are real (none for a decoder-only model).
+    `layers` holds each decoder layer's [self, cross] attention_forward kv
+    lists; row r owns stack entries [r*heads, (r+1)*heads). A decoder-only
+    model's rows start out holding the K/V of their sources src + <eos>,
+    left-padded by `pad`. `fed` is what `step_logits` fed, <bos> first."""
 
-    __slots__ = ("entries", "cross")
+    def __init__(self, model: "TransformerModel", srcs: list):
+        sources = [list(src) + [EOS] for src in srcs]
+        lengths = np.array([len(s) for s in sources])
+        self.model, self.fed = model, ()
+        self.layers = [[[], []] for _ in range(model.config.n_dec)]
+        if model.config.architecture == "encoder-decoder":
+            super().__init__(encoder_forward(model, sources)[0].data)
+            self.src_lengths, self.pad = lengths, 0 * lengths
+        else:
+            super().__init__(np.zeros((0, model.config.d_model)))
+            self.src_lengths, self.pad = None, lengths.max() - lengths
+            self.step([[PAD] * p + s for p, s in zip(self.pad, sources)], lengths.max())
 
-    def __init__(self, data, n_layers: int):
-        super().__init__(data)
-        self.entries: dict[tuple, list] = {}
-        self.cross: list[list] = [[] for _ in range(n_layers)]
+    def step(self, ids, prefix_len: int = 0) -> np.ndarray:
+        """Feed every row its next ids, one per row or an (R, T) block, and
+        return the (R, V) logits after each row's last id."""
+        ids = np.asarray(ids).reshape(len(self.pad), -1)
+        logits, _ = decoder_forward(self.model, None if self.src_lengths is None else self, ids,
+                                    prefix_len, kv=self.layers, src_lengths=self.src_lengths,
+                                    pad=self.pad)
+        return logits.data
 
-    def run(self, model: "TransformerModel", ids: tuple, prefix_len: int) -> Tensor:
-        """Logits of the last id of `ids` (one row), running only the
-        positions no entry holds; keeps the K/V of `ids` as a new entry."""
-        past = self.entries.get(ids[:-1])
-        start = 0 if past is None else len(ids) - 1
-        selfs = [[] for _ in self.cross] if past is None else [list(layer) for layer in past]
-        enc_out = self if model.config.architecture == "encoder-decoder" else None
-        logits, _ = decoder_forward(model, enc_out, list(ids[start:]), prefix_len,
-                                    kv=list(zip(selfs, self.cross)))
-        n = len(ids)
-        self.entries = {key: kv for key, kv in self.entries.items()
-                        if n - 1 <= len(key) <= n}
-        self.entries[ids] = selfs
-        return logits
+    def keep(self, rows) -> None:
+        """Keep the given rows in the given order, repeats allowed: beam search
+        reorders by parent, and a finished sequence leaves the batch."""
+        heads = self.model.config.heads
+        stacked = (np.asarray(rows)[:, None] * heads + np.arange(heads)).reshape(-1)
+        for layer in self.layers:
+            for kv in layer:
+                kv[:] = [Tensor(t.data[stacked]) for t in kv]
+        if self.src_lengths is not None:
+            d = self.data.shape[1]
+            self.data = self.data.reshape(len(self.pad), -1, d)[rows].reshape(-1, d)
+            self.src_lengths = self.src_lengths[rows]
+        self.pad = self.pad[rows]
 
 
 @dataclass(eq=False)
@@ -124,21 +134,14 @@ class TransformerModel:
 
     # -- decode protocol -------------------------------------------------
 
-    def encode(self, src_tokens: list[int]) -> DecodeContext:
-        """The decode context of one source, for `step_logits`.
+    def encode(self, src_tokens: list[int]) -> DecodeRows:
+        """The one-row decoding state of a source, for `step_logits`.
 
         Encoder-decoder: the encoder output over src + <eos>. Decoder-only:
         no rows, and the K/V of the bidirectional source prefix src + <eos>,
         run once here.
         """
-        cfg = self.config
-        if cfg.architecture == "decoder-only":
-            ctx = DecodeContext(np.zeros((0, cfg.d_model)), cfg.n_dec)
-            ids = tuple(src_tokens) + (EOS,)
-            ctx.run(self, ids, prefix_len=len(ids))
-            return ctx
-        out, _ = encoder_forward(self, list(src_tokens) + [EOS])
-        return DecodeContext(out.data, cfg.n_dec)
+        return DecodeRows(self, [src_tokens])
 
     def decoder_input(self, src: list[int], tgt: list[int]) -> tuple[list[int], int]:
         """The decoder ids with `tgt` fed, and the length of their bidirectional prefix."""
@@ -187,17 +190,19 @@ class TransformerModel:
     def step_logits(self, enc_ctx, src_tokens: list[int], prefix: list[int]) -> np.ndarray:
         """Next-token logits after the given generated prefix.
 
-        With the context `encode` returned, only the positions it holds no
-        K/V for run, normally just the newest one. With enc_ctx None the whole
-        teacher-forced sequence runs again: that recompute is the reference
-        the cached path is tested against.
+        With the state `encode` returned, one position runs when it holds
+        <bos> + prefix[:-1], and otherwise it is refilled. With enc_ctx None
+        the whole teacher-forced sequence runs again: that recompute is the
+        reference the cached path is tested against.
         """
         if enc_ctx is None:
-            logits, _ = self.teacher_forced([(src_tokens, prefix)])
-        else:
-            ids, prefix_len = self.decoder_input(src_tokens, prefix)
-            logits = enc_ctx.run(self, tuple(ids), prefix_len)
-        return np.asarray(logits.data[-1], dtype=np.float32)
+            return self.teacher_forced([(src_tokens, prefix)])[0].data[-1]
+        fed = (BOS, *prefix)
+        if enc_ctx.fed != fed[:-1]:
+            enc_ctx.layers, enc_ctx.fed = DecodeRows(self, [src_tokens]).layers, ()
+        logits = enc_ctx.step([fed[len(enc_ctx.fed):]])
+        enc_ctx.fed = fed
+        return logits[-1]
 
     # -- training protocol ------------------------------------------------
 
@@ -306,19 +311,20 @@ def build_model(config: ModelConfig, seed: int = 0) -> TransformerModel:
     return wire_model(config, store)
 
 
-def attention_mask(key_len, prefix, t_q: int, t_k: int, heads: int, offset: int = 0) -> np.ndarray:
+def attention_mask(key_len, prefix, t_q: int, t_k: int, heads: int, offset: int = 0,
+                   pad=0) -> np.ndarray:
     """attention_forward's (B*heads, t_q, t_k) keep mask, one per sequence
-    repeated for its heads: query i of sequence b, at position offset + i,
-    sees key j when j < key_len[b] and either j < prefix[b] or j <= offset + i.
+    repeated for its heads: query i of sequence b, at column offset + i, sees
+    key j when pad[b] <= j < key_len[b] and either j < prefix[b] or j <= offset + i.
 
     prefix = key_len sees every real key (encoder, cross attention), prefix 0
-    is causal and one in between is a prefix LM.
+    is causal and one in between is a prefix LM; pad hides leading columns.
     """
-    key_len, prefix = (np.asarray(a)[:, None, None] for a in (key_len, prefix))
+    key_len, prefix, pad = (np.asarray(a)[..., None, None] for a in (key_len, prefix, pad))
     if (prefix < 0).any():
         raise ConfigError(f"negative prefix length in {prefix.ravel().tolist()}")
     j = np.arange(t_k)
-    keep = (j < key_len) & ((j < prefix) | (j <= offset + np.arange(t_q)[:, None]))
+    keep = (pad <= j) & (j < key_len) & ((j < prefix) | (j <= offset + np.arange(t_q)[:, None]))
     return keep.repeat(heads, axis=0)
 
 
@@ -403,19 +409,20 @@ def _as_batch(ids) -> tuple[np.ndarray, np.ndarray]:
     return np.array(padded, dtype=np.int64), np.array(lengths)
 
 
-def _embed(model: TransformerModel, ids: np.ndarray, rng, offset: int = 0) -> Tensor:
+def _embed(model: TransformerModel, ids: np.ndarray, rng, start=0) -> Tensor:
     """Scaled embeddings of a (B, T) id matrix as a (B*T, d) row block, plus
-    positions offset, ..., offset + T - 1 in each sequence's T rows; dropout
-    runs when `rng` is given."""
+    positions start, ..., start + T - 1 in each sequence's T rows, where a left
+    pad's negative position reads 0; dropout runs when `rng` is given."""
     cfg = model.config
     batch, t = ids.shape
-    end = offset + t
+    positions = np.broadcast_to(start, (batch,))[:, None] + np.arange(t)
+    end = int(positions.max()) + 1
     if end > cfg.max_len:
         raise DataError(f"sequence length {end} exceeds max_len {cfg.max_len}")
     x = embedding_lookup(model.embedding, ids.reshape(-1))
     x = scale(x, math.sqrt(cfg.d_model))
-    positions = sinusoidal_positions(cfg.max_len, cfg.d_model)[offset:end]
-    x = add(x, Tensor(np.tile(positions, (batch, 1))))
+    table = sinusoidal_positions(cfg.max_len, cfg.d_model)
+    x = add(x, Tensor(table[np.maximum(positions, 0).reshape(-1)]))
     if rng is not None:
         x = dropout(x, cfg.dropout, rng)
     return x
@@ -460,7 +467,7 @@ def encoder_forward(model: TransformerModel, src_ids, *, rng: np.random.Generato
 
 def decoder_forward(model: TransformerModel, enc_out: Tensor | None, ids, prefix_len=0, *,
                     rng: np.random.Generator | None = None, kv: list | None = None,
-                    src_lengths=None):
+                    src_lengths=None, pad=0):
     """Run the decoder stack over one id sequence or a list of them to
     vocabulary logits; dropout runs when `rng` is given.
 
@@ -476,10 +483,11 @@ def decoder_forward(model: TransformerModel, enc_out: Tensor | None, ids, prefix
     key past them.
 
     Incremental decoding passes `kv`, one (self, cross) pair of
-    attention_forward kv lists per layer. `ids` then continue the positions
-    the self lists hold, cross attention reuses the source K/V once they
-    are projected, and only the last row's logits are computed. A prefix
-    may then fill the whole sequence, to keep a decoder-only source's K/V.
+    attention_forward kv lists per layer, and `ids` as one (B, T) block that
+    continues the columns the self lists hold; only each sequence's last row
+    of logits is computed, and a prefix may fill the whole sequence. `pad`
+    counts each sequence's leading pad columns, which no query sees and no
+    position counts.
     """
     cfg = model.config
     if cfg.architecture == "encoder-decoder" and enc_out is None:
@@ -490,17 +498,19 @@ def decoder_forward(model: TransformerModel, enc_out: Tensor | None, ids, prefix
     batch, t = ids.shape
     past = kv[0][0] if kv is not None else None
     offset = past[1].shape[1] if past else 0
-    x = _embed(model, ids, rng, offset)
+    x = _embed(model, ids, rng, offset - pad)
     prefix = np.broadcast_to(prefix_len, (batch,))
     for p, end in zip(prefix, offset + lengths):
         if p > end or (p == end and kv is None):
             raise ConfigError(f"prefix_len {p} must leave a suffix in {end} positions")
-    mask = attention_mask(offset + lengths, prefix, t, offset + t, cfg.heads, offset)
+    mask = attention_mask(offset + lengths, prefix, t, offset + t, cfg.heads, offset, pad)
     cross_mask = None if src_lengths is None else attention_mask(
         src_lengths, src_lengths, t, enc_out.shape[0] // batch, cfg.heads)
+    if kv is not None:  # a decode step leaves out the masks that hide nothing
+        mask, cross_mask = (None if m is None or m.all() else m for m in (mask, cross_mask))
     x, taps = _run_layers(model, x, zip(model.dec_self, model.dec_cross, model.dec_ffn), batch,
                           rng, mask, cross_mask, enc_out, kv)
-    if kv is not None:  # a decode step needs the last row's logits only
-        x = Tensor(x.data[-1:])
+    if kv is not None:  # a decode step needs each sequence's last row only
+        x = Tensor(x.data.reshape(batch, t, -1)[:, -1])
     # (E x^T)^T spares copying the transposed embedding table
     return transpose(matmul(model.embedding, transpose(x))), taps

@@ -6,19 +6,22 @@ import numpy as np
 import pytest
 
 import wideffn as w
+from wideffn import bench, transformer
 from wideffn.bench import (
     ThroughputReport,
     _MEASURE_LOCK,
     batch_size_sweep,
     corpus_bleu,
     decode_beam,
+    decode_corpus,
     decode_greedy,
     measure_throughput,
     score_sequence,
+    search,
 )
 from wideffn.config import DECODER_ONLY_PRESETS, PRESETS
 from wideffn.errors import ConfigError, DataError
-from wideffn.vocab import EOS, generate_toy_task
+from wideffn.vocab import EOS, Corpus, generate_toy_task
 
 from conftest import tiny_config
 
@@ -101,7 +104,9 @@ def test_cached_decode_matches_recompute_on_trained_model(trained_copy_model, to
                 == decode_beam(oracle, src, beam=4, max_len=12))
 
 
-def test_cached_decode_matches_recompute_on_random_models():
+def _random_models():
+    """(index, model, source) of 20 random models of every preset and both
+    architectures."""
     rng = np.random.default_rng(11)
     for i in range(20):
         heads = int(rng.choice([1, 2, 4]))
@@ -110,12 +115,46 @@ def test_cached_decode_matches_recompute_on_random_models():
             cfg = w.apply_preset(cfg, DECODER_ONLY_PRESETS[i % 3])
         else:
             cfg = w.apply_preset(tiny_config(heads=heads), sorted(PRESETS)[i % len(PRESETS)])
-        model = w.build_model(cfg, seed=i)
-        src = rng.integers(4, 12, size=int(rng.integers(1, 6))).tolist()
+        yield i, w.build_model(cfg, seed=i), rng.integers(4, 12, size=int(rng.integers(1, 6))).tolist()
+
+
+def test_cached_decode_matches_recompute_on_random_models():
+    for i, model, src in _random_models():
         oracle = Recompute(model)
         assert decode_greedy(model, src, 8) == decode_greedy(oracle, src, 8), i
         assert (decode_beam(model, src, beam=4, max_len=8)
                 == decode_beam(oracle, src, beam=4, max_len=8)), i
+
+
+def _batched_equals_one_source(model, srcs, max_len):
+    """Greedy and beam-4 outputs of `srcs` at batch sizes 1, 2, 3 and 8 equal
+    one-source decoding; returns the greedy outputs."""
+    outputs = {}
+    for beam in (1, 4):
+        outputs[beam] = [search(model, [src], beam, max_len)[0] for src in srcs]
+        for batch_size in (1, 2, 3, 8):
+            assert decode_corpus(model, srcs, batch_size, beam, max_len) == outputs[beam], \
+                (beam, batch_size)
+    return outputs[1]
+
+
+def test_batched_search_matches_one_source_decoding_on_trained_model(trained_copy_model,
+                                                                    toy_corpus):
+    srcs = [src for src, _ in toy_corpus.pairs[:10]]
+    greedy = _batched_equals_one_source(trained_copy_model, srcs, 12)
+    assert len({len(src) for src in srcs}) > 1  # ragged sources
+    assert len({len(out) for out in greedy}) > 1  # rows that finish at different steps
+
+
+def test_batched_search_matches_one_source_decoding_on_random_models():
+    rng = np.random.default_rng(5)
+    finish_apart = set()  # architectures with a batch whose rows finished at different steps
+    for i, model, src in _random_models():
+        srcs = [src] + [rng.integers(3, 12, size=int(n)).tolist() for n in rng.integers(1, 7, 4)]
+        greedy = _batched_equals_one_source(model, srcs, 8)
+        if len({len(out) for out in greedy}) > 1:
+            finish_apart.add(model.config.architecture)
+    assert finish_apart == {"encoder-decoder", "decoder-only"}
 
 
 def test_beam_one_equals_greedy_under_exact_ties():
@@ -197,6 +236,38 @@ def test_throughput_report_fields():
     assert rep.n_batches == 3  # ceil(5 / 2)
     assert rep.tokens_per_sec > 0
     assert rep.std >= 0
+
+
+def test_throughput_decodes_batch_size_sources_per_step(trained_copy_model, toy_corpus,
+                                                       monkeypatch):
+    corpus = Corpus(toy_corpus.pairs[:8], toy_corpus.vocab)  # ragged, 3 to 8 tokens
+    srcs = [src for src, _ in corpus.pairs]
+    greedy = [decode_greedy(trained_copy_model, src, max_len=12) for src in srcs]
+    widths, tokens = [], []
+    forward, decode = transformer.decoder_forward, bench.decode_corpus
+
+    def counted_forward(model, enc_out, ids, *args, **kwargs):
+        widths.append(np.shape(ids))
+        return forward(model, enc_out, ids, *args, **kwargs)
+
+    def counted_decode(*args, **kwargs):
+        outs = decode(*args, **kwargs)
+        tokens.append(sum(map(len, outs)))
+        return outs
+
+    monkeypatch.setattr(transformer, "decoder_forward", counted_forward)
+    monkeypatch.setattr(bench, "decode_corpus", counted_decode)
+    for b in (1, 3, 8):
+        widths.clear()
+        tokens.clear()
+        rep = measure_throughput(trained_copy_model, corpus, batch_size=b, runs=2, max_len=12)
+        assert rep.n_batches == math.ceil(8 / b)
+        assert tokens == [sum(map(len, greedy))] * 3  # the warm-up and two timed passes
+        # one call a step per batch, until its longest row has emitted <eos>
+        steps = sum(max(min(len(out) + 1, 12) for out in greedy[at : at + b])
+                    for at in range(0, 8, b))
+        assert len(widths) == 3 * steps
+        assert {rows for rows, _ in widths} <= set(range(1, b + 1))
 
 
 def test_throughput_validation():

@@ -1,14 +1,17 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 import yaml
 
-from wideffn.bench import decode_beam
-from wideffn.cli import RunConfig, load_run_config, main
+from wideffn.bench import decode_corpus
+from wideffn.checkpoint import load_model_checkpoint
+from wideffn.cli import RunConfig, build_corpus, load_run_config, main
 from wideffn.counting import count_params
 from wideffn.errors import ConfigError, NumericError
 from wideffn.training import Schedule
+from wideffn.vocab import BOS, PAD
 
 BASE_DOC = {
     "seed": 3,
@@ -336,11 +339,11 @@ def test_eval_decodes_with_the_run_file_beam(tmp_path, trained_ckpt, monkeypatch
     cfg, out = trained_ckpt
     beams = []
 
-    def recorded(model, src, beam, max_len):
-        beams.append((beam, max_len))
-        return decode_beam(model, src, beam=beam, max_len=max_len)
+    def recorded(model, srcs, batch_size, beam, max_len):
+        beams.extend([(beam, max_len)] * len(srcs))
+        return decode_corpus(model, srcs, batch_size, beam=beam, max_len=max_len)
 
-    monkeypatch.setattr("wideffn.cli.decode_beam", recorded)
+    monkeypatch.setattr("wideffn.cli.decode_corpus", recorded)
     wide = write_config(tmp_path, name="beam2.yaml", decode={"beam": 2})
     assert main(["eval", "--config", wide, "--checkpoint", out, "--limit", "3"]) == 0
     assert beams == [(2, 6)] * 3
@@ -461,6 +464,23 @@ def test_corpus_files_drive_training(tmp_path):
     out = str(tmp_path / "files.ckpt")
     assert main(["train", "--config", cfg, "--out", out]) == 0
     assert main(["eval", "--config", cfg, "--checkpoint", out]) == 0
+
+
+def test_decoding_never_emits_pad_or_bos(tmp_path):
+    # at seed 3 this barely trained model's most likely first token is BOS
+    src = tmp_path / "s.txt"
+    src.write_text("a b c\nb c a\nc a b\na c b\n")
+    cfg = write_config(tmp_path, seed=3, task=..., model={"vocab_size": 40},
+                       corpus={"src": str(src), "tgt": str(src)})
+    out = str(tmp_path / "wide_vocab.ckpt")
+    assert main(["train", "--config", cfg, "--out", out]) == 0
+    model = load_model_checkpoint(out)
+    srcs = [s for s, _ in build_corpus(load_run_config(cfg)).pairs]
+    first = model.step_logits(None, srcs[0], [])
+    assert int(np.argmax(first)) == BOS
+    for beam in (1, 2, 4):
+        for hyp in decode_corpus(model, srcs, 2, beam=beam, max_len=6):
+            assert not {PAD, BOS} & set(hyp), (beam, hyp)
 
 
 def test_eval_scores_ids_past_the_corpus_vocab(tmp_path, capsys):

@@ -17,6 +17,7 @@ from wideffn.transformer import (
     ATTN_PARTS,
     EVAL_CHUNK,
     AttentionBlock,
+    DecodeRows,
     attention_forward,
     attention_mask,
     decoder_forward,
@@ -478,8 +479,11 @@ def test_cached_step_logits_match_the_recompute(heads):
         for t in range(len(prefix) + 1):
             cached = m.step_logits(ctx, src, prefix[:t])
             assert np.abs(cached - m.step_logits(None, src, prefix[:t])).max() < 1e-5, (cfg, t)
-        shorter, longer = sorted({len(key) for key in ctx.entries})  # the bound
-        assert longer == shorter + 1
+        # one row holding the source prefix and <bos> + prefix, whose last id it ran
+        source = len(src) + 1 if cfg.architecture == "decoder-only" else 0
+        assert ctx.fed == (BOS, *prefix)
+        for self_kv, _ in ctx.layers:
+            assert self_kv[1].shape == (cfg.heads, source + len(prefix) + 1, cfg.d_model // cfg.heads)
 
 
 @pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
@@ -497,6 +501,29 @@ def test_memo_misses_recompute_the_same_logits(arch):
 
 
 @pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
+def test_row_step_logits_match_the_recompute(arch):
+    # ragged sources, rows reordered, repeated and dropped along the way
+    n_enc = 0 if arch == "decoder-only" else 2
+    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch), seed=4)
+    srcs = [[4, 5, 6], [7], [8, 9, 10, 11, 4], [5, 6]]
+    rows = DecodeRows(m, srcs)
+    prefixes = [[] for _ in srcs]
+    rng = np.random.default_rng(0)
+    for step in range(6):
+        logits = rows.step([p[-1] if p else BOS for p in prefixes])
+        assert logits.shape == (len(srcs), m.config.vocab_size)
+        for row, src, prefix in zip(logits, srcs, prefixes):
+            assert np.abs(row - m.step_logits(None, src, prefix)).max() < 1e-5, (step, src, prefix)
+        if step in (1, 3):
+            keep = [2, 0, 0, 3] if step == 1 else [3, 1, 2]
+            rows.keep(keep)
+            srcs = [srcs[r] for r in keep]
+            prefixes = [list(prefixes[r]) for r in keep]
+        for prefix in prefixes:
+            prefix.append(int(rng.integers(3, 12)))
+
+
+@pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
 def test_decoding_runs_one_new_position_per_step(arch, monkeypatch):
     n_enc = 0 if arch == "decoder-only" else 2
     m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch), seed=2)
@@ -505,7 +532,7 @@ def test_decoding_runs_one_new_position_per_step(arch, monkeypatch):
     forward = transformer.decoder_forward
 
     def counted(model, enc_out, ids, *args, **kwargs):
-        lengths.append(len(ids))
+        lengths.append(np.shape(ids)[-1])  # padded width: a beam step runs one id per row
         return forward(model, enc_out, ids, *args, **kwargs)
 
     monkeypatch.setattr(transformer, "decoder_forward", counted)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .transformer import DecodeRows, TransformerModel
-from .vocab import BOS, EOS, PAD, Corpus
+from .vocab import BOS, EOS, Corpus
 
 _MEASURE_LOCK = threading.Lock()
 
@@ -34,17 +34,8 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def _top(logp: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k best ids, best first, ties toward the lower id (a stable argsort's first k)."""
-    if k == 1:
-        return logp.argmax(axis=1)[:, None]
-    k = min(k, logp.shape[1])
-    kth = np.partition(logp, logp.shape[1] - k, axis=1)[:, -k, None]  # each row's k-th best
-    return np.argsort(np.where(logp >= kth, -logp, np.inf), axis=1, kind="stable")[:, :k]
-
-
 class _SentenceRows:
-    """DecodeRows' step and keep, one sentence a row, for a model with only encode/step_logits."""
+    """DecodeRows' step and keep, one sentence a row, through encode/step_logits."""
 
     def __init__(self, model, srcs: list):
         self.model, self.rows = model, [(src, model.encode(src), ()) for src in srcs]
@@ -62,24 +53,24 @@ def search(model: TransformerModel, srcs: list, beam: int = 1, max_len: int = 32
     hypothesis by normalized score, end token dropped.
 
     One step scores every row, then `keep` reorders the rows by parent and
-    drops those of finished sources. PAD and BOS are never candidates, though
-    log-probabilities are normalized over the whole vocabulary. Ties resolve
-    by insertion order, score order then token id, so beam=1 is greedy.
+    drops those of finished sources. Ties resolve by insertion order, score
+    order then token id, so beam=1 is greedy. A search of one row, one greedy
+    sentence, gains nothing from batching and steps through the model's own
+    encode/step_logits, as does a model with only those two methods.
     """
     if beam < 1:
         raise ConfigError("beam must be >= 1")
     if max_len < 1:
         raise ConfigError("max_len must be positive")
-    rows = (DecodeRows if isinstance(model, TransformerModel) else _SentenceRows)(model, srcs)
+    batched = isinstance(model, TransformerModel) and len(srcs) * beam > 1
+    rows = (DecodeRows if batched else _SentenceRows)(model, srcs)
     beams = [[([], 0.0)] for _ in srcs]  # live (tokens, summed log-prob) per source, a row each
     finished: list[list] = [[] for _ in srcs]  # (tokens, normalized score) per source
     for _ in range(max_len):
         flat = [(s, tokens, score) for s, live in enumerate(beams) for tokens, score in live]
-        logp = rows.step([tokens[-1] if tokens else BOS for _, tokens, _ in flat])
-        if beam > 1:  # at beam 1 a source never compares two scores
-            logp = _log_softmax(logp)
-        logp[:, [PAD, BOS]] = -np.inf  # never decoded; UNK stays a candidate
-        top = _top(logp, beam)
+        logp = _log_softmax(rows.step([tokens[-1] if tokens else BOS for _, tokens, _ in flat]))
+        top = np.argmax(logp, axis=1)[:, None] if beam == 1 else \
+            np.argsort(-logp, axis=1, kind="stable")[:, :beam]
         by_source: list[list] = [[] for _ in srcs]
         for row, (s, tokens, score) in enumerate(flat):
             by_source[s] += [(tokens, score + logp[row, tok], int(tok), row) for tok in top[row]]
@@ -88,7 +79,7 @@ def search(model: TransformerModel, srcs: list, beam: int = 1, max_len: int = 32
             candidates.sort(key=lambda c: -c[1])
             beams[s] = []
             for tokens, score, tok, parent in candidates:
-                if len(beams[s]) == beam or score == -np.inf:
+                if len(beams[s]) == beam:
                     break
                 if tok == EOS:
                     finished[s].append((tokens, score / (len(tokens) + 1)))

@@ -85,7 +85,7 @@ class DecodeRows(Tensor):
     def __init__(self, model: "TransformerModel", srcs: list):
         sources = [list(src) + [EOS] for src in srcs]
         lengths = np.array([len(s) for s in sources])
-        self.model, self.fed = model, ()
+        self.model = model
         self.layers = [[[], []] for _ in range(model.config.n_dec)]
         if model.config.architecture == "encoder-decoder":
             super().__init__(encoder_forward(model, sources)[0].data)
@@ -93,7 +93,17 @@ class DecodeRows(Tensor):
         else:
             super().__init__(np.zeros((0, model.config.d_model)))
             self.src_lengths, self.pad = None, lengths.max() - lengths
-            self.step([[PAD] * p + s for p, s in zip(self.pad, sources)], lengths.max())
+        self.restart(srcs)
+
+    def restart(self, srcs: list) -> None:
+        """Forget every fed id: empty each layer's self K/V, keep the cross K/V,
+        and run a decoder-only model's sources src + <eos> again, left-padded."""
+        self.fed = ()
+        for layer in self.layers:
+            layer[0] = []
+        if self.src_lengths is None:
+            sources = [[PAD] * p + list(s) + [EOS] for p, s in zip(self.pad, srcs)]
+            self.step(sources, len(sources[0]))
 
     def step(self, ids, prefix_len: int = 0) -> np.ndarray:
         """Feed every row its next ids, one per row or an (R, T) block, and
@@ -199,7 +209,7 @@ class TransformerModel:
             return self.teacher_forced([(src_tokens, prefix)])[0].data[-1]
         fed = (BOS, *prefix)
         if enc_ctx.fed != fed[:-1]:
-            enc_ctx.layers, enc_ctx.fed = DecodeRows(self, [src_tokens]).layers, ()
+            enc_ctx.restart([src_tokens])
         logits = enc_ctx.step([fed[len(enc_ctx.fed):]])
         enc_ctx.fed = fed
         return logits[-1]

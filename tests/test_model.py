@@ -500,6 +500,25 @@ def test_memo_misses_recompute_the_same_logits(arch):
         assert np.abs(got - m.step_logits(None, src, prefix[:t])).max() < 1e-5, t
 
 
+def test_a_memo_miss_reuses_the_encoder_output(monkeypatch):
+    m = w.build_model(tiny_config(), seed=8)
+    src, prefix = [4, 5, 6], [7, 8, 9]
+    calls = []
+    forward = transformer.encoder_forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(transformer, "encoder_forward", counted)
+    ctx = m.encode(src)
+    for t in (0, 1, 3, 2):  # the last two miss
+        got = m.step_logits(ctx, src, prefix[:t])
+        assert np.abs(got - m.step_logits(None, src, prefix[:t])).max() < 1e-5, t
+    # one encoder pass per step_logits(None, ...) oracle, and only one for the context
+    assert len(calls) == 1 + 4
+
+
 @pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
 def test_row_step_logits_match_the_recompute(arch):
     # ragged sources, rows reordered, repeated and dropped along the way

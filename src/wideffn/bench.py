@@ -135,10 +135,6 @@ class ThroughputReport:
     runs: int
     n_batches: int
 
-    def __post_init__(self):
-        if self.tokens_per_sec <= 0 or self.std < 0 or self.runs < 2:
-            raise DataError("malformed throughput report")
-
 
 def measure_throughput(model: TransformerModel, corpus: Corpus, batch_size: int = 1,
                        beam: int = 1, runs: int = 5, max_len: int = 32,
@@ -177,32 +173,21 @@ def measure_throughput(model: TransformerModel, corpus: Corpus, batch_size: int 
 def batch_size_sweep(models: list[tuple[str, TransformerModel]], batch_sizes: list[int],
                      corpus: Corpus, beam: int = 1, runs: int = 5,
                      max_len: int = 32) -> list[dict]:
-    """Throughput grid over models x batch sizes.
-
-    The first model is the reference; every row carries the percent delta
-    against it at the same batch size (None for the reference itself).
+    """Throughput grid over models x batch sizes: each row is a report's
+    fields plus `config` and `delta_pct`, the percent delta against the first
+    model at the same batch size (None for the first model itself).
     """
     if not models:
         raise ConfigError("no models to measure")
     rows = []
     for bs in batch_sizes:
-        reference = None
-        for config_id, model in models:
-            report = measure_throughput(model, corpus, batch_size=bs, beam=beam,
-                                        runs=runs, max_len=max_len, config_id=config_id)
-            if reference is None:
-                reference = report.tokens_per_sec
-                delta = None
-            else:
-                delta = 100.0 * (report.tokens_per_sec - reference) / reference
-            rows.append({
-                "config": config_id,
-                "batch_size": bs,
-                "tokens_per_sec": report.tokens_per_sec,
-                "std": report.std,
-                "delta_pct": delta,
-                "n_batches": report.n_batches,
-            })
+        reports = [measure_throughput(model, corpus, batch_size=bs, beam=beam, runs=runs,
+                                      max_len=max_len, config_id=config_id)
+                   for config_id, model in models]
+        reference = reports[0].tokens_per_sec
+        for i, report in enumerate(reports):
+            delta = 100.0 * (report.tokens_per_sec - reference) / reference if i else None
+            rows.append({**vars(report), "config": report.config_id, "delta_pct": delta})
     return rows
 
 

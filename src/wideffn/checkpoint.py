@@ -122,11 +122,15 @@ def sidecar_path(path: str) -> str:
     return path + ".config.json"
 
 
+def write_json(path: str, payload: dict):
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def save_model_checkpoint(model, path: str) -> int:
     n = save_checkpoint(model.store, path)
-    with open(sidecar_path(path), "w", encoding="utf-8") as f:
-        json.dump(model.config.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(sidecar_path(path), model.config.to_dict())
     return n
 
 

@@ -15,7 +15,7 @@ timing' header line.
 from __future__ import annotations
 
 import argparse
-import json
+import csv
 import os
 import sys
 from dataclasses import dataclass, field
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .bench import batch_size_sweep, corpus_bleu, decode_corpus
-from .checkpoint import load_model_checkpoint, save_model_checkpoint
+from .checkpoint import load_model_checkpoint, save_model_checkpoint, write_json
 from .config import ModelConfig, apply_preset, check_keys
 from .counting import BREAKDOWN_KEYS, baseline_of, count_params
 from .errors import ConfigError, DataError, WideFFNError
@@ -79,6 +79,12 @@ def _int_text(text: str, what: str) -> int:
         return int(text)
     except ValueError:
         raise ConfigError(f"{what} must be int, got {text!r}") from None
+
+
+def _int_list(text: str, what: str) -> list[int]:
+    """The integers of a comma-separated option (--batch-sizes, --dims); an
+    empty entry is an error."""
+    return [_int_text(v, f"{what} entry") for v in text.split(",")]
 
 
 def _section(doc: dict, name: str, defaults: dict) -> dict:
@@ -145,33 +151,30 @@ def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 
 def write_csv(path: str, header: list[str], rows: list[dict], comment: str | None = None):
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in header))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    """One CSV line per row, its fields in header order; a field the row
+    lacks, or holds as None, is empty."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        if comment:
+            f.write(f"# {comment}\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(row.get(col)) for col in header] for row in rows)
 
 
-def write_matrix_csv(path: str, report: SimilarityReport):
-    lines = ["," + ",".join(report.col_labels)]
-    for label, row in zip(report.row_labels, report.matrix):
-        lines.append(label + "," + ",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def write_json(path: str, payload: dict):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+def _write_matrix(out_dir: str, name: str, report: SimilarityReport):
+    """A similarity matrix as out_dir/<name>.csv: column labels, then one
+    labelled line per row."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"{name}.csv")
+    write_csv(path, ["", *report.col_labels],
+              [{"": label, **dict(zip(report.col_labels, row))}
+               for label, row in zip(report.row_labels, report.matrix)])
+    print(f"wrote {path}")
 
 
 def _load_model(path: str, corpus: Corpus):
@@ -245,20 +248,18 @@ def cmd_eval(args, run: RunConfig) -> int:
 
 def cmd_compare(args, run: RunConfig) -> int:
     corpus = build_corpus(run)
-    model_a = _load_model(args.a, corpus)
-    model_b = _load_model(args.b, corpus)
-    if model_a.config.architecture != model_b.config.architecture:
+    sides, architectures = [], set()
+    for path in (args.a, args.b, *args.benchmark):  # keep activations, not models
+        model = _load_model(path, corpus)
+        architectures.add(model.config.architecture)
+        sides.append(collect_activations(model, corpus))
+    if len(architectures) > 1:
         raise ConfigError("cannot compare models of different architectures")
-    sides_a = collect_activations(model_a, corpus)
-    sides_b = collect_activations(model_b, corpus)
-    sides_bench = [collect_activations(_load_model(path, corpus), corpus) for path in args.benchmark]
-    os.makedirs(args.out_dir, exist_ok=True)
+    sides_a, sides_b, *sides_bench = sides
     summary = {}
     for side, taps_a in sides_a.items():
         report = pairwise_layer_similarity(taps_a, sides_b[side], metric=args.metric, k=args.k)
-        path = os.path.join(args.out_dir, f"{args.metric}_{side}.csv")
-        write_matrix_csv(path, report)
-        print(f"wrote {path}")
+        _write_matrix(args.out_dir, f"{args.metric}_{side}", report)
         entry = {"aggregate": report.aggregate}
         if sides_bench:
             raws = [pairwise_layer_similarity(taps_a, bench[side], metric=args.metric,
@@ -280,19 +281,15 @@ def cmd_compare(args, run: RunConfig) -> int:
 def cmd_selfsim(args, run: RunConfig) -> int:
     corpus = build_corpus(run)
     model = _load_model(args.checkpoint, corpus)
-    os.makedirs(args.out_dir, exist_ok=True)
     for side, taps in collect_activations(model, corpus).items():
-        report = pairwise_layer_similarity(taps, taps)
-        path = os.path.join(args.out_dir, f"selfsim_{side}.csv")
-        write_matrix_csv(path, report)
-        print(f"wrote {path}")
+        _write_matrix(args.out_dir, f"selfsim_{side}", pairwise_layer_similarity(taps, taps))
     return 0
 
 
 def cmd_bench(args, run: RunConfig) -> int:
     corpus = build_corpus(run)
-    batch_sizes = [_int_text(b, "--batch-sizes entry") for b in args.batch_sizes.split(",") if b]
-    if not batch_sizes or any(b < 1 for b in batch_sizes):
+    batch_sizes = _int_list(args.batch_sizes, "--batch-sizes")
+    if min(batch_sizes) < 1:
         raise ConfigError(f"bad batch sizes {args.batch_sizes!r}")
     models = []
     for path in args.checkpoints:
@@ -314,9 +311,7 @@ def cmd_bench(args, run: RunConfig) -> int:
 
 def cmd_sweep(args, run: RunConfig) -> int:
     corpus = build_corpus(run)
-    dims = [_int_text(d, "--dims entry") for d in args.dims.split(",") if d]
-    if not dims:
-        raise ConfigError(f"no dims in {args.dims!r}")
+    dims = _int_list(args.dims, "--dims")
     rows = ffn_dim_sweep(run.model, args.side, dims, corpus, steps=run.steps,
                          batch_size=run.batch_size, seed=run.seed, schedule=run.training)
     write_csv(args.out, ["d_ff", "side", "token_accuracy", "params", "noop"], rows)
@@ -368,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("bench", cmd_bench, "decode throughput sweep")
     p.add_argument("--checkpoints", nargs="+", required=True)
-    p.add_argument("--batch-sizes", default="1", help="comma-separated; decoding is "
-                   "unbatched, so a batch size only sets the reported n_batches")
+    p.add_argument("--batch-sizes", default="1", help="comma-separated; each model "
+                   "decodes that many sources per batched search")
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--out", required=True)
 

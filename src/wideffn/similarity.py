@@ -147,7 +147,6 @@ def lns(a, b, k: int | None = None) -> float:
 
 @dataclass
 class SimilarityReport:
-    metric: str
     row_labels: list[str]
     col_labels: list[str]
     matrix: np.ndarray
@@ -163,14 +162,6 @@ def _label_key(name: str):
     return int(layer), _SUBLAYER_ORDER[part]
 
 
-def _metric_fn(metric: str, k: int | None):
-    if metric == "cka":
-        return linear_cka
-    if metric == "lns":
-        return lambda a, b: lns(a, b, k=k)
-    raise ConfigError(f"unknown metric {metric!r}; use 'cka' or 'lns'")
-
-
 def pairwise_layer_similarity(taps_a: dict[str, ActivationMatrix],
                               taps_b: dict[str, ActivationMatrix],
                               metric: str = "cka", k: int | None = None
@@ -183,7 +174,8 @@ def pairwise_layer_similarity(taps_a: dict[str, ActivationMatrix],
     """
     if not taps_a or not taps_b:
         raise DataError("empty activation tap set")
-    fn = _metric_fn(metric, k)
+    if metric not in ("cka", "lns"):
+        raise ConfigError(f"unknown metric {metric!r}; use 'cka' or 'lns'")
     hashes = {m.corpus_hash for m in taps_a.values()} | {m.corpus_hash for m in taps_b.values()}
     if len(hashes) != 1:
         raise DataError("activation sets come from different corpora")
@@ -195,9 +187,10 @@ def pairwise_layer_similarity(taps_a: dict[str, ActivationMatrix],
     matrix = np.zeros((len(rows), len(cols)))
     for i, rn in enumerate(rows):
         for j, cn in enumerate(cols):
-            matrix[i, j] = fn(taps_a[rn], taps_b[cn])
+            a, b = taps_a[rn], taps_b[cn]
+            matrix[i, j] = linear_cka(a, b) if metric == "cka" else lns(a, b, k=k)
     aggregate = float(np.mean([matrix[i, j] for i, j in common]))
-    return SimilarityReport(metric, rows, cols, matrix, aggregate)
+    return SimilarityReport(rows, cols, matrix, aggregate)
 
 
 def normalize_against_benchmark(raw: float, benchmark_raws) -> float:

@@ -338,26 +338,25 @@ def attention_mask(key_len, prefix, t_q: int, t_k: int, heads: int, offset: int 
     return keep.repeat(heads, axis=0)
 
 
-def attention_forward(q_in: Tensor, k_in: Tensor | None, v_in: Tensor | None,
-                      block: AttentionBlock, mask: np.ndarray | None = None, *,
-                      heads: int = 1, batch: int = 1, dropout_p: float = 0.0,
-                      rng: np.random.Generator | None = None,
+def attention_forward(q_in: Tensor, kv_in: Tensor | None, block: AttentionBlock,
+                      mask: np.ndarray | None = None, *, heads: int = 1, batch: int = 1,
+                      dropout_p: float = 0.0, rng: np.random.Generator | None = None,
                       kv: list | None = None) -> Tensor:
     """Multi-head attention sublayer: projection, residual from q_in, norm.
 
     The inputs hold `batch` sequences, B, as equal row blocks: q_in is
-    (B*T_q, d) and k_in/v_in are (B*T_k, d). Each projection is split by
-    reshape into a (B*heads, T, d_h) stack of heads, sequence-major, so one
-    stacked matmul scores every head of every sequence and one more weights
-    the values. `mask` is None, one (T_q, T_k) keep mask for every score
-    matrix, or `attention_mask`'s stack of one per score matrix. A fully
-    masked score row degrades to a uniform attention row, because max
-    subtraction inside the softmax cancels the shared fill value. Dropout
-    runs on the output projection when `rng` is given.
+    (B*T_q, d) and kv_in, which gives the keys and values, is (B*T_k, d).
+    Each projection is split by reshape into a (B*heads, T, d_h) stack of
+    heads, sequence-major, so one stacked matmul scores every head of every
+    sequence and one more weights the values. `mask` is None, one (T_q, T_k)
+    keep mask for every score matrix, or `attention_mask`'s stack of one per
+    score matrix. A fully masked score row degrades to a uniform attention
+    row, because max subtraction inside the softmax cancels the shared fill
+    value. Dropout runs on the output projection when `rng` is given.
 
     Incremental decoding passes `kv`, a list holding the [keys, values]
     head stacks of earlier calls, or nothing yet. The projections of
-    k_in/v_in are appended to them (k_in None appends nothing) and the list
+    kv_in are appended to them (kv_in None appends nothing) and the list
     is set to the result, so a step projects only its new positions. The
     kept keys and values carry no gradient.
     """
@@ -373,9 +372,9 @@ def attention_forward(q_in: Tensor, k_in: Tensor | None, v_in: Tensor | None,
         return reshape(split4, (batch * heads,) + split4.shape[2:])
 
     q = split(q_in, block.wq, block.bq, (0, 2, 1, 3))  # (B*heads, t_q, dh)
-    if k_in is not None:
-        k = split(k_in, block.wk, block.bk, (0, 2, 3, 1))  # (B*heads, dh, t_k)
-        v = split(v_in, block.wv, block.bv, (0, 2, 1, 3))  # (B*heads, t_k, dh)
+    if kv_in is not None:
+        k = split(kv_in, block.wk, block.bk, (0, 2, 3, 1))  # (B*heads, dh, t_k)
+        v = split(kv_in, block.wv, block.bv, (0, 2, 1, 3))  # (B*heads, t_k, dh)
         if kv:
             k = Tensor(np.concatenate((kv[0].data, k.data), axis=2))
             v = Tensor(np.concatenate((kv[1].data, v.data), axis=1))
@@ -448,11 +447,10 @@ def _run_layers(model: TransformerModel, x: Tensor, layers, batch: int, rng, sel
     taps: dict[str, Tensor] = {}
     for i, (self_attn, cross_attn, ffn) in enumerate(layers):
         self_kv, cross_kv = kv[i] if kv is not None else (None, None)
-        x = taps[f"{i}.sa"] = attention_forward(x, x, x, self_attn, self_mask, kv=self_kv, **opts)
+        x = taps[f"{i}.sa"] = attention_forward(x, x, self_attn, self_mask, kv=self_kv, **opts)
         if cross_attn is not None:
-            src = None if cross_kv else memory
-            x = taps[f"{i}.ca"] = attention_forward(x, src, src, cross_attn, cross_mask,
-                                                    kv=cross_kv, **opts)
+            x = taps[f"{i}.ca"] = attention_forward(x, None if cross_kv else memory, cross_attn,
+                                                    cross_mask, kv=cross_kv, **opts)
         if ffn is not None:
             x = taps[f"{i}.ffn"] = ffn_forward(x, ffn, dropout_p=cfg.dropout, rng=rng)
     return x, taps

@@ -8,7 +8,6 @@ import pytest
 import wideffn as w
 from wideffn import bench, transformer
 from wideffn.bench import (
-    ThroughputReport,
     _MEASURE_LOCK,
     batch_size_sweep,
     corpus_bleu,
@@ -279,8 +278,6 @@ def test_throughput_validation():
     with pytest.raises(DataError):
         # instant end-of-sequence everywhere: nothing is ever generated
         measure_throughput(Scripted({}), c, runs=2)
-    with pytest.raises(DataError):
-        ThroughputReport("x", 1, 100.0, 0.1, runs=1, n_batches=1)
 
 
 def test_throughput_refuses_overlapping_measurements():

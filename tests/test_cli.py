@@ -1,3 +1,4 @@
+import csv
 import json
 import struct
 
@@ -193,6 +194,20 @@ def test_compare_without_benchmark_has_no_normalized(tmp_path, trained_ckpt):
     assert summary["encoder"]["aggregate"] == pytest.approx(1.0)
 
 
+def test_compare_checks_every_architecture_before_writing(tmp_path, trained_ckpt, capsys):
+    cfg, out = trained_ckpt
+    dec_cfg = write_config(tmp_path, name="dec.yaml",
+                           model={"architecture": "decoder-only", "n_enc": 0})
+    dec = str(tmp_path / "dec.ckpt")
+    assert main(["train", "--config", dec_cfg, "--out", dec]) == 0
+    out_dir = tmp_path / "mixed"
+    code = main(["compare", "--config", cfg, "--a", out, "--b", out, "--benchmark", dec,
+                 "--out-dir", str(out_dir)])
+    assert code == 2
+    assert "cannot compare models of different architectures" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_selfsim_labels_reflect_missing_ffn(tmp_path):
     cfg = write_config(tmp_path, preset="NoDec")
     out = str(tmp_path / "nodec.ckpt")
@@ -244,6 +259,20 @@ def test_bench_single_model_drops_delta_column(tmp_path, trained_ckpt):
                  "--batch-sizes", "2", "--runs", "2", "--out", csv_path]) == 0
     lines = open(csv_path).read().splitlines()
     assert lines[1] == "config,batch_size,tokens_per_sec,std,n_batches"
+
+
+def test_bench_csv_quotes_a_label_with_a_comma(tmp_path, trained_ckpt):
+    cfg, _ = trained_ckpt
+    ckpt = str(tmp_path / "x,y.ckpt")
+    assert main(["train", "--config", cfg, "--out", ckpt]) == 0
+    csv_path = tmp_path / "comma.csv"
+    assert main(["bench", "--config", cfg, "--checkpoints", ckpt, "--batch-sizes", "1,2",
+                 "--runs", "2", "--out", str(csv_path)]) == 0
+    with open(csv_path, newline="") as f:
+        header, *rows = csv.reader(f.read().splitlines()[1:])
+    assert header == ["config", "batch_size", "tokens_per_sec", "std", "n_batches"]
+    assert [row[:2] for row in rows] == [["x,y", "1"], ["x,y", "2"]]
+    assert all(len(row) == len(header) for row in rows)
 
 
 def test_sweep_verb_rows(tmp_path, capsys):
@@ -352,6 +381,11 @@ def test_exit_code_2_for_bad_verb_arguments(tmp_path, trained_ckpt, capsys):
     for argv in (["sweep", "--config", cfg, "--side", "decoder", "--dims", "0,x",
                   "--out", csv_path],
                  ["bench", "--config", cfg, "--checkpoints", out, "--batch-sizes", "1,x",
+                  "--out", csv_path],
+                 # an empty entry is malformed, not skipped
+                 ["sweep", "--config", cfg, "--side", "decoder", "--dims", "0,,16",
+                  "--out", csv_path],
+                 ["bench", "--config", cfg, "--checkpoints", out, "--batch-sizes", "1,",
                   "--out", csv_path],
                  # as a slice bound, a negative limit would silently drop pairs
                  ["eval", "--config", cfg, "--checkpoint", out, "--limit", "-1"],

@@ -199,7 +199,7 @@ def test_fully_masked_row_stays_finite():
     x = Tensor(np.random.default_rng(1).standard_normal((3, 16)).astype(np.float32))
     keep = np.ones((3, 3), dtype=bool)
     keep[1, :] = False
-    out = attention_forward(x, x, x, m.enc_attn[0], mask=keep, heads=2)
+    out = attention_forward(x, x, m.enc_attn[0], mask=keep, heads=2)
     assert np.isfinite(out.data).all()
 
 
@@ -243,7 +243,7 @@ def test_attention_matches_per_head_reference(heads, case):
     keep = None if prefix is None else attention_mask([t], [prefix], t, t, heads)
     q_t = Tensor(q_in)
     kv_t = Tensor(kv_in) if case == "cross" else q_t
-    out = attention_forward(q_t, kv_t, kv_t, block, mask=keep, heads=heads)
+    out = attention_forward(q_t, kv_t, block, mask=keep, heads=heads)
     expect = _reference_attention(q_in.astype(np.float64), kv_in.astype(np.float64),
                                   block, keep, heads)
     assert out.shape == (t, d)
@@ -258,7 +258,7 @@ def test_attention_passes_grad_check_with_four_heads():
     keep = attention_mask([t], [2], t, t, heads=4)
 
     def f(params):
-        out = attention_forward(params[0], params[0], params[0], block, mask=keep, heads=4)
+        out = attention_forward(params[0], params[0], block, mask=keep, heads=4)
         return cross_entropy(out, np.arange(t))
 
     params = [x] + [getattr(block, name) for name in ATTN_PARTS]

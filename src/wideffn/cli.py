@@ -291,10 +291,12 @@ def cmd_bench(args, run: RunConfig) -> int:
     batch_sizes = _int_list(args.batch_sizes, "--batch-sizes")
     if min(batch_sizes) < 1:
         raise ConfigError(f"bad batch sizes {args.batch_sizes!r}")
-    models = []
-    for path in args.checkpoints:
-        label = os.path.splitext(os.path.basename(path))[0]
-        models.append((label, _load_model(path, corpus)))
+    labels = [os.path.splitext(os.path.basename(path))[0] for path in args.checkpoints]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"checkpoints {args.checkpoints} share a file name; "
+                          "each model's rows are labelled by it")
+    models = [(label, _load_model(path, corpus))
+              for label, path in zip(labels, args.checkpoints)]
     rows = batch_size_sweep(models, batch_sizes, corpus, beam=run.beam,
                             runs=args.runs, max_len=run.decode_max_len)
     header = ["config", "batch_size", "tokens_per_sec", "std", "delta_pct", "n_batches"]

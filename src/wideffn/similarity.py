@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,15 +22,23 @@ from .vocab import Corpus
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ActivationMatrix:
-    values: np.ndarray  # (n_sentences, width) float32
+    """An (n_sentences, width) float32 matrix and the hash of the probe corpus
+    its rows describe. `values` is a read-only copy, so the forms derived from
+    it (a kNN table per k, the CKA centring) are built once, on first use, and
+    kept with it."""
+
+    values: np.ndarray
     corpus_hash: str
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float32)
-        if self.values.ndim != 2:
-            raise DataError(f"activation matrix must be rank 2, got {self.values.shape}")
+        values = np.array(self.values, dtype=np.float32)
+        if values.ndim != 2:
+            raise DataError(f"activation matrix must be rank 2, got {values.shape}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
 
 def collect_activations(model: TransformerModel, corpus: Corpus
@@ -50,16 +58,34 @@ def collect_activations(model: TransformerModel, corpus: Corpus
         for side, taps in sides.items():
             for name, tensor in taps.items():
                 blocks = tensor.data.reshape(len(chunk), -1, tensor.shape[1])
-                rows.setdefault(side, {}).setdefault(name, []).extend(
-                    block[:n].mean(axis=0) for block, n in zip(blocks, lengths[side]))
+                real = np.arange(blocks.shape[1]) < np.array(lengths[side])[:, None]
+                rows.setdefault(side, {}).setdefault(name, []).append(
+                    blocks.mean(axis=1, where=real[:, :, None]))
     corpus_hash = corpus.content_hash()
-    return {side: {name: ActivationMatrix(np.stack(vals), corpus_hash)
+    return {side: {name: ActivationMatrix(np.concatenate(vals), corpus_hash)
                    for name, vals in taps.items()}
             for side, taps in rows.items()}
 
 
 def _values(x) -> np.ndarray:
     return x.values if isinstance(x, ActivationMatrix) else np.asarray(x)
+
+
+def _prepared(x, key, make):
+    """`make(values of x)`, kept on x under `key` when x is an
+    ActivationMatrix and computed afresh for a raw array."""
+    if not isinstance(x, ActivationMatrix):
+        return make(np.asarray(x))
+    if key not in x._derived:
+        x._derived[key] = make(x.values)
+    return x._derived[key]
+
+
+def _centred(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """The columns of `values` mean-centred in float64, and ||C^T C||_F."""
+    c = values.astype(np.float64)
+    c = c - c.mean(axis=0, keepdims=True)
+    return c, np.linalg.norm(c.T @ c)
 
 
 def linear_cka(a, b) -> float:
@@ -70,17 +96,14 @@ def linear_cka(a, b) -> float:
     maps and isotropic scaling of either side. Degenerate (all-constant)
     inputs give 0.
     """
-    a = _values(a).astype(np.float64)
-    b = _values(b).astype(np.float64)
-    if a.ndim != 2 or b.ndim != 2:
+    va, vb = _values(a), _values(b)
+    if va.ndim != 2 or vb.ndim != 2:
         raise DataError("linear_cka needs rank-2 inputs")
-    if a.shape[0] != b.shape[0]:
-        raise DataError(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
-    a = a - a.mean(axis=0, keepdims=True)
-    b = b - b.mean(axis=0, keepdims=True)
+    if va.shape[0] != vb.shape[0]:
+        raise DataError(f"row counts differ: {va.shape[0]} vs {vb.shape[0]}")
+    a, norm_a = _prepared(a, "centred", _centred)
+    b, norm_b = _prepared(b, "centred", _centred)
     cross = np.linalg.norm(a.T @ b) ** 2
-    norm_a = np.linalg.norm(a.T @ a)
-    norm_b = np.linalg.norm(b.T @ b)
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return float(cross / (norm_a * norm_b))
@@ -139,7 +162,9 @@ def lns(a, b, k: int | None = None) -> float:
     if k is None:
         k = default_k(n)
     total = 0.0
-    for row_a, row_b in zip(knn(va, k).tolist(), knn(vb, k).tolist()):
+    table_a = _prepared(a, ("knn", k), lambda v: knn(v, k))
+    table_b = _prepared(b, ("knn", k), lambda v: knn(v, k))
+    for row_a, row_b in zip(table_a.tolist(), table_b.tolist()):
         sa, sb = set(row_a), set(row_b)
         total += len(sa & sb) / len(sa | sb)
     return total / n

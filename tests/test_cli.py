@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import shutil
 import struct
 
 import pytest
@@ -378,6 +380,10 @@ def test_eval_decodes_with_the_run_file_beam(tmp_path, trained_ckpt, monkeypatch
 def test_exit_code_2_for_bad_verb_arguments(tmp_path, trained_ckpt, capsys):
     cfg, out = trained_ckpt
     csv_path = str(tmp_path / "out.csv")
+    (tmp_path / "other").mkdir()
+    namesake = str(tmp_path / "other" / "model.ckpt")
+    for suffix in ("", ".config.json"):
+        shutil.copyfile(out + suffix, namesake + suffix)
     for argv in (["sweep", "--config", cfg, "--side", "decoder", "--dims", "0,x",
                   "--out", csv_path],
                  ["bench", "--config", cfg, "--checkpoints", out, "--batch-sizes", "1,x",
@@ -389,9 +395,12 @@ def test_exit_code_2_for_bad_verb_arguments(tmp_path, trained_ckpt, capsys):
                   "--out", csv_path],
                  # as a slice bound, a negative limit would silently drop pairs
                  ["eval", "--config", cfg, "--checkpoint", out, "--limit", "-1"],
-                 ["eval", "--config", cfg, "--checkpoint", out, "--limit", "0"]):
+                 ["eval", "--config", cfg, "--checkpoint", out, "--limit", "0"],
+                 # bench labels a model's rows by its checkpoint's file name
+                 ["bench", "--config", cfg, "--checkpoints", out, namesake, "--out", csv_path]):
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err, argv
+    assert not os.path.exists(csv_path)
 
 
 def test_every_verb_requires_a_run_file(tmp_path, capsys):

@@ -15,6 +15,7 @@ from wideffn.similarity import (
     normalize_against_benchmark,
     pairwise_layer_similarity,
 )
+from wideffn.transformer import EVAL_CHUNK
 from wideffn.vocab import Corpus, generate_toy_task
 
 from conftest import tiny_config
@@ -240,6 +241,55 @@ def test_collect_activations_shapes_and_labels():
     assert list(collect_activations(dec_only, corpus)) == ["decoder"]
     with pytest.raises(DataError):
         collect_activations(m, Corpus([], corpus.vocab))
+
+
+@pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
+def test_collect_activations_equals_the_per_sentence_mean_bytes(arch):
+    # ragged pairs over several chunks, the last one partial
+    n_enc = 0 if arch == "decoder-only" else 2
+    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch), seed=5)
+    corpus = generate_toy_task("copy", 4 * EVAL_CHUNK + 5, (1, 9), 12, seed=3)
+    assert len({len(src) for src, _ in corpus.pairs}) > 1
+    oracle = {}
+    for chunk, _, sides in m.eval_chunks(corpus.pairs):
+        lengths = {"encoder": [len(src) + 1 for src, _ in chunk],
+                   "decoder": [len(m.decoder_input(src, tgt)[0]) for src, tgt in chunk]}
+        for side, taps in sides.items():
+            for name, tensor in taps.items():
+                blocks = tensor.data.reshape(len(chunk), -1, tensor.shape[1])
+                oracle.setdefault(side, {}).setdefault(name, []).extend(
+                    block[:n].mean(axis=0) for block, n in zip(blocks, lengths[side]))
+    got = collect_activations(m, corpus)
+    assert {side: set(taps) for side, taps in got.items()} == \
+        {side: set(taps) for side, taps in oracle.items()}
+    for side, taps in oracle.items():
+        for name, rows in taps.items():
+            want = np.stack(rows)
+            assert got[side][name].values.dtype == want.dtype
+            assert got[side][name].values.tobytes() == want.tobytes(), (side, name)
+
+
+def test_activation_values_are_a_read_only_copy():
+    given = np.ones((3, 2), dtype=np.float32)
+    mat = _mat(given)
+    given[0, 0] = 5.0
+    assert mat.values[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        mat.values[0, 0] = 2.0
+    with pytest.raises(AttributeError):
+        mat.values = np.zeros((3, 2), dtype=np.float32)
+
+
+def test_pairwise_matrices_equal_the_metric_on_raw_arrays():
+    ta, tb = _two_tap_sets()
+    rows, cols = sorted(ta), sorted(tb)
+    for metric, fn in (("cka", linear_cka), ("lns", lambda a, b: lns(a, b, k=2))):
+        want = {(r, c): fn(ta[r].values.copy(), tb[c].values.copy()) for r in rows for c in cols}
+        for _ in range(2):  # the second call reads every matrix's memo
+            rep = pairwise_layer_similarity(ta, tb, metric=metric, k=2)
+            for i, r in enumerate(rep.row_labels):
+                for j, c in enumerate(rep.col_labels):
+                    assert rep.matrix[i, j] == want[r, c], (metric, r, c)
 
 
 def test_pairwise_report_layout_and_aggregate():

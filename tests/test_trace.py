@@ -64,7 +64,7 @@ def test_tracer_names_every_sublayer_and_restores_the_originals():
 
 def test_tracer_spans_and_counts_the_similarity_verbs(tmp_path):
     ckpts = []
-    for seed in (0, 1):
+    for seed in (0, 1, 2):
         ckpts.append(str(tmp_path / f"m{seed}.ckpt"))
         checkpoint.save_model_checkpoint(wideffn.build_model(tiny_config(), seed=seed), ckpts[-1])
     run = tmp_path / "run.yaml"
@@ -77,18 +77,21 @@ def test_tracer_spans_and_counts_the_similarity_verbs(tmp_path):
                          "--out-dir", str(tmp_path / "selfsim")]) == 0
         selfsim_cells = tracer.counts["similarity.cells"]
         assert cli.main(["compare", "--config", str(run), "--a", ckpts[0], "--b", ckpts[1],
-                         "--metric", "lns", "--out-dir", str(tmp_path / "lns")]) == 0
+                         "--benchmark", ckpts[2], "--metric", "lns",
+                         "--out-dir", str(tmp_path / "lns")]) == 0
     finally:
         tracer.remove()
     names = set(tracer.times_by_name(0, tracer.n_spans()))
     assert {"similarity.lns", "similarity.knn", "similarity.pairwise_layer_similarity",
             "checkpoint.load_checkpoint", "cli.main"} <= names
     assert selfsim_cells > 0
-    # one neighbour table per activation matrix of each lns cell
-    lns_cells = tracer.counts["similarity.cells"] - selfsim_cells
-    assert tracer.counts["similarity.knn_calls"] == 2 * lns_cells > 0
+    # one neighbour table per activation matrix of the compare, however many
+    # cells use it: --a's tables also serve the --benchmark comparison
+    cfg = tiny_config()
+    assert tracer.counts["similarity.cells"] > selfsim_cells
+    assert tracer.counts["similarity.knn_calls"] == 3 * (2 * cfg.n_enc + 3 * cfg.n_dec)
     assert tracer.counts["checkpoint.bytes_read"] > 0
     # one encoder and one decoder forward per model per evaluation chunk of
-    # the 8 probe pairs: one model for selfsim, two for compare
+    # the 8 probe pairs: one model for selfsim, three for compare
     chunks = math.ceil(8 / transformer.EVAL_CHUNK)
-    assert tracer.counts["transformer.forward_calls"] == 3 * 2 * chunks
+    assert tracer.counts["transformer.forward_calls"] == 4 * 2 * chunks

@@ -283,13 +283,15 @@ def test_activation_values_are_a_read_only_copy():
 def test_pairwise_matrices_equal_the_metric_on_raw_arrays():
     ta, tb = _two_tap_sets()
     rows, cols = sorted(ta), sorted(tb)
-    for metric, fn in (("cka", linear_cka), ("lns", lambda a, b: lns(a, b, k=2))):
-        want = {(r, c): fn(ta[r].values.copy(), tb[c].values.copy()) for r in rows for c in cols}
+    # a memo keyed on anything less than (metric form, k) fails the later cases
+    for metric, k in (("cka", None), ("lns", 2), ("lns", 3)):
+        fn = linear_cka if metric == "cka" else lambda a, b: lns(a, b, k=k)
+        want = {(r, c): fn(ta[r].values, tb[c].values) for r in rows for c in cols}
         for _ in range(2):  # the second call reads every matrix's memo
-            rep = pairwise_layer_similarity(ta, tb, metric=metric, k=2)
+            rep = pairwise_layer_similarity(ta, tb, metric=metric, k=k)
             for i, r in enumerate(rep.row_labels):
                 for j, c in enumerate(rep.col_labels):
-                    assert rep.matrix[i, j] == want[r, c], (metric, r, c)
+                    assert rep.matrix[i, j] == want[r, c], (metric, k, r, c)
 
 
 def test_pairwise_report_layout_and_aggregate():

@@ -12,7 +12,7 @@ Layout (all integers little-endian):
     u32    number of aliases
     per alias, in registration order:
         u16 + utf-8 logical site, u16 + utf-8 canonical name
-    payloads: row-major little-endian float32, in header order
+    payloads: the store's flat buffer, little-endian float32 in header order
 
 Aliased tensors appear once; the alias table is metadata only. A model
 checkpoint also writes a '<path>.config.json' sidecar, the config whose
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -30,7 +31,6 @@ import numpy as np
 from .config import ModelConfig
 from .errors import ConfigError, DataError
 from .store import ParamStore
-from .tensor import Tensor
 from .transformer import param_layout, wire_model
 
 MAGIC = b"WFN1"
@@ -60,16 +60,26 @@ def checkpoint_bytes(store: ParamStore) -> bytes:
     for logical, canonical in store.aliases.items():
         parts.append(_pack_str(logical))
         parts.append(_pack_str(canonical))
-    for tensor in store.physical.values():
-        parts.append(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+    parts.append(np.ascontiguousarray(store.flat, dtype="<f4").tobytes())
     return b"".join(parts)
 
 
-def save_checkpoint(store: ParamStore, path: str) -> int:
-    blob = checkpoint_bytes(store)
-    with open(path, "wb") as f:
-        f.write(blob)
+def _replace_file(path: str, blob: bytes) -> int:
+    """Write `blob` beside `path`, then move it over: a write cut short leaves
+    the earlier file whole. Returns the bytes written."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return len(blob)
+
+
+def save_checkpoint(store: ParamStore, path: str) -> int:
+    return _replace_file(path, checkpoint_bytes(store))
 
 
 def load_checkpoint(path: str) -> ParamStore:
@@ -100,22 +110,16 @@ def load_checkpoint(path: str) -> ParamStore:
             aliases.append((logical, canonical))
     except (struct.error, UnicodeDecodeError) as e:
         raise DataError(f"{path}: corrupt header ({e})")
-    count = [math.prod(shape) for _, shape in headers]
-    if len(buf) - at != 4 * sum(count):
-        raise DataError(f"{path}: payload is {len(buf) - at} bytes, header says {4 * sum(count)}")
+    size = 4 * sum(math.prod(shape) for _, shape in headers)
+    if len(buf) - at != size:
+        raise DataError(f"{path}: payload is {len(buf) - at} bytes, header says {size}")
     payload = np.frombuffer(buf, dtype="<f4", offset=at)
     if not np.isfinite(payload).all():
         raise DataError(f"{path}: payload holds non-finite values")
-    store = ParamStore()
     try:
-        for (name, shape), n in zip(headers, count):
-            store.add(name, Tensor(payload[:n].reshape(shape).astype(np.float32)))
-            payload = payload[n:]
-        for logical, canonical in aliases:
-            store.bind(logical, canonical)
+        return ParamStore(headers, aliases, payload.astype(np.float32))
     except ConfigError as e:
         raise DataError(f"{path}: {e}") from None
-    return store
 
 
 def sidecar_path(path: str) -> str:
@@ -123,9 +127,7 @@ def sidecar_path(path: str) -> str:
 
 
 def write_json(path: str, payload: dict):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _replace_file(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def save_model_checkpoint(model, path: str) -> int:
@@ -145,7 +147,7 @@ def _mismatch(what: str, want: dict, got: dict) -> list[str]:
 
 
 def load_model_checkpoint(path: str, config: ModelConfig | None = None):
-    """The model saved at `path`, wired straight onto the loaded tensors.
+    """The model saved at `path`, wired onto views of its one loaded buffer.
 
     The config comes from the sidecar unless one is given. The file's
     tensor names and shapes and its alias table must be exactly those of

@@ -193,6 +193,8 @@ def pairwise_layer_similarity(taps_a: dict[str, ActivationMatrix],
                               ) -> SimilarityReport:
     """Full module-by-module similarity matrix plus a scalar aggregate.
 
+    One tap set given twice (`selfsim`) gets its upper triangle mirrored.
+
     The aggregate averages the diagonal over module names present in both
     models; tap sets from `collect_activations` always share every layer's
     '<i>.sa', so a pair that shares no name is not comparable.
@@ -210,10 +212,11 @@ def pairwise_layer_similarity(taps_a: dict[str, ActivationMatrix],
     if not common:
         raise DataError("the two tap sets share no module names; nothing comparable")
     matrix = np.zeros((len(rows), len(cols)))
+    score = linear_cka if metric == "cka" else lambda a, b: lns(a, b, k=k)
     for i, rn in enumerate(rows):
         for j, cn in enumerate(cols):
-            a, b = taps_a[rn], taps_b[cn]
-            matrix[i, j] = linear_cka(a, b) if metric == "cka" else lns(a, b, k=k)
+            mirror = taps_a is taps_b and j < i
+            matrix[i, j] = matrix[j, i] if mirror else score(taps_a[rn], taps_b[cn])
     aggregate = float(np.mean([matrix[i, j] for i, j in common]))
     return SimilarityReport(rows, cols, matrix, aggregate)
 

@@ -45,38 +45,34 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9
 
 
 class AdamState:
-    """First/second moment buffers per physical tensor plus the step count."""
+    """First/second moment buffers over the store's flat parameters plus the step count."""
 
     def __init__(self, store: ParamStore):
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in store.physical.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in store.physical.items()}
+        self.m, self.v = np.zeros_like(store.flat), np.zeros_like(store.flat)
 
 
 def adam_step(store: ParamStore, state: AdamState, lr: float):
-    """One Adam update over the store's physical tensors.
-
-    Aborts (without mutating anything) if any gradient is non-finite.
-    Tensors whose grad is None are treated as zero-gradient.
+    """One Adam update of the store's flat buffer from its tensors' gradients,
+    a None grad reading as zeros. Aborts (mutating nothing) on a non-finite one.
     """
-    for name, p in store.physical.items():
-        if p.grad is not None and not np.isfinite(p.grad).all():
-            raise NumericError(f"non-finite gradient in {name}")
+    g = np.concatenate([np.zeros(p.data.size, np.float32) if p.grad is None else p.grad.ravel()
+                        for p in store.physical.values()])
+    if not np.isfinite(g).all():
+        name = next(n for n, p in store.physical.items()
+                    if p.grad is not None and not np.isfinite(p.grad).all())
+        raise NumericError(f"non-finite gradient in {name}")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    for name, p in store.physical.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        m_hat = m / np.float32(c1)
-        v_hat = v / np.float32(c2)
-        p.data -= np.float32(lr) * m_hat / (np.sqrt(v_hat) + np.float32(ADAM_EPS))
+    state.m *= b1
+    state.m += (1.0 - b1) * g
+    state.v *= b2
+    state.v += (1.0 - b2) * np.square(g)
+    m_hat = state.m / np.float32(c1)
+    v_hat = state.v / np.float32(c2)
+    store.flat -= np.float32(lr) * m_hat / (np.sqrt(v_hat) + np.float32(ADAM_EPS))
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):

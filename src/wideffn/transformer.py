@@ -44,15 +44,13 @@ from .vocab import BOS, EOS, PAD
 ATTN_PARTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln_gain", "ln_bias")
 FFN_PARTS = ("w1", "b1", "w2", "b2", "ln_gain", "ln_bias")
 EVAL_CHUNK = 8  # pairs per evaluation batch; a larger one costs memory and gains little speed
+# float64 values per initialisation draw. A wide tensor drawn whole leaves a
+# float64 block of tens of MB resident in the malloc heap after it is freed.
+DRAW_CHUNK = 1 << 14
 
 
 AttentionBlock = namedtuple("AttentionBlock", ATTN_PARTS)
 FFNBlock = namedtuple("FFNBlock", FFN_PARTS)
-
-
-def _xavier(rng: np.random.Generator, n_in: int, n_out: int) -> Tensor:
-    limit = math.sqrt(6.0 / (n_in + n_out))
-    return Tensor(rng.uniform(-limit, limit, size=(n_in, n_out)).astype(np.float32))
 
 
 @functools.lru_cache(maxsize=8)
@@ -302,22 +300,22 @@ def wire_model(config: ModelConfig, store: ParamStore) -> TransformerModel:
 
 
 def build_model(config: ModelConfig, seed: int = 0) -> TransformerModel:
-    """Materialize `param_layout(config)` in creation order and wire the model.
+    """Fill a store of `param_layout(config)` in creation order and wire the model.
 
     Rank-2 tensors are Xavier-uniform draws from one generator seeded with
-    `seed`, layer-norm gains are ones and everything else is zeros.
+    `seed`, DRAW_CHUNK at a time; layer-norm gains are ones, the rest zeros.
     """
     rng = np.random.default_rng(seed)
-    store = ParamStore()
     tensors, aliases = param_layout(config)
+    store = ParamStore(tensors, aliases)
     for name, shape in tensors:
+        view = store.physical[name].data.reshape(-1)
         if len(shape) == 2:
-            store.add(name, _xavier(rng, *shape))
-        else:
-            fill = np.ones if name.endswith(".ln_gain") else np.zeros
-            store.add(name, Tensor(fill(shape, dtype=np.float32)))
-    for site, canonical in aliases:
-        store.bind(site, canonical)
+            limit = math.sqrt(6.0 / sum(shape))
+            for part in np.split(view, range(DRAW_CHUNK, view.size, DRAW_CHUNK)):
+                part[...] = rng.uniform(-limit, limit, size=part.size)
+        elif name.endswith(".ln_gain"):
+            view[...] = 1
     return wire_model(config, store)
 
 

@@ -1,11 +1,13 @@
 import json
+import math
+import os
 import struct
 
 import numpy as np
 import pytest
 
 import wideffn as w
-from wideffn import transformer
+from wideffn import checkpoint, transformer
 from wideffn.checkpoint import (
     checkpoint_bytes,
     load_checkpoint,
@@ -17,7 +19,7 @@ from wideffn.checkpoint import (
 from wideffn.config import SharingSpec
 from wideffn.errors import DataError
 from wideffn.sharing import FFNStrategy
-from wideffn.transformer import encoder_forward
+from wideffn.transformer import encoder_forward, param_layout
 
 from conftest import tiny_config
 
@@ -88,6 +90,50 @@ def test_corrupt_names_and_non_finite_payloads_rejected(tmp_path):
         p.write_bytes(bytes(data))
         with pytest.raises(DataError):
             load_checkpoint(str(p))
+
+
+def _assert_views_of_one_buffer(store, cfg):
+    at = 0
+    for name, shape in param_layout(cfg)[0]:
+        n = math.prod(shape)
+        data = store.physical[name].data
+        assert data.shape == shape, name
+        assert data.ctypes.data == store.flat.ctypes.data + 4 * at, name
+        assert np.shares_memory(data, store.flat[at : at + n]), name
+        at += n
+    assert at == store.flat.size == store.total_params()
+
+
+@pytest.mark.parametrize("preset", ["baseline", "NoDec", "SharedEncDec", "OneWideFFN", None])
+def test_every_tensor_is_a_view_of_the_flat_buffer_at_its_layout_offset(tmp_path, preset):
+    if preset is None:
+        cfg = tiny_config(n_enc=0, architecture="decoder-only")
+    else:
+        cfg = w.apply_preset(tiny_config(), preset)
+    m = w.build_model(cfg, seed=1)
+    _assert_views_of_one_buffer(m.store, cfg)
+    p = tmp_path / "m.ckpt"
+    save_model_checkpoint(m, str(p))
+    loaded = load_model_checkpoint(str(p))
+    _assert_views_of_one_buffer(loaded.store, cfg)
+    assert np.array_equal(loaded.store.flat, m.store.flat)
+
+
+def test_a_failed_save_leaves_the_earlier_files_whole(tmp_path, monkeypatch):
+    p = tmp_path / "m.ckpt"
+    save_model_checkpoint(w.build_model(tiny_config(), seed=0), str(p))
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+
+    def cut_short(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint.os, "replace", cut_short)
+    newer = w.build_model(w.apply_preset(tiny_config(), "NoDec"), seed=1)
+    with pytest.raises(OSError, match="disk full"):
+        save_model_checkpoint(newer, str(p))
+    with pytest.raises(OSError, match="disk full"):
+        checkpoint.write_json(sidecar_path(str(p)), {"d_model": 0})
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
 
 def test_restore_preserves_tying(tmp_path):

@@ -442,7 +442,8 @@ def test_evaluation_chunks_give_each_pair_what_it_gets_alone(arch):
     assert token_accuracy(m, corpus) == hits / total
 
 
-@pytest.mark.parametrize("preset", ["baseline", "OneWideFFN", "decoder-only baseline"])
+@pytest.mark.parametrize("preset", ["baseline", "NoDec", "SharedEncDec", "OneWideFFN",
+                                    "decoder-only baseline"])
 def test_a_padded_two_pair_batch_passes_grad_check(preset):
     if preset == "decoder-only baseline":
         cfg = tiny_config(n_enc=0, architecture="decoder-only")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wideffn as w
+from wideffn import similarity
 from wideffn.errors import ConfigError, DataError
 from wideffn.similarity import (
     ActivationMatrix,
@@ -310,6 +311,25 @@ def test_decoder_labels_follow_execution_order():
     taps = collect_activations(m, corpus)["decoder"]
     rep = pairwise_layer_similarity(taps, taps)
     assert rep.row_labels == ["0.sa", "0.ca", "0.ffn", "1.sa", "1.ca", "1.ffn"]
+
+
+def test_self_similarity_is_exactly_symmetric_from_the_upper_triangle(monkeypatch):
+    corpus = generate_toy_task("copy", 8, (3, 5), 12, seed=2)
+    taps = collect_activations(w.build_model(tiny_config(), seed=2), corpus)["decoder"]
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return linear_cka(a, b)
+
+    monkeypatch.setattr(similarity, "linear_cka", counted)
+    rep = pairwise_layer_similarity(taps, taps)
+    n = len(rep.row_labels)
+    assert np.array_equal(rep.matrix, rep.matrix.T)
+    assert len(calls) == n * (n + 1) // 2
+    for i, r in enumerate(rep.row_labels):
+        for j, c in enumerate(rep.col_labels[i:], start=i):
+            assert rep.matrix[i, j] == linear_cka(taps[r], taps[c])
 
 
 def test_self_similarity_diagonal_is_one():

@@ -45,9 +45,7 @@ def test_schedule_validation():
 
 
 def _scalar_store(value):
-    store = ParamStore()
-    store.add("x", Tensor(np.array(value, dtype=np.float32)))
-    return store
+    return ParamStore([("x", ())], flat=np.array([value], dtype=np.float32))
 
 
 def test_adam_first_step_moves_by_lr():
@@ -61,8 +59,7 @@ def test_adam_first_step_moves_by_lr():
 
 def test_adam_descends_a_quadratic():
     # minimize (w - 3)^2 elementwise
-    store = ParamStore()
-    store.add("w", Tensor(np.zeros((4,), dtype=np.float32)))
+    store = ParamStore([("w", (4,))])
     state = AdamState(store)
     wt = store.physical["w"]
     for _ in range(400):
@@ -74,9 +71,7 @@ def test_adam_descends_a_quadratic():
 
 
 def test_adam_rejects_nonfinite_grad_without_mutation():
-    store = ParamStore()
-    store.add("a", Tensor(np.array([1.0, 2.0], dtype=np.float32)))
-    store.add("b", Tensor(np.array([3.0], dtype=np.float32)))
+    store = ParamStore([("a", (2,)), ("b", (1,))], flat=np.array([1.0, 2.0, 3.0], dtype=np.float32))
     store.physical["a"].grad = np.array([0.1, 0.2], dtype=np.float32)
     store.physical["b"].grad = np.array([np.nan], dtype=np.float32)
     state = AdamState(store)
@@ -100,8 +95,7 @@ def test_adam_matches_reference_trajectory():
     w0 = rng.standard_normal(6).astype(np.float32)
     a = rng.standard_normal((6, 6)).astype(np.float32)
 
-    store = ParamStore()
-    store.add("w", Tensor(w0.copy()))
+    store = ParamStore([("w", (6,))], flat=w0.copy())
     state = AdamState(store)
     for _ in range(25):
         store.zero_grad()
@@ -243,9 +237,8 @@ def test_sum_all_matmul_training_smoke():
     # scalar pipeline independent of the transformer: fit sum(xW) to move down
     rng = np.random.default_rng(1)
     x = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
-    wt = Tensor(rng.standard_normal((4, 2)).astype(np.float32))
-    store = ParamStore()
-    store.add("w", wt)
+    store = ParamStore([("w", (4, 2))], flat=rng.standard_normal(8).astype(np.float32))
+    wt = store.physical["w"]
     state = AdamState(store)
     first = None
     for _ in range(50):
@@ -282,3 +275,48 @@ def test_ffn_dim_sweep_requires_individual_stack():
     rows = ffn_dim_sweep(cfg, "decoder", [16], c, steps=1, batch_size=4,
                          schedule=Schedule(1e-3, 10))
     assert rows[0]["side"] == "decoder"
+
+
+def _per_tensor_adam():
+    """Adam as one loop over the physical tensors, with moments per tensor name."""
+    moments = {}
+
+    def step(store, state, lr):
+        for name, p in store.physical.items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NumericError(f"non-finite gradient in {name}")
+        state.t += 1
+        b1, b2 = training.ADAM_BETA1, training.ADAM_BETA2
+        c1 = 1.0 - b1**state.t
+        c2 = 1.0 - b2**state.t
+        for name, p in store.physical.items():
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m, v = moments.setdefault(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            m_hat = m / np.float32(c1)
+            v_hat = v / np.float32(c2)
+            p.data -= np.float32(lr) * m_hat / (np.sqrt(v_hat) + np.float32(training.ADAM_EPS))
+
+    return step
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("preset", ["baseline", "NoDec", "SharedEncDec", "OneWideFFN", None])
+def test_flat_adam_equals_the_per_tensor_loop_bitwise(monkeypatch, preset, dropout):
+    if preset is None:
+        cfg = tiny_config(n_enc=0, architecture="decoder-only", dropout=dropout)
+    else:
+        cfg = w.apply_preset(tiny_config(dropout=dropout), preset)
+    c = generate_toy_task("copy", 24, (2, 5), 12, seed=3)
+    sched = Schedule(base_lr=2e-3, warmup_steps=5)
+    flat = w.build_model(cfg, seed=4)
+    flat_losses = train(flat, c, 12, 8, seed=1, schedule=sched)
+    monkeypatch.setattr(training, "adam_step", _per_tensor_adam())
+    ref = w.build_model(cfg, seed=4)
+    ref_losses = train(ref, c, 12, 8, seed=1, schedule=sched)
+    assert flat_losses == ref_losses
+    for name, p in ref.store.physical.items():
+        assert p.data.tobytes() == flat.store.physical[name].data.tobytes(), name

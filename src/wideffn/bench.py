@@ -13,6 +13,7 @@ greedy decoding exactly (ties break toward the lower token id).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import threading
 import time
@@ -136,17 +137,10 @@ class ThroughputReport:
     n_batches: int
 
 
-def measure_throughput(model: TransformerModel, corpus: Corpus, batch_size: int = 1,
-                       beam: int = 1, runs: int = 5, max_len: int = 32,
-                       config_id: str = "model") -> ThroughputReport:
-    """Decode the corpus `runs` times, batch_size sources per search, after one
-    untimed warmup pass; reports mean and sample std of generated tokens/second.
-
-    Refuses to run while another measurement is in flight in this process,
-    since overlapping measurements would time each other.
-    """
-    if runs < 2:
-        raise ConfigError("need at least 2 timed runs for a std")
+@contextlib.contextmanager
+def _measuring(corpus: Corpus, batch_size: int):
+    """The corpus's sources, while no other measurement runs in this process,
+    since overlapping measurements would time each other."""
     if batch_size < 1:
         raise ConfigError("batch_size must be positive")
     if len(corpus) == 0:
@@ -154,7 +148,22 @@ def measure_throughput(model: TransformerModel, corpus: Corpus, batch_size: int 
     if not _MEASURE_LOCK.acquire(blocking=False):
         raise ConfigError("another throughput measurement is already running")
     try:
-        srcs = [src for src, _ in corpus.pairs]
+        yield [src for src, _ in corpus.pairs]
+    finally:
+        _MEASURE_LOCK.release()
+
+
+def measure_throughput(model: TransformerModel, corpus: Corpus, batch_size: int = 1,
+                       beam: int = 1, runs: int = 5, max_len: int = 32,
+                       config_id: str = "model") -> ThroughputReport:
+    """Decode the corpus `runs` times, batch_size sources per search, after one
+    untimed warmup pass; reports mean and sample std of generated tokens/second.
+
+    Refuses to run while another measurement is in flight in this process.
+    """
+    if runs < 2:
+        raise ConfigError("need at least 2 timed runs for a std")
+    with _measuring(corpus, batch_size) as srcs:
         rates = []
         for run in range(runs + 1):
             t0 = time.perf_counter()
@@ -163,31 +172,56 @@ def measure_throughput(model: TransformerModel, corpus: Corpus, batch_size: int 
                 raise DataError("decoder generated no tokens; nothing to measure")
             if run > 0:  # run 0 is the warm-up
                 rates.append(tokens / (time.perf_counter() - t0))
-        n_batches = math.ceil(len(srcs) / batch_size)
-        return ThroughputReport(config_id, batch_size, float(np.mean(rates)),
-                                float(np.std(rates, ddof=1)), runs, n_batches)
-    finally:
-        _MEASURE_LOCK.release()
+    n_batches = math.ceil(len(srcs) / batch_size)
+    return ThroughputReport(config_id, batch_size, float(np.mean(rates)),
+                            float(np.std(rates, ddof=1)), runs, n_batches)
+
+
+def paired_delta_pct(reference: TransformerModel, model: TransformerModel, corpus: Corpus,
+                     batch_size: int = 1, beam: int = 1, runs: int = 5,
+                     max_len: int = 32) -> float:
+    """Percent by which `model` decodes more tokens/s than `reference`:
+    100 * (median ratio of their rates - 1) over `runs` passes of pairs, each
+    pair one batch of batch_size sources decoded by both back to back, the
+    reference first in even pairs. A slowdown that comes and goes between
+    pairs slows both sides of a pair alike. Pairs in which a side generated
+    nothing are left out."""
+    if runs < 1:
+        raise ConfigError("need at least 1 run")
+    with _measuring(corpus, batch_size) as srcs:
+        batches = [srcs[at : at + batch_size] for at in range(0, len(srcs), batch_size)]
+        sides, ratios = (reference, model), []
+        for pair, batch in enumerate(batches * runs):
+            rates = [0.0, 0.0]
+            for side in (0, 1) if pair % 2 == 0 else (1, 0):
+                t0 = time.perf_counter()
+                tokens = sum(map(len, search(sides[side], batch, beam, max_len)))
+                rates[side] = tokens / (time.perf_counter() - t0)
+            if min(rates) > 0:
+                ratios.append(rates[1] / rates[0])
+    if not ratios:
+        raise DataError("decoder generated no tokens; nothing to measure")
+    return 100.0 * (float(np.median(ratios)) - 1.0)
 
 
 def batch_size_sweep(models: list[tuple[str, TransformerModel]], batch_sizes: list[int],
                      corpus: Corpus, beam: int = 1, runs: int = 5,
                      max_len: int = 32) -> list[dict]:
     """Throughput grid over models x batch sizes: each row is a report's
-    fields plus `config` and `delta_pct`, the percent delta against the first
-    model at the same batch size (None for the first model itself).
+    fields plus `config` and `delta_pct`, the `paired_delta_pct` of the model
+    against the first model at the same batch size (None for the first
+    model itself).
     """
     if not models:
         raise ConfigError("no models to measure")
     rows = []
     for bs in batch_sizes:
-        reports = [measure_throughput(model, corpus, batch_size=bs, beam=beam, runs=runs,
-                                      max_len=max_len, config_id=config_id)
-                   for config_id, model in models]
-        reference = reports[0].tokens_per_sec
-        for i, report in enumerate(reports):
-            delta = 100.0 * (report.tokens_per_sec - reference) / reference if i else None
-            rows.append({**vars(report), "config": report.config_id, "delta_pct": delta})
+        for i, (config_id, model) in enumerate(models):
+            report = measure_throughput(model, corpus, batch_size=bs, beam=beam, runs=runs,
+                                        max_len=max_len, config_id=config_id)
+            delta = paired_delta_pct(models[0][1], model, corpus, bs, beam, runs, max_len) \
+                if i else None
+            rows.append({**vars(report), "config": config_id, "delta_pct": delta})
     return rows
 
 

@@ -21,6 +21,7 @@ checkpoint also writes a '<path>.config.json' sidecar, the config whose
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -50,7 +51,7 @@ def _read_str(buf: bytes, at: int) -> tuple[str, int]:
     return buf[at : at + n].decode("utf-8"), at + n
 
 
-def checkpoint_bytes(store: ParamStore) -> bytes:
+def _header_bytes(store: ParamStore) -> bytes:
     parts = [MAGIC, struct.pack("<I", len(store.physical))]
     for name, tensor in store.physical.items():
         parts.append(_pack_str(name))
@@ -60,26 +61,34 @@ def checkpoint_bytes(store: ParamStore) -> bytes:
     for logical, canonical in store.aliases.items():
         parts.append(_pack_str(logical))
         parts.append(_pack_str(canonical))
-    parts.append(np.ascontiguousarray(store.flat, dtype="<f4").tobytes())
     return b"".join(parts)
 
 
-def _replace_file(path: str, blob: bytes) -> int:
-    """Write `blob` beside `path`, then move it over: a write cut short leaves
-    the earlier file whole. Returns the bytes written."""
+def checkpoint_bytes(store: ParamStore) -> bytes:
+    return _header_bytes(store) + np.ascontiguousarray(store.flat, dtype="<f4").tobytes()
+
+
+@contextlib.contextmanager
+def replacing(path: str, mode: str = "wb", **open_kw):
+    """A file opened beside `path` and moved over it once the block ends: a
+    write cut short leaves the earlier file whole and no temp file behind."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "wb") as f:
-            f.write(blob)
+        with open(tmp, mode, **open_kw) as f:
+            yield f
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-    return len(blob)
 
 
 def save_checkpoint(store: ParamStore, path: str) -> int:
-    return _replace_file(path, checkpoint_bytes(store))
+    """`checkpoint_bytes`, written as the header and then the flat buffer
+    itself (on a little-endian host); returns the bytes written."""
+    with replacing(path) as f:
+        f.write(_header_bytes(store))
+        f.write(np.ascontiguousarray(store.flat, dtype="<f4"))
+        return f.tell()
 
 
 def load_checkpoint(path: str) -> ParamStore:
@@ -127,7 +136,8 @@ def sidecar_path(path: str) -> str:
 
 
 def write_json(path: str, payload: dict):
-    _replace_file(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    with replacing(path) as f:
+        f.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def save_model_checkpoint(model, path: str) -> int:

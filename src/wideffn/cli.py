@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .bench import batch_size_sweep, corpus_bleu, decode_corpus
-from .checkpoint import load_model_checkpoint, save_model_checkpoint, write_json
+from .checkpoint import load_model_checkpoint, replacing, save_model_checkpoint, write_json
 from .config import ModelConfig, apply_preset, check_keys
 from .counting import BREAKDOWN_KEYS, baseline_of, count_params
 from .errors import ConfigError, DataError, WideFFNError
@@ -157,8 +157,9 @@ def _fmt(v) -> str:
 
 def write_csv(path: str, header: list[str], rows: list[dict], comment: str | None = None):
     """One CSV line per row, its fields in header order; a field the row
-    lacks, or holds as None, is empty."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    lacks, or holds as None, is empty. Written like a checkpoint, to a temp
+    file moved over `path`."""
+    with replacing(path, "w", encoding="utf-8", newline="") as f:
         if comment:
             f.write(f"# {comment}\n")
         writer = csv.writer(f, lineterminator="\n")

@@ -103,18 +103,25 @@ def _require_rank(t: Tensor, rank: int, op: str):
         raise ShapeError(f"{op}: expected rank {rank}, got shape {t.data.shape}")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product of two matrices, or of two equal-length stacks of matrices."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Product of two matrices, or of two equal-length stacks of matrices;
+    a rank-1 `bias` is added in place to every row of a matrix product."""
     if a.data.ndim not in (2, 3) or a.data.ndim != b.data.ndim:
         raise ShapeError(f"matmul: ranks of {a.shape} and {b.shape} must both be 2 or 3")
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape} do not agree")
-    out = Tensor(a.data @ b.data)
+    out, inputs = Tensor(a.data @ b.data), (a, b)
+    if bias is not None:
+        if a.data.ndim != 2 or bias.shape != b.shape[1:]:
+            raise ShapeError(f"matmul: bias {bias.shape} for {a.shape} @ {b.shape}")
+        out.data += bias.data
+        inputs += (bias,)
 
     def backward_fn(g):
-        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
+        grads = g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
+        return grads if bias is None else (*grads, g.sum(axis=0))
 
-    return _emit(out, (a, b), backward_fn)
+    return _emit(out, inputs, backward_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -126,20 +133,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return g, g
 
     return _emit(out, (a, b), backward_fn)
-
-
-def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a rank-1 bias to every row of a rank-2 input."""
-    _require_rank(x, 2, "add_bias")
-    _require_rank(bias, 1, "add_bias")
-    if x.shape[1] != bias.shape[0]:
-        raise ShapeError(f"add_bias: {x.shape} vs bias {bias.shape}")
-    out = Tensor(x.data + bias.data)
-
-    def backward_fn(g):
-        return g, g.sum(axis=0)
-
-    return _emit(out, (x, bias), backward_fn)
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
@@ -238,13 +231,12 @@ def mask_fill(x: Tensor, keep: np.ndarray, fill=MASK_FILL_VALUE) -> Tensor:
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis with max subtraction for stability."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x.data - np.maximum.reduce(x.data, axis=-1, keepdims=True))
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
     out = Tensor(p)
 
     def backward_fn(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
+        dot = np.add.reduce(g * p, axis=-1, keepdims=True)
         return (p * (g - dot),)
 
     return _emit(out, (x,), backward_fn)
@@ -258,15 +250,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = x.shape[1]
     if gain.shape[0] != d or bias.shape[0] != d:
         raise ShapeError(f"layer_norm: input {x.shape}, gain {gain.shape}, bias {bias.shape}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    # np.mean's and np.var's arithmetic, with one centred copy for both
+    centred = x.data - np.add.reduce(x.data, axis=1, keepdims=True) / d
+    var = np.add.reduce(centred * centred, axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + np.float32(1e-5))
-    xhat = (x.data - mu) * inv
+    xhat = centred * inv
     out = Tensor(xhat * gain.data + bias.data)
 
     def backward_fn(g):
         gh = g * gain.data
-        dx = inv * (gh - gh.mean(axis=1, keepdims=True) - xhat * (gh * xhat).mean(axis=1, keepdims=True))
+        dx = inv * (gh - np.add.reduce(gh, axis=1, keepdims=True) / d
+                    - xhat * (np.add.reduce(gh * xhat, axis=1, keepdims=True) / d))
         return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
     return _emit(out, (x, gain, bias), backward_fn)

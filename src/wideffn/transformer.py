@@ -26,7 +26,6 @@ from .store import ParamStore
 from .tensor import (
     Tensor,
     add,
-    add_bias,
     cross_entropy,
     dropout,
     embedding_lookup,
@@ -365,8 +364,7 @@ def attention_forward(q_in: Tensor, kv_in: Tensor | None, block: AttentionBlock,
     t_q = rows // batch
 
     def split(x: Tensor, w: Tensor, b: Tensor, axes) -> Tensor:
-        proj = add_bias(matmul(x, w), b)
-        split4 = transpose(reshape(proj, (batch, x.shape[0] // batch, heads, dh)), axes)
+        split4 = transpose(reshape(matmul(x, w, b), (batch, x.shape[0] // batch, heads, dh)), axes)
         return reshape(split4, (batch * heads,) + split4.shape[2:])
 
     q = split(q_in, block.wq, block.bq, (0, 2, 1, 3))  # (B*heads, t_q, dh)
@@ -385,7 +383,7 @@ def attention_forward(q_in: Tensor, kv_in: Tensor | None, block: AttentionBlock,
         scores = mask_fill(scores, mask)
     heads_out = reshape(matmul(softmax_rows(scores), v), (batch, heads, t_q, dh))
     merged = reshape(transpose(heads_out, (0, 2, 1, 3)), (rows, d))
-    proj = add_bias(matmul(merged, block.wo), block.bo)
+    proj = matmul(merged, block.wo, block.bo)
     if rng is not None:
         proj = dropout(proj, dropout_p, rng)
     return layer_norm(add(q_in, proj), block.ln_gain, block.ln_bias)
@@ -397,8 +395,8 @@ def ffn_forward(x: Tensor, block: FFNBlock | None, *, dropout_p: float = 0.0,
     Dropout runs on the second projection when `rng` is given."""
     if block is None:
         return x
-    h = relu(add_bias(matmul(x, block.w1), block.b1))
-    y = add_bias(matmul(h, block.w2), block.b2)
+    h = relu(matmul(x, block.w1, block.b1))
+    y = matmul(h, block.w2, block.b2)
     if rng is not None:
         y = dropout(y, dropout_p, rng)
     return layer_norm(add(x, y), block.ln_gain, block.ln_bias)
@@ -439,8 +437,10 @@ def _run_layers(model: TransformerModel, x: Tensor, layers, batch: int, rng, sel
                 cross_mask=None, memory: Tensor | None = None, kv: list | None = None):
     """Run (self-attention, cross-attention or None, FFN or None) block
     triples over x; returns (output, taps keyed '<i>.sa'/'<i>.ca'/'<i>.ffn').
-    Cross attention reads `memory`; `kv` is decoder_forward's, per layer."""
+    Cross attention reads `memory`; `kv` is decoder_forward's, per layer. A
+    mask that hides nothing is left out: mask_fill with it is the identity."""
     cfg = model.config
+    self_mask, cross_mask = (None if m is None or m.all() else m for m in (self_mask, cross_mask))
     opts = dict(heads=cfg.heads, batch=batch, dropout_p=cfg.dropout, rng=rng)
     taps: dict[str, Tensor] = {}
     for i, (self_attn, cross_attn, ffn) in enumerate(layers):
@@ -512,8 +512,6 @@ def decoder_forward(model: TransformerModel, enc_out: Tensor | None, ids, prefix
     mask = attention_mask(offset + lengths, prefix, t, offset + t, cfg.heads, offset, pad)
     cross_mask = None if src_lengths is None else attention_mask(
         src_lengths, src_lengths, t, enc_out.shape[0] // batch, cfg.heads)
-    if kv is not None:  # a decode step leaves out the masks that hide nothing
-        mask, cross_mask = (None if m is None or m.all() else m for m in (mask, cross_mask))
     x, taps = _run_layers(model, x, zip(model.dec_self, model.dec_cross, model.dec_ffn), batch,
                           rng, mask, cross_mask, enc_out, kv)
     if kv is not None:  # a decode step needs each sequence's last row only

@@ -19,7 +19,7 @@ from wideffn.bench import (
     batch_size_sweep,
     decode_beam,
     decode_greedy,
-    measure_throughput,
+    paired_delta_pct,
     score_sequence,
 )
 from wideffn.checkpoint import (
@@ -335,7 +335,7 @@ def test_c07_toy_training_reaches_95_percent(toy_corpus):
     _line(7, ok, f"copy-task accuracy {summary} steps in {elapsed:.0f} s")
 
 
-C08_ROUNDS = 10
+C08_RUNS = 10
 
 
 def test_c08_dropping_decoder_ffns_speeds_up_decoding(tmp_path):
@@ -345,16 +345,12 @@ def test_c08_dropping_decoder_ffns_speeds_up_decoding(tmp_path):
     nodec = w.build_model(w.apply_preset(ModelConfig(**shape), "NoDec"), seed=3)
     corpus = generate_toy_task("copy", 12, (4, 7), 20, seed=3)
 
-    # Rounds alternate which model runs first, and medians compare them, so
-    # the machine's speed drifting during the test favours neither model.
-    rates = {"baseline": [], "nodec": []}
-    order = [("baseline", base), ("nodec", nodec)]
-    for i in range(C08_ROUNDS):
-        for name, model in order if i % 2 == 0 else order[::-1]:
-            rates[name].append(measure_throughput(model, corpus, batch_size=1, beam=1, runs=2,
-                                                  max_len=10, config_id=name).tokens_per_sec)
-    base_rate, nodec_rate = np.median(rates["baseline"]), np.median(rates["nodec"])
-    direction_ok = nodec_rate > base_rate
+    # Both models decode each sentence back to back, the first of them
+    # alternating pair by pair, and the median of the per-sentence rate ratios
+    # compares them: a slowdown that comes and goes slows both sides of a pair.
+    margin = paired_delta_pct(base, nodec, corpus, batch_size=1, beam=1, runs=C08_RUNS,
+                              max_len=10)
+    direction_ok = margin > 0
 
     rows = batch_size_sweep([("baseline", base), ("nodec", nodec)],
                             [1, 2, 4, 8], corpus, beam=1, runs=2, max_len=10)
@@ -372,10 +368,9 @@ def test_c08_dropping_decoder_ffns_speeds_up_decoding(tmp_path):
         and [r["batch_size"] for r in rows] == [1, 1, 2, 2, 4, 4, 8, 8]
     )
 
-    margin = 100.0 * (nodec_rate / base_rate - 1.0)
     _line(8, direction_ok and csv_ok,
           f"no-decoder-FFN decodes {margin:+.1f}% vs baseline at batch 1 "
-          f"(medians of {C08_ROUNDS} interleaved rounds); "
+          f"(median of {C08_RUNS * len(corpus)} sentence-paired rate ratios); "
           f"sweep CSV has 2 configs x batch sizes 1,2,4,8")
 
 

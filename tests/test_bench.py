@@ -15,6 +15,7 @@ from wideffn.bench import (
     decode_corpus,
     decode_greedy,
     measure_throughput,
+    paired_delta_pct,
     score_sequence,
     search,
 )
@@ -312,6 +313,76 @@ def test_batch_size_sweep_rows_and_deltas():
     assert [r["n_batches"] for r in rows] == [4, 4, 2, 2]
     with pytest.raises(ConfigError):
         batch_size_sweep([], [1], c)
+
+
+class SlowWindowClock:
+    """A fake perf_counter that only decoding steps advance: each step costs
+    its model's time, twice that while the step count is in `slow`, as if
+    another process took half the CPU for a while."""
+
+    def __init__(self, slow: range):
+        self.now, self.steps, self.slow = 0.0, 0, slow
+
+    def perf_counter(self):
+        return self.now
+
+    def step(self, cost: float):
+        self.now += cost * (2 if self.steps in self.slow else 1)
+        self.steps += 1
+
+
+class Slowed(Scripted):
+    """`_drifter(3)`, four steps a sentence, each costing `cost` on the clock."""
+
+    def __init__(self, clock: SlowWindowClock, cost: float):
+        super().__init__(_drifter(3).table)
+        self.clock, self.cost = clock, cost
+
+    def step_logits(self, enc, src, prefix):
+        self.clock.step(self.cost)
+        return super().step_logits(enc, src, prefix)
+
+
+def test_paired_delta_holds_where_round_medians_flip(monkeypatch):
+    """A model 25% faster, timed while the machine halves its speed over a
+    window of steps. Whole-corpus rounds compared by their medians, as one
+    model's rounds fall in the window and the other's do not, read it as
+    slower; sentence pairs, each timed inside or outside the window alike,
+    read it within a few points of +25%."""
+    corpus = _tiny_corpus(12)  # 48 steps a pass; a measure_throughput round of runs=2 is 144
+
+    def delta(measure):
+        clock = SlowWindowClock(range(150, 430))
+        monkeypatch.setattr(bench, "time", clock)
+        return measure(Slowed(clock, 1.0), Slowed(clock, 0.8))
+
+    def round_medians(reference, model, rounds=3):
+        rates = ([], [])
+        for i in range(rounds):  # reference, model, model, reference, reference, model
+            for side in (0, 1) if i % 2 == 0 else (1, 0):
+                report = measure_throughput((reference, model)[side], corpus, runs=2)
+                rates[side].append(report.tokens_per_sec)
+        return 100.0 * (np.median(rates[1]) / np.median(rates[0]) - 1.0)
+
+    assert delta(round_medians) < -20.0
+    assert 20.0 < delta(lambda ref, m: paired_delta_pct(ref, m, corpus, runs=3)) < 30.0
+
+
+def test_paired_delta_validation_and_lock():
+    c = _tiny_corpus()
+    with pytest.raises(ConfigError):
+        paired_delta_pct(_drifter(3), _drifter(3), c, runs=0)
+    with pytest.raises(ConfigError):
+        paired_delta_pct(_drifter(3), _drifter(3), c, batch_size=0)
+    with pytest.raises(DataError):
+        paired_delta_pct(_drifter(3), Scripted({}), c, runs=1)
+    assert _MEASURE_LOCK.acquire(blocking=False)
+    try:
+        with pytest.raises(ConfigError, match="already running"):
+            paired_delta_pct(_drifter(3), _drifter(3), c, runs=1)
+    finally:
+        _MEASURE_LOCK.release()
+    assert isinstance(paired_delta_pct(_drifter(3), _drifter(3), c, batch_size=4, runs=1), float)
 
 
 # ---------------------------------------------------------------------- BLEU

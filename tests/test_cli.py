@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from wideffn.bench import decode_corpus
-from wideffn.cli import RunConfig, load_run_config, main
+from wideffn.cli import RunConfig, load_run_config, main, write_csv
 from wideffn.counting import count_params
 from wideffn.errors import ConfigError, NumericError
 from wideffn.training import Schedule
@@ -128,6 +128,20 @@ def test_train_is_byte_reproducible(tmp_path):
     assert main(["train", "--config", cfg, "--out", b]) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
     assert open(a + ".loss.csv").read() == open(b + ".loss.csv").read()
+
+
+def test_a_failed_csv_write_leaves_the_earlier_loss_csv_whole(tmp_path, trained_ckpt,
+                                                             monkeypatch):
+    loss_csv = trained_ckpt[1] + ".loss.csv"
+    before = sorted(os.listdir(tmp_path)), open(loss_csv, "rb").read()
+
+    def cut_short(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", cut_short)
+    with pytest.raises(OSError, match="disk full"):
+        write_csv(loss_csv, ["step", "loss"], [{"step": 1, "loss": 0.5}])
+    assert (sorted(os.listdir(tmp_path)), open(loss_csv, "rb").read()) == before
 
 
 def test_env_seed_changes_training(tmp_path, monkeypatch):

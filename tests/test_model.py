@@ -250,6 +250,40 @@ def test_attention_matches_per_head_reference(heads, case):
     assert np.abs(out.data - expect).max() < 1e-6
 
 
+def test_a_mask_that_hides_nothing_is_left_out_exactly(monkeypatch):
+    rng = np.random.default_rng(8)
+    block = _random_attention_block(rng, 16)
+    x = rng.standard_normal((2 * 5, 16)).astype(np.float32)
+    runs = []
+    for mask in (np.ones((2 * 4, 5, 5), dtype=bool), None):  # an all-True mask, then none
+        q = Tensor(x)
+        tape = ComputeTape()
+        with recording(tape):
+            out = attention_forward(q, q, block, mask, heads=4, batch=2)
+            loss = cross_entropy(out, np.arange(10) % 16)
+        tape.backward(loss)
+        runs.append((out.data.tobytes(), q.grad.tobytes()))
+        for t in block:
+            t.zero_grad()
+    assert runs[0] == runs[1]
+
+    fills = []
+    mask_fill = transformer.mask_fill
+    monkeypatch.setattr(transformer, "mask_fill",
+                        lambda x, keep: fills.append(keep.shape) or mask_fill(x, keep))
+    m = w.build_model(tiny_config(), seed=0)
+    for srcs, expect in (([[4, 5, 6]], 0), ([[4, 5, 6], [7, 8, 9]], 0), ([[4, 5], [7, 8, 9]], 2)):
+        fills.clear()
+        encoder_forward(m, srcs)
+        assert len(fills) == expect, srcs  # one mask_fill per layer when a source is padded
+    fills.clear()
+    m.encode([4, 5, 6])  # a one-source encode hides nothing
+    assert fills == []
+    fills.clear()
+    m.teacher_forced([([4, 5], [6, 7]), ([8, 9], [10, 11])])  # equal lengths: causal masks only
+    assert len(fills) == 2
+
+
 def test_attention_passes_grad_check_with_four_heads():
     rng = np.random.default_rng(3)
     d, t = 16, 5

@@ -6,7 +6,6 @@ from wideffn.tensor import (
     ComputeTape,
     Tensor,
     add,
-    add_bias,
     concat_cols,
     cross_entropy,
     dropout,
@@ -82,6 +81,76 @@ def test_stacked_ops_forward_and_shape_errors():
         mask_fill(Tensor(a), per_matrix[:1])
 
 
+# The ops as tensor.py had them before the bias moved into matmul and
+# layer_norm and softmax_rows called np.add.reduce: each returns (forward
+# value, backward function). The current ops must agree with them bit for bit.
+def _old_add_bias_matmul(a, b, bias):
+    def backward(g):  # add_bias passed g to the product unchanged
+        return g @ b.swapaxes(-1, -2), a.swapaxes(-1, -2) @ g, g.sum(axis=0)
+
+    return a @ b + bias, backward
+
+
+def _old_layer_norm(x, gain, bias):
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + np.float32(1e-5))
+    xhat = (x - mu) * inv
+
+    def backward(g):
+        gh = g * gain
+        dx = inv * (gh - gh.mean(axis=1, keepdims=True) - xhat * (gh * xhat).mean(axis=1, keepdims=True))
+        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+    return xhat * gain + bias, backward
+
+
+def _old_softmax_rows(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
+
+    return p, backward
+
+
+@pytest.mark.parametrize("rows", [1, 9, 288])
+@pytest.mark.parametrize("width", [16, 64, 256])
+def test_sublayer_kernels_match_their_old_forms_bitwise(rows, width):
+    rng = np.random.default_rng(rows * 1000 + width)
+
+    def draw(*shape, loc=0.0):
+        return (loc + rng.standard_normal(shape)).astype(np.float32)
+
+    x, w, bias, g = draw(rows, width, loc=3.0), draw(width, width), draw(width), draw(rows, width)
+    gain = draw(width, loc=1.0)
+    cases = [(matmul, _old_add_bias_matmul, (x, w, bias)),
+             (layer_norm, _old_layer_norm, (x, gain, bias)),
+             (softmax_rows, _old_softmax_rows, (x,))]
+    for op, old, args in cases:
+        tape = ComputeTape()
+        with recording(tape):
+            out = op(*map(Tensor, args))
+        (_, _, backward_fn), = tape.nodes
+        expect, expect_backward = old(*args)
+        assert out.data.tobytes() == expect.tobytes(), op.__name__
+        for got, want in zip(backward_fn(g), expect_backward(g), strict=True):
+            assert got.dtype == want.dtype == np.float32, op.__name__
+            assert got.tobytes() == want.tobytes(), op.__name__
+
+
+def test_matmul_bias_needs_a_matching_row_vector():
+    a, b = Tensor(np.ones((3, 4))), Tensor(np.ones((4, 5)))
+    expect = np.broadcast_to(4 + np.arange(5, dtype=np.float32), (3, 5))
+    assert np.array_equal(matmul(a, b, Tensor(np.arange(5))).data, expect)
+    for bias in (np.ones(4), np.ones((1, 5))):
+        with pytest.raises(ShapeError):
+            matmul(a, b, Tensor(bias))
+    with pytest.raises(ShapeError):  # a stacked product takes no bias
+        matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 5))), Tensor(np.ones(5)))
+
+
 def _row_loss(y):
     """Cross-entropy over the rows of y flattened to a matrix, fixed targets."""
     cols = y.shape[-1]
@@ -89,15 +158,17 @@ def _row_loss(y):
     return cross_entropy(reshape(y, (rows, cols)), np.arange(rows) % cols)
 
 
-@pytest.mark.parametrize("op", ["matmul", "transpose", "reshape", "softmax_rows", "mask_fill",
-                                "rank4_transpose", "per_matrix_mask_fill"])
+@pytest.mark.parametrize("op", ["matmul", "matmul_bias", "transpose", "reshape", "softmax_rows",
+                                "mask_fill", "rank4_transpose", "per_matrix_mask_fill"])
 def test_stacked_ops_pass_grad_check(op):
     rng = np.random.default_rng(6)
     a = Tensor(rng.standard_normal((2, 3, 4)))
     b = Tensor(rng.standard_normal((2, 4, 3)))
+    bias = Tensor(rng.standard_normal(6))
     keep = np.tri(3, 4, dtype=bool)
     build = {
         "matmul": lambda p: matmul(p[0], p[1]),
+        "matmul_bias": lambda p: matmul(reshape(p[0], (6, 4)), reshape(p[1], (4, 6)), p[2]),
         "transpose": lambda p: transpose(p[0], (2, 0, 1)),
         "reshape": lambda p: reshape(p[0], (4, 6)),
         "softmax_rows": lambda p: softmax_rows(p[0]),
@@ -107,7 +178,7 @@ def test_stacked_ops_pass_grad_check(op):
         "rank4_transpose": lambda p: transpose(reshape(p[0], (2, 3, 2, 2)), (0, 2, 1, 3)),
         "per_matrix_mask_fill": lambda p: mask_fill(p[0], np.stack([keep, ~keep]), fill=0.5),
     }[op]
-    err = grad_check(lambda p: _row_loss(build(p)), [a, b], coords_per_tensor=8)
+    err = grad_check(lambda p: _row_loss(build(p)), [a, b, bias], coords_per_tensor=8)
     assert err < 1e-3
 
 
@@ -116,7 +187,8 @@ def test_elementwise_forward_oracles():
     assert np.array_equal(relu(x).data, [[1.0, 0.0], [0.0, 3.0]])
     assert np.array_equal(scale(x, 2.0).data, [[2.0, -4.0], [0.0, 6.0]])
     assert np.array_equal(add(x, x).data, 2 * x.data)
-    assert np.array_equal(add_bias(x, Tensor([10.0, 20.0])).data, [[11.0, 18.0], [10.0, 23.0]])
+    assert np.array_equal(matmul(x, Tensor(np.eye(2)), Tensor([10.0, 20.0])).data,
+                          [[11.0, 18.0], [10.0, 23.0]])
     assert np.array_equal(transpose(x).data, x.data.T)
     assert np.array_equal(slice_cols(x, 1, 2).data, [[-2.0], [3.0]])
     assert np.array_equal(concat_cols([x, x]).data, np.concatenate([x.data, x.data], axis=1))

@@ -45,10 +45,14 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<H", len(raw)) + raw
 
 
-def _read_str(buf: bytes, at: int) -> tuple[str, int]:
-    (n,) = struct.unpack_from("<H", buf, at)
-    at += 2
-    return buf[at : at + n].decode("utf-8"), at + n
+def _unpack(f, fmt: str) -> tuple:
+    """The next struct `fmt` in file `f`; struct.error where the file ends first."""
+    return struct.unpack(fmt, f.read(struct.calcsize(fmt)))
+
+
+def _read_str(f) -> str:
+    (n,) = _unpack(f, "<H")
+    return _unpack(f, f"<{n}s")[0].decode("utf-8")
 
 
 def _header_bytes(store: ParamStore) -> bytes:
@@ -92,41 +96,35 @@ def save_checkpoint(store: ParamStore, path: str) -> int:
 
 
 def load_checkpoint(path: str) -> ParamStore:
+    """The store saved at `path`. The header is read field by field, whatever
+    its length, and the payload straight into the float32 buffer that
+    becomes the store's `flat`; a malformed file raises DataError."""
     with open(path, "rb") as f:
-        buf = f.read()
-    if buf[:4] != MAGIC:
-        raise DataError(f"{path}: bad magic {buf[:4]!r}")
-    at = 4
-    try:
-        (n_phys,) = struct.unpack_from("<I", buf, at)
-        at += 4
-        headers = []
-        for _ in range(n_phys):
-            name, at = _read_str(buf, at)
-            dtype, rank = struct.unpack_from("<BB", buf, at)
-            at += 2
-            if dtype != DTYPE_F32:
-                raise DataError(f"{path}: unsupported dtype code {dtype}")
-            shape = struct.unpack_from(f"<{rank}I", buf, at)
-            at += 4 * rank
-            headers.append((name, shape))
-        (n_alias,) = struct.unpack_from("<I", buf, at)
-        at += 4
-        aliases = []
-        for _ in range(n_alias):
-            logical, at = _read_str(buf, at)
-            canonical, at = _read_str(buf, at)
-            aliases.append((logical, canonical))
-    except (struct.error, UnicodeDecodeError) as e:
-        raise DataError(f"{path}: corrupt header ({e})")
-    size = 4 * sum(math.prod(shape) for _, shape in headers)
-    if len(buf) - at != size:
-        raise DataError(f"{path}: payload is {len(buf) - at} bytes, header says {size}")
-    payload = np.frombuffer(buf, dtype="<f4", offset=at)
-    if not np.isfinite(payload).all():
+        magic = f.read(4)
+        if magic != MAGIC:
+            raise DataError(f"{path}: bad magic {magic!r}")
+        try:
+            headers = []
+            for _ in range(_unpack(f, "<I")[0]):
+                name = _read_str(f)
+                dtype, rank = _unpack(f, "<BB")
+                if dtype != DTYPE_F32:
+                    raise DataError(f"{path}: unsupported dtype code {dtype}")
+                headers.append((name, _unpack(f, f"<{rank}I")))
+            aliases = [(_read_str(f), _read_str(f)) for _ in range(_unpack(f, "<I")[0])]
+        except (struct.error, UnicodeDecodeError) as e:
+            raise DataError(f"{path}: corrupt header ({e})")
+        size = 4 * sum(math.prod(shape) for _, shape in headers)
+        payload = os.fstat(f.fileno()).st_size - f.tell()
+        if payload != size:
+            raise DataError(f"{path}: payload is {payload} bytes, header says {size}")
+        flat = np.empty(size // 4, dtype="<f4")
+        if f.readinto(flat) != size:
+            raise DataError(f"{path}: payload ends before the {size} bytes its header says")
+    if not np.isfinite(flat).all():
         raise DataError(f"{path}: payload holds non-finite values")
     try:
-        return ParamStore(headers, aliases, payload.astype(np.float32))
+        return ParamStore(headers, aliases, flat.astype(np.float32, copy=False))
     except ConfigError as e:
         raise DataError(f"{path}: {e}") from None
 

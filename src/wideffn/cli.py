@@ -34,7 +34,7 @@ from .similarity import (
     pairwise_layer_similarity,
 )
 from .training import Schedule, ffn_dim_sweep, token_accuracy, train
-from .transformer import EVAL_CHUNK, build_model
+from .transformer import build_model
 from .vocab import Corpus, check_toy_task, generate_toy_task, load_parallel_corpus
 
 
@@ -52,6 +52,7 @@ class RunConfig:
 
 
 _TOP_KEYS = ("seed", "preset", "model", "training", "task", "corpus", "decode")
+EVAL_DECODE_BATCH = 8  # sources per search in `eval`
 
 
 def _typed(kind, value, what: str):
@@ -237,7 +238,8 @@ def cmd_eval(args, run: RunConfig) -> int:
     model = _load_model(args.checkpoint, corpus)
     acc = token_accuracy(model, corpus, limit=args.limit)
     pairs = corpus.pairs[: args.limit]
-    hyps = decode_corpus(model, [src for src, _ in pairs], EVAL_CHUNK, run.beam, run.decode_max_len)
+    hyps = decode_corpus(model, [src for src, _ in pairs], EVAL_DECODE_BATCH, run.beam,
+                         run.decode_max_len)
     bleu = corpus_bleu(hyps, [tgt for _, tgt in pairs])
     print(f"token accuracy: {acc:.4f}")
     print(f"beam-{run.beam} BLEU: {bleu:.2f}")

@@ -145,11 +145,14 @@ def scale(x: Tensor, factor: float) -> Tensor:
     return _emit(out, (x,), backward_fn)
 
 
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, np.float32(0.0)))
+def relu(x: Tensor, *, in_place: bool = False) -> Tensor:
+    """max(x, 0). With `in_place` the result is written over x's array, for a
+    caller that hands over a fresh array it does not read again. The backward
+    masks on the output, which is positive exactly where x was."""
+    out = Tensor(np.maximum(x.data, np.float32(0.0), out=x.data if in_place else None))
 
     def backward_fn(g):
-        return (g * (x.data > 0),)
+        return (g * (out.data > 0),)
 
     return _emit(out, (x,), backward_fn)
 

@@ -42,7 +42,9 @@ from .vocab import BOS, EOS, PAD
 
 ATTN_PARTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln_gain", "ln_bias")
 FFN_PARTS = ("w1", "b1", "w2", "b2", "ln_gain", "ln_bias")
-EVAL_CHUNK = 8  # pairs per evaluation batch; a larger one costs memory and gains little speed
+# padded rows per side in one evaluation batch: 32 pairs of 8 rows run as one
+# forward, and an FFN hidden layer d_ff wide takes d_ff KB
+EVAL_ROWS = 256
 # float64 values per initialisation draw. A wide tensor drawn whole leaves a
 # float64 block of tens of MB resident in the malloc heap after it is freed.
 DRAW_CHUNK = 1 << 14
@@ -177,11 +179,25 @@ class TransformerModel:
                                        src_lengths=[len(s) for s in srcs])
         return logits, {"encoder": enc_taps, "decoder": taps}
 
+    def chunk_pairs(self, pairs: list) -> list[list]:
+        """`pairs` cut into consecutive chunks, in order. A chunk takes the next
+        pair while each side's padded rows, its pairs times its longest input,
+        stay within EVAL_ROWS; a pair over the budget alone is a chunk of its own."""
+        chunks, width = [], 0
+        for pair in pairs:
+            # the longer of the encoder input, src + <eos>, and the decoder input
+            rows = max(len(pair[0]) + 1, len(self.decoder_input(*pair)[0]))
+            if not chunks or (len(chunks[-1]) + 1) * max(width, rows) > EVAL_ROWS:
+                chunks.append([])
+                width = 0
+            chunks[-1].append(pair)
+            width = max(width, rows)
+        return chunks
+
     def eval_chunks(self, pairs: list):
-        """(chunk, logits, taps) of `teacher_forced` over consecutive chunks of
-        EVAL_CHUNK pairs, in order, with dropout off."""
-        for at in range(0, len(pairs), EVAL_CHUNK):
-            chunk = pairs[at : at + EVAL_CHUNK]
+        """(chunk, logits, taps) of `teacher_forced` over `chunk_pairs(pairs)`,
+        in order, with dropout off."""
+        for chunk in self.chunk_pairs(pairs):
             yield (chunk, *self.teacher_forced(chunk))
 
     def target_labels(self, pairs: list, rows: int) -> np.ndarray:
@@ -395,7 +411,7 @@ def ffn_forward(x: Tensor, block: FFNBlock | None, *, dropout_p: float = 0.0,
     Dropout runs on the second projection when `rng` is given."""
     if block is None:
         return x
-    h = relu(matmul(x, block.w1, block.b1))
+    h = relu(matmul(x, block.w1, block.b1), in_place=True)  # one copy of the hidden layer
     y = matmul(h, block.w2, block.b2)
     if rng is not None:
         y = dropout(y, dropout_p, rng)

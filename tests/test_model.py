@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wideffn as w
-from wideffn import transformer
+from wideffn import tensor, transformer
 from wideffn.bench import decode_beam, decode_greedy
 from wideffn.checkpoint import checkpoint_bytes
 from wideffn.config import DECODER_ONLY_PRESETS, PRESETS, SharingSpec
@@ -15,9 +15,10 @@ from wideffn.tensor import ComputeTape, Tensor, cross_entropy, grad_check, recor
 from wideffn.training import token_accuracy
 from wideffn.transformer import (
     ATTN_PARTS,
-    EVAL_CHUNK,
+    EVAL_ROWS,
     AttentionBlock,
     DecodeRows,
+    FFNBlock,
     attention_forward,
     attention_mask,
     decoder_forward,
@@ -453,13 +454,31 @@ def test_a_padded_batch_gives_each_pair_the_rows_it_gets_alone(arch):
             assert np.abs(enc_blocks[b, :len(src) + 1] - enc_alone.data).max() < 1e-6, b
 
 
+def _side_rows(m, chunk):
+    """Each side's padded rows of a chunk: its pairs times its longest input."""
+    enc = max(len(src) + 1 for src, _ in chunk)
+    dec = max(len(m.decoder_input(src, tgt)[0]) for src, tgt in chunk)
+    return len(chunk) * enc, len(chunk) * dec
+
+
+def _ragged_chunks(m, widest, seed):
+    """Ragged copy pairs of lengths 1 to 8 whose inputs are at most `widest`
+    rows: enough for two chunks of pairs that wide, plus three more pairs."""
+    corpus = generate_toy_task("copy", 2 * (EVAL_ROWS // widest) + 3, (1, 8), 12, seed=seed)
+    assert len({len(src) for src, _ in corpus.pairs}) > 1
+    chunks = m.chunk_pairs(corpus.pairs)
+    assert len(chunks) >= 3 and len(chunks[-1]) < min(map(len, chunks[:-1]))  # the last partial
+    return corpus
+
+
 @pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
 def test_evaluation_chunks_give_each_pair_what_it_gets_alone(arch):
-    # ragged pairs over more than one chunk, so the last chunk is partial
+    # ragged pairs over at least three chunks, the last one partial. A pair's
+    # values agree within 1e-6, not bit for bit: the padded width a chunk
+    # gives it changes how the softmax and `p @ v` sums associate.
     n_enc = 0 if arch == "decoder-only" else 2
     m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch), seed=7)
-    corpus = generate_toy_task("copy", EVAL_CHUNK + 3, (1, 8), 12, seed=8)
-    assert len({len(src) for src, _ in corpus.pairs}) > 1
+    corpus = _ragged_chunks(m, 9 if arch == "encoder-decoder" else 18, seed=8)
     sides = collect_activations(m, corpus)
     assert list(sides) == (["decoder"] if arch == "decoder-only" else ["encoder", "decoder"])
     hits = total = 0
@@ -474,6 +493,76 @@ def test_evaluation_chunks_give_each_pair_what_it_gets_alone(arch):
         hits += int((logits.data[-len(labels):].argmax(axis=1) == labels).sum())
         total += len(labels)
     assert token_accuracy(m, corpus) == hits / total
+
+
+@pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
+def test_chunks_keep_every_pair_in_order_within_the_row_budget(arch):
+    n_enc = 0 if arch == "decoder-only" else 2
+    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch), seed=0)
+    rng = np.random.default_rng(11)
+    lengths = [1, 2, 40, 7, EVAL_ROWS, 3, 130, 129, 5, 2 * EVAL_ROWS, 1]
+    lengths += rng.integers(1, 30, size=200).tolist()
+    pairs = [([4] * n_src, [5] * n_tgt)
+             for n_src, n_tgt in zip(lengths, rng.permutation(lengths).tolist())]
+    chunks = m.chunk_pairs(pairs)
+    flat = [pair for chunk in chunks for pair in chunk]
+    assert len(flat) == len(pairs) and all(a is b for a, b in zip(flat, pairs))
+    for i, chunk in enumerate(chunks):
+        assert len(chunk) == 1 or max(_side_rows(m, chunk)) <= EVAL_ROWS, i
+        if i + 1 < len(chunks):  # a chunk ends only where the next pair breaks the budget
+            assert max(_side_rows(m, chunk + chunks[i + 1][:1])) > EVAL_ROWS, i
+    over = [chunk for chunk in chunks if max(_side_rows(m, chunk)) > EVAL_ROWS]
+    assert over and all(len(chunk) == 1 for chunk in over)
+    assert m.chunk_pairs([]) == []
+
+
+def test_a_32_pair_probe_of_7_tokens_is_one_chunk():
+    m = w.build_model(tiny_config(), seed=0)
+    probe = generate_toy_task("copy", 32, (7, 7), 12, seed=1).pairs
+    assert m.chunk_pairs(probe) == [probe]
+    assert [len(chunk) for chunk in m.chunk_pairs(probe + probe[:1])] == [32, 1]
+    assert len([chunk for chunk, _, _ in m.eval_chunks(probe)]) == 1
+
+
+# ffn_forward as it was before relu wrote over the first product: a relu that
+# returns a new array and masks its backward on its input.
+def _old_relu(x):
+    out = Tensor(np.maximum(x.data, np.float32(0.0)))
+    return tensor._emit(out, (x,), lambda g: (g * (x.data > 0),))
+
+
+def _old_ffn_forward(x, block, *, dropout_p, rng):
+    h = _old_relu(tensor.matmul(x, block.w1, block.b1))
+    y = tensor.matmul(h, block.w2, block.b2)
+    y = tensor.dropout(y, dropout_p, rng)
+    return tensor.layer_norm(tensor.add(x, y), block.ln_gain, block.ln_bias)
+
+
+@pytest.mark.parametrize("rows", [1, 9, 288])
+@pytest.mark.parametrize("width", [16, 64, 256])
+@pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+def test_the_in_place_relu_leaves_ffn_forward_bitwise_unchanged(rows, width, dropout_p):
+    rng = np.random.default_rng(rows * 1000 + width)
+    d = 16
+    shapes = ((d, width), (width,), (width, d), (d,), (d,), (d,))
+    params = [rng.standard_normal(shape).astype(np.float32) for shape in shapes]
+    x = rng.standard_normal((rows, d)).astype(np.float32)
+    targets = rng.integers(0, d, size=rows)
+    runs = []
+    for forward in (ffn_forward, _old_ffn_forward):
+        block = FFNBlock(*map(Tensor, params))
+        tap = Tensor(x.copy())
+        tape = ComputeTape()
+        with recording(tape):
+            out = forward(tap, block, dropout_p=dropout_p, rng=np.random.default_rng(5))
+            loss = cross_entropy(out, targets)
+        tape.backward(loss)
+        assert tap.data.tobytes() == x.tobytes()  # the input, a tap, is left as it was
+        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in (tap, *block)])
+        if forward is ffn_forward:  # relu's output is the first product's own array
+            (product, _, _), (relu_out, relu_in, _) = tape.nodes[:2]
+            assert relu_in == (product,) and relu_out.data is product.data
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("preset", ["baseline", "NoDec", "SharedEncDec", "OneWideFFN",

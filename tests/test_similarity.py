@@ -16,7 +16,7 @@ from wideffn.similarity import (
     normalize_against_benchmark,
     pairwise_layer_similarity,
 )
-from wideffn.transformer import EVAL_CHUNK
+from wideffn.transformer import EVAL_ROWS
 from wideffn.vocab import Corpus, generate_toy_task
 
 from conftest import tiny_config
@@ -246,11 +246,15 @@ def test_collect_activations_shapes_and_labels():
 
 @pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
 def test_collect_activations_equals_the_per_sentence_mean_bytes(arch):
-    # ragged pairs over several chunks, the last one partial
+    # ragged pairs over at least three chunks, the last one partial: two
+    # chunks' worth of the widest pairs, 1 to 9 tokens, and five more pairs
     n_enc = 0 if arch == "decoder-only" else 2
     m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch), seed=5)
-    corpus = generate_toy_task("copy", 4 * EVAL_CHUNK + 5, (1, 9), 12, seed=3)
+    widest = 10 if arch == "encoder-decoder" else 20
+    corpus = generate_toy_task("copy", 2 * (EVAL_ROWS // widest) + 5, (1, 9), 12, seed=3)
     assert len({len(src) for src, _ in corpus.pairs}) > 1
+    chunks = m.chunk_pairs(corpus.pairs)
+    assert len(chunks) >= 3 and len(chunks[-1]) < min(map(len, chunks[:-1]))
     oracle = {}
     for chunk, _, sides in m.eval_chunks(corpus.pairs):
         lengths = {"encoder": [len(src) + 1 for src, _ in chunk],

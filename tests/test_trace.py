@@ -8,7 +8,6 @@ without failing any other test.
 """
 
 import importlib.util
-import math
 from pathlib import Path
 
 import yaml
@@ -93,5 +92,6 @@ def test_tracer_spans_and_counts_the_similarity_verbs(tmp_path):
     assert tracer.counts["checkpoint.bytes_read"] > 0
     # one encoder and one decoder forward per model per evaluation chunk of
     # the 8 probe pairs: one model for selfsim, three for compare
-    chunks = math.ceil(8 / transformer.EVAL_CHUNK)
+    probe = cli.build_corpus(cli.load_run_config(str(run))).pairs
+    chunks = len(wideffn.build_model(cfg).chunk_pairs(probe))
     assert tracer.counts["transformer.forward_calls"] == 4 * 2 * chunks

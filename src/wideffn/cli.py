@@ -96,12 +96,16 @@ def _section(doc: dict, name: str, defaults: dict) -> dict:
             for key, default in defaults.items()}
 
 
+# libyaml's parser when PyYAML was built with it: the documents of SafeLoader, parsed faster
+RUN_FILE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_run_config(path: str) -> RunConfig:
     """Parse and check every section of a run file; applies preset expansion
     and WFN_SEED."""
     with open(path, encoding="utf-8") as f:
         try:
-            doc = yaml.safe_load(f)
+            doc = yaml.load(f, Loader=RUN_FILE_LOADER)
         except yaml.YAMLError as e:
             raise ConfigError(f"{path}: not valid YAML: {e}") from None
     doc = check_keys("top-level", {} if doc is None else doc, _TOP_KEYS)

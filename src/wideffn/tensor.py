@@ -216,33 +216,40 @@ def concat_cols(parts) -> Tensor:
     return _emit(out, tuple(parts), backward_fn)
 
 
-def mask_fill(x: Tensor, keep: np.ndarray, fill=MASK_FILL_VALUE) -> Tensor:
-    """Put `fill` where `keep` is False; no grad flows there.
+def attention_weights(scores: Tensor, factor: float, keep: np.ndarray | None = None) -> Tensor:
+    """Softmax over the last axis of a stack of score matrices scaled by
+    `factor`, with MASK_FILL_VALUE wherever `keep` is False: attention's
+    scale, mask and softmax as one op and one tape node.
 
-    `keep` is one mask for every matrix of x, or one per matrix (x's shape).
+    `keep` is one mask for every matrix of the stack, or one per matrix (the
+    stack's shape). Masked entries get no gradient, and a fully masked row is
+    uniform, because max subtraction cancels the shared fill value.
     """
-    keep = np.asarray(keep, dtype=bool)
-    if keep.shape not in (x.shape[-2:], x.shape):
-        raise ShapeError(f"mask_fill: mask {keep.shape} vs input {x.shape}")
-    out = Tensor(np.where(keep, x.data, np.float32(fill)))
-
-    def backward_fn(g):
-        return (g * keep,)
-
-    return _emit(out, (x,), backward_fn)
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis with max subtraction for stability."""
-    e = np.exp(x.data - np.maximum.reduce(x.data, axis=-1, keepdims=True))
-    p = e / np.add.reduce(e, axis=-1, keepdims=True)
+    _require_rank(scores, 3, "attention_weights")
+    f = np.float32(factor)
+    p = scores.data * f
+    if keep is not None:
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape not in (scores.shape[1:], scores.shape):
+            raise ShapeError(f"attention_weights: mask {keep.shape} vs scores {scores.shape}")
+        np.copyto(p, MASK_FILL_VALUE, where=~keep)
+    # Row maxima over the leading axis of a (T_k, N, T_q) copy, as numpy
+    # reduces a short last axis slowly; a max is exact in any order.
+    p -= np.maximum.reduce(np.ascontiguousarray(p.transpose(2, 0, 1)), axis=0)[..., None]
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     out = Tensor(p)
 
     def backward_fn(g):
-        dot = np.add.reduce(g * p, axis=-1, keepdims=True)
-        return (p * (g - dot),)
+        d = g * p
+        np.subtract(g, np.add.reduce(d, axis=-1, keepdims=True), out=d)
+        d *= p
+        if keep is not None:
+            d *= keep
+        d *= f
+        return (d,)
 
-    return _emit(out, (x,), backward_fn)
+    return _emit(out, (scores,), backward_fn)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -253,18 +260,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = x.shape[1]
     if gain.shape[0] != d or bias.shape[0] != d:
         raise ShapeError(f"layer_norm: input {x.shape}, gain {gain.shape}, bias {bias.shape}")
-    # np.mean's and np.var's arithmetic, with one centred copy for both
-    centred = x.data - np.add.reduce(x.data, axis=1, keepdims=True) / d
-    var = np.add.reduce(centred * centred, axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + np.float32(1e-5))
-    xhat = centred * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    # np.mean's and np.var's arithmetic, with one centred copy for both; the
+    # output's array holds the squares first, and xhat overwrites the copy
+    xhat = x.data - np.add.reduce(x.data, axis=1, keepdims=True) / d
+    y = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(np.add.reduce(y, axis=1, keepdims=True) / d + np.float32(1e-5))
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
+    out = Tensor(y)
 
-    def backward_fn(g):
+    def backward_fn(g):  # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), in two arrays
         gh = g * gain.data
-        dx = inv * (gh - np.add.reduce(gh, axis=1, keepdims=True) / d
-                    - xhat * (np.add.reduce(gh * xhat, axis=1, keepdims=True) / d))
-        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+        t = np.multiply(gh, xhat)
+        mean_ghx = np.add.reduce(t, axis=1, keepdims=True) / d
+        gh -= np.add.reduce(gh, axis=1, keepdims=True) / d
+        gh -= np.multiply(xhat, mean_ghx, out=t)
+        gh *= inv
+        return gh, np.multiply(g, xhat, out=t).sum(axis=0), g.sum(axis=0)
 
     return _emit(out, (x, gain, bias), backward_fn)
 

@@ -45,19 +45,27 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9
 
 
 class AdamState:
-    """First/second moment buffers over the store's flat parameters plus the step count."""
+    """First/second moment buffers over the store's flat parameters plus the
+    step count, and two flat scratch buffers that `adam_step` works in."""
 
     def __init__(self, store: ParamStore):
         self.t = 0
         self.m, self.v = np.zeros_like(store.flat), np.zeros_like(store.flat)
+        self.grad, self.work = np.empty_like(store.flat), np.empty_like(store.flat)
 
 
 def adam_step(store: ParamStore, state: AdamState, lr: float):
     """One Adam update of the store's flat buffer from its tensors' gradients,
     a None grad reading as zeros. Aborts (mutating nothing) on a non-finite one.
+    The arithmetic runs in the state's scratch buffers; its one temporary is
+    the finiteness check's boolean mask, a quarter of the parameters' bytes.
     """
-    g = np.concatenate([np.zeros(p.data.size, np.float32) if p.grad is None else p.grad.ravel()
-                        for p in store.physical.values()])
+    g, work = state.grad, state.work
+    at = 0
+    for p in store.physical.values():
+        n = p.data.size
+        g[at : at + n] = 0.0 if p.grad is None else p.grad.ravel()
+        at += n
     if not np.isfinite(g).all():
         name = next(n for n, p in store.physical.items()
                     if p.grad is not None and not np.isfinite(p.grad).all())
@@ -67,12 +75,15 @@ def adam_step(store: ParamStore, state: AdamState, lr: float):
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     state.m *= b1
-    state.m += (1.0 - b1) * g
+    state.m += np.multiply(g, 1.0 - b1, out=work)
     state.v *= b2
-    state.v += (1.0 - b2) * np.square(g)
-    m_hat = state.m / np.float32(c1)
-    v_hat = state.v / np.float32(c2)
-    store.flat -= np.float32(lr) * m_hat / (np.sqrt(v_hat) + np.float32(ADAM_EPS))
+    state.v += np.multiply(np.square(g, out=work), 1.0 - b2, out=work)
+    # flat -= lr * m_hat / (sqrt(v_hat) + eps), the denominator in g's buffer
+    denom = np.sqrt(np.divide(state.v, np.float32(c2), out=g), out=g)
+    denom += np.float32(ADAM_EPS)
+    step = np.multiply(np.divide(state.m, np.float32(c1), out=work), np.float32(lr), out=work)
+    step /= denom
+    store.flat -= step
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):

@@ -26,16 +26,15 @@ from .store import ParamStore
 from .tensor import (
     Tensor,
     add,
+    attention_weights,
     cross_entropy,
     dropout,
     embedding_lookup,
     layer_norm,
-    mask_fill,
     matmul,
     relu,
     reshape,
     scale,
-    softmax_rows,
     transpose,
 )
 from .vocab import BOS, EOS, PAD
@@ -394,10 +393,8 @@ def attention_forward(q_in: Tensor, kv_in: Tensor | None, block: AttentionBlock,
         k, v = kv
     if kv is not None:
         kv[:] = k, v
-    scores = scale(matmul(q, k), 1.0 / math.sqrt(dh))
-    if mask is not None:
-        scores = mask_fill(scores, mask)
-    heads_out = reshape(matmul(softmax_rows(scores), v), (batch, heads, t_q, dh))
+    weights = attention_weights(matmul(q, k), 1.0 / math.sqrt(dh), mask)
+    heads_out = reshape(matmul(weights, v), (batch, heads, t_q, dh))
     merged = reshape(transpose(heads_out, (0, 2, 1, 3)), (rows, d))
     proj = matmul(merged, block.wo, block.bo)
     if rng is not None:
@@ -454,7 +451,7 @@ def _run_layers(model: TransformerModel, x: Tensor, layers, batch: int, rng, sel
     """Run (self-attention, cross-attention or None, FFN or None) block
     triples over x; returns (output, taps keyed '<i>.sa'/'<i>.ca'/'<i>.ffn').
     Cross attention reads `memory`; `kv` is decoder_forward's, per layer. A
-    mask that hides nothing is left out: mask_fill with it is the identity."""
+    mask that hides nothing is left out: masking with it changes nothing."""
     cfg = model.config
     self_mask, cross_mask = (None if m is None or m.all() else m for m in (self_mask, cross_mask))
     opts = dict(heads=cfg.heads, batch=batch, dropout_p=cfg.dropout, rng=rng)

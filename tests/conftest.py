@@ -6,8 +6,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import pytest
+import yaml
 
 import wideffn as w
+from wideffn import cli
 from wideffn.training import AdamState, Schedule, token_accuracy, train
 from wideffn.vocab import generate_toy_task
 
@@ -39,3 +41,29 @@ def trained_copy_model(toy_corpus):
         if token_accuracy(model, toy_corpus, limit=64) >= 0.98:
             break
     return model
+
+
+class BothLoaders(cli.RUN_FILE_LOADER):
+    """The CLI's run-file loader, which also parses the same text with
+    PyYAML's pure-Python SafeLoader and checks that the two agree: the same
+    document, or both reject the text."""
+
+    def __init__(self, stream):
+        self.text = stream.read()
+        super().__init__(self.text)
+
+    def get_single_data(self):
+        try:
+            doc = super().get_single_data()
+        except yaml.YAMLError:
+            with pytest.raises(yaml.YAMLError):
+                yaml.load(self.text, Loader=yaml.SafeLoader)
+            raise
+        assert repr(doc) == repr(yaml.load(self.text, Loader=yaml.SafeLoader)), self.text
+        return doc
+
+
+@pytest.fixture(autouse=True)
+def run_files_parse_alike_under_both_loaders(monkeypatch):
+    """Every run file a test has the CLI read goes through BothLoaders."""
+    monkeypatch.setattr(cli, "RUN_FILE_LOADER", BothLoaders)

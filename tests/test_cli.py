@@ -3,10 +3,12 @@ import json
 import os
 import shutil
 import struct
+from pathlib import Path
 
 import pytest
 import yaml
 
+from wideffn import cli
 from wideffn.bench import decode_corpus
 from wideffn.cli import RunConfig, load_run_config, main, write_csv
 from wideffn.counting import count_params
@@ -300,6 +302,35 @@ def test_sweep_verb_rows(tmp_path, capsys):
     assert lines[0] == "d_ff,side,token_accuracy,params,noop"
     assert lines[1].startswith("0,decoder,") and lines[1].endswith(",true")
     assert lines[2].startswith("16,decoder,") and lines[2].endswith(",false")
+
+
+def test_run_files_are_read_with_libyaml_when_pyyaml_has_it(tmp_path, monkeypatch):
+    """load_run_config parses with CSafeLoader when PyYAML has it; the
+    README's run file parses as under SafeLoader, and invalid YAML still
+    exits 2. (conftest.BothLoaders checks every other run file the tests
+    have the CLI read.)"""
+    assert issubclass(cli.RUN_FILE_LOADER, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    text = readme.split("Every verb takes `--config run.yaml`:\n\n```yaml\n")[1].split("```")[0]
+    path = tmp_path / "readme.yaml"
+    path.write_text(text)
+    made = []
+
+    class Counted(cli.RUN_FILE_LOADER):
+        def __init__(self, stream):
+            made.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(cli, "RUN_FILE_LOADER", Counted)
+    run = load_run_config(str(path))
+    assert len(made) == 1
+    assert (run.seed, run.steps, run.model.d_model, run.task["count"]) == (3, 300, 16, 64)
+    for i, invalid in enumerate(["model: {d_model: [1\n", "seed: 'open\n", "a:\n\t- b\n",
+                                 "seed: 1\nseed: [\n", "- a\nb: c\n"]):
+        bad = tmp_path / f"invalid{i}.yaml"
+        bad.write_text(invalid)
+        assert main(["params", "--config", str(bad)]) == 2, invalid
+    assert len(made) == 1 + 5
 
 
 # ---------------------------------------------------------------- exit codes

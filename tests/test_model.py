@@ -268,15 +268,20 @@ def test_a_mask_that_hides_nothing_is_left_out_exactly(monkeypatch):
             t.zero_grad()
     assert runs[0] == runs[1]
 
-    fills = []
-    mask_fill = transformer.mask_fill
-    monkeypatch.setattr(transformer, "mask_fill",
-                        lambda x, keep: fills.append(keep.shape) or mask_fill(x, keep))
+    fills = []  # the shape of each mask attention_weights is given
+    weights = transformer.attention_weights
+
+    def counted_weights(x, f, keep=None):
+        if keep is not None:
+            fills.append(keep.shape)
+        return weights(x, f, keep)
+
+    monkeypatch.setattr(transformer, "attention_weights", counted_weights)
     m = w.build_model(tiny_config(), seed=0)
     for srcs, expect in (([[4, 5, 6]], 0), ([[4, 5, 6], [7, 8, 9]], 0), ([[4, 5], [7, 8, 9]], 2)):
         fills.clear()
         encoder_forward(m, srcs)
-        assert len(fills) == expect, srcs  # one mask_fill per layer when a source is padded
+        assert len(fills) == expect, srcs  # one masked call per layer when a source is padded
     fills.clear()
     m.encode([4, 5, 6])  # a one-source encode hides nothing
     assert fills == []

@@ -5,21 +5,21 @@ from wideffn.errors import NumericError, ShapeError
 from wideffn.tensor import (
     ComputeTape,
     Tensor,
+    MASK_FILL_VALUE,
     add,
+    attention_weights,
     concat_cols,
     cross_entropy,
     dropout,
     embedding_lookup,
     grad_check,
     layer_norm,
-    mask_fill,
     matmul,
     recording,
     relu,
     reshape,
     scale,
     slice_cols,
-    softmax_rows,
     sum_all,
     transpose,
 )
@@ -59,8 +59,10 @@ def test_stacked_ops_forward_and_shape_errors():
     assert np.array_equal(transpose(Tensor(a), (2, 0, 1)).data, a.transpose(2, 0, 1))
     assert np.array_equal(reshape(Tensor(a), (6, 4)).data, a.reshape(6, 4))
     keep = np.tri(3, 4, dtype=bool)
-    assert np.array_equal(mask_fill(Tensor(a), keep).data[1], mask_fill(Tensor(a[1]), keep).data)
-    assert np.array_equal(softmax_rows(Tensor(a)).data[0], softmax_rows(Tensor(a[0])).data)
+    assert np.array_equal(attention_weights(Tensor(a), 0.5, keep).data[1],
+                          attention_weights(Tensor(a[1:]), 0.5, keep).data[0])
+    assert np.array_equal(attention_weights(Tensor(a), 0.5).data[0],
+                          attention_weights(Tensor(a[:1]), 0.5).data[0])
     with pytest.raises(ShapeError):  # stacks of different lengths
         matmul(Tensor(a), Tensor(b[:1]))
     with pytest.raises(ShapeError):  # a stack times a matrix
@@ -69,21 +71,24 @@ def test_stacked_ops_forward_and_shape_errors():
         with pytest.raises(ShapeError):
             transpose(Tensor(a), axes)
     with pytest.raises(ShapeError):
-        mask_fill(Tensor(a), np.ones((4, 3), dtype=bool))
+        attention_weights(Tensor(a), 1.0, np.ones((4, 3), dtype=bool))
+    with pytest.raises(ShapeError):  # attention weights come in stacks
+        attention_weights(Tensor(a[0]), 1.0)
     # rank 4 (a transient head view) and one mask per matrix of a stack
     a4 = a.reshape(2, 3, 2, 2)
     assert np.array_equal(transpose(Tensor(a4), (0, 2, 1, 3)).data, a4.transpose(0, 2, 1, 3))
     assert np.array_equal(reshape(Tensor(a4), (4, 3, 2)).data, a.reshape(4, 3, 2))
     per_matrix = np.stack([keep, ~keep])
-    filled = mask_fill(Tensor(a), per_matrix).data
-    assert np.array_equal(filled[1], mask_fill(Tensor(a[1]), ~keep).data)
+    weights = attention_weights(Tensor(a), 0.5, per_matrix).data
+    assert np.array_equal(weights[1], attention_weights(Tensor(a[1:]), 0.5, ~keep).data[0])
     with pytest.raises(ShapeError):  # neither one mask nor one per matrix
-        mask_fill(Tensor(a), per_matrix[:1])
+        attention_weights(Tensor(a), 0.5, per_matrix[:1])
 
 
-# The ops as tensor.py had them before the bias moved into matmul and
-# layer_norm and softmax_rows called np.add.reduce: each returns (forward
-# value, backward function). The current ops must agree with them bit for bit.
+# The ops as tensor.py had them before the bias moved into matmul,
+# layer_norm and softmax_rows called np.add.reduce, and attention's scale,
+# mask_fill and softmax_rows became one op: each returns (forward value,
+# backward function). The current ops must agree with them bit for bit.
 def _old_add_bias_matmul(a, b, bias):
     def backward(g):  # add_bias passed g to the product unchanged
         return g @ b.swapaxes(-1, -2), a.swapaxes(-1, -2) @ g, g.sum(axis=0)
@@ -105,6 +110,23 @@ def _old_layer_norm(x, gain, bias):
     return xhat * gain + bias, backward
 
 
+def _out_of_place_layer_norm(x, gain, bias):
+    """layer_norm from one centred copy, each step in a new array."""
+    d = x.shape[1]
+    centred = x - np.add.reduce(x, axis=1, keepdims=True) / d
+    var = np.add.reduce(centred * centred, axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + np.float32(1e-5))
+    xhat = centred * inv
+
+    def backward(g):
+        gh = g * gain
+        dx = inv * (gh - np.add.reduce(gh, axis=1, keepdims=True) / d
+                    - xhat * (np.add.reduce(gh * xhat, axis=1, keepdims=True) / d))
+        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+    return xhat * gain + bias, backward
+
+
 def _old_softmax_rows(x):
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
@@ -115,8 +137,49 @@ def _old_softmax_rows(x):
     return p, backward
 
 
-@pytest.mark.parametrize("rows", [1, 9, 288])
-@pytest.mark.parametrize("width", [16, 64, 256])
+def _old_scale(x, factor):
+    f = np.float32(factor)
+    return x * f, lambda g: (g * f,)
+
+
+def _old_mask_fill(x, keep):
+    return np.where(keep, x, MASK_FILL_VALUE), lambda g: (g * keep,)
+
+
+def _old_attention_weights(x, factor, keep=None):
+    """scale, then mask_fill when there is a mask, then softmax_rows, as the
+    tape ran them: the backward passes the gradient through them in reverse."""
+    ops = [lambda y: _old_scale(y, factor), _old_softmax_rows]
+    if keep is not None:
+        ops.insert(1, lambda y: _old_mask_fill(y, keep))
+    backwards = []
+    for op in ops:
+        x, backward = op(x)
+        backwards.append(backward)
+
+    def backward(g):
+        for step in reversed(backwards):
+            (g,) = step(g)
+        return (g,)
+
+    return x, backward
+
+
+def _assert_bitwise_like_old(op, old, args, g):
+    """op's output and input gradients from its one tape node `==` old's."""
+    tape = ComputeTape()
+    with recording(tape):
+        out = op(*map(Tensor, args))
+    (_, _, backward_fn), = tape.nodes
+    expect, expect_backward = old(*args)
+    assert out.data.tobytes() == expect.tobytes()
+    for got, want in zip(backward_fn(g), expect_backward(g), strict=True):
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 9, 256, 288])
+@pytest.mark.parametrize("width", [16, 32, 64, 256])
 def test_sublayer_kernels_match_their_old_forms_bitwise(rows, width):
     rng = np.random.default_rng(rows * 1000 + width)
 
@@ -125,19 +188,31 @@ def test_sublayer_kernels_match_their_old_forms_bitwise(rows, width):
 
     x, w, bias, g = draw(rows, width, loc=3.0), draw(width, width), draw(width), draw(rows, width)
     gain = draw(width, loc=1.0)
-    cases = [(matmul, _old_add_bias_matmul, (x, w, bias)),
-             (layer_norm, _old_layer_norm, (x, gain, bias)),
-             (softmax_rows, _old_softmax_rows, (x,))]
-    for op, old, args in cases:
-        tape = ComputeTape()
-        with recording(tape):
-            out = op(*map(Tensor, args))
-        (_, _, backward_fn), = tape.nodes
-        expect, expect_backward = old(*args)
-        assert out.data.tobytes() == expect.tobytes(), op.__name__
-        for got, want in zip(backward_fn(g), expect_backward(g), strict=True):
-            assert got.dtype == want.dtype == np.float32, op.__name__
-            assert got.tobytes() == want.tobytes(), op.__name__
+    _assert_bitwise_like_old(matmul, _old_add_bias_matmul, (x, w, bias), g)
+    _assert_bitwise_like_old(layer_norm, _old_layer_norm, (x, gain, bias), g)
+    _assert_bitwise_like_old(layer_norm, _out_of_place_layer_norm, (x, gain, bias), g)
+    _assert_bitwise_like_old(lambda t: attention_weights(t, 1.0), _old_softmax_rows, (x[None],),
+                             g[None])
+
+
+# (heads * sequences, T_q, T_k) score stacks: train-toy self and cross
+# attention, an analyze-shape chunk, a decode step, and a tiny test model
+@pytest.mark.parametrize("shape", [(64, 9, 9), (64, 9, 6), (32, 8, 8), (64, 1, 13), (4, 5, 3)])
+@pytest.mark.parametrize("mask", ["none", "shared", "per_matrix", "fully_masked_row"])
+def test_attention_weights_match_scale_mask_fill_softmax_rows_bitwise(shape, mask):
+    rng = np.random.default_rng(sum(shape))
+    n, t_q, t_k = shape
+    x = (4.0 * rng.standard_normal(shape)).astype(np.float32)
+    g = rng.standard_normal(shape).astype(np.float32)
+    keep = {"none": None,
+            "shared": np.tri(t_q, t_k, k=t_k - t_q, dtype=bool),
+            "per_matrix": rng.random(shape) < 0.7,
+            "fully_masked_row": np.tri(t_q, t_k, k=t_k - t_q, dtype=bool)}[mask]
+    if mask == "fully_masked_row":
+        keep[-1] = False
+    factor = 1.0 / np.sqrt(16)
+    _assert_bitwise_like_old(lambda t: attention_weights(t, factor, keep),
+                             lambda a: _old_attention_weights(a, factor, keep), (x,), g)
 
 
 def test_matmul_bias_needs_a_matching_row_vector():
@@ -171,12 +246,12 @@ def test_stacked_ops_pass_grad_check(op):
         "matmul_bias": lambda p: matmul(reshape(p[0], (6, 4)), reshape(p[1], (4, 6)), p[2]),
         "transpose": lambda p: transpose(p[0], (2, 0, 1)),
         "reshape": lambda p: reshape(p[0], (4, 6)),
-        "softmax_rows": lambda p: softmax_rows(p[0]),
-        # A moderate fill keeps the loss in float32 range without a softmax,
-        # which would zero the filled entries' gradient on its own.
-        "mask_fill": lambda p: mask_fill(p[0], keep, fill=0.5),
+        # attention_weights, which scales, fills masked scores and takes the
+        # softmax of each row: with no mask, one shared mask, one per matrix
+        "softmax_rows": lambda p: attention_weights(p[0], 0.7),
+        "mask_fill": lambda p: attention_weights(p[0], 0.7, keep),
         "rank4_transpose": lambda p: transpose(reshape(p[0], (2, 3, 2, 2)), (0, 2, 1, 3)),
-        "per_matrix_mask_fill": lambda p: mask_fill(p[0], np.stack([keep, ~keep]), fill=0.5),
+        "per_matrix_mask_fill": lambda p: attention_weights(p[0], 0.7, np.stack([keep, ~keep])),
     }[op]
     err = grad_check(lambda p: _row_loss(build(p)), [a, b, bias], coords_per_tensor=8)
     assert err < 1e-3
@@ -196,19 +271,22 @@ def test_elementwise_forward_oracles():
 
 
 def test_softmax_rows_is_stable_and_normalized():
-    x = Tensor([[1000.0, 1000.0, 1000.0], [0.0, 1.0, 2.0]])
-    p = softmax_rows(x).data
+    x = Tensor([[[1000.0, 1000.0, 1000.0], [0.0, 1.0, 2.0]]])
+    p = attention_weights(x, 1.0).data[0]
     assert np.allclose(p.sum(axis=1), 1.0)
     assert np.allclose(p[0], [1 / 3, 1 / 3, 1 / 3])
     e = np.exp([0.0, 1.0, 2.0])
     assert np.allclose(p[1], e / e.sum(), atol=1e-7)
+    e = np.exp([0.0, 0.5, 1.0])  # the scale comes before the softmax
+    assert np.allclose(attention_weights(x, 0.5).data[0, 1], e / e.sum(), atol=1e-7)
 
 
 def test_fully_filled_mask_row_degrades_to_uniform():
-    x = Tensor([[5.0, -1.0, 2.0]])
-    keep = np.array([[False, False, False]])
-    p = softmax_rows(mask_fill(x, keep)).data
-    assert np.allclose(p, [[1 / 3, 1 / 3, 1 / 3]])
+    x = Tensor([[[5.0, -1.0, 2.0], [1.0, 2.0, 3.0]]])
+    keep = np.array([[False, False, False], [True, False, True]])
+    p = attention_weights(x, 2.0, keep).data[0]
+    assert np.allclose(p[0], [1 / 3, 1 / 3, 1 / 3])
+    assert np.allclose(p[1], [1 / (1 + np.exp(4.0)), 0.0, 1 / (1 + np.exp(-4.0))])
 
 
 def test_layer_norm_normalizes_rows():
@@ -351,10 +429,19 @@ def test_grad_check_flags_wrong_gradients():
 
 
 def test_mask_fill_blocks_gradient():
-    x = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    keep = np.array([[True, False], [True, True]])
-    tape = ComputeTape()
-    with recording(tape):
-        loss = sum_all(softmax_rows(mask_fill(x, keep)))
-    tape.backward(loss)
-    assert x.grad[0, 1] == 0.0
+    """attention_weights passes no gradient to a masked score, whether the
+    mask is shared by the stack or given per matrix; every kept score of a
+    row with two or more kept entries gets some."""
+    x = np.random.default_rng(9).standard_normal((2, 3, 3)).astype(np.float32)
+    shared = np.array([[True, False, False], [True, True, False], [True, True, True]])
+    for keep in (shared, np.stack([shared, ~shared | np.eye(3, dtype=bool)])):
+        scores = Tensor(x)
+        tape = ComputeTape()
+        with recording(tape):
+            loss = cross_entropy(reshape(attention_weights(scores, 0.5, keep), (6, 3)),
+                                 [0, 1, 2, 2, 1, 0])
+        tape.backward(loss)
+        mask = np.broadcast_to(keep, x.shape)
+        assert np.all(scores.grad[~mask] == 0.0)
+        several = mask & (mask.sum(axis=-1, keepdims=True) > 1)
+        assert np.all(scores.grad[several] != 0.0)

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import wideffn as w
 from wideffn.errors import ConfigError, NumericError
 from wideffn.store import ParamStore
-from wideffn import training
+from wideffn import training, transformer
 from wideffn.tensor import ComputeTape, Tensor, matmul, recording, sum_all
 from wideffn.training import (
     AdamState,
@@ -87,6 +89,18 @@ def test_adam_none_grad_is_zero_grad():
     store = _scalar_store(5.0)
     adam_step(store, AdamState(store), lr=0.1)
     assert float(store.physical["x"].data) == pytest.approx(5.0)
+    # after steps with gradients, a None grad still reads as zeros, not as
+    # what the last step gathered
+    stores = [ParamStore([("a", (3,)), ("b", (2,))]) for _ in range(2)]
+    steps = [adam_step, _per_tensor_adam()]
+    states = [AdamState(s) for s in stores]
+    for grads in ({"a": [1, 2, 3], "b": [4, 5]}, {"a": [1, 1, 1]}, {}):
+        for s, step, state in zip(stores, steps, states):
+            s.zero_grad()
+            for name, g in grads.items():
+                s.physical[name].grad = np.array(g, dtype=np.float32)
+            step(s, state, lr=0.1)
+    assert stores[0].flat.tobytes() == stores[1].flat.tobytes()
 
 
 def test_adam_matches_reference_trajectory():
@@ -150,19 +164,28 @@ def test_a_step_records_one_tape_whatever_its_batch_size(monkeypatch):
         batches.append(len(pairs))
         return loss_for_pair(self, pairs, **kwargs)
 
+    masked = []  # per attention_weights call: the tape it records on, and whether masked
+    weights = transformer.attention_weights
+
+    def counted_weights(x, f, keep=None):
+        masked.append((len(tapes) - 1, keep is not None))
+        return weights(x, f, keep)
+
     monkeypatch.setattr(training, "ComputeTape", KeptTape)
     monkeypatch.setattr(type(m), "loss_for_pair", counted)
+    monkeypatch.setattr(transformer, "attention_weights", counted_weights)
     c = generate_toy_task("copy", 64, (2, 7), 12, seed=1)
     train(m, c, 2, 32, seed=0)
     train(m, c, 1, 1, seed=0)
     assert batches == [32, 32, 1]
     assert len(tapes) == 3
     # The same ops in the same order at any batch size, except that a batch
-    # of one pads nothing: its only mask fills are the decoder's causal ones.
+    # of one pads nothing: its only masks are the decoder's causal ones.
     ops = [[fn.__qualname__.split(".")[0] for _, _, fn in tape.nodes] for tape in tapes]
-    assert ops[0] == ops[1]
-    assert [op for op in ops[0] if op != "mask_fill"] == [op for op in ops[2] if op != "mask_fill"]
-    assert (ops[0].count("mask_fill"), ops[2].count("mask_fill")) == (2 + 2 * 2, 2)
+    assert ops[0] == ops[1] == ops[2]
+    per_tape = [sum(is_masked for tape, is_masked in masked if tape == i) for i in range(3)]
+    assert ops[0].count("attention_weights") == 2 + 2 * 2
+    assert per_tape == [2 + 2 * 2, 2 + 2 * 2, 2]
 
 
 RAGGED_BATCH = [([4, 5, 6], [7, 8]), ([9], [4, 5, 6, 7, 8]), ([5, 6, 7, 8, 9, 10], [11]),
@@ -325,3 +348,29 @@ def test_flat_adam_equals_the_per_tensor_loop_bitwise(monkeypatch, preset, dropo
     assert flat_losses == ref_losses
     for name, p in ref.store.physical.items():
         assert p.data.tobytes() == flat.store.physical[name].data.tobytes(), name
+
+
+@pytest.mark.parametrize("preset", ["baseline", "OneWideFFN"])
+def test_adam_step_allocates_less_than_the_parameters(preset):
+    """After a warm step, an update at the toy training shape allocates less
+    than one copy of the parameters: its arithmetic runs in AdamState's
+    scratch buffers, not in parameter-sized temporaries."""
+    cfg = w.apply_preset(w.ModelConfig(n_enc=2, n_dec=2, d_model=32, d_ff=64, heads=2,
+                                       vocab_size=20, dropout=0.0), preset)
+    model = w.build_model(cfg, seed=0)
+    state = AdamState(model.store)
+    c = generate_toy_task("copy", 32, (3, 8), 20, seed=2)
+    train(model, c, 1, 32, seed=0, state=state)
+    model.store.zero_grad()
+    tape = ComputeTape()
+    with recording(tape):
+        loss, _ = model.loss_for_pair(c.pairs)
+    tape.backward(loss)
+    tracemalloc.start()
+    try:
+        adam_step(model.store, state, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.t == 2
+    assert peak < model.store.flat.nbytes, (peak, model.store.flat.nbytes)

@@ -104,10 +104,10 @@ def _require_rank(t: Tensor, rank: int, op: str):
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Product of two matrices, or of two equal-length stacks of matrices;
+    """Product of two matrices, or of two equally shaped stacks of matrices;
     a rank-1 `bias` is added in place to every row of a matrix product."""
-    if a.data.ndim not in (2, 3) or a.data.ndim != b.data.ndim:
-        raise ShapeError(f"matmul: ranks of {a.shape} and {b.shape} must both be 2 or 3")
+    if a.data.ndim < 2 or a.data.ndim != b.data.ndim:
+        raise ShapeError(f"matmul: {a.shape} and {b.shape} must be of one rank, 2 or more")
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape} do not agree")
     out, inputs = Tensor(a.data @ b.data), (a, b)
@@ -221,21 +221,26 @@ def attention_weights(scores: Tensor, factor: float, keep: np.ndarray | None = N
     `factor`, with MASK_FILL_VALUE wherever `keep` is False: attention's
     scale, mask and softmax as one op and one tape node.
 
-    `keep` is one mask for every matrix of the stack, or one per matrix (the
-    stack's shape). Masked entries get no gradient, and a fully masked row is
-    uniform, because max subtraction cancels the shared fill value.
+    The stack is (N, T_q, T_k) or (B, heads, T_q, T_k). `keep` is one mask
+    for every matrix, one per matrix (the stack's shape) or, for a rank-4
+    stack, one (B, 1, T_q, T_k) mask per sequence shared by its heads. Masked
+    entries get no gradient, and a fully masked row is uniform, because max
+    subtraction cancels the shared fill value.
     """
-    _require_rank(scores, 3, "attention_weights")
+    if scores.data.ndim not in (3, 4):
+        raise ShapeError(f"attention_weights: expected a rank 3 or 4 stack, got {scores.shape}")
     f = np.float32(factor)
     p = scores.data * f
     if keep is not None:
         keep = np.asarray(keep, dtype=bool)
-        if keep.shape not in (scores.shape[1:], scores.shape):
+        per_sequence = (scores.shape[0], 1, *scores.shape[2:]) if scores.data.ndim == 4 else None
+        if keep.shape not in (scores.shape[-2:], scores.shape, per_sequence):
             raise ShapeError(f"attention_weights: mask {keep.shape} vs scores {scores.shape}")
         np.copyto(p, MASK_FILL_VALUE, where=~keep)
-    # Row maxima over the leading axis of a (T_k, N, T_q) copy, as numpy
+    # Row maxima over the leading axis of a (T_k, ..., T_q) copy, as numpy
     # reduces a short last axis slowly; a max is exact in any order.
-    p -= np.maximum.reduce(np.ascontiguousarray(p.transpose(2, 0, 1)), axis=0)[..., None]
+    keys_first = np.ascontiguousarray(p.transpose(p.ndim - 1, *range(p.ndim - 1)))
+    p -= np.maximum.reduce(keys_first, axis=0)[..., None]
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=-1, keepdims=True)
     out = Tensor(p)

@@ -76,32 +76,31 @@ class DecodeRows(Tensor):
     Its data is the encoder output over each row's src + <eos>, S rows per
     source of which `src_lengths` are real (none for a decoder-only model).
     `layers` holds each decoder layer's [self, cross] attention_forward kv
-    lists; row r owns stack entries [r*heads, (r+1)*heads). A decoder-only
-    model's rows start out holding the K/V of their sources src + <eos>,
-    left-padded by `pad`. `fed` is what `step_logits` fed, <bos> first."""
+    lists, indexed by row first. A decoder-only model runs its rows' sources
+    src + <eos>, left-padded by `pad`, once here: `prefix` columns of K/V
+    that `restart` goes back to. `fed` is what `step_logits` fed, <bos> first."""
 
     def __init__(self, model: "TransformerModel", srcs: list):
         sources = [list(src) + [EOS] for src in srcs]
         lengths = np.array([len(s) for s in sources])
-        self.model = model
+        self.model, self.fed, self.prefix = model, (), 0
         self.layers = [[[], []] for _ in range(model.config.n_dec)]
         if model.config.architecture == "encoder-decoder":
             super().__init__(encoder_forward(model, sources)[0].data)
             self.src_lengths, self.pad = lengths, 0 * lengths
         else:
             super().__init__(np.zeros((0, model.config.d_model)))
-            self.src_lengths, self.pad = None, lengths.max() - lengths
-        self.restart(srcs)
+            self.src_lengths, self.pad, self.prefix = None, lengths.max() - lengths, lengths.max()
+            self.step([[PAD] * p + s for p, s in zip(self.pad, sources)], self.prefix)
 
-    def restart(self, srcs: list) -> None:
-        """Forget every fed id: empty each layer's self K/V, keep the cross K/V,
-        and run a decoder-only model's sources src + <eos> again, left-padded."""
+    def restart(self) -> None:
+        """Forget every fed id: cut each layer's self K/V back to the source
+        prefix, none in an encoder-decoder model, and keep the cross K/V."""
         self.fed = ()
         for layer in self.layers:
-            layer[0] = []
-        if self.src_lengths is None:
-            sources = [[PAD] * p + list(s) + [EOS] for p, s in zip(self.pad, srcs)]
-            self.step(sources, len(sources[0]))
+            if layer[0]:
+                k, v = layer[0]
+                layer[0] = [Tensor(k.data[..., :self.prefix]), Tensor(v.data[..., :self.prefix, :])]
 
     def step(self, ids, prefix_len: int = 0) -> np.ndarray:
         """Feed every row its next ids, one per row or an (R, T) block, and
@@ -115,11 +114,9 @@ class DecodeRows(Tensor):
     def keep(self, rows) -> None:
         """Keep the given rows in the given order, repeats allowed: beam search
         reorders by parent, and a finished sequence leaves the batch."""
-        heads = self.model.config.heads
-        stacked = (np.asarray(rows)[:, None] * heads + np.arange(heads)).reshape(-1)
         for layer in self.layers:
             for kv in layer:
-                kv[:] = [Tensor(t.data[stacked]) for t in kv]
+                kv[:] = [Tensor(t.data[rows]) for t in kv]
         if self.src_lengths is not None:
             d = self.data.shape[1]
             self.data = self.data.reshape(len(self.pad), -1, d)[rows].reshape(-1, d)
@@ -221,7 +218,7 @@ class TransformerModel:
             return self.teacher_forced([(src_tokens, prefix)])[0].data[-1]
         fed = (BOS, *prefix)
         if enc_ctx.fed != fed[:-1]:
-            enc_ctx.restart([src_tokens])
+            enc_ctx.restart()
         logits = enc_ctx.step([fed[len(enc_ctx.fed):]])
         enc_ctx.fed = fed
         return logits[-1]
@@ -333,21 +330,19 @@ def build_model(config: ModelConfig, seed: int = 0) -> TransformerModel:
     return wire_model(config, store)
 
 
-def attention_mask(key_len, prefix, t_q: int, t_k: int, heads: int, offset: int = 0,
-                   pad=0) -> np.ndarray:
-    """attention_forward's (B*heads, t_q, t_k) keep mask, one per sequence
-    repeated for its heads: query i of sequence b, at column offset + i, sees
-    key j when pad[b] <= j < key_len[b] and either j < prefix[b] or j <= offset + i.
+def attention_mask(key_len, prefix, t_q: int, t_k: int, offset: int = 0, pad=0) -> np.ndarray:
+    """attention_forward's (B, 1, t_q, t_k) keep mask, one per sequence for
+    all its heads: query i of sequence b, at column offset + i, sees key j
+    when pad[b] <= j < key_len[b] and either j < prefix[b] or j <= offset + i.
 
     prefix = key_len sees every real key (encoder, cross attention), prefix 0
     is causal and one in between is a prefix LM; pad hides leading columns.
     """
-    key_len, prefix, pad = (np.asarray(a)[..., None, None] for a in (key_len, prefix, pad))
+    key_len, prefix, pad = (np.asarray(a)[..., None, None, None] for a in (key_len, prefix, pad))
     if (prefix < 0).any():
         raise ConfigError(f"negative prefix length in {prefix.ravel().tolist()}")
     j = np.arange(t_k)
-    keep = (pad <= j) & (j < key_len) & ((j < prefix) | (j <= offset + np.arange(t_q)[:, None]))
-    return keep.repeat(heads, axis=0)
+    return (pad <= j) & (j < key_len) & ((j < prefix) | (j <= offset + np.arange(t_q)[:, None]))
 
 
 def attention_forward(q_in: Tensor, kv_in: Tensor | None, block: AttentionBlock,
@@ -358,44 +353,42 @@ def attention_forward(q_in: Tensor, kv_in: Tensor | None, block: AttentionBlock,
 
     The inputs hold `batch` sequences, B, as equal row blocks: q_in is
     (B*T_q, d) and kv_in, which gives the keys and values, is (B*T_k, d).
-    Each projection is split by reshape into a (B*heads, T, d_h) stack of
-    heads, sequence-major, so one stacked matmul scores every head of every
-    sequence and one more weights the values. `mask` is None, one (T_q, T_k)
-    keep mask for every score matrix, or `attention_mask`'s stack of one per
-    score matrix. A fully masked score row degrades to a uniform attention
-    row, because max subtraction inside the softmax cancels the shared fill
-    value. Dropout runs on the output projection when `rng` is given.
+    Each projection is split into a (B, heads, T, d_h) stack of heads, so
+    one stacked matmul scores every head of every sequence and one more
+    weights the values; the heads then merge back into (B*T_q, d) rows.
+    `mask` is None, one (T_q, T_k) keep mask for every score matrix, or
+    `attention_mask`'s (B, 1, T_q, T_k) one per sequence. A fully masked
+    score row degrades to a uniform attention row, because max subtraction
+    inside the softmax cancels the shared fill value. Dropout runs on the
+    output projection when `rng` is given.
 
     Incremental decoding passes `kv`, a list holding the [keys, values]
-    head stacks of earlier calls, or nothing yet. The projections of
-    kv_in are appended to them (kv_in None appends nothing) and the list
-    is set to the result, so a step projects only its new positions. The
-    kept keys and values carry no gradient.
+    stacks of earlier calls, (B, heads, d_h, T) and (B, heads, T, d_h), or
+    nothing yet. The projections of kv_in are appended to them (kv_in None
+    appends nothing) and the list is set to the result, so a step projects
+    only its new positions. The kept keys and values carry no gradient.
     """
     rows, d = q_in.shape
     if d % heads != 0:
         raise ConfigError(f"width {d} not divisible by {heads} heads")
     dh = d // heads
-    t_q = rows // batch
 
     def split(x: Tensor, w: Tensor, b: Tensor, axes) -> Tensor:
-        split4 = transpose(reshape(matmul(x, w, b), (batch, x.shape[0] // batch, heads, dh)), axes)
-        return reshape(split4, (batch * heads,) + split4.shape[2:])
+        return transpose(reshape(matmul(x, w, b), (batch, x.shape[0] // batch, heads, dh)), axes)
 
-    q = split(q_in, block.wq, block.bq, (0, 2, 1, 3))  # (B*heads, t_q, dh)
+    q = split(q_in, block.wq, block.bq, (0, 2, 1, 3))  # (B, heads, t_q, dh)
     if kv_in is not None:
-        k = split(kv_in, block.wk, block.bk, (0, 2, 3, 1))  # (B*heads, dh, t_k)
-        v = split(kv_in, block.wv, block.bv, (0, 2, 1, 3))  # (B*heads, t_k, dh)
+        k = split(kv_in, block.wk, block.bk, (0, 2, 3, 1))  # (B, heads, dh, t_k)
+        v = split(kv_in, block.wv, block.bv, (0, 2, 1, 3))  # (B, heads, t_k, dh)
         if kv:
-            k = Tensor(np.concatenate((kv[0].data, k.data), axis=2))
-            v = Tensor(np.concatenate((kv[1].data, v.data), axis=1))
+            k = Tensor(np.concatenate((kv[0].data, k.data), axis=3))
+            v = Tensor(np.concatenate((kv[1].data, v.data), axis=2))
     else:
         k, v = kv
     if kv is not None:
         kv[:] = k, v
     weights = attention_weights(matmul(q, k), 1.0 / math.sqrt(dh), mask)
-    heads_out = reshape(matmul(weights, v), (batch, heads, t_q, dh))
-    merged = reshape(transpose(heads_out, (0, 2, 1, 3)), (rows, d))
+    merged = reshape(transpose(matmul(weights, v), (0, 2, 1, 3)), (rows, d))
     proj = matmul(merged, block.wo, block.bo)
     if rng is not None:
         proj = dropout(proj, dropout_p, rng)
@@ -479,7 +472,7 @@ def encoder_forward(model: TransformerModel, src_ids, *, rng: np.random.Generato
         raise ConfigError("model has no encoder")
     ids, lengths = _as_batch(src_ids)
     batch, t = ids.shape
-    mask = attention_mask(lengths, lengths, t, t, cfg.heads)
+    mask = attention_mask(lengths, lengths, t, t)
     return _run_layers(model, _embed(model, ids, rng),
                        zip(model.enc_attn, [None] * cfg.n_enc, model.enc_ffn), batch, rng, mask)
 
@@ -516,15 +509,15 @@ def decoder_forward(model: TransformerModel, enc_out: Tensor | None, ids, prefix
     ids, lengths = _as_batch(ids)
     batch, t = ids.shape
     past = kv[0][0] if kv is not None else None
-    offset = past[1].shape[1] if past else 0
+    offset = past[1].shape[-2] if past else 0
     x = _embed(model, ids, rng, offset - pad)
     prefix = np.broadcast_to(prefix_len, (batch,))
     for p, end in zip(prefix, offset + lengths):
         if p > end or (p == end and kv is None):
             raise ConfigError(f"prefix_len {p} must leave a suffix in {end} positions")
-    mask = attention_mask(offset + lengths, prefix, t, offset + t, cfg.heads, offset, pad)
+    mask = attention_mask(offset + lengths, prefix, t, offset + t, offset, pad)
     cross_mask = None if src_lengths is None else attention_mask(
-        src_lengths, src_lengths, t, enc_out.shape[0] // batch, cfg.heads)
+        src_lengths, src_lengths, t, enc_out.shape[0] // batch)
     x, taps = _run_layers(model, x, zip(model.dec_self, model.dec_cross, model.dec_ffn), batch,
                           rng, mask, cross_mask, enc_out, kv)
     if kv is not None:  # a decode step needs each sequence's last row only

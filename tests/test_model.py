@@ -33,13 +33,15 @@ from conftest import tiny_config
 
 def test_causal_mask_shape_and_content():
     T, F = True, False
-    assert attention_mask([3], [0], 3, 3, heads=1)[0].tolist() == [
+    causal = attention_mask([3], [0], 3, 3)
+    assert causal.shape == (1, 1, 3, 3)  # one mask per sequence, for all its heads
+    assert causal[0, 0].tolist() == [
         [T, F, F],
         [T, T, F],
         [T, T, T],
     ]
     # a sequence of 2 padded to 3 also hides the pad key from the pad query
-    assert attention_mask([2], [0], 3, 3, heads=1)[0].tolist() == [
+    assert attention_mask([2], [0], 3, 3)[0, 0].tolist() == [
         [T, F, F],
         [T, T, F],
         [T, T, F],
@@ -48,14 +50,14 @@ def test_causal_mask_shape_and_content():
 
 def test_prefix_mask_bidirectional_prefix_causal_suffix():
     T, F = True, False
-    assert attention_mask([4], [2], 4, 4, heads=1)[0].tolist() == [
+    assert attention_mask([4], [2], 4, 4)[0, 0].tolist() == [
         [T, T, F, F],
         [T, T, F, F],
         [T, T, T, F],
         [T, T, T, T],
     ]
     with pytest.raises(ConfigError):
-        attention_mask([3], [-1], 3, 3, heads=1)
+        attention_mask([3], [-1], 3, 3)
     m = w.build_model(tiny_config(n_enc=0, architecture="decoder-only"), seed=0)
     with pytest.raises(ConfigError):
         decoder_forward(m, None, [4, 5, 6], prefix_len=-1)
@@ -64,19 +66,20 @@ def test_prefix_mask_bidirectional_prefix_causal_suffix():
 def test_attention_mask_covers_every_visibility_rule():
     T, F = True, False
     # encoder and cross attention: prefix = key length, so pad keys only are hidden
-    enc = attention_mask([2, 3], [2, 3], 4, 3, heads=1)
-    assert enc[0].tolist() == [[T, T, F]] * 4
+    enc = attention_mask([2, 3], [2, 3], 4, 3)
+    assert enc[0, 0].tolist() == [[T, T, F]] * 4
     assert enc[1].all()
     # decode steps at an offset are the last rows of the full prefix-LM mask
-    full = attention_mask([4], [2], 4, 4, heads=1)[0]
+    full = attention_mask([4], [2], 4, 4)[0, 0]
     for t_q in (1, 2):
-        step = attention_mask([4], [2], t_q, 4, heads=1, offset=4 - t_q)
-        assert np.array_equal(step[0], full[4 - t_q:]), t_q
-    # each sequence's mask repeats for its heads, sequence-major
-    stack = attention_mask([2, 3], [0, 3], 3, 3, heads=2)
-    assert stack.shape == (4, 3, 3)
-    assert np.array_equal(stack[0], stack[1]) and np.array_equal(stack[2], stack[3])
-    assert not np.array_equal(stack[1], stack[2])
+        step = attention_mask([4], [2], t_q, 4, offset=4 - t_q)
+        assert np.array_equal(step[0, 0], full[4 - t_q:]), t_q
+    # one mask per sequence, in sequence order, each what the sequence gets alone
+    stack = attention_mask([2, 3], [0, 3], 3, 3)
+    assert stack.shape == (2, 1, 3, 3)
+    assert np.array_equal(stack[0], attention_mask([2], [0], 3, 3)[0])
+    assert np.array_equal(stack[1], attention_mask([3], [3], 3, 3)[0])
+    assert not np.array_equal(stack[0], stack[1])
 
 
 def test_sinusoidal_positions_structure():
@@ -213,7 +216,8 @@ def _random_attention_block(rng, d):
 
 
 def _reference_attention(q_in, kv_in, block, keep, heads):
-    """Multi-head attention one head at a time, in float64 numpy."""
+    """Multi-head attention one head at a time, in float64 numpy; `keep` is
+    one sequence's (T_q, T_k) mask, the same for every head."""
     p = {name: getattr(block, name).data.astype(np.float64) for name in ATTN_PARTS}
     q = q_in @ p["wq"] + p["bq"]
     k = kv_in @ p["wk"] + p["bk"]
@@ -224,7 +228,7 @@ def _reference_attention(q_in, kv_in, block, keep, heads):
         cols = slice(h * dh, (h + 1) * dh)
         scores = q[:, cols] @ k[:, cols].T / np.sqrt(dh)
         if keep is not None:
-            scores = np.where(keep[h], scores, -1e9)
+            scores = np.where(keep, scores, -1e9)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         outs.append(e / e.sum(axis=1, keepdims=True) @ v[:, cols])
     y = q_in + np.concatenate(outs, axis=1) @ p["wo"] + p["bo"]
@@ -241,12 +245,12 @@ def test_attention_matches_per_head_reference(heads, case):
     q_in = rng.standard_normal((t, d)).astype(np.float32)
     kv_in = rng.standard_normal((3, d)).astype(np.float32) if case == "cross" else q_in
     prefix = {"causal": 0, "prefix": 2}.get(case)
-    keep = None if prefix is None else attention_mask([t], [prefix], t, t, heads)
+    keep = None if prefix is None else attention_mask([t], [prefix], t, t)
     q_t = Tensor(q_in)
     kv_t = Tensor(kv_in) if case == "cross" else q_t
     out = attention_forward(q_t, kv_t, block, mask=keep, heads=heads)
     expect = _reference_attention(q_in.astype(np.float64), kv_in.astype(np.float64),
-                                  block, keep, heads)
+                                  block, None if keep is None else keep[0, 0], heads)
     assert out.shape == (t, d)
     assert np.abs(out.data - expect).max() < 1e-6
 
@@ -256,7 +260,7 @@ def test_a_mask_that_hides_nothing_is_left_out_exactly(monkeypatch):
     block = _random_attention_block(rng, 16)
     x = rng.standard_normal((2 * 5, 16)).astype(np.float32)
     runs = []
-    for mask in (np.ones((2 * 4, 5, 5), dtype=bool), None):  # an all-True mask, then none
+    for mask in (np.ones((2, 1, 5, 5), dtype=bool), None):  # an all-True mask, then none
         q = Tensor(x)
         tape = ComputeTape()
         with recording(tape):
@@ -295,7 +299,7 @@ def test_attention_passes_grad_check_with_four_heads():
     d, t = 16, 5
     block = _random_attention_block(rng, d)
     x = Tensor(rng.standard_normal((t, d)))
-    keep = attention_mask([t], [2], t, t, heads=4)
+    keep = attention_mask([t], [2], t, t)
 
     def f(params):
         out = attention_forward(params[0], params[0], block, mask=keep, heads=4)
@@ -303,6 +307,124 @@ def test_attention_passes_grad_check_with_four_heads():
 
     params = [x] + [getattr(block, name) for name in ATTN_PARTS]
     assert grad_check(f, params, coords_per_tensor=3) < 1e-3
+
+
+# attention as it was before the head axis stayed in the shape: every
+# sequence's mask repeated for its heads, each projection reshaped into a
+# (B*heads, T, d_h) stack and back, rank-3 stacks throughout, and a K/V cache
+# whose row r owns stack entries [r*heads, (r+1)*heads).
+def _old_attention_mask(key_len, prefix, t_q, t_k, heads, offset=0, pad=0):
+    key_len, prefix, pad = (np.asarray(a)[..., None, None] for a in (key_len, prefix, pad))
+    j = np.arange(t_k)
+    keep = (pad <= j) & (j < key_len) & ((j < prefix) | (j <= offset + np.arange(t_q)[:, None]))
+    return keep.repeat(heads, axis=0)
+
+
+def _old_attention_forward(q_in, kv_in, block, mask=None, *, heads=1, batch=1, dropout_p=0.0,
+                           rng=None, kv=None):
+    rows, d = q_in.shape
+    dh = d // heads
+    t_q = rows // batch
+
+    def split(x, w, b, axes):
+        split4 = tensor.transpose(tensor.reshape(tensor.matmul(x, w, b),
+                                                 (batch, x.shape[0] // batch, heads, dh)), axes)
+        return tensor.reshape(split4, (batch * heads,) + split4.shape[2:])
+
+    q = split(q_in, block.wq, block.bq, (0, 2, 1, 3))
+    if kv_in is not None:
+        k = split(kv_in, block.wk, block.bk, (0, 2, 3, 1))
+        v = split(kv_in, block.wv, block.bv, (0, 2, 1, 3))
+        if kv:
+            k = Tensor(np.concatenate((kv[0].data, k.data), axis=2))
+            v = Tensor(np.concatenate((kv[1].data, v.data), axis=1))
+    else:
+        k, v = kv
+    if kv is not None:
+        kv[:] = k, v
+    weights = tensor.attention_weights(tensor.matmul(q, k), 1.0 / np.sqrt(dh), mask)
+    heads_out = tensor.reshape(tensor.matmul(weights, v), (batch, heads, t_q, dh))
+    merged = tensor.reshape(tensor.transpose(heads_out, (0, 2, 1, 3)), (rows, d))
+    proj = tensor.matmul(merged, block.wo, block.bo)
+    if rng is not None:
+        proj = tensor.dropout(proj, dropout_p, rng)
+    return tensor.layer_norm(tensor.add(q_in, proj), block.ln_gain, block.ln_bias)
+
+
+def _old_keep(self, rows):
+    heads = self.model.config.heads
+    stacked = (np.asarray(rows)[:, None] * heads + np.arange(heads)).reshape(-1)
+    for layer in self.layers:
+        for kv in layer:
+            kv[:] = [Tensor(t.data[stacked]) for t in kv]
+    if self.src_lengths is not None:
+        d = self.data.shape[1]
+        self.data = self.data.reshape(len(self.pad), -1, d)[rows].reshape(-1, d)
+        self.src_lengths = self.src_lengths[rows]
+    self.pad = self.pad[rows]
+
+
+# (cross attention?, attention_mask arguments after t_q and t_k, per sequence
+# of up to three): T_q = 5 queries see T_k = 5 keys, or 3 source keys
+HEAD_GATE_CASES = {
+    "self": (False, None),
+    "cross": (True, None),
+    "causal": (False, dict(key_len=[5, 5, 5], prefix=[0, 0, 0])),
+    "prefix": (False, dict(key_len=[5, 5, 5], prefix=[2, 0, 3])),
+    "right_padded": (False, dict(key_len=[3, 5, 4], prefix=[0, 0, 0])),
+    "left_padded": (False, dict(key_len=[5, 5, 5], prefix=[3, 3, 3], pad=[2, 0, 1])),
+    "cross_padded": (True, dict(key_len=[2, 3, 1], prefix=[2, 3, 1])),
+}
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("case", list(HEAD_GATE_CASES))
+def test_heads_as_an_axis_leave_attention_bitwise_unchanged(heads, batch, case):
+    cross, mask_args = HEAD_GATE_CASES[case]
+    rng = np.random.default_rng(heads * 10 + batch)
+    d, t_q, t_k = 16, 5, 3 if cross else 5
+    params = [rng.uniform(-0.5, 0.5, size=(d, d) if name.startswith("w") else d)
+              for name in ATTN_PARTS]
+    q_data = rng.standard_normal((batch * t_q, d)).astype(np.float32)
+    kv_data = rng.standard_normal((batch * t_k, d)).astype(np.float32)
+    args = None if mask_args is None else {k: v[:batch] for k, v in mask_args.items()}
+    new_mask = None if args is None else attention_mask(t_q=t_q, t_k=t_k, **args)
+    old_mask = None if args is None else _old_attention_mask(t_q=t_q, t_k=t_k, heads=heads, **args)
+    runs = []
+    for forward, mask in ((attention_forward, new_mask), (_old_attention_forward, old_mask)):
+        block = AttentionBlock(*map(Tensor, params))
+        q = Tensor(q_data)
+        kv = Tensor(kv_data) if cross else q
+        tape = ComputeTape()
+        with recording(tape):
+            out = forward(q, kv, block, mask, heads=heads, batch=batch)
+            loss = cross_entropy(out, np.arange(batch * t_q) % d)
+        tape.backward(loss)
+        grads = [t.grad.tobytes() for t in (q, kv, *block)]
+        runs.append([out.data.tobytes()] + grads)
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
+def test_decode_rows_match_the_old_head_layout_bitwise(arch, monkeypatch):
+    n_enc = 0 if arch == "decoder-only" else 2
+    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch, heads=4), seed=5)
+    srcs = [[4, 5, 6], [7], [8, 9, 10, 11]]
+
+    def run():  # step, keep([2, 0, 0]), step
+        rows = DecodeRows(m, srcs)
+        first = rows.step([BOS] * 3)
+        rows.keep([2, 0, 0])
+        return first.tobytes(), rows.step([5, 6, 7]).tobytes()
+
+    new = run()
+    monkeypatch.setattr(transformer, "attention_forward", _old_attention_forward)
+    monkeypatch.setattr(transformer, "attention_mask",
+                        lambda key_len, prefix, t_q, t_k, offset=0, pad=0: _old_attention_mask(
+                            key_len, prefix, t_q, t_k, m.config.heads, offset, pad))
+    monkeypatch.setattr(DecodeRows, "keep", _old_keep)
+    assert run() == new
 
 
 def test_forward_is_deterministic_in_eval_mode():
@@ -609,10 +731,12 @@ def test_cached_step_logits_match_the_recompute(heads):
             cached = m.step_logits(ctx, src, prefix[:t])
             assert np.abs(cached - m.step_logits(None, src, prefix[:t])).max() < 1e-5, (cfg, t)
         # one row holding the source prefix and <bos> + prefix, whose last id it ran
-        source = len(src) + 1 if cfg.architecture == "decoder-only" else 0
+        width = (len(src) + 1 if cfg.architecture == "decoder-only" else 0) + len(prefix) + 1
+        dh = cfg.d_model // cfg.heads
         assert ctx.fed == (BOS, *prefix)
-        for self_kv, _ in ctx.layers:
-            assert self_kv[1].shape == (cfg.heads, source + len(prefix) + 1, cfg.d_model // cfg.heads)
+        for (keys, values), _ in ctx.layers:
+            assert keys.shape == (1, cfg.heads, dh, width)
+            assert values.shape == (1, cfg.heads, width, dh)
 
 
 @pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
@@ -627,6 +751,29 @@ def test_memo_misses_recompute_the_same_logits(arch):
     for t, c in [(2, ctx), (3, ctx), (5, fresh)]:  # evicted parent, its child, empty memo
         got = m.step_logits(c, src, prefix[:t])
         assert np.abs(got - m.step_logits(None, src, prefix[:t])).max() < 1e-5, t
+
+
+def test_a_decoder_only_memo_miss_runs_only_the_fed_block(monkeypatch):
+    # the source prefix ran once, in encode; a miss cuts the cache back to it
+    m = w.build_model(tiny_config(n_enc=0, architecture="decoder-only"), seed=8)
+    src, prefix = [4, 5, 6], [7, 8, 9]
+    ctx = m.encode(src)
+    for t in range(len(prefix) + 1):
+        m.step_logits(ctx, src, prefix[:t])
+    widths = []
+    forward = transformer.decoder_forward
+
+    def counted(model, enc_out, ids, *args, **kwargs):
+        widths.append(np.shape(ids)[-1])
+        return forward(model, enc_out, ids, *args, **kwargs)
+
+    monkeypatch.setattr(transformer, "decoder_forward", counted)
+    got = m.step_logits(ctx, src, prefix[:2])  # a miss: <bos> + prefix[:2] runs as one block
+    assert widths == [3]
+    monkeypatch.undo()
+    fresh = m.encode(src)
+    assert got.tobytes() == m.step_logits(fresh, src, prefix[:2]).tobytes()
+    assert np.abs(got - m.step_logits(None, src, prefix[:2])).max() < 1e-5
 
 
 def test_a_memo_miss_reuses_the_encoder_output(monkeypatch):

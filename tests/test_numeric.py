@@ -36,7 +36,7 @@ def run_backward(build):
 def test_tensor_is_float32_and_rank_limited():
     t = Tensor([[1.0, 2.0]])
     assert t.data.dtype == np.float32
-    assert Tensor(np.zeros((2, 2, 2, 2))).shape == (2, 2, 2, 2)  # a transient head view
+    assert Tensor(np.zeros((2, 2, 2, 2))).shape == (2, 2, 2, 2)  # a (B, heads, T, d_h) stack
     with pytest.raises(ShapeError):
         Tensor(np.zeros((2, 2, 2, 2, 2)))
 
@@ -74,7 +74,7 @@ def test_stacked_ops_forward_and_shape_errors():
         attention_weights(Tensor(a), 1.0, np.ones((4, 3), dtype=bool))
     with pytest.raises(ShapeError):  # attention weights come in stacks
         attention_weights(Tensor(a[0]), 1.0)
-    # rank 4 (a transient head view) and one mask per matrix of a stack
+    # rank 4 (a (B, heads, T, d_h) stack) and one mask per matrix of a stack
     a4 = a.reshape(2, 3, 2, 2)
     assert np.array_equal(transpose(Tensor(a4), (0, 2, 1, 3)).data, a4.transpose(0, 2, 1, 3))
     assert np.array_equal(reshape(Tensor(a4), (4, 3, 2)).data, a.reshape(4, 3, 2))
@@ -83,6 +83,50 @@ def test_stacked_ops_forward_and_shape_errors():
     assert np.array_equal(weights[1], attention_weights(Tensor(a[1:]), 0.5, ~keep).data[0])
     with pytest.raises(ShapeError):  # neither one mask nor one per matrix
         attention_weights(Tensor(a), 0.5, per_matrix[:1])
+
+
+def test_rank4_stacks_multiply_per_matrix_and_take_a_mask_per_sequence():
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)  # 2 sequences of 3 heads
+    b = rng.standard_normal((2, 3, 5, 4)).astype(np.float32)
+    out = matmul(Tensor(a), Tensor(b)).data
+    assert out.shape == (2, 3, 4, 4)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(out[i, j], a[i, j] @ b[i, j])
+    for bad in (b[:1], b[:, :2], b[0], b[..., :3, :]):  # leading axes, rank, inner width
+        with pytest.raises(ShapeError):
+            matmul(Tensor(a), Tensor(bad))
+    keep = rng.random((2, 3, 4, 4)) < 0.7
+    for mask in (keep[0, 0], keep, keep[:, :1]):  # shared, per matrix, per sequence
+        assert attention_weights(Tensor(out), 0.5, mask).shape == (2, 3, 4, 4)
+    for mask in (keep[:1], keep[:, :2], keep[:1, :1], keep[0], keep[:, :1, :1], keep[..., :1]):
+        with pytest.raises(ShapeError):
+            attention_weights(Tensor(out), 0.5, mask)
+    with pytest.raises(ShapeError):  # rank 5 is no stack of score matrices
+        attention_weights(Tensor(out[None]), 0.5)
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 9, 9), (8, 8, 1, 13), (1, 2, 5, 3), (2, 1, 4, 4)])
+def test_a_per_sequence_mask_equals_it_repeated_per_head_bitwise(shape):
+    # a (B, heads, T_q, T_k) stack with a (B, 1, T_q, T_k) mask against the
+    # (B*heads, T_q, T_k) stack with each sequence's mask repeated per head
+    rng = np.random.default_rng(sum(shape))
+    batch, heads, t_q, t_k = shape
+    x = (4.0 * rng.standard_normal(shape)).astype(np.float32)
+    g = rng.standard_normal(shape).astype(np.float32)
+    keep = rng.random((batch, 1, t_q, t_k)) < 0.7
+    keep[0, 0, -1] = False  # a fully masked row
+    stack = (batch * heads, t_q, t_k)
+    runs = []
+    for scores, mask, grad in ((x, keep, g), (x.reshape(stack),
+                                              keep.repeat(heads, axis=1).reshape(stack),
+                                              g.reshape(stack))):
+        tape = ComputeTape()
+        with recording(tape):
+            out = attention_weights(Tensor(scores), 0.25, mask)
+        (_, _, backward_fn), = tape.nodes
+        runs.append((out.data.tobytes(), backward_fn(grad)[0].tobytes()))
+    assert runs[0] == runs[1]
 
 
 # The ops as tensor.py had them before the bias moved into matmul,
@@ -234,7 +278,8 @@ def _row_loss(y):
 
 
 @pytest.mark.parametrize("op", ["matmul", "matmul_bias", "transpose", "reshape", "softmax_rows",
-                                "mask_fill", "rank4_transpose", "per_matrix_mask_fill"])
+                                "mask_fill", "rank4_transpose", "per_matrix_mask_fill",
+                                "rank4_matmul", "per_sequence_mask_fill"])
 def test_stacked_ops_pass_grad_check(op):
     rng = np.random.default_rng(6)
     a = Tensor(rng.standard_normal((2, 3, 4)))
@@ -252,6 +297,9 @@ def test_stacked_ops_pass_grad_check(op):
         "mask_fill": lambda p: attention_weights(p[0], 0.7, keep),
         "rank4_transpose": lambda p: transpose(reshape(p[0], (2, 3, 2, 2)), (0, 2, 1, 3)),
         "per_matrix_mask_fill": lambda p: attention_weights(p[0], 0.7, np.stack([keep, ~keep])),
+        "rank4_matmul": lambda p: matmul(reshape(p[0], (2, 1, 3, 4)), reshape(p[1], (2, 1, 4, 3))),
+        "per_sequence_mask_fill": lambda p: attention_weights(reshape(p[0], (1, 2, 3, 4)), 0.7,
+                                                              keep[None, None]),
     }[op]
     err = grad_check(lambda p: _row_loss(build(p)), [a, b, bias], coords_per_tensor=8)
     assert err < 1e-3

@@ -1,8 +1,9 @@
 """Decoding, latency measurement, and corpus BLEU.
 
 `search` is the one decoder: a batch of sources, every live hypothesis one
-row of the decoding state, stepped together. Greedy and beam decoding of
-one source, `measure_throughput` and `eval` all run it.
+row of the decoding state that `model.decode_rows` returns, stepped
+together. Greedy and beam decoding of one source, `measure_throughput`,
+`eval` and `score_sequence` all step that state.
 
 Scoring convention shared by search and score_sequence: a hypothesis's
 score is its summed token log-probability divided by the number of scored
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .transformer import DecodeRows, TransformerModel
+from .transformer import TransformerModel
 from .vocab import BOS, EOS, Corpus
 
 _MEASURE_LOCK = threading.Lock()
@@ -35,36 +36,22 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-class _SentenceRows:
-    """DecodeRows' step and keep, one sentence a row, through encode/step_logits."""
-
-    def __init__(self, model, srcs: list):
-        self.model, self.rows = model, [(src, model.encode(src), ()) for src in srcs]
-
-    def step(self, ids) -> np.ndarray:
-        self.rows = [(src, ctx, fed + (tok,)) for (src, ctx, fed), tok in zip(self.rows, ids)]
-        return np.stack([self.model.step_logits(c, s, list(f[1:])) for s, c, f in self.rows])
-
-    def keep(self, rows) -> None:
-        self.rows = [self.rows[r] for r in rows]
-
-
 def search(model: TransformerModel, srcs: list, beam: int = 1, max_len: int = 32) -> list:
     """Beam search over a batch of sources; returns each source's best
     hypothesis by normalized score, end token dropped.
 
     One step scores every row, then `keep` reorders the rows by parent and
     drops those of finished sources. Ties resolve by insertion order, score
-    order then token id, so beam=1 is greedy. A search of one row, one greedy
-    sentence, gains nothing from batching and steps through the model's own
-    encode/step_logits, as does a model with only those two methods.
+    order then token id, so beam=1 is greedy. Every search, one greedy sentence
+    too, steps `model.decode_rows(srcs)`; no sources give no outputs.
     """
     if beam < 1:
         raise ConfigError("beam must be >= 1")
     if max_len < 1:
         raise ConfigError("max_len must be positive")
-    batched = isinstance(model, TransformerModel) and len(srcs) * beam > 1
-    rows = (DecodeRows if batched else _SentenceRows)(model, srcs)
+    if not srcs:
+        return []
+    rows = model.decode_rows(srcs)
     beams = [[([], 0.0)] for _ in srcs]  # live (tokens, summed log-prob) per source, a row each
     finished: list[list] = [[] for _ in srcs]  # (tokens, normalized score) per source
     for _ in range(max_len):
@@ -117,13 +104,13 @@ def decode_corpus(model: TransformerModel, srcs: list, batch_size: int, beam: in
 
 def score_sequence(model: TransformerModel, src: list[int], tokens: list[int],
                    ended: bool = True) -> float:
-    """Length-normalized log-probability of a decoded continuation."""
+    """Length-normalized log-probability of a decoded continuation, from
+    one row of `model.decode_rows` fed <bos> + tokens one id at a time."""
     targets = list(tokens) + [EOS] if ended else list(tokens)
     if not targets:
         raise DataError("nothing to score")
-    enc = model.encode(src)
-    logps = [_log_softmax(model.step_logits(enc, src, list(tokens[:t])))[tok]
-             for t, tok in enumerate(targets)]
+    rows = model.decode_rows([src])
+    logps = [_log_softmax(rows.step([fed]))[0, tok] for fed, tok in zip([BOS, *tokens], targets)]
     return float(sum(logps)) / len(targets)
 
 

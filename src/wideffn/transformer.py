@@ -70,37 +70,27 @@ def sinusoidal_positions(n_positions: int, d_model: int) -> np.ndarray:
 
 
 class DecodeRows(Tensor):
-    """Incremental decoding state of R sequences, one row each: `encode`
-    makes it for one source, beam search for a batch.
+    """Incremental decoding state of R sequences, one row each: `search`
+    steps one for every batch of sources, and `encode` makes one for one.
 
     Its data is the encoder output over each row's src + <eos>, S rows per
     source of which `src_lengths` are real (none for a decoder-only model).
     `layers` holds each decoder layer's [self, cross] attention_forward kv
     lists, indexed by row first. A decoder-only model runs its rows' sources
-    src + <eos>, left-padded by `pad`, once here: `prefix` columns of K/V
-    that `restart` goes back to. `fed` is what `step_logits` fed, <bos> first."""
+    src + <eos>, left-padded by `pad`, once here, as the K/V columns that
+    every fed id follows."""
 
     def __init__(self, model: "TransformerModel", srcs: list):
         sources = [list(src) + [EOS] for src in srcs]
         lengths = np.array([len(s) for s in sources])
-        self.model, self.fed, self.prefix = model, (), 0
-        self.layers = [[[], []] for _ in range(model.config.n_dec)]
+        self.model, self.layers = model, [[[], []] for _ in range(model.config.n_dec)]
         if model.config.architecture == "encoder-decoder":
             super().__init__(encoder_forward(model, sources)[0].data)
             self.src_lengths, self.pad = lengths, 0 * lengths
         else:
             super().__init__(np.zeros((0, model.config.d_model)))
-            self.src_lengths, self.pad, self.prefix = None, lengths.max() - lengths, lengths.max()
-            self.step([[PAD] * p + s for p, s in zip(self.pad, sources)], self.prefix)
-
-    def restart(self) -> None:
-        """Forget every fed id: cut each layer's self K/V back to the source
-        prefix, none in an encoder-decoder model, and keep the cross K/V."""
-        self.fed = ()
-        for layer in self.layers:
-            if layer[0]:
-                k, v = layer[0]
-                layer[0] = [Tensor(k.data[..., :self.prefix]), Tensor(v.data[..., :self.prefix, :])]
+            self.src_lengths, self.pad = None, lengths.max() - lengths
+            self.step([[PAD] * p + s for p, s in zip(self.pad, sources)], lengths.max())
 
     def step(self, ids, prefix_len: int = 0) -> np.ndarray:
         """Feed every row its next ids, one per row or an (R, T) block, and
@@ -138,6 +128,10 @@ class TransformerModel:
     dec_ffn: list[FFNBlock | None]
 
     # -- decode protocol -------------------------------------------------
+
+    def decode_rows(self, srcs: list) -> DecodeRows:
+        """The decoding state of a batch of sources, one row each: what `search` steps."""
+        return DecodeRows(self, srcs)
 
     def encode(self, src_tokens: list[int]) -> DecodeRows:
         """The one-row decoding state of a source, for `step_logits`.
@@ -209,19 +203,17 @@ class TransformerModel:
     def step_logits(self, enc_ctx, src_tokens: list[int], prefix: list[int]) -> np.ndarray:
         """Next-token logits after the given generated prefix.
 
-        With the state `encode` returned, one position runs when it holds
-        <bos> + prefix[:-1], and otherwise it is refilled. With enc_ctx None
-        the whole teacher-forced sequence runs again: that recompute is the
-        reference the cached path is tested against.
+        With enc_ctx None the whole teacher-forced sequence runs again: that
+        recompute is the reference the cached path is tested against. With
+        the state `encode` returned, <bos> + prefix runs on it as one block;
+        a state that has been stepped already is refused.
         """
         if enc_ctx is None:
             return self.teacher_forced([(src_tokens, prefix)])[0].data[-1]
-        fed = (BOS, *prefix)
-        if enc_ctx.fed != fed[:-1]:
-            enc_ctx.restart()
-        logits = enc_ctx.step([fed[len(enc_ctx.fed):]])
-        enc_ctx.fed = fed
-        return logits[-1]
+        past = enc_ctx.layers[0][0]
+        if (past[1].shape[-2] if past else 0) != self.decoder_input(src_tokens, [])[1]:
+            raise ConfigError("step_logits needs a state that encode returned and nothing stepped")
+        return enc_ctx.step([[BOS, *prefix]])[-1]
 
     # -- training protocol ------------------------------------------------
 

@@ -5,13 +5,14 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import numpy as np
 import pytest
 import yaml
 
 import wideffn as w
 from wideffn import cli
 from wideffn.training import AdamState, Schedule, token_accuracy, train
-from wideffn.vocab import generate_toy_task
+from wideffn.vocab import EOS, generate_toy_task
 
 TOY_VOCAB = 20
 
@@ -20,6 +21,43 @@ def tiny_config(**overrides):
     kw = dict(n_enc=2, n_dec=2, d_model=16, d_ff=32, heads=2, vocab_size=12, dropout=0.0)
     kw.update(overrides)
     return w.ModelConfig(**kw)
+
+
+class PrefixRows:
+    """The rows object `search` steps, over `next_logits(src, prefix)`, the
+    logits after a whole generated prefix: each row keeps the ids it was fed,
+    <bos> first, and asks for the logits after all of them every step."""
+
+    def __init__(self, next_logits, srcs: list):
+        self.next_logits, self.rows = next_logits, [(src, ()) for src in srcs]
+
+    def step(self, ids) -> np.ndarray:
+        self.rows = [(src, fed + (tok,)) for (src, fed), tok in zip(self.rows, ids)]
+        return np.stack([self.next_logits(src, list(fed[1:])) for src, fed in self.rows])
+
+    def keep(self, rows) -> None:
+        self.rows = [self.rows[r] for r in rows]
+
+
+class Scripted:
+    """Fake decoder with next-token distributions scripted per prefix.
+
+    Prefixes missing from the table end the sequence with certainty, so
+    every scripted tree is finite.
+    """
+
+    def __init__(self, table, vocab=5):
+        self.table = table
+        self.vocab = vocab
+
+    def decode_rows(self, srcs: list) -> PrefixRows:
+        return PrefixRows(self.next_logits, srcs)
+
+    def next_logits(self, src, prefix):
+        probs = np.full(self.vocab, 1e-9)
+        for tok, p in self.table.get(tuple(prefix), {EOS: 1.0}).items():
+            probs[tok] = p
+        return np.log(probs)
 
 
 @pytest.fixture(scope="session")

@@ -46,7 +46,7 @@ from wideffn.tensor import ComputeTape, grad_check, recording
 from wideffn.training import AdamState, Schedule, adam_step, token_accuracy, train
 from wideffn.vocab import EOS, generate_toy_task
 
-from conftest import tiny_config
+from conftest import Scripted, tiny_config
 from test_params import percent_of_baseline
 
 
@@ -406,23 +406,6 @@ def test_c09_checkpoint_byte_economics(tmp_path):
           f"(within 1 KiB); round-trips byte-identical")
 
 
-class _ScriptedDecoder:
-    """Next-token distributions scripted per prefix; missing prefixes end."""
-
-    def __init__(self, table, vocab=5):
-        self.table = table
-        self.vocab = vocab
-
-    def encode(self, src):
-        return None
-
-    def step_logits(self, enc, src, prefix):
-        probs = np.full(self.vocab, 1e-9)
-        for tok, p in self.table.get(tuple(prefix), {EOS: 1.0}).items():
-            probs[tok] = p
-        return np.log(probs)
-
-
 def test_c10_beam_one_is_greedy_and_wider_beams_win():
     rng = np.random.default_rng(0)
     cfg = tiny_config(n_enc=1, n_dec=1)
@@ -435,7 +418,7 @@ def test_c10_beam_one_is_greedy_and_wider_beams_win():
         assert b == g, (i, src, g, b)
         agree += 1
 
-    scripted = _ScriptedDecoder({
+    scripted = Scripted({
         (): {3: 0.50, 4: 0.45},
         (3,): {EOS: 0.34, 3: 0.33, 4: 0.32},
         (4,): {EOS: 0.90, 3: 0.05},

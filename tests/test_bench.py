@@ -23,42 +23,18 @@ from wideffn.config import DECODER_ONLY_PRESETS, PRESETS
 from wideffn.errors import ConfigError, DataError
 from wideffn.vocab import EOS, Corpus, generate_toy_task
 
-from conftest import tiny_config
-
-
-class Scripted:
-    """Fake decoder with next-token distributions scripted per prefix.
-
-    Prefixes missing from the table end the sequence with certainty, so
-    every scripted tree is finite.
-    """
-
-    def __init__(self, table, vocab=5):
-        self.table = table
-        self.vocab = vocab
-
-    def encode(self, src):
-        return None
-
-    def step_logits(self, enc, src, prefix):
-        probs = np.full(self.vocab, 1e-9)
-        for tok, p in self.table.get(tuple(prefix), {EOS: 1.0}).items():
-            probs[tok] = p
-        return np.log(probs)
+from conftest import PrefixRows, Scripted, tiny_config
 
 
 class Recompute:
-    """A real model behind a context that is hidden from it, so every step
-    runs the teacher-forced recompute instead of the K/V memo."""
+    """A real model whose every step runs the teacher-forced recompute,
+    instead of the K/V cache its own rows keep."""
 
     def __init__(self, model):
         self.model = model
 
-    def encode(self, src):
-        return None
-
-    def step_logits(self, enc, src, prefix):
-        return self.model.step_logits(None, src, prefix)
+    def decode_rows(self, srcs):
+        return PrefixRows(lambda src, prefix: self.model.step_logits(None, src, prefix), srcs)
 
 
 def _drifter(n_tokens):
@@ -155,6 +131,37 @@ def test_batched_search_matches_one_source_decoding_on_random_models():
         if len({len(out) for out in greedy}) > 1:
             finish_apart.add(model.config.architecture)
     assert finish_apart == {"encoder-decoder", "decoder-only"}
+
+
+@pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
+def test_every_search_steps_the_models_decode_rows(arch, monkeypatch):
+    # one greedy sentence and a scored one too: nothing decodes through encode or step_logits
+    n_enc = 0 if arch == "decoder-only" else 2
+    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch), seed=6)
+    src = [4, 5, 6]
+    oracle = Recompute(m)
+    greedy, beam = decode_greedy(oracle, src, 6), decode_beam(oracle, src, 3, 6)
+    score = score_sequence(oracle, src, greedy, ended=len(greedy) < 6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decoding went through encode or step_logits")
+
+    monkeypatch.setattr(transformer.TransformerModel, "encode", refuse)
+    monkeypatch.setattr(transformer.TransformerModel, "step_logits", refuse)
+    assert decode_greedy(m, src, 6) == greedy
+    assert decode_beam(m, src, 3, 6) == beam
+    assert score_sequence(m, src, greedy, ended=len(greedy) < 6) == pytest.approx(score, abs=1e-5)
+
+
+@pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
+def test_a_search_of_no_sources_returns_no_outputs(arch):
+    n_enc = 0 if arch == "decoder-only" else 2
+    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch), seed=6)
+    for beam in (1, 2):
+        assert search(m, [], beam, 4) == []
+        assert decode_corpus(m, [], 8, beam, 4) == []
+    with pytest.raises(ConfigError):
+        search(m, [], 0, 4)
 
 
 def test_beam_one_equals_greedy_under_exact_ties():
@@ -338,9 +345,9 @@ class Slowed(Scripted):
         super().__init__(_drifter(3).table)
         self.clock, self.cost = clock, cost
 
-    def step_logits(self, enc, src, prefix):
+    def next_logits(self, src, prefix):
         self.clock.step(self.cost)
-        return super().step_logits(enc, src, prefix)
+        return super().next_logits(src, prefix)
 
 
 def test_paired_delta_holds_where_round_medians_flip(monkeypatch):

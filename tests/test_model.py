@@ -536,9 +536,9 @@ def test_decode_loss_accuracy_and_taps_share_the_teacher_forced_layout(arch):
     labels = tgt + [EOS]
     rows = np.asarray(logits.data)[-len(labels):]
 
-    enc = m.encode(src)
-    for t in range(len(labels)):
-        step = m.step_logits(enc, src, tgt[:t])
+    state = m.decode_rows([src])
+    for t, fed in enumerate([BOS] + tgt):
+        step = state.step([fed])[0]
         assert np.allclose(step, rows[t], rtol=0.0, atol=1e-5), t
 
     corpus = generate_toy_task("copy", 5, (3, 6), 12, seed=4)
@@ -721,78 +721,38 @@ def test_cached_step_logits_match_the_recompute(heads):
     prefix = [9, 4, 11, 8, 5, 10, 6]
     for cfg in _every_preset(heads):
         m = w.build_model(cfg, seed=heads)
-        ctx = m.encode(src)
+        ctx = m.decode_rows([src])
         if cfg.architecture == "encoder-decoder":
             plain, _ = encoder_forward(m, src + [EOS])
             assert np.array_equal(ctx.data, plain.data)
         else:
             assert ctx.shape == (0, cfg.d_model)
-        for t in range(len(prefix) + 1):
-            cached = m.step_logits(ctx, src, prefix[:t])
+        for t, fed in enumerate([BOS] + prefix):
+            cached = ctx.step([fed])[0]
             assert np.abs(cached - m.step_logits(None, src, prefix[:t])).max() < 1e-5, (cfg, t)
         # one row holding the source prefix and <bos> + prefix, whose last id it ran
         width = (len(src) + 1 if cfg.architecture == "decoder-only" else 0) + len(prefix) + 1
         dh = cfg.d_model // cfg.heads
-        assert ctx.fed == (BOS, *prefix)
         for (keys, values), _ in ctx.layers:
             assert keys.shape == (1, cfg.heads, dh, width)
             assert values.shape == (1, cfg.heads, width, dh)
 
 
 @pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
-def test_memo_misses_recompute_the_same_logits(arch):
+def test_step_logits_runs_a_fresh_state_once_and_refuses_a_stepped_one(arch):
     n_enc = 0 if arch == "decoder-only" else 2
     m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch), seed=8)
-    src, prefix = [4, 5, 6], [7, 8, 9, 10, 11, 4]
-    ctx = m.encode(src)
-    for t in range(len(prefix) + 1):
-        m.step_logits(ctx, src, prefix[:t])
-    fresh = m.encode(src)
-    for t, c in [(2, ctx), (3, ctx), (5, fresh)]:  # evicted parent, its child, empty memo
-        got = m.step_logits(c, src, prefix[:t])
-        assert np.abs(got - m.step_logits(None, src, prefix[:t])).max() < 1e-5, t
-
-
-def test_a_decoder_only_memo_miss_runs_only_the_fed_block(monkeypatch):
-    # the source prefix ran once, in encode; a miss cuts the cache back to it
-    m = w.build_model(tiny_config(n_enc=0, architecture="decoder-only"), seed=8)
     src, prefix = [4, 5, 6], [7, 8, 9]
     ctx = m.encode(src)
-    for t in range(len(prefix) + 1):
-        m.step_logits(ctx, src, prefix[:t])
-    widths = []
-    forward = transformer.decoder_forward
-
-    def counted(model, enc_out, ids, *args, **kwargs):
-        widths.append(np.shape(ids)[-1])
-        return forward(model, enc_out, ids, *args, **kwargs)
-
-    monkeypatch.setattr(transformer, "decoder_forward", counted)
-    got = m.step_logits(ctx, src, prefix[:2])  # a miss: <bos> + prefix[:2] runs as one block
-    assert widths == [3]
-    monkeypatch.undo()
-    fresh = m.encode(src)
-    assert got.tobytes() == m.step_logits(fresh, src, prefix[:2]).tobytes()
-    assert np.abs(got - m.step_logits(None, src, prefix[:2])).max() < 1e-5
-
-
-def test_a_memo_miss_reuses_the_encoder_output(monkeypatch):
-    m = w.build_model(tiny_config(), seed=8)
-    src, prefix = [4, 5, 6], [7, 8, 9]
-    calls = []
-    forward = transformer.encoder_forward
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return forward(*args, **kwargs)
-
-    monkeypatch.setattr(transformer, "encoder_forward", counted)
-    ctx = m.encode(src)
-    for t in (0, 1, 3, 2):  # the last two miss
-        got = m.step_logits(ctx, src, prefix[:t])
-        assert np.abs(got - m.step_logits(None, src, prefix[:t])).max() < 1e-5, t
-    # one encoder pass per step_logits(None, ...) oracle, and only one for the context
-    assert len(calls) == 1 + 4
+    got = m.step_logits(ctx, src, prefix)  # <bos> + prefix as one block
+    assert got.tobytes() == m.step_logits(m.encode(src), src, prefix).tobytes()
+    assert np.abs(got - m.step_logits(None, src, prefix)).max() < 1e-5
+    with pytest.raises(ConfigError, match="nothing stepped"):
+        m.step_logits(ctx, src, prefix)
+    stepped = m.encode(src)
+    stepped.step([BOS])
+    with pytest.raises(ConfigError, match="nothing stepped"):
+        m.step_logits(stepped, src, [])
 
 
 @pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
@@ -846,11 +806,11 @@ def test_cached_decode_past_max_len_raises_like_the_recompute(arch):
     src = [4, 5]
     room = 8 - (1 if arch == "encoder-decoder" else len(src) + 2)
     prefix = [6] * (room + 1)
-    ctx = m.encode(src)
-    for t in range(room + 1):
-        m.step_logits(ctx, src, prefix[:t])
+    ctx = m.decode_rows([src])
+    for fed in [BOS] + prefix[:-1]:
+        ctx.step([fed])
     with pytest.raises(DataError) as cached:
-        m.step_logits(ctx, src, prefix)
+        ctx.step([prefix[-1]])
     with pytest.raises(DataError) as recompute:
         m.step_logits(None, src, prefix)
     assert str(cached.value) == str(recompute.value) == "sequence length 9 exceeds max_len 8"

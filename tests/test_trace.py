@@ -47,6 +47,7 @@ def test_tracer_names_every_sublayer_and_restores_the_originals():
     tracer.install(MODULES)
     try:
         bench.decode_greedy(model, [4, 5, 6], max_len=4)
+        model.step_logits(model.encode([4, 5, 6]), [4, 5, 6], [])  # as check_greedy calls it
         model.loss_for_pair([([4, 5, 6], [6, 5, 4])])
     finally:
         tracer.remove()

@@ -30,7 +30,7 @@ import struct
 import numpy as np
 
 from .config import ModelConfig
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError
 from .store import ParamStore
 from .transformer import param_layout, wire_model
 
@@ -125,7 +125,7 @@ def load_checkpoint(path: str) -> ParamStore:
         raise DataError(f"{path}: payload holds non-finite values")
     try:
         return ParamStore(headers, aliases, flat.astype(np.float32, copy=False))
-    except ConfigError as e:
+    except (ConfigError, ShapeError) as e:  # a duplicate name, a dangling alias, rank over 4
         raise DataError(f"{path}: {e}") from None
 
 

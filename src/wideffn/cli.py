@@ -106,8 +106,8 @@ def load_run_config(path: str) -> RunConfig:
     with open(path, encoding="utf-8") as f:
         try:
             doc = yaml.load(f, Loader=RUN_FILE_LOADER)
-        except yaml.YAMLError as e:
-            raise ConfigError(f"{path}: not valid YAML: {e}") from None
+        except (yaml.YAMLError, UnicodeDecodeError) as e:
+            raise ConfigError(f"{path}: not valid UTF-8 YAML: {e}") from None
     doc = check_keys("top-level", {} if doc is None else doc, _TOP_KEYS)
     model = ModelConfig.from_dict(doc.get("model", {}))
     if "preset" in doc:
@@ -116,6 +116,8 @@ def load_run_config(path: str) -> RunConfig:
     env_seed = os.environ.get("WFN_SEED")
     run.seed = (_typed(int, doc.get("seed", run.seed), "seed") if env_seed is None
                 else _int_text(env_seed, "WFN_SEED"))
+    if run.seed < 0:
+        raise ConfigError(f"seed must not be negative, got {run.seed}")
     training = _section(doc, "training", {"steps": run.steps, "batch_size": run.batch_size,
                                           **vars(run.training)})
     run.steps, run.batch_size = training.pop("steps"), training.pop("batch_size")
@@ -269,8 +271,9 @@ def cmd_compare(args, run: RunConfig) -> int:
         _write_matrix(args.out_dir, f"{args.metric}_{side}", report)
         entry = {"aggregate": report.aggregate}
         if sides_bench:
-            raws = [pairwise_layer_similarity(taps_a, bench[side], metric=args.metric,
-                                              k=args.k).aggregate for bench in sides_bench]
+            raws = [pairwise_layer_similarity(taps_a, bench[side], metric=args.metric, k=args.k,
+                                              aggregate_only=True).aggregate
+                    for bench in sides_bench]
             entry.update(benchmark_raws=raws,
                          normalized=normalize_against_benchmark(report.aggregate, raws))
         summary[side] = entry

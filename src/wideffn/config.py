@@ -201,9 +201,10 @@ PRESETS = {
     "OneWideFFN": ("SharedAll", "NoOp", False),
 }
 
-# Presets that only touch the decoder side are the ones a decoder-only
-# model can express.
-DECODER_ONLY_PRESETS = ("baseline", "SharedDec", "NoDec")
+# Presets that only touch the decoder side (Individual encoder FFNs, untied)
+# are the ones a decoder-only model can express.
+DECODER_ONLY_PRESETS = tuple(name for name, (enc, _, tie) in PRESETS.items()
+                             if enc == "Individual" and not tie)
 
 
 def one_wide_dff(config: ModelConfig) -> int:

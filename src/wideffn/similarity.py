@@ -45,20 +45,20 @@ def collect_activations(model: TransformerModel, corpus: Corpus
                         ) -> dict[str, dict[str, ActivationMatrix]]:
     """Sentence-mean activations per tapped module of every side the model
     has, {side: {module: matrix}}, from one teacher-forced pass per evaluation
-    chunk: 'encoder' taps '<i>.sa'/'<i>.ffn' over src + <eos> and 'decoder'
-    taps '<i>.sa'/'<i>.ca'/'<i>.ffn' over the decoder input, the reference fed.
-    A sentence mean covers that pair's real rows only. Rows follow corpus order.
+    chunk, the reference fed: 'encoder' taps '<i>.sa'/'<i>.ffn' and 'decoder'
+    taps '<i>.sa'/'<i>.ca'/'<i>.ffn'. A sentence mean covers the rows of that
+    pair's `model.inputs` for the side only. Rows follow corpus order.
     """
     if not corpus.pairs:
         raise DataError("empty corpus")
     rows: dict[str, dict[str, list[np.ndarray]]] = {}
     for chunk, _, sides in model.eval_chunks(corpus.pairs):
-        lengths = {"encoder": [len(src) + 1 for src, _ in chunk],
-                   "decoder": [len(model.decoder_input(src, tgt)[0]) for src, tgt in chunk]}
+        inputs = [model.inputs(src, tgt) for src, tgt in chunk]
         for side, taps in sides.items():
+            lengths = np.array([len(ids[side]) for ids in inputs])[:, None]
             for name, tensor in taps.items():
                 blocks = tensor.data.reshape(len(chunk), -1, tensor.shape[1])
-                real = np.arange(blocks.shape[1]) < np.array(lengths[side])[:, None]
+                real = np.arange(blocks.shape[1]) < lengths
                 rows.setdefault(side, {}).setdefault(name, []).append(
                     blocks.mean(axis=1, where=real[:, :, None]))
     corpus_hash = corpus.content_hash()
@@ -189,11 +189,13 @@ def _label_key(name: str):
 
 def pairwise_layer_similarity(taps_a: dict[str, ActivationMatrix],
                               taps_b: dict[str, ActivationMatrix],
-                              metric: str = "cka", k: int | None = None
-                              ) -> SimilarityReport:
+                              metric: str = "cka", k: int | None = None,
+                              aggregate_only: bool = False) -> SimilarityReport:
     """Full module-by-module similarity matrix plus a scalar aggregate.
 
     One tap set given twice (`selfsim`) gets its upper triangle mirrored.
+    With `aggregate_only` only the cells the aggregate reads are scored,
+    and every other cell is NaN.
 
     The aggregate averages the diagonal over module names present in both
     models; tap sets from `collect_activations` always share every layer's
@@ -211,12 +213,11 @@ def pairwise_layer_similarity(taps_a: dict[str, ActivationMatrix],
     common = [(i, cols.index(name)) for i, name in enumerate(rows) if name in taps_b]
     if not common:
         raise DataError("the two tap sets share no module names; nothing comparable")
-    matrix = np.zeros((len(rows), len(cols)))
+    matrix = np.full((len(rows), len(cols)), np.nan)
     score = linear_cka if metric == "cka" else lambda a, b: lns(a, b, k=k)
-    for i, rn in enumerate(rows):
-        for j, cn in enumerate(cols):
-            mirror = taps_a is taps_b and j < i
-            matrix[i, j] = matrix[j, i] if mirror else score(taps_a[rn], taps_b[cn])
+    for i, j in common if aggregate_only else np.ndindex(matrix.shape):
+        mirror = taps_a is taps_b and j < i
+        matrix[i, j] = matrix[j, i] if mirror else score(taps_a[rows[i]], taps_b[cols[j]])
     aggregate = float(np.mean([matrix[i, j] for i, j in common]))
     return SimilarityReport(rows, cols, matrix, aggregate)
 

@@ -38,10 +38,6 @@ class ParamStore:
         """Look up by logical site or canonical name."""
         return self.physical[self.aliases.get(name, name)]
 
-    def total_params(self) -> int:
-        """Scalar count over physical tensors only; aliases add nothing."""
-        return self.flat.size
-
     def zero_grad(self):
         for t in self.physical.values():
             t.zero_grad()

@@ -302,16 +302,6 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     return _emit(out, (x,), backward_fn)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    """Sum every entry down to a rank-0 scalar."""
-    out = Tensor(x.data.sum())
-
-    def backward_fn(g):
-        return (np.broadcast_to(g, x.data.shape),)
-
-    return _emit(out, (x,), backward_fn)
-
-
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows of `table`; the backward scatters into a dense grad."""
     _require_rank(table, 2, "embedding_lookup")

@@ -6,8 +6,9 @@ normalization included, so the layer output is exactly the attention
 output. Sharing works by aliasing: shared blocks hold the same Tensor
 objects, so the tape accumulates their gradients automatically.
 
-The encoder and decoder run one layer loop, `attention_mask` builds every
-attention mask, and dropout runs exactly when a forward pass gets a generator.
+`TransformerModel.inputs` turns every (src, tgt) pair into ids, the encoder
+and decoder run one layer loop, `attention_mask` builds every attention mask,
+and dropout runs exactly when a forward pass gets a generator.
 """
 
 from __future__ import annotations
@@ -73,15 +74,16 @@ class DecodeRows(Tensor):
     """Incremental decoding state of R sequences, one row each: `search`
     steps one for every batch of sources, and `encode` makes one for one.
 
-    Its data is the encoder output over each row's src + <eos>, S rows per
-    source of which `src_lengths` are real (none for a decoder-only model).
-    `layers` holds each decoder layer's [self, cross] attention_forward kv
-    lists, indexed by row first. A decoder-only model runs its rows' sources
-    src + <eos>, left-padded by `pad`, once here, as the K/V columns that
-    every fed id follows."""
+    A row's source is what `model.inputs(src, [])` holds before <bos>. The
+    data is the encoder output over each, S rows per row of which
+    `src_lengths` are real (none for a decoder-only model). `layers` holds
+    each decoder layer's [self, cross] attention_forward kv lists, indexed
+    by row first. A decoder-only model runs the sources, left-padded by
+    `pad`, once here, as the K/V columns that every fed id follows."""
 
     def __init__(self, model: "TransformerModel", srcs: list):
-        sources = [list(src) + [EOS] for src in srcs]
+        sources = [model.inputs(src, []) for src in srcs]
+        sources = [ids.get("encoder", ids["decoder"][:-1]) for ids in sources]
         lengths = np.array([len(s) for s in sources])
         self.model, self.layers = model, [[[], []] for _ in range(model.config.n_dec)]
         if model.config.architecture == "encoder-decoder":
@@ -134,36 +136,34 @@ class TransformerModel:
         return DecodeRows(self, srcs)
 
     def encode(self, src_tokens: list[int]) -> DecodeRows:
-        """The one-row decoding state of a source, for `step_logits`.
-
-        Encoder-decoder: the encoder output over src + <eos>. Decoder-only:
-        no rows, and the K/V of the bidirectional source prefix src + <eos>,
-        run once here.
-        """
+        """The one-row decoding state of a source, for `step_logits`."""
         return DecodeRows(self, [src_tokens])
 
-    def decoder_input(self, src: list[int], tgt: list[int]) -> tuple[list[int], int]:
-        """The decoder ids with `tgt` fed, and the length of their bidirectional prefix."""
+    def inputs(self, src: list[int], tgt: list[int]) -> dict[str, list[int]]:
+        """The ids each side of the model reads for the pair (src, tgt), tgt
+        fed: the one place a pair becomes ids.
+
+        Encoder-decoder: 'encoder' is src <eos> and 'decoder' is <bos> tgt.
+        Decoder-only: 'decoder' is src <eos> <bos> tgt. Either way the first
+        len(ids) - len(tgt) - 1 decoder ids are a bidirectional prefix, and
+        the last len(tgt) + 1 predict tgt <eos>.
+        """
         if self.config.architecture == "decoder-only":
-            return list(src) + [EOS, BOS] + list(tgt), len(src) + 1
-        return [BOS] + list(tgt), 0
+            return {"decoder": [*src, EOS, BOS, *tgt]}
+        return {"encoder": [*src, EOS], "decoder": [BOS, *tgt]}
 
     def teacher_forced(self, pairs: list, *, rng: np.random.Generator | None = None):
-        """(logits, {side: taps}) of a batch of (src, tgt) pairs, each tgt fed
-        as its decoder input; dropout runs when `rng` is given.
-
-        Encoder-decoder: side 'encoder' sees src + <eos> and side 'decoder'
-        sees <bos> + tgt. Decoder-only: side 'decoder' sees src + <eos> +
-        <bos> + tgt, whose source span, <eos> included, is bidirectional. Each
-        side's inputs are right-padded to the longest, T, and pair b owns rows
-        [b*T, (b+1)*T) of its taps and the decoder's logits; the last
-        len(tgt) + 1 rows of its unpadded decoder input predict tgt + <eos>.
-        """
-        ids, prefix_lens = zip(*[self.decoder_input(src, tgt) for src, tgt in pairs])
+        """(logits, {side: taps}) of a batch of (src, tgt) pairs, each side
+        reading its `inputs`; dropout runs when `rng` is given. Each side's
+        inputs are right-padded to the longest, T, and pair b owns rows
+        [b*T, (b+1)*T) of its taps and the decoder's logits."""
+        sides = [self.inputs(src, tgt) for src, tgt in pairs]
+        ids = [side["decoder"] for side in sides]
+        prefix_lens = [len(dec) - len(tgt) - 1 for dec, (_, tgt) in zip(ids, pairs)]
         if self.config.architecture == "decoder-only":
             logits, taps = decoder_forward(self, None, ids, prefix_lens, rng=rng)
             return logits, {"decoder": taps}
-        srcs = [list(src) + [EOS] for src, _ in pairs]
+        srcs = [side["encoder"] for side in sides]
         enc_out, enc_taps = encoder_forward(self, srcs, rng=rng)
         logits, taps = decoder_forward(self, enc_out, ids, prefix_lens, rng=rng,
                                        src_lengths=[len(s) for s in srcs])
@@ -175,8 +175,7 @@ class TransformerModel:
         stay within EVAL_ROWS; a pair over the budget alone is a chunk of its own."""
         chunks, width = [], 0
         for pair in pairs:
-            # the longer of the encoder input, src + <eos>, and the decoder input
-            rows = max(len(pair[0]) + 1, len(self.decoder_input(*pair)[0]))
+            rows = max(map(len, self.inputs(*pair).values()))
             if not chunks or (len(chunks[-1]) + 1) * max(width, rows) > EVAL_ROWS:
                 chunks.append([])
                 width = 0
@@ -192,12 +191,12 @@ class TransformerModel:
 
     def target_labels(self, pairs: list, rows: int) -> np.ndarray:
         """The label of each of the `rows` logits rows of a `teacher_forced`
-        batch: each pair's tgt + <eos> on the rows that predict them and PAD
+        batch: each pair's tgt <eos> on the rows that predict them and PAD
         on every other row."""
         labels = np.full((len(pairs), rows // len(pairs)), PAD)
         for row, (src, tgt) in zip(labels, pairs):
-            ids, start = self.decoder_input(src, tgt)
-            row[start : len(ids)] = list(tgt) + [EOS]
+            end = len(self.inputs(src, tgt)["decoder"])
+            row[end - len(tgt) - 1 : end] = [*tgt, EOS]
         return labels.reshape(-1)
 
     def step_logits(self, enc_ctx, src_tokens: list[int], prefix: list[int]) -> np.ndarray:
@@ -211,7 +210,7 @@ class TransformerModel:
         if enc_ctx is None:
             return self.teacher_forced([(src_tokens, prefix)])[0].data[-1]
         past = enc_ctx.layers[0][0]
-        if (past[1].shape[-2] if past else 0) != self.decoder_input(src_tokens, [])[1]:
+        if (past[1].shape[-2] if past else 0) != len(self.inputs(src_tokens, [])["decoder"]) - 1:
             raise ConfigError("step_logits needs a state that encode returned and nothing stepped")
         return enc_ctx.step([[BOS, *prefix]])[-1]
 

@@ -8,6 +8,7 @@ collide with the reserved range.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,8 @@ def check_toy_task(kind: str, count: int, len_range: tuple[int, int], vocab_size
         raise ConfigError(f"bad length range {len_range}")
     if vocab_size < 5:
         raise ConfigError("toy tasks need at least one payload symbol")
+    if seed < 0:
+        raise ConfigError(f"task seed must not be negative, got {seed}")
 
 
 def generate_toy_task(kind: str, count: int, len_range: tuple[int, int], vocab_size: int,
@@ -77,7 +80,7 @@ def generate_toy_task(kind: str, count: int, len_range: tuple[int, int], vocab_s
     Sources draw uniformly from the payload ids [4, vocab_size); lengths
     draw uniformly from the inclusive len_range.
     """
-    check_toy_task(kind, count, len_range, vocab_size)
+    check_toy_task(kind, count, len_range, vocab_size, seed)
     lo, hi = len_range
     rng = np.random.default_rng(seed)
     pairs = []
@@ -94,16 +97,22 @@ def generate_toy_task(kind: str, count: int, len_range: tuple[int, int], vocab_s
     return Corpus(pairs, Vocab(list(RESERVED_TOKENS) + [str(i) for i in range(4, vocab_size)]))
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of a text file, or a DataError naming it unless it is UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text: {e}") from None
+
+
 def load_parallel_corpus(src_path: str, tgt_path: str) -> Corpus:
     """Read two line-aligned token files (whitespace tokenized).
 
     Vocabulary is built over both sides, ordered by descending frequency
     with ties broken lexicographically.
     """
-    with open(src_path, encoding="utf-8") as f:
-        src_lines = f.read().splitlines()
-    with open(tgt_path, encoding="utf-8") as f:
-        tgt_lines = f.read().splitlines()
+    src_lines, tgt_lines = _read_lines(src_path), _read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise DataError(
             f"line counts differ: {len(src_lines)} in {src_path}, "
@@ -117,12 +126,7 @@ def load_parallel_corpus(src_path: str, tgt_path: str) -> Corpus:
         if not s_toks or not t_toks:
             raise DataError(f"empty source or target at line {lineno}")
         tokenized.append((s_toks, t_toks))
-    freq: dict[str, int] = {}
-    for s_toks, t_toks in tokenized:
-        for tok in s_toks:
-            freq[tok] = freq.get(tok, 0) + 1
-        for tok in t_toks:
-            freq[tok] = freq.get(tok, 0) + 1
+    freq = Counter(tok for pair in tokenized for side in pair for tok in side)
     ordered = sorted(freq, key=lambda t: (-freq[t], t))
     vocab = Vocab(list(RESERVED_TOKENS) + ordered)
     pairs = [(vocab.encode(s), vocab.encode(t)) for s, t in tokenized]

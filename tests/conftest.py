@@ -11,6 +11,7 @@ import yaml
 
 import wideffn as w
 from wideffn import cli
+from wideffn.tensor import Tensor, matmul, reshape
 from wideffn.training import AdamState, Schedule, token_accuracy, train
 from wideffn.vocab import EOS, generate_toy_task
 
@@ -21,6 +22,14 @@ def tiny_config(**overrides):
     kw = dict(n_enc=2, n_dec=2, d_model=16, d_ff=32, heads=2, vocab_size=12, dropout=0.0)
     kw.update(overrides)
     return w.ModelConfig(**kw)
+
+
+def total(x):
+    """The sum of a matrix's entries as a rank-0 Tensor, through ops the tape
+    records: ones(1, rows) @ x @ ones(cols, 1), reshaped."""
+    rows, cols = x.shape
+    product = matmul(matmul(Tensor(np.ones((1, rows))), x), Tensor(np.ones((cols, 1))))
+    return reshape(product, ())
 
 
 class PrefixRows:

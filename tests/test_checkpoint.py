@@ -101,7 +101,7 @@ def _assert_views_of_one_buffer(store, cfg):
         assert data.ctypes.data == store.flat.ctypes.data + 4 * at, name
         assert np.shares_memory(data, store.flat[at : at + n]), name
         at += n
-    assert at == store.flat.size == store.total_params()
+    assert at == store.flat.size
 
 
 @pytest.mark.parametrize("preset", ["baseline", "NoDec", "SharedEncDec", "OneWideFFN", None])

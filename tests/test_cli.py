@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from wideffn import cli
+from wideffn import cli, similarity
 from wideffn.bench import decode_corpus
 from wideffn.cli import RunConfig, load_run_config, main, write_csv
 from wideffn.counting import count_params
@@ -199,6 +199,28 @@ def test_compare_verb_writes_matrices_and_summary(tmp_path, capsys):
         assert entry["normalized"] == pytest.approx(expect)
     header = open(out_dir + "/cka_encoder.csv").read().splitlines()[0]
     assert header.split(",")[1:] == ["0.sa", "0.ffn", "1.sa", "1.ffn"]
+
+
+def test_compare_scores_a_benchmark_only_on_the_layers_it_reads(tmp_path, monkeypatch):
+    paths = []
+    for seed, edit in [(3, {}), (99, {}), (7, {"preset": "NoDec"})]:
+        paths.append(str(tmp_path / f"{seed}.ckpt"))
+        cfg = write_config(tmp_path, name=f"run{seed}.yaml", seed=seed, **edit)
+        assert main(["train", "--config", cfg, "--out", paths[-1]]) == 0
+    calls = []
+    for name in ("linear_cka", "lns"):
+        fn = getattr(similarity, name)
+        monkeypatch.setattr(similarity, name,
+                            lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    cfg = write_config(tmp_path)
+    for metric in ("cka", "lns"):
+        calls.clear()
+        assert main(["compare", "--config", cfg, "--a", paths[0], "--b", paths[1],
+                     "--benchmark", paths[2], "--metric", metric, "--k", "1",
+                     "--out-dir", str(tmp_path / metric)]) == 0
+        # a against b: 4 x 4 encoder and 6 x 6 decoder cells; a against the
+        # NoDec benchmark: its 4 encoder and 4 decoder taps, one cell each
+        assert len(calls) == 16 + 36 + 4 + 4, metric
 
 
 def test_compare_without_benchmark_has_no_normalized(tmp_path, trained_ckpt):
@@ -479,6 +501,26 @@ def test_exit_code_3_for_a_checkpoint_vocab_smaller_than_the_corpus(tmp_path, ca
         assert "error:" in capsys.readouterr().err, argv
 
 
+@pytest.mark.parametrize("edit, env", [({"seed": -1}, None), ({}, "-1"),
+                                       ({"task": {"seed": -1}}, None)],
+                         ids=["seed", "WFN_SEED", "task seed"])
+def test_exit_code_2_for_a_negative_seed(tmp_path, capsys, monkeypatch, edit, env):
+    # np.random.default_rng takes no negative seed: reject it when the file is read
+    if env is not None:
+        monkeypatch.setenv("WFN_SEED", env)
+    cfg = write_config(tmp_path, **edit)
+    for argv in (["params"], ["train", "--out", str(tmp_path / "m.ckpt")]):
+        assert main([*argv, "--config", cfg]) == 2, argv
+        assert "negative" in capsys.readouterr().err, argv
+
+
+def test_exit_code_2_for_a_run_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.yaml"
+    bad.write_bytes(Path(write_config(tmp_path)).read_bytes() + b"# caf\xe9\n")
+    assert main(["params", "--config", str(bad)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
 def test_exit_code_3_for_missing_files(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["eval", "--config", cfg, "--checkpoint",
@@ -529,6 +571,29 @@ def test_exit_code_3_for_bad_corpus(tmp_path):
     })
     out = str(tmp_path / "m.ckpt")
     assert main(["train", "--config", cfg, "--out", out]) == 3
+
+
+def test_exit_code_3_for_a_corpus_file_that_is_not_utf8(tmp_path, capsys):
+    (tmp_path / "s.txt").write_text("a b\nc\n")
+    (tmp_path / "t.txt").write_bytes(b"x\ncaf\xe9\n")
+    cfg = write_config(tmp_path, task=..., corpus={
+        "src": str(tmp_path / "s.txt"), "tgt": str(tmp_path / "t.txt"),
+    })
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.ckpt")]) == 3
+    assert f"{tmp_path / 't.txt'}: not UTF-8" in capsys.readouterr().err
+
+
+def test_exit_code_3_for_a_checkpoint_header_of_rank_5(tmp_path, trained_ckpt, capsys):
+    # a header that declares a tensor of a rank Tensor does not take is malformed
+    cfg, out = trained_ckpt
+    name = b"embedding"
+    blob = (b"WFN1" + struct.pack("<IH", 1, len(name)) + name + struct.pack("<BB5I", 0, 5, *[1] * 5)
+            + struct.pack("<I", 0) + struct.pack("<f", 0.5))
+    path = tmp_path / "rank5.ckpt"
+    path.write_bytes(blob)
+    shutil.copy(out + ".config.json", str(path) + ".config.json")
+    assert main(["eval", "--config", cfg, "--checkpoint", str(path)]) == 3
+    assert "rank 5" in capsys.readouterr().err
 
 
 def test_exit_code_4_for_numeric_failures(tmp_path, monkeypatch):

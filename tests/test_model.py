@@ -26,7 +26,7 @@ from wideffn.transformer import (
     ffn_forward,
     sinusoidal_positions,
 )
-from wideffn.vocab import BOS, EOS, Corpus, generate_toy_task
+from wideffn.vocab import BOS, EOS, PAD, Corpus, generate_toy_task
 
 from conftest import tiny_config
 
@@ -469,7 +469,7 @@ def test_build_census_matches_count_for_every_preset():
         cfg = w.apply_preset(base, name)
         m = w.build_model(cfg, seed=0)
         total, breakdown = w.count_params(cfg)
-        assert m.store.total_params() == total == sum(breakdown.values()), name
+        assert m.store.flat.size == total == sum(breakdown.values()), name
 
 
 def test_build_census_matches_count_for_grouped_strategies():
@@ -478,14 +478,14 @@ def test_build_census_matches_count_for_grouped_strategies():
         sharing = SharingSpec(enc_ffn=FFNStrategy.parse(enc), dec_ffn=FFNStrategy.parse(dec))
         cfg = tiny_config(n_enc=6, n_dec=6, sharing=sharing)
         m = w.build_model(cfg, seed=0)
-        assert m.store.total_params() == w.count_params(cfg)[0], (enc, dec)
+        assert m.store.flat.size == w.count_params(cfg)[0], (enc, dec)
 
 
 def test_build_census_matches_count_with_attention_sharing():
     sharing = SharingSpec(enc_self_attn="SharedAll", dec_cross_attn="SharedAll")
     cfg = tiny_config(sharing=sharing)
     m = w.build_model(cfg, seed=0)
-    assert m.store.total_params() == w.count_params(cfg)[0]
+    assert m.store.flat.size == w.count_params(cfg)[0]
     assert m.store.resolve("enc.layer0.sa.wq") is m.store.resolve("enc.layer1.sa.wq")
     assert m.store.resolve("dec.layer0.ca.wq") is m.store.resolve("dec.layer1.ca.wq")
     assert m.store.resolve("dec.layer0.sa.wq") is not m.store.resolve("dec.layer1.sa.wq")
@@ -495,7 +495,7 @@ def test_decoder_only_census_matches_count():
     for preset in ("baseline", "SharedDec", "NoDec"):
         cfg = w.apply_preset(tiny_config(n_enc=0, architecture="decoder-only"), preset)
         m = w.build_model(cfg, seed=0)
-        assert m.store.total_params() == w.count_params(cfg)[0], preset
+        assert m.store.flat.size == w.count_params(cfg)[0], preset
 
 
 def test_initialisation_order_is_pinned():
@@ -581,10 +581,37 @@ def test_a_padded_batch_gives_each_pair_the_rows_it_gets_alone(arch):
             assert np.abs(enc_blocks[b, :len(src) + 1] - enc_alone.data).max() < 1e-6, b
 
 
+@pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
+def test_teacher_forced_rows_and_labels_follow_each_pairs_inputs(arch):
+    # pair b has len(inputs[side]) real rows on each side, and its labels
+    # start where the decoder's bidirectional prefix ends
+    n_enc = 0 if arch == "decoder-only" else 2
+    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch), seed=6)
+    assert m.inputs([4, 5], [7]) == ({"decoder": [4, 5, EOS, BOS, 7]} if arch == "decoder-only"
+                                     else {"encoder": [4, 5, EOS], "decoder": [BOS, 7]})
+    logits, sides = m.teacher_forced(RAGGED_PAIRS)
+    labels = m.target_labels(RAGGED_PAIRS, logits.shape[0]).reshape(len(RAGGED_PAIRS), -1)
+    for b, (src, tgt) in enumerate(RAGGED_PAIRS):
+        inputs = m.inputs(src, tgt)
+        alone_logits, alone = m.teacher_forced([(src, tgt)])
+        for side, taps in sides.items():
+            n = len(inputs[side])
+            for name, tap in taps.items():
+                assert alone[side][name].shape[0] == n, (b, side, name)
+                blocks = tap.data.reshape(len(RAGGED_PAIRS), -1, tap.shape[1])
+                assert np.abs(blocks[b, :n] - alone[side][name].data).max() < 1e-6, (b, name)
+        ids = inputs["decoder"]
+        start = len(ids) - len(tgt) - 1
+        pad = labels.shape[1] - len(ids)
+        assert labels[b].tolist() == [PAD] * start + tgt + [EOS] + [PAD] * pad, b
+        reference, _ = _teacher_forced_layout(m, src, tgt)
+        assert alone_logits.data.tobytes() == reference.data.tobytes(), b
+
+
 def _side_rows(m, chunk):
     """Each side's padded rows of a chunk: its pairs times its longest input."""
     enc = max(len(src) + 1 for src, _ in chunk)
-    dec = max(len(m.decoder_input(src, tgt)[0]) for src, tgt in chunk)
+    dec = max(len(m.inputs(src, tgt)["decoder"]) for src, tgt in chunk)
     return len(chunk) * enc, len(chunk) * dec
 
 

@@ -148,7 +148,7 @@ def test_noop_side_has_no_ffn_params():
     _, b = w.count_params(cfg)
     assert b["enc_ffn"] == 0 and b["dec_ffn"] == 0
     m = w.build_model(cfg, seed=0)
-    assert m.store.total_params() == sum(b.values())
+    assert m.store.flat.size == sum(b.values())
 
 
 def test_grouped_strategy_counts():
@@ -178,4 +178,4 @@ def test_census_equals_count_across_preset_grid():
     for name in PRESETS:
         cfg = w.apply_preset(tiny_config(n_enc=2, n_dec=2), name)
         m = w.build_model(cfg, seed=0)
-        assert m.store.total_params() == w.count_params(cfg)[0], name
+        assert m.store.flat.size == w.count_params(cfg)[0], name

@@ -258,7 +258,7 @@ def test_collect_activations_equals_the_per_sentence_mean_bytes(arch):
     oracle = {}
     for chunk, _, sides in m.eval_chunks(corpus.pairs):
         lengths = {"encoder": [len(src) + 1 for src, _ in chunk],
-                   "decoder": [len(m.decoder_input(src, tgt)[0]) for src, tgt in chunk]}
+                   "decoder": [len(m.inputs(src, tgt)["decoder"]) for src, tgt in chunk]}
         for side, taps in sides.items():
             for name, tensor in taps.items():
                 blocks = tensor.data.reshape(len(chunk), -1, tensor.shape[1])
@@ -307,6 +307,26 @@ def test_pairwise_report_layout_and_aggregate():
     assert rep.matrix.shape == (4, 4)
     diag = [rep.matrix[i, i] for i in range(4)]
     assert rep.aggregate == pytest.approx(float(np.mean(diag)))
+
+
+def test_an_aggregate_only_report_scores_only_the_cells_its_aggregate_reads(monkeypatch):
+    ta, tb = _two_tap_sets()
+    tb = {name: tb[name] for name in ("0.sa", "1.sa", "1.ffn")}
+    calls = []
+    for name in ("linear_cka", "lns"):
+        fn = getattr(similarity, name)
+        monkeypatch.setattr(similarity, name,
+                            lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    for metric, k in (("cka", None), ("lns", 2)):
+        full = pairwise_layer_similarity(ta, tb, metric=metric, k=k)
+        calls.clear()
+        rep = pairwise_layer_similarity(ta, tb, metric=metric, k=k, aggregate_only=True)
+        assert len(calls) == 3, metric
+        assert rep.aggregate == full.aggregate, metric
+        assert (rep.row_labels, rep.col_labels) == (full.row_labels, full.col_labels)
+        read = np.array([[r == c for c in rep.col_labels] for r in rep.row_labels])
+        assert np.array_equal(rep.matrix[read], full.matrix[read]), metric
+        assert np.isnan(rep.matrix[~read]).all(), metric
 
 
 def test_decoder_labels_follow_execution_order():

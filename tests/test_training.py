@@ -7,7 +7,7 @@ import wideffn as w
 from wideffn.errors import ConfigError, NumericError
 from wideffn.store import ParamStore
 from wideffn import training, transformer
-from wideffn.tensor import ComputeTape, Tensor, matmul, recording, sum_all
+from wideffn.tensor import ComputeTape, Tensor, matmul, recording
 from wideffn.training import (
     AdamState,
     Schedule,
@@ -19,7 +19,7 @@ from wideffn.training import (
 )
 from wideffn.vocab import generate_toy_task
 
-from conftest import tiny_config
+from conftest import tiny_config, total
 
 
 def test_lr_schedule_oracles():
@@ -261,7 +261,7 @@ def test_token_accuracy_bounds_and_limit():
             token_accuracy(m, c, limit=limit)
 
 
-def test_sum_all_matmul_training_smoke():
+def test_matmul_training_smoke():
     # scalar pipeline independent of the transformer: fit sum(xW) to move down
     rng = np.random.default_rng(1)
     x = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
@@ -273,12 +273,12 @@ def test_sum_all_matmul_training_smoke():
         store.zero_grad()
         tape = ComputeTape()
         with recording(tape):
-            y = sum_all(matmul(x, wt))
+            y = total(matmul(x, wt))
         tape.backward(y)
         adam_step(store, state, lr=0.05)
         if first is None:
             first = float(y.data)
-    assert float(sum_all(matmul(x, wt)).data) < first
+    assert float(total(matmul(x, wt)).data) < first
 
 
 def test_ffn_dim_sweep_rows():

@@ -4,7 +4,12 @@ Every op records (output, inputs, backward_fn) on the active tape in call
 order; ComputeTape.backward replays the records in reverse and accumulates
 gradients by summation. Parameter tying therefore needs no special casing:
 a Tensor object used at several call sites receives the sum of the
-gradients from all of them.
+gradients from all of them, and an op that reads one tensor twice lists it
+twice among its inputs.
+
+`linear`, `attention_weights`, `layer_norm` and `dropout_keep` are kernels
+on plain arrays, from which an op that spans a whole sublayer composes its
+forward and its backward.
 
 All payloads are numpy float32. Finite-difference arithmetic inside
 grad_check runs in float64 on top of float32 function values.
@@ -92,7 +97,9 @@ def recording(tape: ComputeTape):
         _TAPE_STACK.pop()
 
 
-def _emit(out, inputs, backward_fn):
+def emit(out, inputs, backward_fn):
+    """Record `out` = op(inputs) on the active tape, if one is recording, and
+    return it; backward_fn maps out's gradient to one piece per input."""
     if _TAPE_STACK:
         _TAPE_STACK[-1].record(out, inputs, backward_fn)
     return out
@@ -103,6 +110,20 @@ def _require_rank(t: Tensor, rank: int, op: str):
         raise ShapeError(f"{op}: expected rank {rank}, got shape {t.data.shape}")
 
 
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None):
+    """x @ w, with b, when given, added in place to every row. Returns (y,
+    backward), where backward maps y's gradient to those of (x, w) or (x, w, b)."""
+    y = x @ w
+    if b is not None:
+        y += b
+
+    def backward(g):
+        grads = g @ w.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g
+        return grads if b is None else (*grads, g.sum(axis=0))
+
+    return y, backward
+
+
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """Product of two matrices, or of two equally shaped stacks of matrices;
     a rank-1 `bias` is added in place to every row of a matrix product."""
@@ -110,18 +131,13 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"matmul: {a.shape} and {b.shape} must be of one rank, 2 or more")
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape} do not agree")
-    out, inputs = Tensor(a.data @ b.data), (a, b)
+    inputs = (a, b)
     if bias is not None:
         if a.data.ndim != 2 or bias.shape != b.shape[1:]:
             raise ShapeError(f"matmul: bias {bias.shape} for {a.shape} @ {b.shape}")
-        out.data += bias.data
         inputs += (bias,)
-
-    def backward_fn(g):
-        grads = g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
-        return grads if bias is None else (*grads, g.sum(axis=0))
-
-    return _emit(out, inputs, backward_fn)
+    y, backward_fn = linear(a.data, b.data, None if bias is None else bias.data)
+    return emit(Tensor(y), inputs, backward_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -132,7 +148,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def backward_fn(g):
         return g, g
 
-    return _emit(out, (a, b), backward_fn)
+    return emit(out, (a, b), backward_fn)
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
@@ -142,19 +158,7 @@ def scale(x: Tensor, factor: float) -> Tensor:
     def backward_fn(g):
         return (g * f,)
 
-    return _emit(out, (x,), backward_fn)
-
-
-def relu(x: Tensor, *, in_place: bool = False) -> Tensor:
-    """max(x, 0). With `in_place` the result is written over x's array, for a
-    caller that hands over a fresh array it does not read again. The backward
-    masks on the output, which is positive exactly where x was."""
-    out = Tensor(np.maximum(x.data, np.float32(0.0), out=x.data if in_place else None))
-
-    def backward_fn(g):
-        return (g * (out.data > 0),)
-
-    return _emit(out, (x,), backward_fn)
+    return emit(out, (x,), backward_fn)
 
 
 def transpose(x: Tensor, axes=(1, 0)) -> Tensor:
@@ -167,16 +171,7 @@ def transpose(x: Tensor, axes=(1, 0)) -> Tensor:
     def backward_fn(g):  # row-major like the forward copy, so later sums keep their order
         return (np.ascontiguousarray(g.transpose(inverse)),)
 
-    return _emit(out, (x,), backward_fn)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    out = Tensor(x.data.reshape(shape))
-
-    def backward_fn(g):
-        return (g.reshape(x.data.shape),)
-
-    return _emit(out, (x,), backward_fn)
+    return emit(out, (x,), backward_fn)
 
 
 def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
@@ -190,7 +185,7 @@ def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
         full[:, lo:hi] = g
         return (full,)
 
-    return _emit(out, (x,), backward_fn)
+    return emit(out, (x,), backward_fn)
 
 
 def concat_cols(parts) -> Tensor:
@@ -213,13 +208,14 @@ def concat_cols(parts) -> Tensor:
             at += w
         return tuple(grads)
 
-    return _emit(out, tuple(parts), backward_fn)
+    return emit(out, tuple(parts), backward_fn)
 
 
-def attention_weights(scores: Tensor, factor: float, keep: np.ndarray | None = None) -> Tensor:
+def attention_weights(scores: np.ndarray, factor: float, keep: np.ndarray | None = None):
     """Softmax over the last axis of a stack of score matrices scaled by
     `factor`, with MASK_FILL_VALUE wherever `keep` is False: attention's
-    scale, mask and softmax as one op and one tape node.
+    scale, mask and softmax. Returns (weights, backward), where backward
+    maps the weights' gradient to the scores'.
 
     The stack is (N, T_q, T_k) or (B, heads, T_q, T_k). `keep` is one mask
     for every matrix, one per matrix (the stack's shape) or, for a rank-4
@@ -227,13 +223,13 @@ def attention_weights(scores: Tensor, factor: float, keep: np.ndarray | None = N
     entries get no gradient, and a fully masked row is uniform, because max
     subtraction cancels the shared fill value.
     """
-    if scores.data.ndim not in (3, 4):
+    if scores.ndim not in (3, 4):
         raise ShapeError(f"attention_weights: expected a rank 3 or 4 stack, got {scores.shape}")
     f = np.float32(factor)
-    p = scores.data * f
+    p = scores * f
     if keep is not None:
         keep = np.asarray(keep, dtype=bool)
-        per_sequence = (scores.shape[0], 1, *scores.shape[2:]) if scores.data.ndim == 4 else None
+        per_sequence = (scores.shape[0], 1, *scores.shape[2:]) if scores.ndim == 4 else None
         if keep.shape not in (scores.shape[-2:], scores.shape, per_sequence):
             raise ShapeError(f"attention_weights: mask {keep.shape} vs scores {scores.shape}")
         np.copyto(p, MASK_FILL_VALUE, where=~keep)
@@ -243,40 +239,35 @@ def attention_weights(scores: Tensor, factor: float, keep: np.ndarray | None = N
     p -= np.maximum.reduce(keys_first, axis=0)[..., None]
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=-1, keepdims=True)
-    out = Tensor(p)
 
-    def backward_fn(g):
+    def backward(g):
         d = g * p
         np.subtract(g, np.add.reduce(d, axis=-1, keepdims=True), out=d)
         d *= p
         if keep is not None:
             d *= keep
         d *= f
-        return (d,)
+        return d
 
-    return _emit(out, (scores,), backward_fn)
+    return p, backward
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize each row to zero mean / unit variance, then scale and shift."""
-    _require_rank(x, 2, "layer_norm")
-    _require_rank(gain, 1, "layer_norm")
-    _require_rank(bias, 1, "layer_norm")
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Normalize each row of a matrix to zero mean / unit variance, then
+    scale and shift. Returns (y, backward), where backward maps y's gradient
+    to those of (x, gain, bias)."""
     d = x.shape[1]
-    if gain.shape[0] != d or bias.shape[0] != d:
-        raise ShapeError(f"layer_norm: input {x.shape}, gain {gain.shape}, bias {bias.shape}")
     # np.mean's and np.var's arithmetic, with one centred copy for both; the
     # output's array holds the squares first, and xhat overwrites the copy
-    xhat = x.data - np.add.reduce(x.data, axis=1, keepdims=True) / d
+    xhat = x - np.add.reduce(x, axis=1, keepdims=True) / d
     y = np.multiply(xhat, xhat)
     inv = 1.0 / np.sqrt(np.add.reduce(y, axis=1, keepdims=True) / d + np.float32(1e-5))
     xhat *= inv
-    np.multiply(xhat, gain.data, out=y)
-    y += bias.data
-    out = Tensor(y)
+    np.multiply(xhat, gain, out=y)
+    y += bias
 
-    def backward_fn(g):  # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), in two arrays
-        gh = g * gain.data
+    def backward(g):  # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), in two arrays
+        gh = g * gain
         t = np.multiply(gh, xhat)
         mean_ghx = np.add.reduce(t, axis=1, keepdims=True) / d
         gh -= np.add.reduce(gh, axis=1, keepdims=True) / d
@@ -284,22 +275,30 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gh *= inv
         return gh, np.multiply(g, xhat, out=t).sum(axis=0), g.sum(axis=0)
 
-    return _emit(out, (x, gain, bias), backward_fn)
+    return y, backward
+
+
+def dropout_keep(shape, p: float, rng: np.random.Generator) -> np.ndarray | None:
+    """Inverted dropout's multiplier of an array of `shape`: 0 with
+    probability p, else 1/(1-p); None, drawing nothing, when p is 0."""
+    if not 0.0 <= p < 1.0:
+        raise NumericError(f"dropout rate must be in [0, 1), got {p}")
+    if p == 0.0:
+        return None
+    return (rng.random(shape) >= p).astype(np.float32) / np.float32(1.0 - p)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
-    if not 0.0 <= p < 1.0:
-        raise NumericError(f"dropout rate must be in [0, 1), got {p}")
-    if p == 0.0:
+    keep = dropout_keep(x.data.shape, p, rng)
+    if keep is None:
         return x
-    keep = (rng.random(x.data.shape) >= p).astype(np.float32) / np.float32(1.0 - p)
     out = Tensor(x.data * keep)
 
     def backward_fn(g):
         return (g * keep,)
 
-    return _emit(out, (x,), backward_fn)
+    return emit(out, (x,), backward_fn)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -319,7 +318,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         np.add.at(full, ids, g)
         return (full,)
 
-    return _emit(out, (table,), backward_fn)
+    return emit(out, (table,), backward_fn)
 
 
 def cross_entropy(logits: Tensor, targets, ignore_index: int = -1) -> Tensor:
@@ -344,7 +343,7 @@ def cross_entropy(logits: Tensor, targets, ignore_index: int = -1) -> Tensor:
         def backward_zero(g):
             return (np.zeros_like(logits.data),)
 
-        return _emit(out, (logits,), backward_zero)
+        return emit(out, (logits,), backward_zero)
 
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -359,7 +358,7 @@ def cross_entropy(logits: Tensor, targets, ignore_index: int = -1) -> Tensor:
         p[rows, targets[rows]] -= 1.0
         return (g * p / np.float32(n_kept),)
 
-    return _emit(out, (logits,), backward_fn)
+    return emit(out, (logits,), backward_fn)
 
 
 def grad_check(f, params, eps: float = 1e-3, coords_per_tensor: int = 2, seed: int = 0) -> float:

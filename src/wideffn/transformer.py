@@ -3,8 +3,10 @@
 Post-norm residual blocks throughout: sublayer output is
 layer_norm(x + f(x)). A NoOp FFN removes the whole sublayer, residual and
 normalization included, so the layer output is exactly the attention
-output. Sharing works by aliasing: shared blocks hold the same Tensor
-objects, so the tape accumulates their gradients automatically.
+output. Each attention and FFN sublayer is one op that computes on plain
+arrays and records one tape node. Sharing works by aliasing: shared blocks
+hold the same Tensor objects, so the tape accumulates their gradients
+automatically.
 
 `TransformerModel.inputs` turns every (src, tgt) pair into ids, the encoder
 and decoder run one layer loop, `attention_mask` builds every attention mask,
@@ -30,11 +32,12 @@ from .tensor import (
     attention_weights,
     cross_entropy,
     dropout,
+    dropout_keep,
     embedding_lookup,
+    emit,
     layer_norm,
+    linear,
     matmul,
-    relu,
-    reshape,
     scale,
     transpose,
 )
@@ -108,7 +111,7 @@ class DecodeRows(Tensor):
         reorders by parent, and a finished sequence leaves the batch."""
         for layer in self.layers:
             for kv in layer:
-                kv[:] = [Tensor(t.data[rows]) for t in kv]
+                kv[:] = [t[rows] for t in kv]
         if self.src_lengths is not None:
             d = self.data.shape[1]
             self.data = self.data.reshape(len(self.pad), -1, d)[rows].reshape(-1, d)
@@ -336,67 +339,116 @@ def attention_mask(key_len, prefix, t_q: int, t_k: int, offset: int = 0, pad=0) 
     return (pad <= j) & (j < key_len) & ((j < prefix) | (j <= offset + np.arange(t_q)[:, None]))
 
 
+def _add_and_norm(x: np.ndarray, y: np.ndarray, block, dropout_p: float, rng):
+    """layer_norm(x + y) by the block's norm, with dropout on y when `rng` is
+    given, and its backward: g -> (y's gradient, [ln_gain's, ln_bias's, x's])."""
+    drop = None if rng is None else dropout_keep(y.shape, dropout_p, rng)
+    if drop is not None:
+        y *= drop  # y is the sublayer's own product, and no gradient reads it
+    out, norm_backward = layer_norm(x + y, block.ln_gain.data, block.ln_bias.data)
+
+    def backward(g):
+        g_sum, g_gain, g_bias = norm_backward(g)
+        return g_sum if drop is None else g_sum * drop, [g_gain, g_bias, g_sum]
+
+    return out, backward
+
+
 def attention_forward(q_in: Tensor, kv_in: Tensor | None, block: AttentionBlock,
                       mask: np.ndarray | None = None, *, heads: int = 1, batch: int = 1,
                       dropout_p: float = 0.0, rng: np.random.Generator | None = None,
                       kv: list | None = None) -> Tensor:
-    """Multi-head attention sublayer: projection, residual from q_in, norm.
+    """Multi-head attention sublayer: projection, residual from q_in, norm,
+    as one op and one tape node.
 
     The inputs hold `batch` sequences, B, as equal row blocks: q_in is
     (B*T_q, d) and kv_in, which gives the keys and values, is (B*T_k, d).
     Each projection is split into a (B, heads, T, d_h) stack of heads, so
-    one stacked matmul scores every head of every sequence and one more
+    one stacked product scores every head of every sequence and one more
     weights the values; the heads then merge back into (B*T_q, d) rows.
     `mask` is None, one (T_q, T_k) keep mask for every score matrix, or
     `attention_mask`'s (B, 1, T_q, T_k) one per sequence. A fully masked
     score row degrades to a uniform attention row, because max subtraction
     inside the softmax cancels the shared fill value. Dropout runs on the
-    output projection when `rng` is given.
+    output projection when `rng` is given. The node lists a tensor once per
+    read, in the order the reads' gradients arrive, which the backward
+    computes step by step in reverse.
 
     Incremental decoding passes `kv`, a list holding the [keys, values]
-    stacks of earlier calls, (B, heads, d_h, T) and (B, heads, T, d_h), or
+    arrays of earlier calls, (B, heads, d_h, T) and (B, heads, T, d_h), or
     nothing yet. The projections of kv_in are appended to them (kv_in None
     appends nothing) and the list is set to the result, so a step projects
-    only its new positions. The kept keys and values carry no gradient.
+    only its new positions. Keys and values kept from an earlier call carry
+    no gradient.
     """
     rows, d = q_in.shape
     if d % heads != 0:
         raise ConfigError(f"width {d} not divisible by {heads} heads")
     dh = d // heads
+    x = q_in.data
 
-    def split(x: Tensor, w: Tensor, b: Tensor, axes) -> Tensor:
-        return transpose(reshape(matmul(x, w, b), (batch, x.shape[0] // batch, heads, dh)), axes)
+    def split(x: np.ndarray, w: Tensor, b: Tensor, axes):  # (stack, the projection's backward)
+        y, backward = linear(x, w.data, b.data)
+        return y.reshape(batch, x.shape[0] // batch, heads, dh).transpose(axes).copy(), backward
 
-    q = split(q_in, block.wq, block.bq, (0, 2, 1, 3))  # (B, heads, t_q, dh)
+    def unsplit(g: np.ndarray, inverse) -> np.ndarray:  # a stack's gradient as projection rows
+        return np.ascontiguousarray(g.transpose(inverse)).reshape(-1, d)
+
+    q, q_backward = split(x, block.wq, block.bq, (0, 2, 1, 3))  # (B, heads, t_q, dh)
+    fresh = kv_in is not None and not kv  # keys and values all projected here, with gradient
     if kv_in is not None:
-        k = split(kv_in, block.wk, block.bk, (0, 2, 3, 1))  # (B, heads, dh, t_k)
-        v = split(kv_in, block.wv, block.bv, (0, 2, 1, 3))  # (B, heads, t_k, dh)
+        k, k_backward = split(kv_in.data, block.wk, block.bk, (0, 2, 3, 1))  # (B, heads, dh, t_k)
+        v, v_backward = split(kv_in.data, block.wv, block.bv, (0, 2, 1, 3))  # (B, heads, t_k, dh)
         if kv:
-            k = Tensor(np.concatenate((kv[0].data, k.data), axis=3))
-            v = Tensor(np.concatenate((kv[1].data, v.data), axis=2))
+            k = np.concatenate((kv[0], k), axis=3)
+            v = np.concatenate((kv[1], v), axis=2)
     else:
         k, v = kv
     if kv is not None:
         kv[:] = k, v
-    weights = attention_weights(matmul(q, k), 1.0 / math.sqrt(dh), mask)
-    merged = reshape(transpose(matmul(weights, v), (0, 2, 1, 3)), (rows, d))
-    proj = matmul(merged, block.wo, block.bo)
-    if rng is not None:
-        proj = dropout(proj, dropout_p, rng)
-    return layer_norm(add(q_in, proj), block.ln_gain, block.ln_bias)
+    weights, weights_backward = attention_weights(q @ k, 1.0 / math.sqrt(dh), mask)
+    merged = (weights @ v).transpose(0, 2, 1, 3).copy().reshape(rows, d)
+    proj, out_backward = linear(merged, block.wo.data, block.bo.data)
+    out, tail_backward = _add_and_norm(x, proj, block, dropout_p, rng)
+
+    def backward_fn(g):
+        g_proj, pieces = tail_backward(g)
+        g_merged, *g_out = out_backward(g_proj)
+        g_heads = np.ascontiguousarray(
+            g_merged.reshape(batch, rows // batch, heads, dh).transpose(0, 2, 1, 3))
+        g_v = weights.swapaxes(-1, -2) @ g_heads
+        g_scores = weights_backward(g_heads @ v.swapaxes(-1, -2))
+        g_q, g_k = g_scores @ k.swapaxes(-1, -2), q.swapaxes(-1, -2) @ g_scores
+        g_kv = [None] * 6  # kept keys and values pass nothing on
+        if fresh:
+            g_kv = [*v_backward(unsplit(g_v, (0, 2, 1, 3))),
+                    *k_backward(unsplit(g_k, (0, 3, 1, 2)))]
+        return [*pieces, *g_out, *g_kv, *q_backward(unsplit(g_q, (0, 2, 1, 3)))]
+
+    return emit(Tensor(out), (block.ln_gain, block.ln_bias, q_in, block.wo, block.bo,
+                              kv_in, block.wv, block.bv, kv_in, block.wk, block.bk,
+                              q_in, block.wq, block.bq), backward_fn)
 
 
 def ffn_forward(x: Tensor, block: FFNBlock | None, *, dropout_p: float = 0.0,
                 rng: np.random.Generator | None = None) -> Tensor:
-    """Position-wise FFN sublayer; block None is the exact identity.
-    Dropout runs on the second projection when `rng` is given."""
+    """Position-wise FFN sublayer, as one op and one tape node; block None
+    is the exact identity. Dropout runs on the second projection when `rng`
+    is given. x is an input twice, for the residual and the first product."""
     if block is None:
         return x
-    h = relu(matmul(x, block.w1, block.b1), in_place=True)  # one copy of the hidden layer
-    y = matmul(h, block.w2, block.b2)
-    if rng is not None:
-        y = dropout(y, dropout_p, rng)
-    return layer_norm(add(x, y), block.ln_gain, block.ln_bias)
+    h, first_backward = linear(x.data, block.w1.data, block.b1.data)
+    np.maximum(h, np.float32(0.0), out=h)  # relu in place: one copy of the hidden layer
+    y, second_backward = linear(h, block.w2.data, block.b2.data)
+    out, tail_backward = _add_and_norm(x.data, y, block, dropout_p, rng)
+
+    def backward_fn(g):
+        g_y, pieces = tail_backward(g)
+        g_h, *g_second = second_backward(g_y)
+        return [*pieces, *g_second, *first_backward(g_h * (h > 0))]
+
+    return emit(Tensor(out), (block.ln_gain, block.ln_bias, x, block.w2, block.b2,
+                              x, block.w1, block.b1), backward_fn)
 
 
 def _as_batch(ids) -> tuple[np.ndarray, np.ndarray]:

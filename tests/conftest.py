@@ -11,9 +11,11 @@ import yaml
 
 import wideffn as w
 from wideffn import cli
-from wideffn.tensor import Tensor, matmul, reshape
+from wideffn.tensor import Tensor, matmul
 from wideffn.training import AdamState, Schedule, token_accuracy, train
 from wideffn.vocab import EOS, generate_toy_task
+
+from per_op import reshape
 
 TOY_VOCAB = 20
 

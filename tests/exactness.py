@@ -1,0 +1,132 @@
+"""Digests of outputs that a change claiming bitwise-equal results must not move.
+
+One sha256 per family:
+- train: checkpoint bytes and losses after 12 training steps of baseline,
+  NoDec, SharedEncDec, OneWideFFN and a decoder-only model, each at dropout
+  0 and 0.3;
+- decode: greedy, beam-4 and batch-8 tokens, and `DecodeRows` step logits,
+  of five models at the benchmark's decode shape (d=256, 6+6 layers, vocab
+  1000);
+- analyze: teacher-forced logits and every tap of padded probe batches at
+  the benchmark's analyze shape (d=64, 4+4 layers, vocab 100).
+
+Float results hold only for the numpy build, BLAS configuration and CPU
+they were made with, so the file records `environment()` beside the
+digests, and tests/test_exactness.py compares nothing under another one.
+Rewrite the file (BLAS pinned to one thread) with
+
+    PYTHONPATH=src python tests/exactness.py
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import hashlib
+import json
+import platform
+
+import numpy as np
+
+import wideffn as w
+from wideffn.bench import decode_beam, decode_corpus, decode_greedy
+from wideffn.checkpoint import checkpoint_bytes
+from wideffn.training import train
+from wideffn.vocab import BOS, generate_toy_task
+
+DIGEST_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "exactness_digests.json")
+PRESETS = ("baseline", "NoDec", "SharedEncDec", "OneWideFFN")
+TRAIN_SHAPE = dict(n_enc=2, n_dec=2, d_model=32, d_ff=64, heads=2, vocab_size=20)
+DECODE_SHAPE = dict(n_enc=6, n_dec=6, d_model=256, d_ff=1024, heads=8, vocab_size=1000,
+                    max_len=64, dropout=0.0)
+ANALYZE_SHAPE = dict(n_enc=4, n_dec=4, d_model=64, d_ff=256, heads=4, vocab_size=100,
+                     max_len=64, dropout=0.0)
+
+
+def _models(shape: dict, seed: int):
+    """(name, model) of every preset plus a decoder-only baseline at `shape`."""
+    for preset in PRESETS:
+        yield preset, w.build_model(w.apply_preset(w.ModelConfig(**shape), preset), seed=seed)
+    dec_only = w.ModelConfig(**{**shape, "n_enc": 0, "architecture": "decoder-only"})
+    yield "decoder-only", w.build_model(dec_only, seed=seed)
+
+
+def _train_family(h):
+    corpus = generate_toy_task("copy", 96, (3, 8), TRAIN_SHAPE["vocab_size"], seed=7)
+    for dropout in (0.0, 0.3):
+        for _, model in _models({**TRAIN_SHAPE, "dropout": dropout}, seed=1):
+            losses = train(model, corpus, steps=12, batch_size=16, seed=2)
+            h.update(np.asarray(losses, dtype=np.float64).tobytes())
+            h.update(checkpoint_bytes(model.store))
+
+
+def _decode_family(h):
+    srcs = [src for src, _ in generate_toy_task("copy", 9, (5, 8), DECODE_SHAPE["vocab_size"],
+                                                seed=3).pairs]
+    for _, model in _models(DECODE_SHAPE, seed=0):
+        h.update(np.asarray(decode_greedy(model, srcs[0], max_len=6)).tobytes())
+        h.update(np.asarray(decode_beam(model, srcs[1], beam=4, max_len=4)).tobytes())
+        for out in decode_corpus(model, srcs[1:], batch_size=8, beam=1, max_len=4):
+            h.update(np.asarray(out).tobytes())
+        rows = model.decode_rows(srcs[:3])  # ragged sources, reordered after two steps
+        h.update(rows.step([BOS] * 3).tobytes())
+        h.update(rows.step([7, 8, 9]).tobytes())
+        rows.keep([2, 0, 0])
+        h.update(rows.step([10, 11, 12]).tobytes())
+
+
+def _analyze_family(h):
+    pairs = generate_toy_task("copy", 24, (3, 9), ANALYZE_SHAPE["vocab_size"], seed=5).pairs
+    for _, model in _models(ANALYZE_SHAPE, seed=0):
+        logits, taps = model.teacher_forced(pairs)
+        h.update(logits.data.tobytes())
+        for side in sorted(taps):
+            for name in sorted(taps[side]):
+                h.update(taps[side][name].data.tobytes())
+
+
+FAMILIES = {"train": _train_family, "decode": _decode_family, "analyze": _analyze_family}
+
+
+def environment() -> dict:
+    """What the float results depend on besides the code: numpy and its
+    BLAS build, the SIMD extensions found at run time, the CPU and the BLAS
+    thread count."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    cpu = platform.processor()
+    if os.path.exists("/proc/cpuinfo"):
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            names = [line.split(":", 1)[1].strip() for line in f if line.startswith("model name")]
+        cpu = names[0] if names else cpu
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']} ({blas.get('openblas configuration', '')})",
+        "simd": config["SIMD Extensions"]["found"],
+        "machine": platform.machine(),
+        "cpu": cpu,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
+def digests() -> dict[str, str]:
+    out = {}
+    for name, family in FAMILIES.items():
+        h = hashlib.sha256()
+        family(h)
+        out[name] = h.hexdigest()
+    return out
+
+
+def write(path: str = DIGEST_FILE):
+    payload = {"environment": environment(), "digests": digests()}
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=2)
+        f.write("\n")
+
+
+if __name__ == "__main__":
+    write()

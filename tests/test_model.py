@@ -1,4 +1,6 @@
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from wideffn.transformer import (
 )
 from wideffn.vocab import BOS, EOS, PAD, Corpus, generate_toy_task
 
+import per_op
 from conftest import tiny_config
 
 
@@ -320,16 +323,16 @@ def _old_attention_mask(key_len, prefix, t_q, t_k, heads, offset=0, pad=0):
     return keep.repeat(heads, axis=0)
 
 
-def _old_attention_forward(q_in, kv_in, block, mask=None, *, heads=1, batch=1, dropout_p=0.0,
-                           rng=None, kv=None):
+def _rank3_attention_forward(q_in, kv_in, block, mask=None, *, heads=1, batch=1, dropout_p=0.0,
+                             rng=None, kv=None):
     rows, d = q_in.shape
     dh = d // heads
     t_q = rows // batch
 
     def split(x, w, b, axes):
-        split4 = tensor.transpose(tensor.reshape(tensor.matmul(x, w, b),
+        split4 = tensor.transpose(per_op.reshape(tensor.matmul(x, w, b),
                                                  (batch, x.shape[0] // batch, heads, dh)), axes)
-        return tensor.reshape(split4, (batch * heads,) + split4.shape[2:])
+        return per_op.reshape(split4, (batch * heads,) + split4.shape[2:])
 
     q = split(q_in, block.wq, block.bq, (0, 2, 1, 3))
     if kv_in is not None:
@@ -342,13 +345,13 @@ def _old_attention_forward(q_in, kv_in, block, mask=None, *, heads=1, batch=1, d
         k, v = kv
     if kv is not None:
         kv[:] = k, v
-    weights = tensor.attention_weights(tensor.matmul(q, k), 1.0 / np.sqrt(dh), mask)
-    heads_out = tensor.reshape(tensor.matmul(weights, v), (batch, heads, t_q, dh))
-    merged = tensor.reshape(tensor.transpose(heads_out, (0, 2, 1, 3)), (rows, d))
+    weights = per_op.attention_weights(tensor.matmul(q, k), 1.0 / np.sqrt(dh), mask)
+    heads_out = per_op.reshape(tensor.matmul(weights, v), (batch, heads, t_q, dh))
+    merged = per_op.reshape(tensor.transpose(heads_out, (0, 2, 1, 3)), (rows, d))
     proj = tensor.matmul(merged, block.wo, block.bo)
     if rng is not None:
         proj = tensor.dropout(proj, dropout_p, rng)
-    return tensor.layer_norm(tensor.add(q_in, proj), block.ln_gain, block.ln_bias)
+    return per_op.layer_norm(tensor.add(q_in, proj), block.ln_gain, block.ln_bias)
 
 
 def _old_keep(self, rows):
@@ -392,7 +395,7 @@ def test_heads_as_an_axis_leave_attention_bitwise_unchanged(heads, batch, case):
     new_mask = None if args is None else attention_mask(t_q=t_q, t_k=t_k, **args)
     old_mask = None if args is None else _old_attention_mask(t_q=t_q, t_k=t_k, heads=heads, **args)
     runs = []
-    for forward, mask in ((attention_forward, new_mask), (_old_attention_forward, old_mask)):
+    for forward, mask in ((attention_forward, new_mask), (_rank3_attention_forward, old_mask)):
         block = AttentionBlock(*map(Tensor, params))
         q = Tensor(q_data)
         kv = Tensor(kv_data) if cross else q
@@ -419,7 +422,7 @@ def test_decode_rows_match_the_old_head_layout_bitwise(arch, monkeypatch):
         return first.tobytes(), rows.step([5, 6, 7]).tobytes()
 
     new = run()
-    monkeypatch.setattr(transformer, "attention_forward", _old_attention_forward)
+    monkeypatch.setattr(transformer, "attention_forward", _rank3_attention_forward)
     monkeypatch.setattr(transformer, "attention_mask",
                         lambda key_len, prefix, t_q, t_k, offset=0, pad=0: _old_attention_mask(
                             key_len, prefix, t_q, t_k, m.config.heads, offset, pad))
@@ -682,14 +685,14 @@ def test_a_32_pair_probe_of_7_tokens_is_one_chunk():
 # returns a new array and masks its backward on its input.
 def _old_relu(x):
     out = Tensor(np.maximum(x.data, np.float32(0.0)))
-    return tensor._emit(out, (x,), lambda g: (g * (x.data > 0),))
+    return tensor.emit(out, (x,), lambda g: (g * (x.data > 0),))
 
 
 def _old_ffn_forward(x, block, *, dropout_p, rng):
     h = _old_relu(tensor.matmul(x, block.w1, block.b1))
     y = tensor.matmul(h, block.w2, block.b2)
     y = tensor.dropout(y, dropout_p, rng)
-    return tensor.layer_norm(tensor.add(x, y), block.ln_gain, block.ln_bias)
+    return per_op.layer_norm(tensor.add(x, y), block.ln_gain, block.ln_bias)
 
 
 @pytest.mark.parametrize("rows", [1, 9, 288])
@@ -713,10 +716,229 @@ def test_the_in_place_relu_leaves_ffn_forward_bitwise_unchanged(rows, width, dro
         tape.backward(loss)
         assert tap.data.tobytes() == x.tobytes()  # the input, a tap, is left as it was
         runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in (tap, *block)])
-        if forward is ffn_forward:  # relu's output is the first product's own array
-            (product, _, _), (relu_out, relu_in, _) = tape.nodes[:2]
-            assert relu_in == (product,) and relu_out.data is product.data
+        if forward is ffn_forward:  # the sublayer's one node and the loss's
+            assert len(tape.nodes) == 2
     assert runs[0] == runs[1]
+
+
+def test_the_ffn_holds_one_copy_of_its_hidden_layer():
+    # relu writes over the first product: widening the hidden layer raises
+    # the sublayer's peak allocation by the hidden layer's growth, once
+    rng = np.random.default_rng(2)
+    rows, d = 288, 16
+    x = Tensor(rng.standard_normal((rows, d)))
+    peaks = []
+    for width in (64, 256):
+        shapes = ((d, width), (width,), (width, d), (d,), (d,), (d,))
+        block = FFNBlock(*[Tensor(rng.standard_normal(shape)) for shape in shapes])
+        ffn_forward(x, block)
+        tracemalloc.start()
+        ffn_forward(x, block)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    growth = rows * (256 - 64) * 4
+    assert growth <= peaks[1] - peaks[0] < 1.5 * growth
+
+
+# attention_forward as a composition of tensor ops, one tape node each, as
+# it was before the sublayer became one op. Its K/V cache holds arrays, as
+# the sublayer's does, so no key or value kept from an earlier call carries
+# gradient.
+def _old_attention_forward(q_in, kv_in, block, mask=None, *, heads=1, batch=1, dropout_p=0.0,
+                           rng=None, kv=None):
+    rows, d = q_in.shape
+    dh = d // heads
+
+    def split(x, w, b, axes):
+        return tensor.transpose(per_op.reshape(tensor.matmul(x, w, b),
+                                               (batch, x.shape[0] // batch, heads, dh)), axes)
+
+    q = split(q_in, block.wq, block.bq, (0, 2, 1, 3))
+    if kv_in is not None:
+        k = split(kv_in, block.wk, block.bk, (0, 2, 3, 1))
+        v = split(kv_in, block.wv, block.bv, (0, 2, 1, 3))
+        if kv:
+            k = Tensor(np.concatenate((kv[0], k.data), axis=3))
+            v = Tensor(np.concatenate((kv[1], v.data), axis=2))
+    else:
+        k, v = map(Tensor, kv)
+    if kv is not None:
+        kv[:] = k.data, v.data
+    weights = per_op.attention_weights(tensor.matmul(q, k), 1.0 / math.sqrt(dh), mask)
+    merged = per_op.reshape(tensor.transpose(tensor.matmul(weights, v), (0, 2, 1, 3)), (rows, d))
+    proj = tensor.matmul(merged, block.wo, block.bo)
+    if rng is not None:
+        proj = tensor.dropout(proj, dropout_p, rng)
+    return per_op.layer_norm(tensor.add(q_in, proj), block.ln_gain, block.ln_bias)
+
+
+def _run_taped(build, arrays):
+    """build(*tensors of arrays) under one tape, then backward from the summed
+    cross-entropy of the outputs it returns: (output bytes, every tensor's
+    gradient bytes), and the tape's node count before the loss."""
+    tensors = [Tensor(a) for a in arrays]
+    tape = ComputeTape()
+    with recording(tape):
+        outs = build(*tensors)
+        nodes = len(tape.nodes)
+        losses = [cross_entropy(out, np.arange(out.shape[0]) % out.shape[1]) for out in outs]
+        loss = losses[0]
+        for more in losses[1:]:
+            loss = tensor.add(loss, more)
+    tape.backward(loss)
+    grads = [None if t.grad is None else t.grad.tobytes() for t in tensors]
+    return ([out.data.tobytes() for out in outs], grads), nodes
+
+
+def _block_arrays(rng, parts, d, width=None):
+    shapes = {"w1": (d, width), "b1": (width,), "w2": (width, d)}
+    return [rng.uniform(-0.5, 0.5, size=shapes.get(name, (d, d) if name.startswith("w") else d))
+            for name in parts]
+
+
+# (batch, query rows and key rows per sequence, attention_mask arguments);
+# cross_padded reads its keys and values from a separate memory
+SUBLAYER_CASES = {
+    "encoder_padded": (3, 5, 5, dict(key_len=[5, 3, 4], prefix=[5, 3, 4])),
+    "causal": (3, 5, 5, dict(key_len=[5, 5, 5], prefix=[0, 0, 0])),
+    "prefix_left_pad": (3, 5, 5, dict(key_len=[5, 5, 5], prefix=[3, 3, 3], pad=[2, 0, 1])),
+    "cross_padded": (3, 5, 4, dict(key_len=[2, 4, 3], prefix=[2, 4, 3])),
+}
+
+
+@pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+@pytest.mark.parametrize("case", list(SUBLAYER_CASES))
+def test_attention_is_one_node_bitwise_like_its_per_op_composition(case, dropout_p):
+    batch, t_q, t_k, mask_args = SUBLAYER_CASES[case]
+    rng = np.random.default_rng(len(case))
+    d = 16
+    mask = attention_mask(t_q=t_q, t_k=t_k, **mask_args)
+    arrays = [rng.standard_normal((batch * t_q, d)), rng.standard_normal((batch * t_k, d)),
+              *_block_arrays(rng, ATTN_PARTS, d)]
+
+    def build(forward):
+        def run(x, memory, *params):
+            kv_in = x if case != "cross_padded" else memory
+            return [forward(x, kv_in, AttentionBlock(*params), mask, heads=4, batch=batch,
+                            dropout_p=dropout_p, rng=np.random.default_rng(5))]
+        return run
+
+    new, nodes = _run_taped(build(attention_forward), arrays)
+    assert nodes == 1
+    assert new == _run_taped(build(_old_attention_forward), arrays)[0]
+
+
+@pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+def test_blocks_shared_by_two_layers_are_bitwise_like_the_per_op_composition(dropout_p):
+    # two decoder layers that share one block of each kind, over one padded memory
+    rng = np.random.default_rng(11)
+    batch, t, s, d = 2, 4, 3, 16
+    self_mask = attention_mask([4, 3], [0, 0], t, t)
+    cross_mask = attention_mask([3, 2], [3, 2], t, s)
+    arrays = [rng.standard_normal((batch * t, d)), rng.standard_normal((batch * s, d)),
+              *_block_arrays(rng, ATTN_PARTS, d), *_block_arrays(rng, ATTN_PARTS, d),
+              *_block_arrays(rng, ("w1", "b1", "w2", "b2", "ln_gain", "ln_bias"), d, 32)]
+
+    def build(attend, ffn):
+        def run(x, memory, *params):
+            sa, ca = AttentionBlock(*params[:10]), AttentionBlock(*params[10:20])
+            block = FFNBlock(*params[20:])
+            gen = np.random.default_rng(5)
+            opts = dict(heads=2, batch=batch, dropout_p=dropout_p, rng=gen)
+            for _ in range(2):
+                x = attend(x, x, sa, self_mask, **opts)
+                x = attend(x, memory, ca, cross_mask, **opts)
+                x = ffn(x, block, dropout_p=dropout_p, rng=gen)
+            return [x]
+        return run
+
+    new, nodes = _run_taped(build(attention_forward, ffn_forward), arrays)
+    assert nodes == 6
+    assert new == _run_taped(build(_old_attention_forward, _old_ffn_forward), arrays)[0]
+
+
+def test_a_six_step_decode_is_bitwise_like_the_per_op_composition():
+    # A left-padded prefix of 3, then six single steps, under one tape: self
+    # attention appends to its K/V cache, and cross attention projects the
+    # memory on the first call and reuses it after.
+    rng = np.random.default_rng(12)
+    batch, d, steps = 2, 16, 6
+    arrays = [rng.standard_normal((batch * 3, d)), rng.standard_normal((batch * 3, d)),
+              *[rng.standard_normal((batch, d)) for _ in range(steps)],
+              *_block_arrays(rng, ATTN_PARTS, d), *_block_arrays(rng, ATTN_PARTS, d)]
+
+    def build(attend):
+        def run(memory, *tensors):
+            inputs, sa, ca = tensors[:-20], AttentionBlock(*tensors[-20:-10]), \
+                AttentionBlock(*tensors[-10:])
+            self_kv, cross_kv, outs, offset = [], [], [], 0
+            for x in inputs:
+                t = x.shape[0] // batch
+                opts = dict(heads=4, batch=batch)
+                x = attend(x, x, sa, attention_mask([offset + t] * 2, [3, 3], t, offset + t, offset,
+                                                    [1, 0]), kv=self_kv, **opts)
+                outs.append(attend(x, None if cross_kv else memory, ca,
+                                   attention_mask([3, 2], [3, 2], t, 3), kv=cross_kv, **opts))
+                offset += t
+            return outs
+        return run
+
+    new, nodes = _run_taped(build(attention_forward), arrays)
+    assert nodes == 2 * (1 + steps)
+    assert new == _run_taped(build(_old_attention_forward), arrays)[0]
+
+
+@pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
+def test_decode_rows_are_bitwise_like_the_per_op_sublayers(arch, monkeypatch):
+    n_enc = 0 if arch == "decoder-only" else 2
+    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch, heads=4), seed=6)
+    srcs = [[4, 5, 6], [7], [8, 9, 10, 11]]
+
+    def run():  # six steps, rows reordered after the second and dropped after the fourth
+        rows, out = DecodeRows(m, srcs), []
+        for step, ids in enumerate([[BOS] * 3, [5, 6, 7], [8, 9, 10], [4, 5, 6], [7, 8], [9, 10]]):
+            out.append(rows.step(ids).tobytes())
+            if step in (1, 3):
+                rows.keep([2, 0, 0] if step == 1 else [1, 2])
+        return out
+
+    new = run()
+    monkeypatch.setattr(transformer, "attention_forward", _old_attention_forward)
+    monkeypatch.setattr(transformer, "ffn_forward", _old_ffn_forward)
+    assert run() == new
+
+
+# The grad_check oracles of the ops the sublayers replaced: the head split
+# and merge (reshape and rank-4 transposes and products), attention_weights
+# without a mask and with a shared, per-sequence or per-matrix one, and relu.
+@pytest.mark.parametrize("case", ["unmasked", "shared_mask", "per_sequence_mask",
+                                  "per_matrix_mask", "cross", "ffn"])
+def test_sublayers_pass_grad_check(case):
+    rng = np.random.default_rng(7)
+    batch, t, d, heads = 2, 4, 8, 4
+    shared = np.tri(t, t, dtype=bool)
+    mask = {"shared_mask": shared,
+            "per_sequence_mask": attention_mask([4, 3], [0, 2], t, t),
+            "per_matrix_mask": rng.random((batch, heads, t, t)) < 0.6,
+            "cross": attention_mask([3, 2], [3, 2], t, 3)}.get(case)
+    x = Tensor(rng.standard_normal((batch * t, d)))
+    memory = Tensor(rng.standard_normal((batch * 3, d)))
+    if case == "ffn":
+        block = FFNBlock(*map(Tensor, _block_arrays(rng, FFNBlock._fields, d, 16)))
+        params = [x, *block]
+    else:
+        block = AttentionBlock(*map(Tensor, _block_arrays(rng, ATTN_PARTS, d)))
+        params = [x, memory, *block] if case == "cross" else [x, *block]
+
+    def loss(p):
+        if case == "ffn":
+            out = ffn_forward(p[0], block)
+        else:
+            kv_in = p[1] if case == "cross" else p[0]
+            out = attention_forward(p[0], kv_in, block, mask, heads=heads, batch=batch)
+        return cross_entropy(out, np.arange(batch * t) % d)
+
+    assert grad_check(loss, params, coords_per_tensor=3) < 1e-3
 
 
 @pytest.mark.parametrize("preset", ["baseline", "NoDec", "SharedEncDec", "OneWideFFN",

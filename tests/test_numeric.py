@@ -12,17 +12,17 @@ from wideffn.tensor import (
     cross_entropy,
     dropout,
     embedding_lookup,
+    emit,
     grad_check,
     layer_norm,
     matmul,
     recording,
-    relu,
-    reshape,
     scale,
     slice_cols,
     transpose,
 )
 
+import per_op
 from conftest import total
 
 
@@ -58,12 +58,10 @@ def test_stacked_ops_forward_and_shape_errors():
     b = rng.standard_normal((2, 4, 5)).astype(np.float32)
     assert np.array_equal(matmul(Tensor(a), Tensor(b)).data, a @ b)
     assert np.array_equal(transpose(Tensor(a), (2, 0, 1)).data, a.transpose(2, 0, 1))
-    assert np.array_equal(reshape(Tensor(a), (6, 4)).data, a.reshape(6, 4))
     keep = np.tri(3, 4, dtype=bool)
-    assert np.array_equal(attention_weights(Tensor(a), 0.5, keep).data[1],
-                          attention_weights(Tensor(a[1:]), 0.5, keep).data[0])
-    assert np.array_equal(attention_weights(Tensor(a), 0.5).data[0],
-                          attention_weights(Tensor(a[:1]), 0.5).data[0])
+    assert np.array_equal(attention_weights(a, 0.5, keep)[0][1],
+                          attention_weights(a[1:], 0.5, keep)[0][0])
+    assert np.array_equal(attention_weights(a, 0.5)[0][0], attention_weights(a[:1], 0.5)[0][0])
     with pytest.raises(ShapeError):  # stacks of different lengths
         matmul(Tensor(a), Tensor(b[:1]))
     with pytest.raises(ShapeError):  # a stack times a matrix
@@ -72,18 +70,17 @@ def test_stacked_ops_forward_and_shape_errors():
         with pytest.raises(ShapeError):
             transpose(Tensor(a), axes)
     with pytest.raises(ShapeError):
-        attention_weights(Tensor(a), 1.0, np.ones((4, 3), dtype=bool))
+        attention_weights(a, 1.0, np.ones((4, 3), dtype=bool))
     with pytest.raises(ShapeError):  # attention weights come in stacks
-        attention_weights(Tensor(a[0]), 1.0)
+        attention_weights(a[0], 1.0)
     # rank 4 (a (B, heads, T, d_h) stack) and one mask per matrix of a stack
     a4 = a.reshape(2, 3, 2, 2)
     assert np.array_equal(transpose(Tensor(a4), (0, 2, 1, 3)).data, a4.transpose(0, 2, 1, 3))
-    assert np.array_equal(reshape(Tensor(a4), (4, 3, 2)).data, a.reshape(4, 3, 2))
     per_matrix = np.stack([keep, ~keep])
-    weights = attention_weights(Tensor(a), 0.5, per_matrix).data
-    assert np.array_equal(weights[1], attention_weights(Tensor(a[1:]), 0.5, ~keep).data[0])
+    weights, _ = attention_weights(a, 0.5, per_matrix)
+    assert np.array_equal(weights[1], attention_weights(a[1:], 0.5, ~keep)[0][0])
     with pytest.raises(ShapeError):  # neither one mask nor one per matrix
-        attention_weights(Tensor(a), 0.5, per_matrix[:1])
+        attention_weights(a, 0.5, per_matrix[:1])
 
 
 def test_rank4_stacks_multiply_per_matrix_and_take_a_mask_per_sequence():
@@ -99,12 +96,12 @@ def test_rank4_stacks_multiply_per_matrix_and_take_a_mask_per_sequence():
             matmul(Tensor(a), Tensor(bad))
     keep = rng.random((2, 3, 4, 4)) < 0.7
     for mask in (keep[0, 0], keep, keep[:, :1]):  # shared, per matrix, per sequence
-        assert attention_weights(Tensor(out), 0.5, mask).shape == (2, 3, 4, 4)
+        assert attention_weights(out, 0.5, mask)[0].shape == (2, 3, 4, 4)
     for mask in (keep[:1], keep[:, :2], keep[:1, :1], keep[0], keep[:, :1, :1], keep[..., :1]):
         with pytest.raises(ShapeError):
-            attention_weights(Tensor(out), 0.5, mask)
+            attention_weights(out, 0.5, mask)
     with pytest.raises(ShapeError):  # rank 5 is no stack of score matrices
-        attention_weights(Tensor(out[None]), 0.5)
+        attention_weights(out[None], 0.5)
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 9, 9), (8, 8, 1, 13), (1, 2, 5, 3), (2, 1, 4, 4)])
@@ -122,18 +119,16 @@ def test_a_per_sequence_mask_equals_it_repeated_per_head_bitwise(shape):
     for scores, mask, grad in ((x, keep, g), (x.reshape(stack),
                                               keep.repeat(heads, axis=1).reshape(stack),
                                               g.reshape(stack))):
-        tape = ComputeTape()
-        with recording(tape):
-            out = attention_weights(Tensor(scores), 0.25, mask)
-        (_, _, backward_fn), = tape.nodes
-        runs.append((out.data.tobytes(), backward_fn(grad)[0].tobytes()))
+        out, backward = attention_weights(scores, 0.25, mask)
+        runs.append((out.tobytes(), backward(grad).tobytes()))
     assert runs[0] == runs[1]
 
 
 # The ops as tensor.py had them before the bias moved into matmul,
 # layer_norm and softmax_rows called np.add.reduce, and attention's scale,
 # mask_fill and softmax_rows became one op: each returns (forward value,
-# backward function). The current ops must agree with them bit for bit.
+# backward function). The current kernels and ops must agree with them bit
+# for bit.
 def _old_add_bias_matmul(a, b, bias):
     def backward(g):  # add_bias passed g to the product unchanged
         return g @ b.swapaxes(-1, -2), a.swapaxes(-1, -2) @ g, g.sum(axis=0)
@@ -210,15 +205,26 @@ def _old_attention_weights(x, factor, keep=None):
     return x, backward
 
 
-def _assert_bitwise_like_old(op, old, args, g):
-    """op's output and input gradients from its one tape node `==` old's."""
-    tape = ComputeTape()
-    with recording(tape):
-        out = op(*map(Tensor, args))
-    (_, _, backward_fn), = tape.nodes
+def _tape_kernel(op):
+    """A Tensor op as a kernel: (output, backward) of its one tape node."""
+    def kernel(*args):
+        tape = ComputeTape()
+        with recording(tape):
+            out = op(*map(Tensor, args))
+        (_, _, backward_fn), = tape.nodes
+        return out.data, backward_fn
+
+    return kernel
+
+
+def _assert_bitwise_like_old(kernel, old, args, g):
+    """kernel's output and input gradients `==` old's."""
+    out, backward = kernel(*args)
     expect, expect_backward = old(*args)
-    assert out.data.tobytes() == expect.tobytes()
-    for got, want in zip(backward_fn(g), expect_backward(g), strict=True):
+    assert out.tobytes() == expect.tobytes()
+    got = backward(g)
+    for got, want in zip(got if isinstance(got, tuple) else (got,), expect_backward(g),
+                         strict=True):
         assert got.dtype == want.dtype == np.float32
         assert got.tobytes() == want.tobytes()
 
@@ -233,7 +239,7 @@ def test_sublayer_kernels_match_their_old_forms_bitwise(rows, width):
 
     x, w, bias, g = draw(rows, width, loc=3.0), draw(width, width), draw(width), draw(rows, width)
     gain = draw(width, loc=1.0)
-    _assert_bitwise_like_old(matmul, _old_add_bias_matmul, (x, w, bias), g)
+    _assert_bitwise_like_old(_tape_kernel(matmul), _old_add_bias_matmul, (x, w, bias), g)
     _assert_bitwise_like_old(layer_norm, _old_layer_norm, (x, gain, bias), g)
     _assert_bitwise_like_old(layer_norm, _out_of_place_layer_norm, (x, gain, bias), g)
     _assert_bitwise_like_old(lambda t: attention_weights(t, 1.0), _old_softmax_rows, (x[None],),
@@ -275,9 +281,21 @@ def _row_loss(y):
     """Cross-entropy over the rows of y flattened to a matrix, fixed targets."""
     cols = y.shape[-1]
     rows = y.data.size // cols
-    return cross_entropy(reshape(y, (rows, cols)), np.arange(rows) % cols)
+    return cross_entropy(per_op.reshape(y, (rows, cols)), np.arange(rows) % cols)
 
 
+def _weights_op(factor, keep=None):
+    """The attention_weights kernel as a Tensor op of the scores, for grad_check."""
+    def op(scores):
+        out, backward = attention_weights(scores.data, factor, keep)
+        return emit(Tensor(out), (scores,), lambda g: (backward(g),))
+
+    return op
+
+
+# reshape lives on as the per-op reference's (tests/per_op.py), and
+# attention_weights as the kernel inside attention_forward; the sublayers'
+# own oracles are tests/test_model.py test_sublayers_pass_grad_check.
 @pytest.mark.parametrize("op", ["matmul", "matmul_bias", "transpose", "reshape", "softmax_rows",
                                 "mask_fill", "rank4_transpose", "per_matrix_mask_fill",
                                 "rank4_matmul", "per_sequence_mask_fill"])
@@ -287,6 +305,7 @@ def test_stacked_ops_pass_grad_check(op):
     b = Tensor(rng.standard_normal((2, 4, 3)))
     bias = Tensor(rng.standard_normal(6))
     keep = np.tri(3, 4, dtype=bool)
+    reshape = per_op.reshape
     build = {
         "matmul": lambda p: matmul(p[0], p[1]),
         "matmul_bias": lambda p: matmul(reshape(p[0], (6, 4)), reshape(p[1], (4, 6)), p[2]),
@@ -294,13 +313,13 @@ def test_stacked_ops_pass_grad_check(op):
         "reshape": lambda p: reshape(p[0], (4, 6)),
         # attention_weights, which scales, fills masked scores and takes the
         # softmax of each row: with no mask, one shared mask, one per matrix
-        "softmax_rows": lambda p: attention_weights(p[0], 0.7),
-        "mask_fill": lambda p: attention_weights(p[0], 0.7, keep),
+        "softmax_rows": lambda p: _weights_op(0.7)(p[0]),
+        "mask_fill": lambda p: _weights_op(0.7, keep)(p[0]),
         "rank4_transpose": lambda p: transpose(reshape(p[0], (2, 3, 2, 2)), (0, 2, 1, 3)),
-        "per_matrix_mask_fill": lambda p: attention_weights(p[0], 0.7, np.stack([keep, ~keep])),
+        "per_matrix_mask_fill": lambda p: _weights_op(0.7, np.stack([keep, ~keep]))(p[0]),
         "rank4_matmul": lambda p: matmul(reshape(p[0], (2, 1, 3, 4)), reshape(p[1], (2, 1, 4, 3))),
-        "per_sequence_mask_fill": lambda p: attention_weights(reshape(p[0], (1, 2, 3, 4)), 0.7,
-                                                              keep[None, None]),
+        "per_sequence_mask_fill": lambda p: _weights_op(0.7, keep[None, None])(
+            reshape(p[0], (1, 2, 3, 4))),
     }[op]
     err = grad_check(lambda p: _row_loss(build(p)), [a, b, bias], coords_per_tensor=8)
     assert err < 1e-3
@@ -308,7 +327,6 @@ def test_stacked_ops_pass_grad_check(op):
 
 def test_elementwise_forward_oracles():
     x = Tensor([[1.0, -2.0], [0.0, 3.0]])
-    assert np.array_equal(relu(x).data, [[1.0, 0.0], [0.0, 3.0]])
     assert np.array_equal(scale(x, 2.0).data, [[2.0, -4.0], [0.0, 6.0]])
     assert np.array_equal(add(x, x).data, 2 * x.data)
     assert np.array_equal(matmul(x, Tensor(np.eye(2)), Tensor([10.0, 20.0])).data,
@@ -319,20 +337,20 @@ def test_elementwise_forward_oracles():
 
 
 def test_softmax_rows_is_stable_and_normalized():
-    x = Tensor([[[1000.0, 1000.0, 1000.0], [0.0, 1.0, 2.0]]])
-    p = attention_weights(x, 1.0).data[0]
+    x = np.array([[[1000.0, 1000.0, 1000.0], [0.0, 1.0, 2.0]]], dtype=np.float32)
+    p = attention_weights(x, 1.0)[0][0]
     assert np.allclose(p.sum(axis=1), 1.0)
     assert np.allclose(p[0], [1 / 3, 1 / 3, 1 / 3])
     e = np.exp([0.0, 1.0, 2.0])
     assert np.allclose(p[1], e / e.sum(), atol=1e-7)
     e = np.exp([0.0, 0.5, 1.0])  # the scale comes before the softmax
-    assert np.allclose(attention_weights(x, 0.5).data[0, 1], e / e.sum(), atol=1e-7)
+    assert np.allclose(attention_weights(x, 0.5)[0][0, 1], e / e.sum(), atol=1e-7)
 
 
 def test_fully_filled_mask_row_degrades_to_uniform():
-    x = Tensor([[[5.0, -1.0, 2.0], [1.0, 2.0, 3.0]]])
+    x = np.array([[[5.0, -1.0, 2.0], [1.0, 2.0, 3.0]]], dtype=np.float32)
     keep = np.array([[False, False, False], [True, False, True]])
-    p = attention_weights(x, 2.0, keep).data[0]
+    p = attention_weights(x, 2.0, keep)[0][0]
     assert np.allclose(p[0], [1 / 3, 1 / 3, 1 / 3])
     assert np.allclose(p[1], [1 / (1 + np.exp(4.0)), 0.0, 1 / (1 + np.exp(-4.0))])
 
@@ -340,12 +358,13 @@ def test_fully_filled_mask_row_degrades_to_uniform():
 def test_layer_norm_normalizes_rows():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((4, 8)).astype(np.float32)
-    out = layer_norm(Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8)))
-    assert np.allclose(out.data.mean(axis=1), 0.0, atol=1e-6)
-    assert np.allclose(out.data.var(axis=1), 1.0, atol=1e-3)
+    out, _ = layer_norm(x, np.ones(8, np.float32), np.zeros(8, np.float32))
+    assert np.allclose(out.mean(axis=1), 0.0, atol=1e-6)
+    assert np.allclose(out.var(axis=1), 1.0, atol=1e-3)
     # constant rows have zero variance; eps keeps the output finite (= bias)
-    flat = layer_norm(Tensor(np.full((2, 8), 3.0)), Tensor(np.ones(8)), Tensor(np.full(8, 7.0)))
-    assert np.allclose(flat.data, 7.0)
+    flat, _ = layer_norm(np.full((2, 8), 3.0, np.float32), np.ones(8, np.float32),
+                         np.full(8, 7.0, np.float32))
+    assert np.allclose(flat, 7.0)
 
 
 def test_cross_entropy_matches_log_softmax_oracle():
@@ -430,8 +449,8 @@ def test_replay_is_bit_deterministic():
         b.zero_grad()
         tape = ComputeTape()
         with recording(tape):
-            h = relu(matmul(a, b))
-            loss = cross_entropy(layer_norm(h, Tensor(np.ones(6)), Tensor(np.zeros(6))),
+            h = per_op.relu(matmul(a, b))
+            loss = cross_entropy(per_op.layer_norm(h, Tensor(np.ones(6)), Tensor(np.zeros(6))),
                                  [0, 1, 2, 3, 4, 5])
         tape.backward(loss)
         return a.grad.tobytes(), b.grad.tobytes()
@@ -480,16 +499,13 @@ def test_mask_fill_blocks_gradient():
     """attention_weights passes no gradient to a masked score, whether the
     mask is shared by the stack or given per matrix; every kept score of a
     row with two or more kept entries gets some."""
-    x = np.random.default_rng(9).standard_normal((2, 3, 3)).astype(np.float32)
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((2, 3, 3)).astype(np.float32)
+    g = rng.standard_normal((2, 3, 3)).astype(np.float32)
     shared = np.array([[True, False, False], [True, True, False], [True, True, True]])
     for keep in (shared, np.stack([shared, ~shared | np.eye(3, dtype=bool)])):
-        scores = Tensor(x)
-        tape = ComputeTape()
-        with recording(tape):
-            loss = cross_entropy(reshape(attention_weights(scores, 0.5, keep), (6, 3)),
-                                 [0, 1, 2, 2, 1, 0])
-        tape.backward(loss)
+        grad = attention_weights(x, 0.5, keep)[1](g)
         mask = np.broadcast_to(keep, x.shape)
-        assert np.all(scores.grad[~mask] == 0.0)
+        assert np.all(grad[~mask] == 0.0)
         several = mask & (mask.sum(axis=-1, keepdims=True) > 1)
-        assert np.all(scores.grad[several] != 0.0)
+        assert np.all(grad[several] != 0.0)

@@ -184,7 +184,7 @@ def test_a_step_records_one_tape_whatever_its_batch_size(monkeypatch):
     ops = [[fn.__qualname__.split(".")[0] for _, _, fn in tape.nodes] for tape in tapes]
     assert ops[0] == ops[1] == ops[2]
     per_tape = [sum(is_masked for tape, is_masked in masked if tape == i) for i in range(3)]
-    assert ops[0].count("attention_weights") == 2 + 2 * 2
+    assert ops[0].count("attention_forward") == 2 + 2 * 2  # one node per attention sublayer
     assert per_tape == [2 + 2 * 2, 2 + 2 * 2, 2]
 
 

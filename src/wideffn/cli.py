@@ -257,6 +257,8 @@ def cmd_eval(args, run: RunConfig) -> int:
 
 def cmd_compare(args, run: RunConfig) -> int:
     corpus = build_corpus(run)
+    if args.metric == "lns" and args.k is not None and not 1 <= args.k < len(corpus):
+        raise ConfigError(f"--k must be in [1, {len(corpus) - 1}], got {args.k}")
     sides, architectures = [], set()
     for path in (args.a, args.b, *args.benchmark):  # keep activations, not models
         model = _load_model(path, corpus)

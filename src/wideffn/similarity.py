@@ -21,6 +21,8 @@ from .vocab import Corpus
 
 log = logging.getLogger(__name__)
 
+ROW_BLOCK_CELLS = 1 << 18  # kNN distances (2 MiB of float64) or LNS id tests held at once
+
 
 @dataclass(frozen=True, eq=False)
 class ActivationMatrix:
@@ -59,8 +61,9 @@ def collect_activations(model: TransformerModel, corpus: Corpus
             for name, tensor in taps.items():
                 blocks = tensor.data.reshape(len(chunk), -1, tensor.shape[1])
                 real = np.arange(blocks.shape[1]) < lengths
-                rows.setdefault(side, {}).setdefault(name, []).append(
-                    blocks.mean(axis=1, where=real[:, :, None]))
+                means = np.add.reduce(blocks, axis=1, where=real[:, :, None])
+                np.true_divide(means, lengths, out=means, casting="unsafe")  # as np.mean does
+                rows.setdefault(side, {}).setdefault(name, []).append(means)
     corpus_hash = corpus.content_hash()
     return {side: {name: ActivationMatrix(np.concatenate(vals), corpus_hash)
                    for name, vals in taps.items()}
@@ -115,8 +118,9 @@ def knn(space, k: int) -> np.ndarray:
 
     No row is its own neighbour. Ties in distance break toward the lower
     index; all-zero rows sit at distance 1 from everything (a warning is
-    logged once per table when any are present). Each row's distances come
-    from its own product `unit @ unit[i]`: a Gram product `unit @ unit.T`
+    logged once per table when any are present). Distances come a block of
+    rows at a time, from one stacked product that makes the matrix-vector
+    product `unit @ unit[i]` of each row i: a Gram product `unit @ unit.T`
     rounds some dot products differently and so reorders exact ties.
     """
     x = _values(space).astype(np.float64)
@@ -127,14 +131,13 @@ def knn(space, k: int) -> np.ndarray:
     zero = norms == 0.0
     if zero.any():
         log.warning("knn: %d all-zero rows treated as distance 1 from everything", int(zero.sum()))
-    safe = np.where(zero, 1.0, norms)
-    unit = x / safe[:, None]  # zero rows stay zero -> cosine similarity 0
-    index = np.arange(n)
+    unit = x / np.where(zero, 1.0, norms)[:, None]  # zero rows stay zero: cosine 0
     table = np.empty((n, k), dtype=np.intp)
-    for i in range(n):
-        dist = 1.0 - unit @ unit[i]
-        dist[i] = np.inf
-        table[i] = np.lexsort((index, dist))[:k]
+    step = max(1, ROW_BLOCK_CELLS // n)  # rows whose distances are held at once
+    for rows in (slice(lo, lo + step) for lo in range(0, n, step)):
+        dist = 1.0 - np.matmul(unit, unit[rows, :, None])[..., 0]
+        np.fill_diagonal(dist[:, rows], np.inf)  # no row is its own neighbour
+        table[rows] = np.argsort(dist, axis=1, kind="stable")[:, :k]
     return table
 
 
@@ -145,7 +148,7 @@ def default_k(n: int) -> int:
 
 def lns(a, b, k: int | None = None) -> float:
     """Local neighborhood similarity: mean Jaccard overlap of the rows of
-    the two spaces' k-NN tables.
+    the two spaces' k-NN tables, summed in row order.
 
     Both spaces must describe the same sentences in the same order; when
     ActivationMatrix metadata is available the corpus hashes must agree.
@@ -159,15 +162,12 @@ def lns(a, b, k: int | None = None) -> float:
     n = va.shape[0]
     if n < 2:
         raise DataError("need at least 2 rows for neighborhoods")
-    if k is None:
-        k = default_k(n)
-    total = 0.0
-    table_a = _prepared(a, ("knn", k), lambda v: knn(v, k))
-    table_b = _prepared(b, ("knn", k), lambda v: knn(v, k))
-    for row_a, row_b in zip(table_a.tolist(), table_b.tolist()):
-        sa, sb = set(row_a), set(row_b)
-        total += len(sa & sb) / len(sa | sb)
-    return total / n
+    k = default_k(n) if k is None else k
+    table_a, table_b = (_prepared(x, ("knn", k), lambda v: knn(v, k)) for x in (a, b))
+    step = max(1, ROW_BLOCK_CELLS // (k * k))  # rows whose id tests are held at once
+    shared = np.concatenate([(table_a[lo:lo + step, :, None] == table_b[lo:lo + step, None, :])
+                             .sum(axis=(1, 2)) for lo in range(0, n, step)])  # |A & B| per row
+    return float(np.add.accumulate(shared / (2 * k - shared))[-1] / n)  # |A | B| = 2k - |A & B|
 
 
 @dataclass

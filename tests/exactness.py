@@ -8,7 +8,14 @@ One sha256 per family:
   of five models at the benchmark's decode shape (d=256, 6+6 layers, vocab
   1000);
 - analyze: teacher-forced logits and every tap of padded probe batches at
-  the benchmark's analyze shape (d=64, 4+4 layers, vocab 100).
+  the benchmark's analyze shape (d=64, 4+4 layers, vocab 100);
+- similarity: every file that `compare --metric lns` (default k, and
+  `--k 3` with `--benchmark`), `compare --metric cka --benchmark` and
+  `selfsim` write at the analyze shape, and the kNN tables of one space
+  that spans several row blocks of `similarity.knn`, ties and all-zero rows
+  included;
+- dhead32: checkpoint bytes and losses after 12 training steps of a
+  baseline whose heads are 32 wide (d=64, 2 heads), at dropout 0 and 0.3.
 
 Float results hold only for the numpy build, BLAS configuration and CPU
 they were made with, so the file records `environment()` beside the
@@ -25,15 +32,20 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import contextlib
 import hashlib
+import io
 import json
 import platform
+import tempfile
 
 import numpy as np
 
 import wideffn as w
+from wideffn import cli
 from wideffn.bench import decode_beam, decode_corpus, decode_greedy
-from wideffn.checkpoint import checkpoint_bytes
+from wideffn.checkpoint import checkpoint_bytes, save_model_checkpoint
+from wideffn.similarity import knn
 from wideffn.training import train
 from wideffn.vocab import BOS, generate_toy_task
 
@@ -44,6 +56,7 @@ DECODE_SHAPE = dict(n_enc=6, n_dec=6, d_model=256, d_ff=1024, heads=8, vocab_siz
                     max_len=64, dropout=0.0)
 ANALYZE_SHAPE = dict(n_enc=4, n_dec=4, d_model=64, d_ff=256, heads=4, vocab_size=100,
                      max_len=64, dropout=0.0)
+DHEAD32_SHAPE = dict(n_enc=2, n_dec=2, d_model=64, d_ff=128, heads=2, vocab_size=20)
 
 
 def _models(shape: dict, seed: int):
@@ -88,7 +101,53 @@ def _analyze_family(h):
                 h.update(taps[side][name].data.tobytes())
 
 
-FAMILIES = {"train": _train_family, "decode": _decode_family, "analyze": _analyze_family}
+def _similarity_family(h):
+    with tempfile.TemporaryDirectory() as d:
+        ckpt = {}
+        for preset in ("baseline", "OneWideFFN", "SharedEncDec"):
+            cfg = w.apply_preset(w.ModelConfig(**ANALYZE_SHAPE), preset)
+            ckpt[preset] = os.path.join(d, f"{preset}.bin")
+            save_model_checkpoint(w.build_model(cfg, seed=0), ckpt[preset])
+        run = os.path.join(d, "run.yaml")
+        model = ", ".join(f"{k}: {v}" for k, v in ANALYZE_SHAPE.items())
+        with open(run, "w", encoding="utf-8") as f:
+            f.write(f"seed: 0\nmodel: {{{model}}}\ntask: {{kind: copy, count: 32, "
+                    f"len_range: [3, 9], vocab_size: {ANALYZE_SHAPE['vocab_size']}, seed: 5}}\n")
+        pair = ["--config", run, "--a", ckpt["baseline"], "--b", ckpt["OneWideFFN"]]
+        verbs = {
+            "lns": ["compare", *pair, "--metric", "lns"],
+            "lns_k3": ["compare", *pair, "--metric", "lns", "--k", "3",
+                       "--benchmark", ckpt["SharedEncDec"]],
+            "cka": ["compare", *pair, "--metric", "cka", "--benchmark", ckpt["SharedEncDec"]],
+            "selfsim": ["selfsim", "--config", run, "--checkpoint", ckpt["baseline"]],
+        }
+        for name, argv in verbs.items():
+            out = os.path.join(d, name)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main([*argv, "--out-dir", out]) == 0, name
+            for file in sorted(os.listdir(out)):
+                h.update(file.encode())
+                with open(os.path.join(out, file), "rb") as f:
+                    h.update(f.read())
+    rng = np.random.default_rng(11)
+    space = rng.standard_normal((1000, 8)).astype(np.float32)
+    space[rng.integers(0, 1000, 200)] = space[rng.integers(0, 1000, 200)]  # exact ties
+    space[[0, 517, 999]] = 0.0
+    for k in (1, 7, 999):
+        h.update(knn(space, k).tobytes())
+
+
+def _dhead32_family(h):
+    corpus = generate_toy_task("copy", 96, (3, 8), DHEAD32_SHAPE["vocab_size"], seed=7)
+    for dropout in (0.0, 0.3):
+        model = w.build_model(w.ModelConfig(**DHEAD32_SHAPE, dropout=dropout), seed=1)
+        losses = train(model, corpus, steps=12, batch_size=16, seed=2)
+        h.update(np.asarray(losses, dtype=np.float64).tobytes())
+        h.update(checkpoint_bytes(model.store))
+
+
+FAMILIES = {"train": _train_family, "decode": _decode_family, "analyze": _analyze_family,
+            "similarity": _similarity_family, "dhead32": _dhead32_family}
 
 
 def environment() -> dict:

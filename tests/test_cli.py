@@ -248,6 +248,21 @@ def test_compare_checks_every_architecture_before_writing(tmp_path, trained_ckpt
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("k", ["0", "-1", "6"])
+def test_compare_checks_k_against_the_probe_count_before_loading_a_model(
+        tmp_path, trained_ckpt, capsys, monkeypatch, k):
+    cfg, out = trained_ckpt  # its task holds 6 pairs, so k lies in [1, 5]
+    loads = []
+    monkeypatch.setattr(cli, "load_model_checkpoint", lambda *a, **kw: loads.append(a))
+    argv = ["compare", "--config", cfg, "--a", out, "--b", out, "--metric", "lns"]
+    out_dir = tmp_path / "cmp"
+    assert main([*argv, "--k", k, "--out-dir", str(out_dir)]) == 2
+    assert "--k must be in [1, 5]" in capsys.readouterr().err
+    assert loads == [] and not out_dir.exists()
+    monkeypatch.undo()
+    assert main([*argv, "--k", "5", "--out-dir", str(out_dir)]) == 0
+
+
 def test_selfsim_labels_reflect_missing_ffn(tmp_path):
     cfg = write_config(tmp_path, preset="NoDec")
     out = str(tmp_path / "nodec.ckpt")

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,18 +131,64 @@ def _knn_oracle(x, k):
     return rows
 
 
-def test_knn_table_rows_equal_the_per_row_oracle():
-    rng = np.random.default_rng(13)
+def _spaces_with_ties_and_zero_rows(rng):
+    """Random float32 spaces of 2 to 300 rows, some with repeated rows (exact
+    ties in every neighbour list) and some with all-zero rows."""
     spaces = [rng.standard_normal((32, 64)).astype(np.float32) for _ in range(3)]
-    # repeated rows put exact ties in every neighbour list
     spaces.append(rng.standard_normal((6, 8)).astype(np.float32)[rng.integers(0, 6, 30)])
-    with_zeros = rng.standard_normal((20, 5)).astype(np.float32)
-    with_zeros[[3, 11]] = 0.0
-    spaces.append(with_zeros)
+    for n in (2, 3, *rng.integers(4, 301, 8)):
+        space = rng.standard_normal((n, rng.integers(1, 40))).astype(np.float32)
+        if n > 3:
+            space[rng.integers(0, n, n // 3)] = space[rng.integers(0, n, n // 3)]
+            space[rng.integers(0, n, 2)] = 0.0
+        spaces.append(space)
+    return spaces
+
+
+def test_knn_table_rows_equal_the_per_row_oracle(monkeypatch):
+    rng = np.random.default_rng(13)
+    spaces = _spaces_with_ties_and_zero_rows(rng)
     for space in spaces:
         x = space.astype(np.float64)
-        for k in (1, 3, len(x) - 1):
-            assert knn(space, k).tolist() == _knn_oracle(x, k)
+        for k in sorted({1, min(3, len(x) - 1), int(rng.integers(1, len(x))), len(x) - 1}):
+            assert knn(space, k).tolist() == _knn_oracle(x, k), (space.shape, k)
+    # a space over several row blocks: one row a block, then blocks of 5 rows
+    # whose last one is partial, then a block of 97 rows and one of 1
+    x = rng.standard_normal((98, 6))
+    x[rng.integers(0, 98, 30)] = x[rng.integers(0, 98, 30)]
+    x[[0, 50, 97]] = 0.0
+    for cells in (1, 5 * 98, 97 * 98):
+        monkeypatch.setattr(similarity, "ROW_BLOCK_CELLS", cells)
+        for k in (1, 4, 97):
+            assert knn(x, k).tolist() == _knn_oracle(x, k), (cells, k)
+
+
+def test_knn_and_lns_hold_a_row_block_not_the_whole_space():
+    rng = np.random.default_rng(21)
+    space = rng.standard_normal((3000, 16)).astype(np.float32)
+    inputs = 2 * space.astype(np.float64).nbytes  # the float64 copy and its unit rows
+    bound = 4 * similarity.ROW_BLOCK_CELLS * 8 + inputs  # one n x n float64 is 72 MB
+    tracemalloc.start()
+    try:
+        table = knn(space, 5)
+        knn_peak = tracemalloc.get_traced_memory()[1]
+        # k = 300 over 1,000 rows: all (row, id, id) tests at once would be 90 MB
+        a, b = (_mat(rng.standard_normal((1000, 8))) for _ in range(2))
+        lns(a, b, k=300)  # builds the two tables and keeps them
+        tracemalloc.reset_peak()
+        lns(a, b, k=300)
+        lns_peak = tracemalloc.get_traced_memory()[1] - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert knn_peak < bound, (knn_peak, bound)
+    assert lns_peak < bound, (lns_peak, bound)
+    x = space.astype(np.float64)
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    unit = x / norms
+    for i in rng.choice(3000, 12, replace=False):
+        dist = 1.0 - unit @ unit[i]
+        dist[i] = np.inf
+        assert table[i].tolist() == np.lexsort((np.arange(3000), dist))[:5].tolist(), i
 
 
 def test_knn_argument_guards():
@@ -168,23 +215,32 @@ def test_lns_identical_spaces_score_one():
     assert lns(a, a.copy(), k=3) == pytest.approx(1.0)
 
 
-def test_lns_matches_brute_force():
+def _lns_oracle(table_a, table_b):
+    """Mean Jaccard overlap of two tables' rows, from sets, summed left to right."""
+    total = 0.0
+    for row_a, row_b in zip(table_a, table_b):
+        sa, sb = set(row_a), set(row_b)
+        total += len(sa & sb) / len(sa | sb)
+    return total / len(table_a)
+
+
+def test_lns_matches_brute_force(monkeypatch):
     rng = np.random.default_rng(8)
-    a = rng.standard_normal((25, 5))
-    b = rng.standard_normal((25, 5))
-    k = 4
-
-    def neigh(x, i):
-        u = x / np.linalg.norm(x, axis=1, keepdims=True)
-        d = 1.0 - u @ u[i]
-        d[i] = np.inf
-        return set(np.argsort(d, kind="stable")[:k].tolist())
-
-    expect = np.mean([
-        len(neigh(a, i) & neigh(b, i)) / len(neigh(a, i) | neigh(b, i))
-        for i in range(25)
-    ])
-    assert lns(a, b, k=k) == pytest.approx(float(expect), abs=1e-12)
+    pairs = [(rng.standard_normal((25, 5)), rng.standard_normal((25, 5)))]
+    for space in _spaces_with_ties_and_zero_rows(rng):
+        near = space + rng.normal(0.0, 0.3, space.shape).astype(np.float32)
+        pairs.append((space, near))
+    for a, b in pairs:
+        n = len(a)
+        for k in sorted({1, min(4, n - 1), int(rng.integers(1, n)), n - 1}):
+            want = _lns_oracle(_knn_oracle(a.astype(np.float64), k),
+                               _knn_oracle(b.astype(np.float64), k))
+            assert lns(a, b, k=k) == want, (a.shape, k)
+    a, b = pairs[0]
+    want = lns(a, b, k=4)
+    for cells in (1, 16 * 7, 16 * 24):  # a row a block, then partial blocks
+        monkeypatch.setattr(similarity, "ROW_BLOCK_CELLS", cells)
+        assert lns(a, b, k=4) == want
 
 
 def test_lns_uses_default_k_when_unset():
@@ -272,6 +328,26 @@ def test_collect_activations_equals_the_per_sentence_mean_bytes(arch):
             want = np.stack(rows)
             assert got[side][name].values.dtype == want.dtype
             assert got[side][name].values.tobytes() == want.tobytes(), (side, name)
+
+
+def test_sentence_means_equal_np_mean_with_where_bytes():
+    # ragged pairs, as in the test above: the oracle is np.mean(where=) of
+    # each chunk's taps, which counts the real rows itself
+    m = w.build_model(tiny_config(), seed=6)
+    corpus = generate_toy_task("copy", 2 * (EVAL_ROWS // 10) + 5, (1, 9), 12, seed=4)
+    oracle = {}
+    for chunk, _, sides in m.eval_chunks(corpus.pairs):
+        for side, taps in sides.items():
+            lengths = np.array([len(m.inputs(src, tgt)[side]) for src, tgt in chunk])
+            for name, tensor in taps.items():
+                blocks = tensor.data.reshape(len(chunk), -1, tensor.shape[1])
+                real = (np.arange(blocks.shape[1]) < lengths[:, None])[:, :, None]
+                oracle.setdefault(side, {}).setdefault(name, []).append(
+                    np.mean(blocks, axis=1, where=real))
+    got = collect_activations(m, corpus)
+    for side, taps in oracle.items():
+        for name, parts in taps.items():
+            assert got[side][name].values.tobytes() == np.concatenate(parts).tobytes()
 
 
 def test_activation_values_are_a_read_only_copy():

@@ -185,6 +185,15 @@ def _write_matrix(out_dir: str, name: str, report: SimilarityReport):
     print(f"wrote {path}")
 
 
+def _probe(run: RunConfig) -> Corpus:
+    """The corpus `compare` and `selfsim` probe with; a DataError unless it
+    has the 2 pairs that a similarity between sentences needs."""
+    corpus = build_corpus(run)
+    if len(corpus) < 2:
+        raise DataError(f"a similarity probe needs at least 2 pairs, got {len(corpus)}")
+    return corpus
+
+
 def _load_model(path: str, corpus: Corpus):
     """The checkpoint at `path`; a DataError unless it embeds every corpus id."""
     model = load_model_checkpoint(path)
@@ -256,8 +265,10 @@ def cmd_eval(args, run: RunConfig) -> int:
 
 
 def cmd_compare(args, run: RunConfig) -> int:
-    corpus = build_corpus(run)
-    if args.metric == "lns" and args.k is not None and not 1 <= args.k < len(corpus):
+    corpus = _probe(run)
+    if args.k is not None and args.metric != "lns":
+        raise ConfigError(f"--k is the lns neighborhood size; --metric {args.metric} takes none")
+    if args.k is not None and not 1 <= args.k < len(corpus):
         raise ConfigError(f"--k must be in [1, {len(corpus) - 1}], got {args.k}")
     sides, architectures = [], set()
     for path in (args.a, args.b, *args.benchmark):  # keep activations, not models
@@ -291,7 +302,7 @@ def cmd_compare(args, run: RunConfig) -> int:
 
 
 def cmd_selfsim(args, run: RunConfig) -> int:
-    corpus = build_corpus(run)
+    corpus = _probe(run)
     model = _load_model(args.checkpoint, corpus)
     for side, taps in collect_activations(model, corpus).items():
         _write_matrix(args.out_dir, f"selfsim_{side}", pairwise_layer_similarity(taps, taps))

@@ -8,8 +8,11 @@ gradients from all of them, and an op that reads one tensor twice lists it
 twice among its inputs.
 
 `linear`, `attention_weights`, `layer_norm` and `dropout_keep` are kernels
-on plain arrays, from which an op that spans a whole sublayer composes its
-forward and its backward.
+on plain arrays, from which each op that spans a whole stage (the embedding,
+an attention or FFN sublayer) composes its forward and its backward. The
+Tensor ops here are the output projection's `matmul` and `transpose`, the
+loss, and the column ops `slice_cols` and `concat_cols`, which perfbench's
+tracer binds by name.
 
 All payloads are numpy float32. Finite-difference arithmetic inside
 grad_check runs in float64 on top of float32 function values.
@@ -124,41 +127,14 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None):
     return y, backward
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Product of two matrices, or of two equally shaped stacks of matrices;
-    a rank-1 `bias` is added in place to every row of a matrix product."""
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Product of two matrices, or of two equally shaped stacks of matrices."""
     if a.data.ndim < 2 or a.data.ndim != b.data.ndim:
         raise ShapeError(f"matmul: {a.shape} and {b.shape} must be of one rank, 2 or more")
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape} do not agree")
-    inputs = (a, b)
-    if bias is not None:
-        if a.data.ndim != 2 or bias.shape != b.shape[1:]:
-            raise ShapeError(f"matmul: bias {bias.shape} for {a.shape} @ {b.shape}")
-        inputs += (bias,)
-    y, backward_fn = linear(a.data, b.data, None if bias is None else bias.data)
-    return emit(Tensor(y), inputs, backward_fn)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data + b.data)
-
-    def backward_fn(g):
-        return g, g
-
-    return emit(out, (a, b), backward_fn)
-
-
-def scale(x: Tensor, factor: float) -> Tensor:
-    f = np.float32(factor)
-    out = Tensor(x.data * f)
-
-    def backward_fn(g):
-        return (g * f,)
-
-    return emit(out, (x,), backward_fn)
+    y, backward_fn = linear(a.data, b.data)
+    return emit(Tensor(y), (a, b), backward_fn)
 
 
 def transpose(x: Tensor, axes=(1, 0)) -> Tensor:
@@ -286,39 +262,6 @@ def dropout_keep(shape, p: float, rng: np.random.Generator) -> np.ndarray | None
     if p == 0.0:
         return None
     return (rng.random(shape) >= p).astype(np.float32) / np.float32(1.0 - p)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
-    keep = dropout_keep(x.data.shape, p, rng)
-    if keep is None:
-        return x
-    out = Tensor(x.data * keep)
-
-    def backward_fn(g):
-        return (g * keep,)
-
-    return emit(out, (x,), backward_fn)
-
-
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of `table`; the backward scatters into a dense grad."""
-    _require_rank(table, 2, "embedding_lookup")
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeError(f"embedding_lookup: ids must be rank 1, got {ids.shape}")
-    n = table.shape[0]
-    bad = (ids < 0) | (ids >= n)
-    if bad.any():
-        raise IndexError(f"token id {int(ids[bad][0])} outside embedding table of size {n}")
-    out = Tensor(table.data[ids])
-
-    def backward_fn(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids, g)
-        return (full,)
-
-    return emit(out, (table,), backward_fn)
 
 
 def cross_entropy(logits: Tensor, targets, ignore_index: int = -1) -> Tensor:

@@ -159,6 +159,8 @@ def ffn_dim_sweep(base_config: ModelConfig, side: str, dims: list[int], corpus: 
     """
     if side not in ("encoder", "decoder"):
         raise ConfigError(f"side must be 'encoder' or 'decoder', got {side!r}")
+    if (base_config.n_enc if side == "encoder" else base_config.n_dec) == 0:
+        raise ConfigError(f"the model has no {side} layers, so no {side} FFN to widen")
     attr = "enc_ffn" if side == "encoder" else "dec_ffn"
     strategy = getattr(base_config.sharing, attr)
     if strategy.kind != "Individual":

@@ -3,10 +3,10 @@
 Post-norm residual blocks throughout: sublayer output is
 layer_norm(x + f(x)). A NoOp FFN removes the whole sublayer, residual and
 normalization included, so the layer output is exactly the attention
-output. Each attention and FFN sublayer is one op that computes on plain
-arrays and records one tape node. Sharing works by aliasing: shared blocks
-hold the same Tensor objects, so the tape accumulates their gradients
-automatically.
+output. The embedding and each attention and FFN sublayer is one op that
+computes on plain arrays and records one tape node. Sharing works by
+aliasing: shared blocks hold the same Tensor objects, so the tape
+accumulates their gradients automatically.
 
 `TransformerModel.inputs` turns every (src, tgt) pair into ids, the encoder
 and decoder run one layer loop, `attention_mask` builds every attention mask,
@@ -28,17 +28,13 @@ from .sharing import resolve_ffn_assignment
 from .store import ParamStore
 from .tensor import (
     Tensor,
-    add,
     attention_weights,
     cross_entropy,
-    dropout,
     dropout_keep,
-    embedding_lookup,
     emit,
     layer_norm,
     linear,
     matmul,
-    scale,
     transpose,
 )
 from .vocab import BOS, EOS, PAD
@@ -466,20 +462,35 @@ def _as_batch(ids) -> tuple[np.ndarray, np.ndarray]:
 def _embed(model: TransformerModel, ids: np.ndarray, rng, start=0) -> Tensor:
     """Scaled embeddings of a (B, T) id matrix as a (B*T, d) row block, plus
     positions start, ..., start + T - 1 in each sequence's T rows, where a left
-    pad's negative position reads 0; dropout runs when `rng` is given."""
+    pad's negative position reads 0; dropout runs when `rng` is given. One op
+    and one tape node, whose only input is the embedding table: the backward
+    scatters g * keep * sqrt(d) into the rows the ids read."""
     cfg = model.config
     batch, t = ids.shape
     positions = np.broadcast_to(start, (batch,))[:, None] + np.arange(t)
     end = int(positions.max()) + 1
     if end > cfg.max_len:
         raise DataError(f"sequence length {end} exceeds max_len {cfg.max_len}")
-    x = embedding_lookup(model.embedding, ids.reshape(-1))
-    x = scale(x, math.sqrt(cfg.d_model))
-    table = sinusoidal_positions(cfg.max_len, cfg.d_model)
-    x = add(x, Tensor(table[np.maximum(positions, 0).reshape(-1)]))
-    if rng is not None:
-        x = dropout(x, cfg.dropout, rng)
-    return x
+    ids, table = ids.reshape(-1), model.embedding.data
+    bad = (ids < 0) | (ids >= len(table))
+    if bad.any():
+        raise IndexError(f"token id {int(ids[bad][0])} outside embedding table of size "
+                         f"{len(table)}")
+    f = np.float32(math.sqrt(cfg.d_model))
+    x = table[ids] * f
+    x += sinusoidal_positions(cfg.max_len, cfg.d_model)[np.maximum(positions, 0).reshape(-1)]
+    keep = None if rng is None else dropout_keep(x.shape, cfg.dropout, rng)
+    if keep is not None:
+        x *= keep
+
+    def backward_fn(g):
+        if keep is not None:
+            g = g * keep
+        full = np.zeros_like(table)
+        np.add.at(full, ids, g * f)
+        return (full,)
+
+    return emit(Tensor(x), (model.embedding,), backward_fn)
 
 
 def _run_layers(model: TransformerModel, x: Tensor, layers, batch: int, rng, self_mask,

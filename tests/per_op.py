@@ -1,13 +1,83 @@
-"""The tensor ops that attention_forward and ffn_forward were composed of
-before each sublayer became one op, as wideffn.tensor had them: the per-op
-reference that the sublayers must equal bit for bit, and the `reshape` that
-tests use to flatten a result.
+"""The tensor ops that _embed, attention_forward and ffn_forward were
+composed of before each became one op, as wideffn.tensor had them: the
+per-op reference that the embedding and the sublayers must equal bit for
+bit, and the `reshape` that tests use to flatten a result.
 """
 
 import numpy as np
 
 from wideffn.errors import ShapeError
-from wideffn.tensor import MASK_FILL_VALUE, Tensor, _require_rank, emit
+from wideffn.tensor import MASK_FILL_VALUE, Tensor, _require_rank, dropout_keep, emit, linear
+
+
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Product of two matrices, or of two equally shaped stacks of matrices;
+    a rank-1 `bias` is added in place to every row of a matrix product."""
+    if a.data.ndim < 2 or a.data.ndim != b.data.ndim:
+        raise ShapeError(f"matmul: {a.shape} and {b.shape} must be of one rank, 2 or more")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: {a.shape} @ {b.shape} do not agree")
+    inputs = (a, b)
+    if bias is not None:
+        if a.data.ndim != 2 or bias.shape != b.shape[1:]:
+            raise ShapeError(f"matmul: bias {bias.shape} for {a.shape} @ {b.shape}")
+        inputs += (bias,)
+    y, backward_fn = linear(a.data, b.data, None if bias is None else bias.data)
+    return emit(Tensor(y), inputs, backward_fn)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
+    out = Tensor(a.data + b.data)
+
+    def backward_fn(g):
+        return g, g
+
+    return emit(out, (a, b), backward_fn)
+
+
+def scale(x: Tensor, factor: float) -> Tensor:
+    f = np.float32(factor)
+    out = Tensor(x.data * f)
+
+    def backward_fn(g):
+        return (g * f,)
+
+    return emit(out, (x,), backward_fn)
+
+
+def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
+    keep = dropout_keep(x.data.shape, p, rng)
+    if keep is None:
+        return x
+    out = Tensor(x.data * keep)
+
+    def backward_fn(g):
+        return (g * keep,)
+
+    return emit(out, (x,), backward_fn)
+
+
+def embedding_lookup(table: Tensor, ids) -> Tensor:
+    """Gather rows of `table`; the backward scatters into a dense grad."""
+    _require_rank(table, 2, "embedding_lookup")
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 1:
+        raise ShapeError(f"embedding_lookup: ids must be rank 1, got {ids.shape}")
+    n = table.shape[0]
+    bad = (ids < 0) | (ids >= n)
+    if bad.any():
+        raise IndexError(f"token id {int(ids[bad][0])} outside embedding table of size {n}")
+    out = Tensor(table.data[ids])
+
+    def backward_fn(g):
+        full = np.zeros_like(table.data)
+        np.add.at(full, ids, g)
+        return (full,)
+
+    return emit(out, (table,), backward_fn)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

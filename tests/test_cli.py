@@ -213,10 +213,10 @@ def test_compare_scores_a_benchmark_only_on_the_layers_it_reads(tmp_path, monkey
         monkeypatch.setattr(similarity, name,
                             lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
     cfg = write_config(tmp_path)
-    for metric in ("cka", "lns"):
+    for metric, k in (("cka", []), ("lns", ["--k", "1"])):
         calls.clear()
         assert main(["compare", "--config", cfg, "--a", paths[0], "--b", paths[1],
-                     "--benchmark", paths[2], "--metric", metric, "--k", "1",
+                     "--benchmark", paths[2], "--metric", metric, *k,
                      "--out-dir", str(tmp_path / metric)]) == 0
         # a against b: 4 x 4 encoder and 6 x 6 decoder cells; a against the
         # NoDec benchmark: its 4 encoder and 4 decoder taps, one cell each
@@ -261,6 +261,34 @@ def test_compare_checks_k_against_the_probe_count_before_loading_a_model(
     assert loads == [] and not out_dir.exists()
     monkeypatch.undo()
     assert main([*argv, "--k", "5", "--out-dir", str(out_dir)]) == 0
+
+
+@pytest.mark.parametrize("metric_args", [[], ["--metric", "cka"]])
+def test_compare_rejects_k_unless_the_metric_is_lns(tmp_path, trained_ckpt, capsys, monkeypatch,
+                                                    metric_args):
+    cfg, out = trained_ckpt
+    loads = []
+    monkeypatch.setattr(cli, "load_model_checkpoint", lambda *a, **kw: loads.append(a))
+    out_dir = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg, "--a", out, "--b", out, *metric_args, "--k", "3",
+                 "--out-dir", str(out_dir)]) == 2
+    assert "--k is the lns neighborhood size; --metric cka takes none" in capsys.readouterr().err
+    assert loads == [] and not out_dir.exists()
+
+
+@pytest.mark.parametrize("verb", ["selfsim", "cka", "lns"])
+def test_a_one_pair_probe_exits_3_before_loading_a_model(tmp_path, trained_ckpt, capsys,
+                                                         monkeypatch, verb):
+    _, out = trained_ckpt
+    cfg = write_config(tmp_path, name="one.yaml", task={"count": 1})
+    loads = []
+    monkeypatch.setattr(cli, "load_model_checkpoint", lambda *a, **kw: loads.append(a))
+    out_dir = tmp_path / "sim"
+    argv = (["selfsim", "--checkpoint", out] if verb == "selfsim"
+            else ["compare", "--a", out, "--b", out, "--metric", verb])
+    assert main([*argv, "--config", cfg, "--out-dir", str(out_dir)]) == 3
+    assert "a similarity probe needs at least 2 pairs, got 1" in capsys.readouterr().err
+    assert loads == [] and not out_dir.exists()
 
 
 def test_selfsim_labels_reflect_missing_ffn(tmp_path):
@@ -339,6 +367,15 @@ def test_sweep_verb_rows(tmp_path, capsys):
     assert lines[0] == "d_ff,side,token_accuracy,params,noop"
     assert lines[1].startswith("0,decoder,") and lines[1].endswith(",true")
     assert lines[2].startswith("16,decoder,") and lines[2].endswith(",false")
+
+
+def test_sweep_exits_2_for_a_side_the_model_does_not_have(tmp_path, capsys):
+    cfg = write_config(tmp_path, model={"architecture": "decoder-only", "n_enc": 0})
+    csv_path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--side", "encoder", "--dims", "0,8,64",
+                 "--out", str(csv_path)]) == 2
+    assert "no encoder layers" in capsys.readouterr().err
+    assert not csv_path.exists()
 
 
 def test_run_files_are_read_with_libyaml_when_pyyaml_has_it(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from wideffn.config import DECODER_ONLY_PRESETS, PRESETS, SharingSpec
 from wideffn.errors import ConfigError, DataError
 from wideffn.sharing import FFNStrategy
 from wideffn.similarity import collect_activations
-from wideffn.tensor import ComputeTape, Tensor, cross_entropy, grad_check, recording
+from wideffn.tensor import ComputeTape, Tensor, cross_entropy, grad_check, matmul, recording
 from wideffn.training import token_accuracy
 from wideffn.transformer import (
     ATTN_PARTS,
@@ -21,6 +21,7 @@ from wideffn.transformer import (
     AttentionBlock,
     DecodeRows,
     FFNBlock,
+    _embed,
     attention_forward,
     attention_mask,
     decoder_forward,
@@ -330,7 +331,7 @@ def _rank3_attention_forward(q_in, kv_in, block, mask=None, *, heads=1, batch=1,
     t_q = rows // batch
 
     def split(x, w, b, axes):
-        split4 = tensor.transpose(per_op.reshape(tensor.matmul(x, w, b),
+        split4 = tensor.transpose(per_op.reshape(per_op.matmul(x, w, b),
                                                  (batch, x.shape[0] // batch, heads, dh)), axes)
         return per_op.reshape(split4, (batch * heads,) + split4.shape[2:])
 
@@ -348,10 +349,10 @@ def _rank3_attention_forward(q_in, kv_in, block, mask=None, *, heads=1, batch=1,
     weights = per_op.attention_weights(tensor.matmul(q, k), 1.0 / np.sqrt(dh), mask)
     heads_out = per_op.reshape(tensor.matmul(weights, v), (batch, heads, t_q, dh))
     merged = per_op.reshape(tensor.transpose(heads_out, (0, 2, 1, 3)), (rows, d))
-    proj = tensor.matmul(merged, block.wo, block.bo)
+    proj = per_op.matmul(merged, block.wo, block.bo)
     if rng is not None:
-        proj = tensor.dropout(proj, dropout_p, rng)
-    return per_op.layer_norm(tensor.add(q_in, proj), block.ln_gain, block.ln_bias)
+        proj = per_op.dropout(proj, dropout_p, rng)
+    return per_op.layer_norm(per_op.add(q_in, proj), block.ln_gain, block.ln_bias)
 
 
 def _old_keep(self, rows):
@@ -689,10 +690,10 @@ def _old_relu(x):
 
 
 def _old_ffn_forward(x, block, *, dropout_p, rng):
-    h = _old_relu(tensor.matmul(x, block.w1, block.b1))
-    y = tensor.matmul(h, block.w2, block.b2)
-    y = tensor.dropout(y, dropout_p, rng)
-    return per_op.layer_norm(tensor.add(x, y), block.ln_gain, block.ln_bias)
+    h = _old_relu(per_op.matmul(x, block.w1, block.b1))
+    y = per_op.matmul(h, block.w2, block.b2)
+    y = per_op.dropout(y, dropout_p, rng)
+    return per_op.layer_norm(per_op.add(x, y), block.ln_gain, block.ln_bias)
 
 
 @pytest.mark.parametrize("rows", [1, 9, 288])
@@ -750,7 +751,7 @@ def _old_attention_forward(q_in, kv_in, block, mask=None, *, heads=1, batch=1, d
     dh = d // heads
 
     def split(x, w, b, axes):
-        return tensor.transpose(per_op.reshape(tensor.matmul(x, w, b),
+        return tensor.transpose(per_op.reshape(per_op.matmul(x, w, b),
                                                (batch, x.shape[0] // batch, heads, dh)), axes)
 
     q = split(q_in, block.wq, block.bq, (0, 2, 1, 3))
@@ -766,10 +767,10 @@ def _old_attention_forward(q_in, kv_in, block, mask=None, *, heads=1, batch=1, d
         kv[:] = k.data, v.data
     weights = per_op.attention_weights(tensor.matmul(q, k), 1.0 / math.sqrt(dh), mask)
     merged = per_op.reshape(tensor.transpose(tensor.matmul(weights, v), (0, 2, 1, 3)), (rows, d))
-    proj = tensor.matmul(merged, block.wo, block.bo)
+    proj = per_op.matmul(merged, block.wo, block.bo)
     if rng is not None:
-        proj = tensor.dropout(proj, dropout_p, rng)
-    return per_op.layer_norm(tensor.add(q_in, proj), block.ln_gain, block.ln_bias)
+        proj = per_op.dropout(proj, dropout_p, rng)
+    return per_op.layer_norm(per_op.add(q_in, proj), block.ln_gain, block.ln_bias)
 
 
 def _run_taped(build, arrays):
@@ -784,7 +785,7 @@ def _run_taped(build, arrays):
         losses = [cross_entropy(out, np.arange(out.shape[0]) % out.shape[1]) for out in outs]
         loss = losses[0]
         for more in losses[1:]:
-            loss = tensor.add(loss, more)
+            loss = per_op.add(loss, more)
     tape.backward(loss)
     grads = [None if t.grad is None else t.grad.tobytes() for t in tensors]
     return ([out.data.tobytes() for out in outs], grads), nodes
@@ -905,7 +906,122 @@ def test_decode_rows_are_bitwise_like_the_per_op_sublayers(arch, monkeypatch):
     new = run()
     monkeypatch.setattr(transformer, "attention_forward", _old_attention_forward)
     monkeypatch.setattr(transformer, "ffn_forward", _old_ffn_forward)
+    monkeypatch.setattr(transformer, "_embed", _old_embed)
     assert run() == new
+
+
+# _embed as a composition of tensor ops, one tape node each, as it was
+# before the embedding became one op.
+def _old_embed(model, ids, rng, start=0):
+    cfg = model.config
+    batch, t = ids.shape
+    positions = np.broadcast_to(start, (batch,))[:, None] + np.arange(t)
+    end = int(positions.max()) + 1
+    if end > cfg.max_len:
+        raise DataError(f"sequence length {end} exceeds max_len {cfg.max_len}")
+    x = per_op.embedding_lookup(model.embedding, ids.reshape(-1))
+    x = per_op.scale(x, math.sqrt(cfg.d_model))
+    table = sinusoidal_positions(cfg.max_len, cfg.d_model)
+    x = per_op.add(x, Tensor(table[np.maximum(positions, 0).reshape(-1)]))
+    if rng is not None:
+        x = per_op.dropout(x, cfg.dropout, rng)
+    return x
+
+
+# (architecture, id matrix, start, whether logits read the tied table): an
+# encoder batch of right-padded sources, a decoder batch whose output
+# projection adds into the table the embedding reads, and the left-padded
+# start of a decoder-only DecodeRows, whose negative positions read row 0
+EMBED_CASES = {
+    "encoder": ("encoder-decoder", [[4, 5, 6, EOS], [7, EOS, PAD, PAD], [8, 9, EOS, PAD]], 0,
+                False),
+    "decoder_tied": ("encoder-decoder", [[BOS, 4, 5, 4], [BOS, 7, PAD, PAD], [BOS, 9, 9, 10]], 0,
+                     True),
+    "left_padded_start": ("decoder-only", [[PAD, PAD, 4, EOS], [5, 6, 7, EOS], [PAD, 8, 9, EOS]],
+                          [-2, 0, -1], True),
+}
+
+
+def _embed_loss(m, x, tied):
+    """Cross-entropy of the embedded rows, read through the tied output
+    projection as decoder_forward reads them, or directly."""
+    logits = tensor.transpose(matmul(m.embedding, tensor.transpose(x))) if tied else x
+    return cross_entropy(logits, np.arange(logits.shape[0]) % logits.shape[1])
+
+
+@pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+@pytest.mark.parametrize("case", list(EMBED_CASES))
+def test_embed_is_one_node_bitwise_like_its_per_op_composition(case, dropout_p):
+    arch, ids, start, tied = EMBED_CASES[case]
+    n_enc = 0 if arch == "decoder-only" else 2
+    # d_model 24: a scale by sqrt(d) that is no power of two rounds, so the
+    # order of the backward's products shows in its bits
+    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch, d_model=24, dropout=dropout_p),
+                      seed=3)
+    ids = np.array(ids)
+    runs = []
+    for embed in (_embed, _old_embed):
+        m.embedding.zero_grad()
+        tape = ComputeTape()
+        with recording(tape):
+            x = embed(m, ids, np.random.default_rng(5), start)
+            nodes = len(tape.nodes)
+            loss = _embed_loss(m, x, tied)
+        tape.backward(loss)
+        runs.append((x.data.tobytes(), m.embedding.grad.tobytes()))
+        if embed is _embed:
+            assert nodes == 1 and tape.nodes[0][1] == (m.embedding,)
+    assert runs[0] == runs[1]
+    if dropout_p:  # the mask is drawn and applied
+        assert runs[0][0] != _embed(m, ids, None, start).data.tobytes()
+
+
+@pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
+def test_a_training_step_is_bitwise_like_the_per_op_embedding(arch, monkeypatch):
+    n_enc = 0 if arch == "decoder-only" else 2
+    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch, d_model=24, dropout=0.3),
+                      seed=4)
+    pairs = [([4, 5, 6, 7], [7, 6]), ([8], [4, 5, 6, 9, 10])]
+
+    def step():
+        for t in m.store.physical.values():
+            t.zero_grad()
+        tape = ComputeTape()
+        with recording(tape):
+            loss, _ = m.loss_for_pair(pairs, rng=np.random.default_rng(9))
+        tape.backward(loss)
+        grads = [t.grad.tobytes() for t in m.store.physical.values()]
+        return len(tape.nodes), [loss.data.tobytes(), *grads]
+
+    nodes, new = step()
+    # one node per embedding, sublayer and loss, and three for the output projection
+    sublayers = 2 * 2 + 2 * 3 if arch == "encoder-decoder" else 2 * 2
+    assert nodes == (2 if arch == "encoder-decoder" else 1) + sublayers + 3 + 1
+    monkeypatch.setattr(transformer, "_embed", _old_embed)
+    assert step()[1] == new
+
+
+def test_embed_passes_grad_check():
+    m = w.build_model(tiny_config(n_enc=0, architecture="decoder-only"), seed=2)
+    ids = np.array([[PAD, 4, 5, 6, 7], [8, 9, 10, 11, 4]])
+
+    def loss(params):
+        return _embed_loss(m, _embed(m, ids, None, [-1, 0]), tied=True)
+
+    assert grad_check(loss, [m.embedding], coords_per_tensor=16) < 1e-3
+
+
+@pytest.mark.parametrize("bad", [12, -1])
+def test_an_out_of_range_id_raises_before_the_embedding_does_any_work(bad):
+    m = w.build_model(tiny_config(dropout=0.3), seed=0)  # vocab_size 12
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    tape = ComputeTape()
+    with recording(tape), pytest.raises(IndexError, match=f"token id {bad} outside"):
+        _embed(m, np.array([[4, 5], [6, bad]]), rng)
+    assert tape.nodes == [] and rng.bit_generator.state == state
+    with pytest.raises(IndexError, match=f"token id {bad} outside"):
+        decode_greedy(m, [4, bad], 3)  # search takes its sources from callers
 
 
 # The grad_check oracles of the ops the sublayers replaced: the head split

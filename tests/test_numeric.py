@@ -6,18 +6,15 @@ from wideffn.tensor import (
     ComputeTape,
     Tensor,
     MASK_FILL_VALUE,
-    add,
     attention_weights,
     concat_cols,
     cross_entropy,
-    dropout,
-    embedding_lookup,
     emit,
     grad_check,
     layer_norm,
+    linear,
     matmul,
     recording,
-    scale,
     slice_cols,
     transpose,
 )
@@ -127,8 +124,7 @@ def test_a_per_sequence_mask_equals_it_repeated_per_head_bitwise(shape):
 # The ops as tensor.py had them before the bias moved into matmul,
 # layer_norm and softmax_rows called np.add.reduce, and attention's scale,
 # mask_fill and softmax_rows became one op: each returns (forward value,
-# backward function). The current kernels and ops must agree with them bit
-# for bit.
+# backward function). The current kernels must agree with them bit for bit.
 def _old_add_bias_matmul(a, b, bias):
     def backward(g):  # add_bias passed g to the product unchanged
         return g @ b.swapaxes(-1, -2), a.swapaxes(-1, -2) @ g, g.sum(axis=0)
@@ -205,18 +201,6 @@ def _old_attention_weights(x, factor, keep=None):
     return x, backward
 
 
-def _tape_kernel(op):
-    """A Tensor op as a kernel: (output, backward) of its one tape node."""
-    def kernel(*args):
-        tape = ComputeTape()
-        with recording(tape):
-            out = op(*map(Tensor, args))
-        (_, _, backward_fn), = tape.nodes
-        return out.data, backward_fn
-
-    return kernel
-
-
 def _assert_bitwise_like_old(kernel, old, args, g):
     """kernel's output and input gradients `==` old's."""
     out, backward = kernel(*args)
@@ -239,7 +223,7 @@ def test_sublayer_kernels_match_their_old_forms_bitwise(rows, width):
 
     x, w, bias, g = draw(rows, width, loc=3.0), draw(width, width), draw(width), draw(rows, width)
     gain = draw(width, loc=1.0)
-    _assert_bitwise_like_old(_tape_kernel(matmul), _old_add_bias_matmul, (x, w, bias), g)
+    _assert_bitwise_like_old(linear, _old_add_bias_matmul, (x, w, bias), g)
     _assert_bitwise_like_old(layer_norm, _old_layer_norm, (x, gain, bias), g)
     _assert_bitwise_like_old(layer_norm, _out_of_place_layer_norm, (x, gain, bias), g)
     _assert_bitwise_like_old(lambda t: attention_weights(t, 1.0), _old_softmax_rows, (x[None],),
@@ -267,14 +251,18 @@ def test_attention_weights_match_scale_mask_fill_softmax_rows_bitwise(shape, mas
 
 
 def test_matmul_bias_needs_a_matching_row_vector():
+    # matmul takes no bias: the sublayers add theirs in the `linear` kernel,
+    # and the per-op reference's matmul keeps the bias the sublayers once took
     a, b = Tensor(np.ones((3, 4))), Tensor(np.ones((4, 5)))
+    with pytest.raises(TypeError):
+        matmul(a, b, Tensor(np.arange(5)))
     expect = np.broadcast_to(4 + np.arange(5, dtype=np.float32), (3, 5))
-    assert np.array_equal(matmul(a, b, Tensor(np.arange(5))).data, expect)
+    assert np.array_equal(per_op.matmul(a, b, Tensor(np.arange(5))).data, expect)
     for bias in (np.ones(4), np.ones((1, 5))):
         with pytest.raises(ShapeError):
-            matmul(a, b, Tensor(bias))
+            per_op.matmul(a, b, Tensor(bias))
     with pytest.raises(ShapeError):  # a stacked product takes no bias
-        matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 5))), Tensor(np.ones(5)))
+        per_op.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 5))), Tensor(np.ones(5)))
 
 
 def _row_loss(y):
@@ -308,7 +296,8 @@ def test_stacked_ops_pass_grad_check(op):
     reshape = per_op.reshape
     build = {
         "matmul": lambda p: matmul(p[0], p[1]),
-        "matmul_bias": lambda p: matmul(reshape(p[0], (6, 4)), reshape(p[1], (4, 6)), p[2]),
+        "matmul_bias": lambda p: per_op.matmul(reshape(p[0], (6, 4)), reshape(p[1], (4, 6)),
+                                              p[2]),
         "transpose": lambda p: transpose(p[0], (2, 0, 1)),
         "reshape": lambda p: reshape(p[0], (4, 6)),
         # attention_weights, which scales, fills masked scores and takes the
@@ -327,9 +316,9 @@ def test_stacked_ops_pass_grad_check(op):
 
 def test_elementwise_forward_oracles():
     x = Tensor([[1.0, -2.0], [0.0, 3.0]])
-    assert np.array_equal(scale(x, 2.0).data, [[2.0, -4.0], [0.0, 6.0]])
-    assert np.array_equal(add(x, x).data, 2 * x.data)
-    assert np.array_equal(matmul(x, Tensor(np.eye(2)), Tensor([10.0, 20.0])).data,
+    assert np.array_equal(per_op.scale(x, 2.0).data, [[2.0, -4.0], [0.0, 6.0]])
+    assert np.array_equal(per_op.add(x, x).data, 2 * x.data)
+    assert np.array_equal(per_op.matmul(x, Tensor(np.eye(2)), Tensor([10.0, 20.0])).data,
                           [[11.0, 18.0], [10.0, 23.0]])
     assert np.array_equal(transpose(x).data, x.data.T)
     assert np.array_equal(slice_cols(x, 1, 2).data, [[-2.0], [3.0]])
@@ -404,23 +393,23 @@ def test_cross_entropy_ignored_rows_get_zero_gradient():
 
 def test_embedding_lookup_gather_and_scatter():
     table = Tensor(np.arange(12, dtype=np.float32).reshape(4, 3))
-    out = embedding_lookup(table, [2, 0, 2])
+    out = per_op.embedding_lookup(table, [2, 0, 2])
     assert np.array_equal(out.data, table.data[[2, 0, 2]])
     tape = ComputeTape()
     with recording(tape):
-        loss = total(embedding_lookup(table, [2, 0, 2]))
+        loss = total(per_op.embedding_lookup(table, [2, 0, 2]))
     tape.backward(loss)
     # row 2 used twice -> gradient 2, row 0 once, others 0
     assert np.array_equal(table.grad, np.array([[1] * 3, [0] * 3, [2] * 3, [0] * 3], np.float32))
     with pytest.raises(IndexError):
-        embedding_lookup(table, [0, 4])
+        per_op.embedding_lookup(table, [0, 4])
 
 
 def test_tape_accumulates_across_reuse():
     x = Tensor([[1.0, 2.0]])
     tape = ComputeTape()
     with recording(tape):
-        y = add(x, x)
+        y = per_op.add(x, x)
         loss = total(y)
     tape.backward(loss)
     assert np.array_equal(x.grad, [[2.0, 2.0]])
@@ -431,7 +420,7 @@ def test_backward_requires_finite_scalar():
     x = Tensor([[1.0, 2.0]])
     tape = ComputeTape()
     with recording(tape):
-        y = add(x, x)
+        y = per_op.add(x, x)
     with pytest.raises(ShapeError):
         tape.backward(y)
     bad = Tensor(np.float32(np.inf))
@@ -460,14 +449,14 @@ def test_replay_is_bit_deterministic():
 
 def test_dropout_zero_rate_is_identity_and_mask_scales():
     x = Tensor(np.ones((50, 40), dtype=np.float32))
-    assert dropout(x, 0.0, np.random.default_rng(0)) is x
-    out = dropout(x, 0.25, np.random.default_rng(0))
+    assert per_op.dropout(x, 0.0, np.random.default_rng(0)) is x
+    out = per_op.dropout(x, 0.25, np.random.default_rng(0))
     vals = np.unique(out.data)
     assert set(vals.tolist()) <= {0.0, np.float32(1 / 0.75)}
     kept = (out.data != 0).mean()
     assert 0.65 < kept < 0.85
     with pytest.raises(NumericError):
-        dropout(x, 1.0, np.random.default_rng(0))
+        per_op.dropout(x, 1.0, np.random.default_rng(0))
 
 
 def test_grad_check_quadratic_is_exact_at_power_of_two_step():
@@ -476,7 +465,7 @@ def test_grad_check_quadratic_is_exact_at_power_of_two_step():
     w = Tensor([[0.5, 0.5]])
 
     def f(params):
-        shifted = add(params[0], Tensor([[-0.25, -0.25]]))
+        shifted = per_op.add(params[0], Tensor([[-0.25, -0.25]]))
         return total(matmul(shifted, transpose(shifted)))
 
     err = grad_check(f, [w], eps=2.0**-10, coords_per_tensor=2, seed=0)
@@ -484,13 +473,13 @@ def test_grad_check_quadratic_is_exact_at_power_of_two_step():
 
 
 def test_grad_check_flags_wrong_gradients():
-    # scale's backward is correct, so a deliberately inconsistent function
+    # per_op.scale's backward is correct, so a deliberately inconsistent function
     # (fresh randomness per call) must blow up the check
     rng = np.random.default_rng(5)
     w = Tensor([[0.5, 0.25]])
 
     def noisy(params):
-        return total(scale(params[0], float(rng.standard_normal())))
+        return total(per_op.scale(params[0], float(rng.standard_normal())))
 
     assert grad_check(noisy, [w], eps=1e-2) > 1e-3
 

@@ -15,7 +15,12 @@ One sha256 per family:
   that spans several row blocks of `similarity.knn`, ties and all-zero rows
   included;
 - dhead32: checkpoint bytes and losses after 12 training steps of a
-  baseline whose heads are 32 wide (d=64, 2 heads), at dropout 0 and 0.3.
+  baseline whose heads are 32 wide (d=64, 2 heads), at dropout 0 and 0.3;
+- grad: the gradient bytes of every physical tensor after one taped
+  `loss_for_pair` step of a padded batch, before any update, of baseline,
+  OneWideFFN and a decoder-only model at d=24, each at dropout 0 and 0.3.
+  A last-bit change in a gradient can vanish in an update; here it shows,
+  and sqrt(24) is no power of two, so a reordered product by it shows too.
 
 Float results hold only for the numpy build, BLAS configuration and CPU
 they were made with, so the file records `environment()` beside the
@@ -23,6 +28,9 @@ digests, and tests/test_exactness.py compares nothing under another one.
 Rewrite the file (BLAS pinned to one thread) with
 
     PYTHONPATH=src python tests/exactness.py
+
+which prints, for each family, whether its digest is the same as in the file
+it replaces, moved, new or gone.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from wideffn import cli
 from wideffn.bench import decode_beam, decode_corpus, decode_greedy
 from wideffn.checkpoint import checkpoint_bytes, save_model_checkpoint
 from wideffn.similarity import knn
+from wideffn.tensor import ComputeTape, recording
 from wideffn.training import train
 from wideffn.vocab import BOS, generate_toy_task
 
@@ -57,6 +66,7 @@ DECODE_SHAPE = dict(n_enc=6, n_dec=6, d_model=256, d_ff=1024, heads=8, vocab_siz
 ANALYZE_SHAPE = dict(n_enc=4, n_dec=4, d_model=64, d_ff=256, heads=4, vocab_size=100,
                      max_len=64, dropout=0.0)
 DHEAD32_SHAPE = dict(n_enc=2, n_dec=2, d_model=64, d_ff=128, heads=2, vocab_size=20)
+GRAD_SHAPE = dict(n_enc=2, n_dec=2, d_model=24, d_ff=48, heads=2, vocab_size=20)
 
 
 def _models(shape: dict, seed: int):
@@ -146,8 +156,22 @@ def _dhead32_family(h):
         h.update(checkpoint_bytes(model.store))
 
 
+def _grad_family(h):
+    pairs = generate_toy_task("copy", 8, (3, 8), GRAD_SHAPE["vocab_size"], seed=7).pairs
+    for dropout in (0.0, 0.3):
+        for name, model in _models({**GRAD_SHAPE, "dropout": dropout}, seed=1):
+            if name not in ("baseline", "OneWideFFN", "decoder-only"):
+                continue
+            tape = ComputeTape()
+            with recording(tape):
+                loss, _ = model.loss_for_pair(pairs, rng=np.random.default_rng(2))
+            tape.backward(loss)
+            for t in model.store.physical.values():
+                h.update(t.grad.tobytes())
+
+
 FAMILIES = {"train": _train_family, "decode": _decode_family, "analyze": _analyze_family,
-            "similarity": _similarity_family, "dhead32": _dhead32_family}
+            "similarity": _similarity_family, "dhead32": _dhead32_family, "grad": _grad_family}
 
 
 def environment() -> dict:
@@ -181,10 +205,20 @@ def digests() -> dict[str, str]:
 
 
 def write(path: str = DIGEST_FILE):
+    """Rewrite the digest file, printing each family's digest against the
+    one in the file it replaces: same, moved, new or gone."""
+    old = {}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as f:
+            old = json.load(f)["digests"]
     payload = {"environment": environment(), "digests": digests()}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
+    for name, digest in payload["digests"].items():
+        print(f"{name}: {'new' if name not in old else 'same' if old[name] == digest else 'moved'}")
+    for name in old.keys() - payload["digests"].keys():
+        print(f"{name}: gone")
 
 
 if __name__ == "__main__":

@@ -17,5 +17,7 @@ def test_outputs_match_the_committed_digests():
         differ = sorted(k for k in here if here[k] != committed["environment"].get(k))
         pytest.skip(f"compared nothing: the digests were made under another {', '.join(differ)}")
     got = exactness.digests()
+    assert sorted(got) == sorted(committed["digests"]), \
+        f"families {sorted(got)} computed, {sorted(committed['digests'])} committed"
     moved = [name for name, digest in committed["digests"].items() if got.get(name) != digest]
     assert not moved, f"outputs moved in families {moved}"

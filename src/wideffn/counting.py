@@ -18,17 +18,6 @@ import math
 from .config import ModelConfig, SharingSpec
 from .transformer import param_layout
 
-BREAKDOWN_KEYS = (
-    "embedding",
-    "enc_attn",
-    "enc_ffn",
-    "dec_self_attn",
-    "dec_cross_attn",
-    "dec_ffn",
-    "layer_norms",
-    "biases",
-)
-
 # Matrix bucket of each block kind, keyed by canonical name less its block index.
 _MATRIX_BUCKETS = {
     "embedding": "embedding",
@@ -39,6 +28,8 @@ _MATRIX_BUCKETS = {
     "dec.ca": "dec_cross_attn",
     "dec.ffn": "dec_ffn",
 }
+
+BREAKDOWN_KEYS = (*dict.fromkeys(_MATRIX_BUCKETS.values()), "layer_norms", "biases")
 
 
 def count_params(config: ModelConfig) -> tuple[int, dict[str, int]]:

@@ -97,8 +97,11 @@ def train(model: TransformerModel, corpus: Corpus, steps: int, batch_size: int,
           state: AdamState | None = None) -> list[float]:
     """Run `steps` optimizer updates; returns the per-step batch losses.
 
-    Deterministic given (model parameters, corpus, steps, batch_size, seed):
-    batch order and dropout draw from generators derived from `seed`.
+    Deterministic given (model parameters, corpus, steps, batch_size, seed,
+    schedule, state): batch order and dropout draw from generators derived
+    from `seed`, and each update reads Adam's step count and moments from
+    `state` (fresh if None) and its learning rate from `schedule` at that
+    count (the default Schedule if None).
     steps=0 returns [] and touches nothing.
     """
     if steps < 0 or batch_size < 1:

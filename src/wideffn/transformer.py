@@ -362,13 +362,13 @@ def attention_forward(q_in: Tensor, kv_in: Tensor | None, block: AttentionBlock,
     Each projection is split into a (B, heads, T, d_h) stack of heads, so
     one stacked product scores every head of every sequence and one more
     weights the values; the heads then merge back into (B*T_q, d) rows.
-    `mask` is None, one (T_q, T_k) keep mask for every score matrix, or
-    `attention_mask`'s (B, 1, T_q, T_k) one per sequence. A fully masked
-    score row degrades to a uniform attention row, because max subtraction
-    inside the softmax cancels the shared fill value. Dropout runs on the
-    output projection when `rng` is given. The node lists a tensor once per
-    read, in the order the reads' gradients arrive, which the backward
-    computes step by step in reverse.
+    `mask` is None or `attention_mask`'s (B, 1, T_q, T_k) keep mask, one
+    per sequence shared by its heads, the only mask `attention_weights`
+    takes. A fully masked score row degrades to a uniform attention row,
+    because max subtraction inside the softmax cancels the shared fill
+    value. Dropout runs on the output projection when `rng` is given. The
+    node lists a tensor once per read, in the order the reads' gradients
+    arrive, which the backward computes step by step in reverse.
 
     Incremental decoding passes `kv`, a list holding the [keys, values]
     arrays of earlier calls, (B, heads, d_h, T) and (B, heads, T, d_h), or
@@ -426,13 +426,11 @@ def attention_forward(q_in: Tensor, kv_in: Tensor | None, block: AttentionBlock,
                               q_in, block.wq, block.bq), backward_fn)
 
 
-def ffn_forward(x: Tensor, block: FFNBlock | None, *, dropout_p: float = 0.0,
+def ffn_forward(x: Tensor, block: FFNBlock, *, dropout_p: float = 0.0,
                 rng: np.random.Generator | None = None) -> Tensor:
-    """Position-wise FFN sublayer, as one op and one tape node; block None
-    is the exact identity. Dropout runs on the second projection when `rng`
-    is given. x is an input twice, for the residual and the first product."""
-    if block is None:
-        return x
+    """Position-wise FFN sublayer, as one op and one tape node. Dropout runs
+    on the second projection when `rng` is given. x is an input twice, for
+    the residual and the first product."""
     h, first_backward = linear(x.data, block.w1.data, block.b1.data)
     np.maximum(h, np.float32(0.0), out=h)  # relu in place: one copy of the hidden layer
     y, second_backward = linear(h, block.w2.data, block.b2.data)

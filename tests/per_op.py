@@ -102,30 +102,27 @@ def relu(x: Tensor, *, in_place: bool = False) -> Tensor:
 
 
 def attention_weights(scores: Tensor, factor: float, keep: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis of a stack of score matrices scaled by
-    `factor`, with MASK_FILL_VALUE wherever `keep` is False: attention's
-    scale, mask and softmax as one op and one tape node.
+    """Softmax over the last axis of a (B, heads, T_q, T_k) stack of score
+    matrices scaled by `factor`, with MASK_FILL_VALUE wherever `keep` is
+    False: attention's scale, mask and softmax as one op and one tape node.
 
-    The stack is (N, T_q, T_k) or (B, heads, T_q, T_k). `keep` is one mask
-    for every matrix, one per matrix (the stack's shape) or, for a rank-4
-    stack, one (B, 1, T_q, T_k) mask per sequence shared by its heads. Masked
-    entries get no gradient, and a fully masked row is uniform, because max
-    subtraction cancels the shared fill value.
+    `keep` is None or a boolean (B, 1, T_q, T_k) mask per sequence, shared
+    by its heads. Masked entries get no gradient, and a fully masked row is
+    uniform, because max subtraction cancels the shared fill value.
     """
-    if scores.data.ndim not in (3, 4):
-        raise ShapeError(f"attention_weights: expected a rank 3 or 4 stack, got {scores.shape}")
+    if scores.data.ndim != 4:
+        raise ShapeError(f"attention_weights: expected a (B, heads, T_q, T_k) stack, "
+                         f"got {scores.shape}")
     f = np.float32(factor)
     p = scores.data * f
     if keep is not None:
-        keep = np.asarray(keep, dtype=bool)
-        per_sequence = (scores.shape[0], 1, *scores.shape[2:]) if scores.data.ndim == 4 else None
-        if keep.shape not in (scores.shape[-2:], scores.shape, per_sequence):
-            raise ShapeError(f"attention_weights: mask {keep.shape} vs scores {scores.shape}")
+        if keep.dtype != bool or keep.shape != (scores.shape[0], 1, *scores.shape[2:]):
+            raise ShapeError(f"attention_weights: {keep.dtype} mask {keep.shape} vs scores "
+                             f"{scores.shape}")
         np.copyto(p, MASK_FILL_VALUE, where=~keep)
-    # Row maxima over the leading axis of a (T_k, ..., T_q) copy, as numpy
-    # reduces a short last axis slowly; a max is exact in any order.
-    keys_first = np.ascontiguousarray(p.transpose(p.ndim - 1, *range(p.ndim - 1)))
-    p -= np.maximum.reduce(keys_first, axis=0)[..., None]
+    # Row maxima over the leading axis of a (T_k, B, heads, T_q) copy, as
+    # numpy reduces a short last axis slowly; a max is exact in any order.
+    p -= np.maximum.reduce(np.ascontiguousarray(p.transpose(3, 0, 1, 2)), axis=0)[..., None]
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=-1, keepdims=True)
     out = Tensor(p)

@@ -147,8 +147,6 @@ def test_tied_enc_dec_ffn_spans_both_sides():
 
 
 def test_noop_ffn_is_exact_identity():
-    x = Tensor(np.random.default_rng(0).standard_normal((3, 16)).astype(np.float32))
-    assert ffn_forward(x, None) is x
     cfg = w.apply_preset(tiny_config(), "NoEnc")
     m = w.build_model(cfg, seed=0)
     out, taps = encoder_forward(m, [4, 5, 6])
@@ -205,8 +203,8 @@ def test_prefix_mask_lets_prefix_see_itself_bidirectionally():
 def test_fully_masked_row_stays_finite():
     m = w.build_model(tiny_config(), seed=0)
     x = Tensor(np.random.default_rng(1).standard_normal((3, 16)).astype(np.float32))
-    keep = np.ones((3, 3), dtype=bool)
-    keep[1, :] = False
+    keep = np.ones((1, 1, 3, 3), dtype=bool)
+    keep[0, 0, 1] = False
     out = attention_forward(x, x, m.enc_attn[0], mask=keep, heads=2)
     assert np.isfinite(out.data).all()
 
@@ -311,124 +309,6 @@ def test_attention_passes_grad_check_with_four_heads():
 
     params = [x] + [getattr(block, name) for name in ATTN_PARTS]
     assert grad_check(f, params, coords_per_tensor=3) < 1e-3
-
-
-# attention as it was before the head axis stayed in the shape: every
-# sequence's mask repeated for its heads, each projection reshaped into a
-# (B*heads, T, d_h) stack and back, rank-3 stacks throughout, and a K/V cache
-# whose row r owns stack entries [r*heads, (r+1)*heads).
-def _old_attention_mask(key_len, prefix, t_q, t_k, heads, offset=0, pad=0):
-    key_len, prefix, pad = (np.asarray(a)[..., None, None] for a in (key_len, prefix, pad))
-    j = np.arange(t_k)
-    keep = (pad <= j) & (j < key_len) & ((j < prefix) | (j <= offset + np.arange(t_q)[:, None]))
-    return keep.repeat(heads, axis=0)
-
-
-def _rank3_attention_forward(q_in, kv_in, block, mask=None, *, heads=1, batch=1, dropout_p=0.0,
-                             rng=None, kv=None):
-    rows, d = q_in.shape
-    dh = d // heads
-    t_q = rows // batch
-
-    def split(x, w, b, axes):
-        split4 = tensor.transpose(per_op.reshape(per_op.matmul(x, w, b),
-                                                 (batch, x.shape[0] // batch, heads, dh)), axes)
-        return per_op.reshape(split4, (batch * heads,) + split4.shape[2:])
-
-    q = split(q_in, block.wq, block.bq, (0, 2, 1, 3))
-    if kv_in is not None:
-        k = split(kv_in, block.wk, block.bk, (0, 2, 3, 1))
-        v = split(kv_in, block.wv, block.bv, (0, 2, 1, 3))
-        if kv:
-            k = Tensor(np.concatenate((kv[0].data, k.data), axis=2))
-            v = Tensor(np.concatenate((kv[1].data, v.data), axis=1))
-    else:
-        k, v = kv
-    if kv is not None:
-        kv[:] = k, v
-    weights = per_op.attention_weights(tensor.matmul(q, k), 1.0 / np.sqrt(dh), mask)
-    heads_out = per_op.reshape(tensor.matmul(weights, v), (batch, heads, t_q, dh))
-    merged = per_op.reshape(tensor.transpose(heads_out, (0, 2, 1, 3)), (rows, d))
-    proj = per_op.matmul(merged, block.wo, block.bo)
-    if rng is not None:
-        proj = per_op.dropout(proj, dropout_p, rng)
-    return per_op.layer_norm(per_op.add(q_in, proj), block.ln_gain, block.ln_bias)
-
-
-def _old_keep(self, rows):
-    heads = self.model.config.heads
-    stacked = (np.asarray(rows)[:, None] * heads + np.arange(heads)).reshape(-1)
-    for layer in self.layers:
-        for kv in layer:
-            kv[:] = [Tensor(t.data[stacked]) for t in kv]
-    if self.src_lengths is not None:
-        d = self.data.shape[1]
-        self.data = self.data.reshape(len(self.pad), -1, d)[rows].reshape(-1, d)
-        self.src_lengths = self.src_lengths[rows]
-    self.pad = self.pad[rows]
-
-
-# (cross attention?, attention_mask arguments after t_q and t_k, per sequence
-# of up to three): T_q = 5 queries see T_k = 5 keys, or 3 source keys
-HEAD_GATE_CASES = {
-    "self": (False, None),
-    "cross": (True, None),
-    "causal": (False, dict(key_len=[5, 5, 5], prefix=[0, 0, 0])),
-    "prefix": (False, dict(key_len=[5, 5, 5], prefix=[2, 0, 3])),
-    "right_padded": (False, dict(key_len=[3, 5, 4], prefix=[0, 0, 0])),
-    "left_padded": (False, dict(key_len=[5, 5, 5], prefix=[3, 3, 3], pad=[2, 0, 1])),
-    "cross_padded": (True, dict(key_len=[2, 3, 1], prefix=[2, 3, 1])),
-}
-
-
-@pytest.mark.parametrize("heads", [1, 2, 4, 8])
-@pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("case", list(HEAD_GATE_CASES))
-def test_heads_as_an_axis_leave_attention_bitwise_unchanged(heads, batch, case):
-    cross, mask_args = HEAD_GATE_CASES[case]
-    rng = np.random.default_rng(heads * 10 + batch)
-    d, t_q, t_k = 16, 5, 3 if cross else 5
-    params = [rng.uniform(-0.5, 0.5, size=(d, d) if name.startswith("w") else d)
-              for name in ATTN_PARTS]
-    q_data = rng.standard_normal((batch * t_q, d)).astype(np.float32)
-    kv_data = rng.standard_normal((batch * t_k, d)).astype(np.float32)
-    args = None if mask_args is None else {k: v[:batch] for k, v in mask_args.items()}
-    new_mask = None if args is None else attention_mask(t_q=t_q, t_k=t_k, **args)
-    old_mask = None if args is None else _old_attention_mask(t_q=t_q, t_k=t_k, heads=heads, **args)
-    runs = []
-    for forward, mask in ((attention_forward, new_mask), (_rank3_attention_forward, old_mask)):
-        block = AttentionBlock(*map(Tensor, params))
-        q = Tensor(q_data)
-        kv = Tensor(kv_data) if cross else q
-        tape = ComputeTape()
-        with recording(tape):
-            out = forward(q, kv, block, mask, heads=heads, batch=batch)
-            loss = cross_entropy(out, np.arange(batch * t_q) % d)
-        tape.backward(loss)
-        grads = [t.grad.tobytes() for t in (q, kv, *block)]
-        runs.append([out.data.tobytes()] + grads)
-    assert runs[0] == runs[1]
-
-
-@pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
-def test_decode_rows_match_the_old_head_layout_bitwise(arch, monkeypatch):
-    n_enc = 0 if arch == "decoder-only" else 2
-    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch, heads=4), seed=5)
-    srcs = [[4, 5, 6], [7], [8, 9, 10, 11]]
-
-    def run():  # step, keep([2, 0, 0]), step
-        rows = DecodeRows(m, srcs)
-        first = rows.step([BOS] * 3)
-        rows.keep([2, 0, 0])
-        return first.tobytes(), rows.step([5, 6, 7]).tobytes()
-
-    new = run()
-    monkeypatch.setattr(transformer, "attention_forward", _rank3_attention_forward)
-    monkeypatch.setattr(transformer, "attention_mask",
-                        lambda key_len, prefix, t_q, t_k, offset=0, pad=0: _old_attention_mask(
-                            key_len, prefix, t_q, t_k, m.config.heads, offset, pad))
-    monkeypatch.setattr(DecodeRows, "keep", _old_keep)
-    assert run() == new
 
 
 def test_forward_is_deterministic_in_eval_mode():
@@ -797,36 +677,58 @@ def _block_arrays(rng, parts, d, width=None):
             for name in parts]
 
 
-# (batch, query rows and key rows per sequence, attention_mask arguments);
-# cross_padded reads its keys and values from a separate memory
+# (key rows per sequence, whether keys and values come from a separate
+# memory, attention_mask arguments for up to three sequences or None for no
+# mask); every sequence has 5 query rows
 SUBLAYER_CASES = {
-    "encoder_padded": (3, 5, 5, dict(key_len=[5, 3, 4], prefix=[5, 3, 4])),
-    "causal": (3, 5, 5, dict(key_len=[5, 5, 5], prefix=[0, 0, 0])),
-    "prefix_left_pad": (3, 5, 5, dict(key_len=[5, 5, 5], prefix=[3, 3, 3], pad=[2, 0, 1])),
-    "cross_padded": (3, 5, 4, dict(key_len=[2, 4, 3], prefix=[2, 4, 3])),
+    "self": (5, False, None),
+    "cross": (3, True, None),
+    "encoder_padded": (5, False, dict(key_len=[5, 3, 4], prefix=[5, 3, 4])),
+    "causal": (5, False, dict(key_len=[5, 5, 5], prefix=[0, 0, 0])),
+    "prefix": (5, False, dict(key_len=[5, 5, 5], prefix=[2, 0, 3])),
+    "right_padded": (5, False, dict(key_len=[3, 5, 4], prefix=[0, 0, 0])),
+    "left_padded": (5, False, dict(key_len=[5, 5, 5], prefix=[3, 3, 3], pad=[2, 0, 1])),
+    "cross_padded": (4, True, dict(key_len=[2, 4, 3], prefix=[2, 4, 3])),
 }
 
 
-@pytest.mark.parametrize("dropout_p", [0.0, 0.3])
-@pytest.mark.parametrize("case", list(SUBLAYER_CASES))
-def test_attention_is_one_node_bitwise_like_its_per_op_composition(case, dropout_p):
-    batch, t_q, t_k, mask_args = SUBLAYER_CASES[case]
-    rng = np.random.default_rng(len(case))
-    d = 16
-    mask = attention_mask(t_q=t_q, t_k=t_k, **mask_args)
+def _attention_runs(case, batch, heads, dropout_p):
+    """attention_forward and the per-op composition on one SUBLAYER_CASES
+    case: each run's (output bytes, gradient bytes), and the node count of
+    attention_forward's."""
+    t_k, cross, mask_args = SUBLAYER_CASES[case]
+    rng = np.random.default_rng([heads, batch, len(case)])
+    t_q, d = 5, 16
+    mask = None if mask_args is None else attention_mask(
+        t_q=t_q, t_k=t_k, **{k: v[:batch] for k, v in mask_args.items()})
     arrays = [rng.standard_normal((batch * t_q, d)), rng.standard_normal((batch * t_k, d)),
               *_block_arrays(rng, ATTN_PARTS, d)]
 
     def build(forward):
         def run(x, memory, *params):
-            kv_in = x if case != "cross_padded" else memory
-            return [forward(x, kv_in, AttentionBlock(*params), mask, heads=4, batch=batch,
-                            dropout_p=dropout_p, rng=np.random.default_rng(5))]
+            return [forward(x, memory if cross else x, AttentionBlock(*params), mask, heads=heads,
+                            batch=batch, dropout_p=dropout_p, rng=np.random.default_rng(5))]
         return run
 
     new, nodes = _run_taped(build(attention_forward), arrays)
+    return new, _run_taped(build(_old_attention_forward), arrays)[0], nodes
+
+
+@pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+@pytest.mark.parametrize("case", list(SUBLAYER_CASES))
+def test_attention_is_one_node_bitwise_like_its_per_op_composition(case, dropout_p):
+    new, old, nodes = _attention_runs(case, 3, 4, dropout_p)
     assert nodes == 1
-    assert new == _run_taped(build(_old_attention_forward), arrays)[0]
+    assert new == old
+
+
+# Heads are an axis of every stack, (B, heads, T, d_h), whatever their count
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("case", list(SUBLAYER_CASES))
+def test_heads_as_an_axis_leave_attention_bitwise_unchanged(heads, batch, case):
+    new, old, _ = _attention_runs(case, batch, heads, 0.0)
+    assert new == old
 
 
 @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
@@ -1026,16 +928,12 @@ def test_an_out_of_range_id_raises_before_the_embedding_does_any_work(bad):
 
 # The grad_check oracles of the ops the sublayers replaced: the head split
 # and merge (reshape and rank-4 transposes and products), attention_weights
-# without a mask and with a shared, per-sequence or per-matrix one, and relu.
-@pytest.mark.parametrize("case", ["unmasked", "shared_mask", "per_sequence_mask",
-                                  "per_matrix_mask", "cross", "ffn"])
+# without a mask and with one per sequence, and relu.
+@pytest.mark.parametrize("case", ["unmasked", "per_sequence_mask", "cross", "ffn"])
 def test_sublayers_pass_grad_check(case):
     rng = np.random.default_rng(7)
     batch, t, d, heads = 2, 4, 8, 4
-    shared = np.tri(t, t, dtype=bool)
-    mask = {"shared_mask": shared,
-            "per_sequence_mask": attention_mask([4, 3], [0, 2], t, t),
-            "per_matrix_mask": rng.random((batch, heads, t, t)) < 0.6,
+    mask = {"per_sequence_mask": attention_mask([4, 3], [0, 2], t, t),
             "cross": attention_mask([3, 2], [3, 2], t, 3)}.get(case)
     x = Tensor(rng.standard_normal((batch * t, d)))
     memory = Tensor(rng.standard_normal((batch * 3, d)))

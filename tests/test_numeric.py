@@ -55,10 +55,12 @@ def test_stacked_ops_forward_and_shape_errors():
     b = rng.standard_normal((2, 4, 5)).astype(np.float32)
     assert np.array_equal(matmul(Tensor(a), Tensor(b)).data, a @ b)
     assert np.array_equal(transpose(Tensor(a), (2, 0, 1)).data, a.transpose(2, 0, 1))
-    keep = np.tri(3, 4, dtype=bool)
-    assert np.array_equal(attention_weights(a, 0.5, keep)[0][1],
-                          attention_weights(a[1:], 0.5, keep)[0][0])
-    assert np.array_equal(attention_weights(a, 0.5)[0][0], attention_weights(a[:1], 0.5)[0][0])
+    scores = a[:, None]  # two sequences of one head, each weighted as if on its own
+    keep = np.stack([np.tri(3, 4, dtype=bool), ~np.tri(3, 4, dtype=bool)])[:, None]
+    assert np.array_equal(attention_weights(scores, 0.5, keep)[0][1],
+                          attention_weights(scores[1:], 0.5, keep[1:])[0][0])
+    assert np.array_equal(attention_weights(scores, 0.5)[0][0],
+                          attention_weights(scores[:1], 0.5)[0][0])
     with pytest.raises(ShapeError):  # stacks of different lengths
         matmul(Tensor(a), Tensor(b[:1]))
     with pytest.raises(ShapeError):  # a stack times a matrix
@@ -66,18 +68,8 @@ def test_stacked_ops_forward_and_shape_errors():
     for axes in [(0, 0, 1), (0, 1), (0, 1, 3)]:
         with pytest.raises(ShapeError):
             transpose(Tensor(a), axes)
-    with pytest.raises(ShapeError):
-        attention_weights(a, 1.0, np.ones((4, 3), dtype=bool))
-    with pytest.raises(ShapeError):  # attention weights come in stacks
-        attention_weights(a[0], 1.0)
-    # rank 4 (a (B, heads, T, d_h) stack) and one mask per matrix of a stack
-    a4 = a.reshape(2, 3, 2, 2)
+    a4 = a.reshape(2, 3, 2, 2)  # a (B, heads, T, d_h) stack
     assert np.array_equal(transpose(Tensor(a4), (0, 2, 1, 3)).data, a4.transpose(0, 2, 1, 3))
-    per_matrix = np.stack([keep, ~keep])
-    weights, _ = attention_weights(a, 0.5, per_matrix)
-    assert np.array_equal(weights[1], attention_weights(a[1:], 0.5, ~keep)[0][0])
-    with pytest.raises(ShapeError):  # neither one mask nor one per matrix
-        attention_weights(a, 0.5, per_matrix[:1])
 
 
 def test_rank4_stacks_multiply_per_matrix_and_take_a_mask_per_sequence():
@@ -91,34 +83,20 @@ def test_rank4_stacks_multiply_per_matrix_and_take_a_mask_per_sequence():
     for bad in (b[:1], b[:, :2], b[0], b[..., :3, :]):  # leading axes, rank, inner width
         with pytest.raises(ShapeError):
             matmul(Tensor(a), Tensor(bad))
-    keep = rng.random((2, 3, 4, 4)) < 0.7
-    for mask in (keep[0, 0], keep, keep[:, :1]):  # shared, per matrix, per sequence
-        assert attention_weights(out, 0.5, mask)[0].shape == (2, 3, 4, 4)
-    for mask in (keep[:1], keep[:, :2], keep[:1, :1], keep[0], keep[:, :1, :1], keep[..., :1]):
-        with pytest.raises(ShapeError):
-            attention_weights(out, 0.5, mask)
-    with pytest.raises(ShapeError):  # rank 5 is no stack of score matrices
-        attention_weights(out[None], 0.5)
-
-
-@pytest.mark.parametrize("shape", [(3, 4, 9, 9), (8, 8, 1, 13), (1, 2, 5, 3), (2, 1, 4, 4)])
-def test_a_per_sequence_mask_equals_it_repeated_per_head_bitwise(shape):
-    # a (B, heads, T_q, T_k) stack with a (B, 1, T_q, T_k) mask against the
-    # (B*heads, T_q, T_k) stack with each sequence's mask repeated per head
-    rng = np.random.default_rng(sum(shape))
-    batch, heads, t_q, t_k = shape
-    x = (4.0 * rng.standard_normal(shape)).astype(np.float32)
-    g = rng.standard_normal(shape).astype(np.float32)
-    keep = rng.random((batch, 1, t_q, t_k)) < 0.7
-    keep[0, 0, -1] = False  # a fully masked row
-    stack = (batch * heads, t_q, t_k)
-    runs = []
-    for scores, mask, grad in ((x, keep, g), (x.reshape(stack),
-                                              keep.repeat(heads, axis=1).reshape(stack),
-                                              g.reshape(stack))):
-        out, backward = attention_weights(scores, 0.25, mask)
-        runs.append((out.tobytes(), backward(grad).tobytes()))
-    assert runs[0] == runs[1]
+    keep = rng.random((2, 1, 4, 4)) < 0.7  # one mask per sequence, shared by its heads
+    for weights in (lambda s, f, k=None: attention_weights(s, f, k)[0],
+                    lambda s, f, k=None: per_op.attention_weights(Tensor(s), f, k).data):
+        assert weights(out, 0.5, keep).shape == (2, 3, 4, 4)
+        with pytest.raises(ShapeError):  # a (B*heads, T_q, T_k) stack
+            weights(out.reshape(6, 4, 4), 0.5)
+        with pytest.raises(ShapeError):  # rank 5 is no stack of score matrices
+            weights(out[None], 0.5)
+        # one (T_q, T_k) mask for every matrix, one per matrix, other shapes,
+        # and a mask that is not boolean, whose ~ would hide every score
+        for mask in (keep[0, 0], keep.repeat(3, axis=1), keep[:1], keep[0], keep[:, :, :1],
+                     keep[..., :1], keep.astype(np.int8)):
+            with pytest.raises(ShapeError):
+                weights(out, 0.5, mask)
 
 
 # The ops as tensor.py had them before the bias moved into matmul,
@@ -226,25 +204,23 @@ def test_sublayer_kernels_match_their_old_forms_bitwise(rows, width):
     _assert_bitwise_like_old(linear, _old_add_bias_matmul, (x, w, bias), g)
     _assert_bitwise_like_old(layer_norm, _old_layer_norm, (x, gain, bias), g)
     _assert_bitwise_like_old(layer_norm, _out_of_place_layer_norm, (x, gain, bias), g)
-    _assert_bitwise_like_old(lambda t: attention_weights(t, 1.0), _old_softmax_rows, (x[None],),
-                             g[None])
+    _assert_bitwise_like_old(lambda t: attention_weights(t, 1.0), _old_softmax_rows,
+                             (x[None, None],), g[None, None])
 
 
-# (heads * sequences, T_q, T_k) score stacks: train-toy self and cross
-# attention, an analyze-shape chunk, a decode step, and a tiny test model
-@pytest.mark.parametrize("shape", [(64, 9, 9), (64, 9, 6), (32, 8, 8), (64, 1, 13), (4, 5, 3)])
-@pytest.mark.parametrize("mask", ["none", "shared", "per_matrix", "fully_masked_row"])
+# (B, heads, T_q, T_k) score stacks: train-toy self and cross attention, an
+# analyze-shape chunk, a decode step, and a tiny test model
+@pytest.mark.parametrize("shape", [(32, 2, 9, 9), (32, 2, 9, 6), (8, 4, 8, 8), (8, 8, 1, 13),
+                                   (2, 2, 5, 3)])
+@pytest.mark.parametrize("mask", ["none", "per_sequence", "fully_masked_row"])
 def test_attention_weights_match_scale_mask_fill_softmax_rows_bitwise(shape, mask):
     rng = np.random.default_rng(sum(shape))
-    n, t_q, t_k = shape
+    batch, _, t_q, t_k = shape
     x = (4.0 * rng.standard_normal(shape)).astype(np.float32)
     g = rng.standard_normal(shape).astype(np.float32)
-    keep = {"none": None,
-            "shared": np.tri(t_q, t_k, k=t_k - t_q, dtype=bool),
-            "per_matrix": rng.random(shape) < 0.7,
-            "fully_masked_row": np.tri(t_q, t_k, k=t_k - t_q, dtype=bool)}[mask]
+    keep = None if mask == "none" else rng.random((batch, 1, t_q, t_k)) < 0.7
     if mask == "fully_masked_row":
-        keep[-1] = False
+        keep[0, 0, -1] = False
     factor = 1.0 / np.sqrt(16)
     _assert_bitwise_like_old(lambda t: attention_weights(t, factor, keep),
                              lambda a: _old_attention_weights(a, factor, keep), (x,), g)
@@ -285,8 +261,8 @@ def _weights_op(factor, keep=None):
 # attention_weights as the kernel inside attention_forward; the sublayers'
 # own oracles are tests/test_model.py test_sublayers_pass_grad_check.
 @pytest.mark.parametrize("op", ["matmul", "matmul_bias", "transpose", "reshape", "softmax_rows",
-                                "mask_fill", "rank4_transpose", "per_matrix_mask_fill",
-                                "rank4_matmul", "per_sequence_mask_fill"])
+                                "mask_fill", "rank4_transpose", "rank4_matmul",
+                                "per_sequence_mask_fill"])
 def test_stacked_ops_pass_grad_check(op):
     rng = np.random.default_rng(6)
     a = Tensor(rng.standard_normal((2, 3, 4)))
@@ -301,11 +277,12 @@ def test_stacked_ops_pass_grad_check(op):
         "transpose": lambda p: transpose(p[0], (2, 0, 1)),
         "reshape": lambda p: reshape(p[0], (4, 6)),
         # attention_weights, which scales, fills masked scores and takes the
-        # softmax of each row: with no mask, one shared mask, one per matrix
-        "softmax_rows": lambda p: _weights_op(0.7)(p[0]),
-        "mask_fill": lambda p: _weights_op(0.7, keep)(p[0]),
+        # softmax of each row: with no mask, or one per sequence of one head
+        # or of two
+        "softmax_rows": lambda p: _weights_op(0.7)(reshape(p[0], (2, 1, 3, 4))),
+        "mask_fill": lambda p: _weights_op(0.7, np.stack([keep, ~keep])[:, None])(
+            reshape(p[0], (2, 1, 3, 4))),
         "rank4_transpose": lambda p: transpose(reshape(p[0], (2, 3, 2, 2)), (0, 2, 1, 3)),
-        "per_matrix_mask_fill": lambda p: _weights_op(0.7, np.stack([keep, ~keep]))(p[0]),
         "rank4_matmul": lambda p: matmul(reshape(p[0], (2, 1, 3, 4)), reshape(p[1], (2, 1, 4, 3))),
         "per_sequence_mask_fill": lambda p: _weights_op(0.7, keep[None, None])(
             reshape(p[0], (1, 2, 3, 4))),
@@ -326,20 +303,20 @@ def test_elementwise_forward_oracles():
 
 
 def test_softmax_rows_is_stable_and_normalized():
-    x = np.array([[[1000.0, 1000.0, 1000.0], [0.0, 1.0, 2.0]]], dtype=np.float32)
-    p = attention_weights(x, 1.0)[0][0]
+    x = np.array([[[[1000.0, 1000.0, 1000.0], [0.0, 1.0, 2.0]]]], dtype=np.float32)
+    p = attention_weights(x, 1.0)[0][0, 0]
     assert np.allclose(p.sum(axis=1), 1.0)
     assert np.allclose(p[0], [1 / 3, 1 / 3, 1 / 3])
     e = np.exp([0.0, 1.0, 2.0])
     assert np.allclose(p[1], e / e.sum(), atol=1e-7)
     e = np.exp([0.0, 0.5, 1.0])  # the scale comes before the softmax
-    assert np.allclose(attention_weights(x, 0.5)[0][0, 1], e / e.sum(), atol=1e-7)
+    assert np.allclose(attention_weights(x, 0.5)[0][0, 0, 1], e / e.sum(), atol=1e-7)
 
 
 def test_fully_filled_mask_row_degrades_to_uniform():
-    x = np.array([[[5.0, -1.0, 2.0], [1.0, 2.0, 3.0]]], dtype=np.float32)
-    keep = np.array([[False, False, False], [True, False, True]])
-    p = attention_weights(x, 2.0, keep)[0][0]
+    x = np.array([[[[5.0, -1.0, 2.0], [1.0, 2.0, 3.0]]]], dtype=np.float32)
+    keep = np.array([[[[False, False, False], [True, False, True]]]])
+    p = attention_weights(x, 2.0, keep)[0][0, 0]
     assert np.allclose(p[0], [1 / 3, 1 / 3, 1 / 3])
     assert np.allclose(p[1], [1 / (1 + np.exp(4.0)), 0.0, 1 / (1 + np.exp(-4.0))])
 
@@ -485,16 +462,16 @@ def test_grad_check_flags_wrong_gradients():
 
 
 def test_mask_fill_blocks_gradient():
-    """attention_weights passes no gradient to a masked score, whether the
-    mask is shared by the stack or given per matrix; every kept score of a
-    row with two or more kept entries gets some."""
+    """attention_weights passes no gradient to a masked score of any head of
+    a sequence; every kept score of a row with two or more kept entries gets
+    some."""
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((2, 3, 3)).astype(np.float32)
-    g = rng.standard_normal((2, 3, 3)).astype(np.float32)
-    shared = np.array([[True, False, False], [True, True, False], [True, True, True]])
-    for keep in (shared, np.stack([shared, ~shared | np.eye(3, dtype=bool)])):
-        grad = attention_weights(x, 0.5, keep)[1](g)
-        mask = np.broadcast_to(keep, x.shape)
-        assert np.all(grad[~mask] == 0.0)
-        several = mask & (mask.sum(axis=-1, keepdims=True) > 1)
-        assert np.all(grad[several] != 0.0)
+    x = rng.standard_normal((2, 2, 3, 3)).astype(np.float32)  # 2 sequences of 2 heads
+    g = rng.standard_normal((2, 2, 3, 3)).astype(np.float32)
+    causal = np.tri(3, dtype=bool)
+    keep = np.stack([causal, ~causal | np.eye(3, dtype=bool)])[:, None]
+    grad = attention_weights(x, 0.5, keep)[1](g)
+    mask = np.broadcast_to(keep, x.shape)
+    assert np.all(grad[~mask] == 0.0)
+    several = mask & (mask.sum(axis=-1, keepdims=True) > 1)
+    assert np.all(grad[several] != 0.0)

@@ -8,7 +8,9 @@ One sha256 per family:
   of five models at the benchmark's decode shape (d=256, 6+6 layers, vocab
   1000);
 - analyze: teacher-forced logits and every tap of padded probe batches at
-  the benchmark's analyze shape (d=64, 4+4 layers, vocab 100);
+  the benchmark's analyze shape (d=64, 4+4 layers, vocab 100), each pair's
+  real rows only: a pad row is no pair's output, so a change that computes
+  real rows alone may leave it anything;
 - similarity: every file that `compare --metric lns` (default k, and
   `--k 3` with `--benchmark`), `compare --metric cka --benchmark` and
   `selfsim` write at the analyze shape, and the kNN tables of one space
@@ -101,14 +103,22 @@ def _decode_family(h):
         h.update(rows.step([10, 11, 12]).tobytes())
 
 
+def _real_rows(model, pairs: list, side: str, rows: np.ndarray) -> np.ndarray:
+    """The rows of a `teacher_forced` output on `side` that hold a pair's
+    inputs: the first len(inputs) rows of each pair's block, in batch order."""
+    block = rows.shape[0] // len(pairs)
+    return np.concatenate([rows[b * block : b * block + len(model.inputs(src, tgt)[side])]
+                           for b, (src, tgt) in enumerate(pairs)])
+
+
 def _analyze_family(h):
     pairs = generate_toy_task("copy", 24, (3, 9), ANALYZE_SHAPE["vocab_size"], seed=5).pairs
     for _, model in _models(ANALYZE_SHAPE, seed=0):
         logits, taps = model.teacher_forced(pairs)
-        h.update(logits.data.tobytes())
+        h.update(_real_rows(model, pairs, "decoder", logits.data).tobytes())
         for side in sorted(taps):
             for name in sorted(taps[side]):
-                h.update(taps[side][name].data.tobytes())
+                h.update(_real_rows(model, pairs, side, taps[side][name].data).tobytes())
 
 
 def _similarity_family(h):

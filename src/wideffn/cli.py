@@ -56,8 +56,8 @@ EVAL_DECODE_BATCH = 8  # sources per search in `eval`
 
 
 def _typed(kind, value, what: str):
-    """`value` as a `kind`, or a ConfigError. An int must be whole, a str must
-    already be one, a tuple is a pair of ints, and no number is a bool or a str."""
+    """`value` as a `kind`, or a ConfigError. An int must be a YAML integer (not
+    2.0), a str a string, a tuple a pair of ints, and no number a bool or a str."""
     try:
         if kind is tuple:
             if isinstance(value, (list, tuple)) and len(value) == 2:
@@ -67,7 +67,7 @@ def _typed(kind, value, what: str):
                 return value
         elif isinstance(value, (bool, str)):
             pass
-        elif kind is not int or int(value) == value:
+        elif kind is not int or isinstance(value, int):
             return kind(value)
     except (TypeError, ValueError, OverflowError):
         pass

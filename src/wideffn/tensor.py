@@ -11,8 +11,9 @@ twice among its inputs.
 on plain arrays, from which each op that spans a whole stage (the embedding,
 an attention or FFN sublayer) composes its forward and its backward. The
 Tensor ops here are the output projection's `matmul` and `transpose`, the
-loss, and the column ops `slice_cols` and `concat_cols`, which perfbench's
-tracer binds by name.
+loss `cross_entropy`, which scores the logits rows it is given by index, and
+the column ops `slice_cols` and `concat_cols`, which perfbench's tracer binds
+by name.
 
 All payloads are numpy float32. Finite-difference arithmetic inside
 grad_check runs in float64 on top of float32 function values.
@@ -262,42 +263,36 @@ def dropout_keep(shape, p: float, rng: np.random.Generator) -> np.ndarray | None
     return (rng.random(shape) >= p).astype(np.float32) / np.float32(1.0 - p)
 
 
-def cross_entropy(logits: Tensor, targets, ignore_index: int = -1) -> Tensor:
-    """Mean negative log-softmax over rows whose target != ignore_index.
+def cross_entropy(logits: Tensor, rows, targets) -> Tensor:
+    """Mean negative log-softmax of logits row rows[i] at class targets[i] over
+    n distinct scored rows; every other row gets zero gradient.
 
     Fused log-softmax keeps the backward to the standard (p - onehot)/n form.
     """
     _require_rank(logits, 2, "cross_entropy")
+    rows = np.asarray(rows, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
-    if targets.ndim != 1 or targets.shape[0] != logits.shape[0]:
-        raise ShapeError(f"cross_entropy: logits {logits.shape} vs targets {targets.shape}")
-    n_classes = logits.shape[1]
-    keep = targets != ignore_index
-    kept_targets = targets[keep]
-    if kept_targets.size and ((kept_targets < 0) | (kept_targets >= n_classes)).any():
-        bad = kept_targets[(kept_targets < 0) | (kept_targets >= n_classes)][0]
-        raise IndexError(f"target id {int(bad)} outside vocabulary of size {n_classes}")
-    n_kept = int(keep.sum())
-    if n_kept == 0:
-        out = Tensor(np.float32(0.0))
-
-        def backward_zero(g):
-            return (np.zeros_like(logits.data),)
-
-        return emit(out, (logits,), backward_zero)
-
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logsumexp
-    rows = np.nonzero(keep)[0]
-    loss = -logp[rows, targets[rows]].sum() / np.float32(n_kept)
-    out = Tensor(loss)
+    if rows.ndim != 1 or targets.shape != rows.shape or rows.size == 0:
+        raise ShapeError(f"cross_entropy: rows {rows.shape} vs targets {targets.shape}")
+    n, n_classes = rows.size, logits.shape[1]
+    distinct = np.unique(rows)
+    if distinct.size != n or distinct[0] < 0 or distinct[-1] >= logits.shape[0]:
+        raise ShapeError(f"cross_entropy: rows must be distinct rows of logits {logits.shape}")
+    bad = targets[(targets < 0) | (targets >= n_classes)]
+    if bad.size:
+        raise IndexError(f"target id {int(bad[0])} outside vocabulary of size {n_classes}")
+    x = logits.data[rows]
+    shifted = x - x.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    picked = np.arange(n), targets
+    out = Tensor(-logp[picked].sum() / np.float32(n))
 
     def backward_fn(g):
         p = np.exp(logp)
-        p[~keep] = 0.0
-        p[rows, targets[rows]] -= 1.0
-        return (g * p / np.float32(n_kept),)
+        p[picked] -= 1.0
+        full = np.zeros_like(logits.data)
+        full[rows] = g * p / np.float32(n)
+        return (full,)
 
     return emit(out, (logits,), backward_fn)
 

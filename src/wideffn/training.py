@@ -20,7 +20,7 @@ from .sharing import FFNStrategy
 from .store import ParamStore
 from .tensor import ComputeTape, recording
 from .transformer import TransformerModel, build_model
-from .vocab import PAD, Corpus
+from .vocab import Corpus
 
 
 @dataclass(frozen=True)
@@ -143,10 +143,9 @@ def token_accuracy(model: TransformerModel, corpus: Corpus, limit: int | None = 
         raise ConfigError("empty corpus")
     hit = total = 0
     for chunk, logits, _ in model.eval_chunks(pairs):
-        labels = model.target_labels(chunk, logits.shape[0])
-        real = labels != PAD
-        hit += int((logits.data.argmax(axis=1)[real] == labels[real]).sum())
-        total += int(real.sum())
+        rows, labels = model.target_labels(chunk, logits.shape[0])
+        hit += int((logits.data[rows].argmax(axis=1) == labels).sum())
+        total += len(rows)
     return hit / total
 
 
@@ -168,10 +167,10 @@ def ffn_dim_sweep(base_config: ModelConfig, side: str, dims: list[int], corpus: 
     strategy = getattr(base_config.sharing, attr)
     if strategy.kind != "Individual":
         raise ConfigError("width sweeps are defined over Individual FFN stacks")
+    if min(dims, default=0) < 0:
+        raise ConfigError(f"negative width {min(dims)}")
     rows = []
     for dim in dims:
-        if dim < 0:
-            raise ConfigError(f"negative width {dim}")
         if dim == 0:
             sharing = dataclasses.replace(base_config.sharing, **{attr: FFNStrategy("NoOp")})
             cfg = dataclasses.replace(base_config, sharing=sharing)

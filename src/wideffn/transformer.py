@@ -188,15 +188,17 @@ class TransformerModel:
         for chunk in self.chunk_pairs(pairs):
             yield (chunk, *self.teacher_forced(chunk))
 
-    def target_labels(self, pairs: list, rows: int) -> np.ndarray:
-        """The label of each of the `rows` logits rows of a `teacher_forced`
-        batch: each pair's tgt <eos> on the rows that predict them and PAD
-        on every other row."""
-        labels = np.full((len(pairs), rows // len(pairs)), PAD)
-        for row, (src, tgt) in zip(labels, pairs):
-            end = len(self.inputs(src, tgt)["decoder"])
-            row[end - len(tgt) - 1 : end] = [*tgt, EOS]
-        return labels.reshape(-1)
+    def target_labels(self, pairs: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, labels) of a `teacher_forced` batch whose logits have `rows`
+        rows: the index of every row that predicts a pair's tgt <eos>, in
+        batch order, and those ids. No other row has a label."""
+        width = rows // len(pairs)
+        index, labels = [], []
+        for b, (src, tgt) in enumerate(pairs):
+            end = b * width + len(self.inputs(src, tgt)["decoder"])
+            index.extend(range(end - len(tgt) - 1, end))
+            labels.extend([*tgt, EOS])
+        return np.array(index), np.array(labels)
 
     def step_logits(self, enc_ctx, src_tokens: list[int], prefix: list[int]) -> np.ndarray:
         """Next-token logits after the given generated prefix.
@@ -219,13 +221,13 @@ class TransformerModel:
         """Teacher-forced loss of a batch of (src, tgt) pairs; returns
         (loss, n_predictions). Dropout runs when `rng` is given.
 
-        The loss is the mean negative log-likelihood over the predictions of
-        every tgt + <eos> in the batch, so each pair weighs by its length;
-        padding and a decoder-only model's source rows are left out of it.
+        The loss is the mean negative log-likelihood over the n_predictions
+        `target_labels` rows, which predict each tgt + <eos>, so each pair
+        weighs by its length; pad rows and decoder-only source rows are unscored.
         """
         logits, _ = self.teacher_forced(pairs, rng=rng)
-        loss = cross_entropy(logits, self.target_labels(pairs, logits.shape[0]), ignore_index=PAD)
-        return loss, sum(len(tgt) + 1 for _, tgt in pairs)
+        rows, labels = self.target_labels(pairs, logits.shape[0])
+        return cross_entropy(logits, rows, labels), len(rows)
 
 
 def param_layout(config: ModelConfig):

@@ -1,7 +1,9 @@
 """The tensor ops that _embed, attention_forward and ffn_forward were
 composed of before each became one op, as wideffn.tensor had them: the
 per-op reference that the embedding and the sublayers must equal bit for
-bit, and the `reshape` that tests use to flatten a result.
+bit, and the `reshape` that tests use to flatten a result. `cross_entropy`
+is the loss as it was before it took its scored rows as an index: a target
+per logits row, rows whose target is `ignore_index` left out.
 """
 
 import numpy as np
@@ -167,3 +169,43 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         return gh, np.multiply(g, xhat, out=t).sum(axis=0), g.sum(axis=0)
 
     return emit(out, (x, gain, bias), backward_fn)
+
+
+def cross_entropy(logits: Tensor, targets, ignore_index: int = -1) -> Tensor:
+    """Mean negative log-softmax over rows whose target != ignore_index.
+
+    Fused log-softmax keeps the backward to the standard (p - onehot)/n form.
+    """
+    _require_rank(logits, 2, "cross_entropy")
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.ndim != 1 or targets.shape[0] != logits.shape[0]:
+        raise ShapeError(f"cross_entropy: logits {logits.shape} vs targets {targets.shape}")
+    n_classes = logits.shape[1]
+    keep = targets != ignore_index
+    kept_targets = targets[keep]
+    if kept_targets.size and ((kept_targets < 0) | (kept_targets >= n_classes)).any():
+        bad = kept_targets[(kept_targets < 0) | (kept_targets >= n_classes)][0]
+        raise IndexError(f"target id {int(bad)} outside vocabulary of size {n_classes}")
+    n_kept = int(keep.sum())
+    if n_kept == 0:
+        out = Tensor(np.float32(0.0))
+
+        def backward_zero(g):
+            return (np.zeros_like(logits.data),)
+
+        return emit(out, (logits,), backward_zero)
+
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logp = shifted - logsumexp
+    rows = np.nonzero(keep)[0]
+    loss = -logp[rows, targets[rows]].sum() / np.float32(n_kept)
+    out = Tensor(loss)
+
+    def backward_fn(g):
+        p = np.exp(logp)
+        p[~keep] = 0.0
+        p[rows, targets[rows]] -= 1.0
+        return (g * p / np.float32(n_kept),)
+
+    return emit(out, (logits,), backward_fn)

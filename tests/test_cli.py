@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from wideffn import cli, similarity
+from wideffn import cli, similarity, training
 from wideffn.bench import decode_corpus
 from wideffn.cli import RunConfig, load_run_config, main, write_csv
 from wideffn.counting import count_params
@@ -378,6 +378,18 @@ def test_sweep_exits_2_for_a_side_the_model_does_not_have(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+def test_sweep_checks_every_width_before_it_trains_any(tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train called")
+
+    monkeypatch.setattr(training, "train", no_training)
+    csv_path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", write_config(tmp_path), "--side", "decoder",
+                 "--dims", "32,-1", "--out", str(csv_path)]) == 2
+    assert "negative width -1" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
 def test_run_files_are_read_with_libyaml_when_pyyaml_has_it(tmp_path, monkeypatch):
     """load_run_config parses with CSafeLoader when PyYAML has it; the
     README's run file parses as under SafeLoader, and invalid YAML still
@@ -431,7 +443,7 @@ def test_exit_code_2_for_config_errors(tmp_path, capsys, monkeypatch):
         {"decode": {"beam": "x"}},
         {"task": {"count": "many"}},
         {"task": {"len_range": 5}},
-        # an integer field takes whole numbers only, and len_range is a list
+        # an integer field takes YAML integers only, and len_range is a list
         {"training": {"steps": 2.7}},
         {"training": {"batch_size": 4.9}},
         {"task": {"count": 6.5}},
@@ -439,6 +451,13 @@ def test_exit_code_2_for_config_errors(tmp_path, capsys, monkeypatch):
         {"task": {"len_range": "35"}},
         {"task": {"seed": 1.5}},
         {"decode": {"max_len": 6.5}},
+        # a whole float is no integer either, in any section
+        {"seed": 3.0},
+        {"training": {"steps": 2.0}},
+        {"task": {"count": 8.0}},
+        {"task": {"len_range": [3.0, 5]}},
+        {"decode": {"beam": 1.0}},
+        {"model": {"d_model": 16.0}},
         {"task": ..., "corpus": {"src": "a.txt"}},
         {"task": ..., "corpus": {"src": 0, "tgt": 0}},
         {"model": {"sharing": {"enc_ffn": "SharedAll", "dec_ffn": "SharedAll",

@@ -35,6 +35,12 @@ import per_op
 from conftest import tiny_config
 
 
+def _every_row_loss(out):
+    """Cross-entropy over every row of a matrix, row i's target i mod its width."""
+    rows = np.arange(out.shape[0])
+    return cross_entropy(out, rows, rows % out.shape[1])
+
+
 def test_causal_mask_shape_and_content():
     T, F = True, False
     causal = attention_mask([3], [0], 3, 3)
@@ -267,7 +273,7 @@ def test_a_mask_that_hides_nothing_is_left_out_exactly(monkeypatch):
         tape = ComputeTape()
         with recording(tape):
             out = attention_forward(q, q, block, mask, heads=4, batch=2)
-            loss = cross_entropy(out, np.arange(10) % 16)
+            loss = _every_row_loss(out)
         tape.backward(loss)
         runs.append((out.data.tobytes(), q.grad.tobytes()))
         for t in block:
@@ -305,7 +311,7 @@ def test_attention_passes_grad_check_with_four_heads():
 
     def f(params):
         out = attention_forward(params[0], params[0], block, mask=keep, heads=4)
-        return cross_entropy(out, np.arange(t))
+        return _every_row_loss(out)
 
     params = [x] + [getattr(block, name) for name in ATTN_PARTS]
     assert grad_check(f, params, coords_per_tensor=3) < 1e-3
@@ -474,7 +480,9 @@ def test_teacher_forced_rows_and_labels_follow_each_pairs_inputs(arch):
     assert m.inputs([4, 5], [7]) == ({"decoder": [4, 5, EOS, BOS, 7]} if arch == "decoder-only"
                                      else {"encoder": [4, 5, EOS], "decoder": [BOS, 7]})
     logits, sides = m.teacher_forced(RAGGED_PAIRS)
-    labels = m.target_labels(RAGGED_PAIRS, logits.shape[0]).reshape(len(RAGGED_PAIRS), -1)
+    rows, labels = m.target_labels(RAGGED_PAIRS, logits.shape[0])
+    width = logits.shape[0] // len(RAGGED_PAIRS)
+    want_rows, want_labels = [], []
     for b, (src, tgt) in enumerate(RAGGED_PAIRS):
         inputs = m.inputs(src, tgt)
         alone_logits, alone = m.teacher_forced([(src, tgt)])
@@ -484,12 +492,49 @@ def test_teacher_forced_rows_and_labels_follow_each_pairs_inputs(arch):
                 assert alone[side][name].shape[0] == n, (b, side, name)
                 blocks = tap.data.reshape(len(RAGGED_PAIRS), -1, tap.shape[1])
                 assert np.abs(blocks[b, :n] - alone[side][name].data).max() < 1e-6, (b, name)
-        ids = inputs["decoder"]
-        start = len(ids) - len(tgt) - 1
-        pad = labels.shape[1] - len(ids)
-        assert labels[b].tolist() == [PAD] * start + tgt + [EOS] + [PAD] * pad, b
+        end = b * width + len(inputs["decoder"])
+        want_rows += range(end - len(tgt) - 1, end)
+        want_labels += [*tgt, EOS]
         reference, _ = _teacher_forced_layout(m, src, tgt)
         assert alone_logits.data.tobytes() == reference.data.tobytes(), b
+    assert rows.tolist() == want_rows and labels.tolist() == want_labels
+
+
+def _pad_column(m, pairs, n_rows):
+    """The label of every logits row of a `teacher_forced` batch, the column
+    `per_op.cross_entropy` reads: each pair's tgt <eos> on the rows that
+    predict them and PAD on every other row."""
+    labels = np.full((len(pairs), n_rows // len(pairs)), PAD)
+    for row, (src, tgt) in zip(labels, pairs):
+        end = len(m.inputs(src, tgt)["decoder"])
+        row[end - len(tgt) - 1 : end] = [*tgt, EOS]
+    return labels.reshape(-1)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
+def test_the_row_loss_is_bitwise_the_pad_column_loss(arch, dropout):
+    # d_model 24: sqrt(24) is no power of two, so a reordered product shows
+    n_enc = 0 if arch == "decoder-only" else 2
+    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch, d_model=24, d_ff=48,
+                                  heads=2, dropout=dropout), seed=4)
+    pairs = generate_toy_task("copy", 6, (1, 7), m.config.vocab_size, seed=9).pairs
+    assert len({len(src) for src, _ in pairs}) > 1
+    runs = []
+    for new_form in (True, False):
+        logits, _ = m.teacher_forced(pairs, rng=np.random.default_rng(2))
+        logits = Tensor(logits.data)
+        tape = ComputeTape()
+        with recording(tape):
+            if new_form:
+                loss = cross_entropy(logits, *m.target_labels(pairs, logits.shape[0]))
+            else:
+                loss = per_op.cross_entropy(logits, _pad_column(m, pairs, logits.shape[0]),
+                                            ignore_index=PAD)
+        tape.backward(loss)
+        runs.append((loss.data.tobytes(), logits.grad.tobytes()))
+    assert runs[0] == runs[1]
+    assert m.loss_for_pair(pairs)[1] == sum(len(tgt) + 1 for _, tgt in pairs)
 
 
 def _side_rows(m, chunk):
@@ -593,7 +638,7 @@ def test_the_in_place_relu_leaves_ffn_forward_bitwise_unchanged(rows, width, dro
         tape = ComputeTape()
         with recording(tape):
             out = forward(tap, block, dropout_p=dropout_p, rng=np.random.default_rng(5))
-            loss = cross_entropy(out, targets)
+            loss = cross_entropy(out, np.arange(rows), targets)
         tape.backward(loss)
         assert tap.data.tobytes() == x.tobytes()  # the input, a tap, is left as it was
         runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in (tap, *block)])
@@ -662,7 +707,7 @@ def _run_taped(build, arrays):
     with recording(tape):
         outs = build(*tensors)
         nodes = len(tape.nodes)
-        losses = [cross_entropy(out, np.arange(out.shape[0]) % out.shape[1]) for out in outs]
+        losses = [_every_row_loss(out) for out in outs]
         loss = losses[0]
         for more in losses[1:]:
             loss = per_op.add(loss, more)
@@ -848,7 +893,7 @@ def _embed_loss(m, x, tied):
     """Cross-entropy of the embedded rows, read through the tied output
     projection as decoder_forward reads them, or directly."""
     logits = tensor.transpose(matmul(m.embedding, tensor.transpose(x))) if tied else x
-    return cross_entropy(logits, np.arange(logits.shape[0]) % logits.shape[1])
+    return _every_row_loss(logits)
 
 
 @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
@@ -950,7 +995,7 @@ def test_sublayers_pass_grad_check(case):
         else:
             kv_in = p[1] if case == "cross" else p[0]
             out = attention_forward(p[0], kv_in, block, mask, heads=heads, batch=batch)
-        return cross_entropy(out, np.arange(batch * t) % d)
+        return _every_row_loss(out)
 
     assert grad_check(loss, params, coords_per_tensor=3) < 1e-3
 

@@ -245,7 +245,7 @@ def _row_loss(y):
     """Cross-entropy over the rows of y flattened to a matrix, fixed targets."""
     cols = y.shape[-1]
     rows = y.data.size // cols
-    return cross_entropy(per_op.reshape(y, (rows, cols)), np.arange(rows) % cols)
+    return cross_entropy(per_op.reshape(y, (rows, cols)), np.arange(rows), np.arange(rows) % cols)
 
 
 def _weights_op(factor, keep=None):
@@ -337,7 +337,7 @@ def test_cross_entropy_matches_log_softmax_oracle():
     rng = np.random.default_rng(2)
     logits = rng.standard_normal((5, 7)).astype(np.float32)
     targets = [3, 0, 6, 2, 1]
-    loss = cross_entropy(Tensor(logits), targets)
+    loss = cross_entropy(Tensor(logits), np.arange(5), targets)
     z = logits.astype(np.float64)
     logp = z - np.log(np.exp(z - z.max(axis=1, keepdims=True)).sum(axis=1, keepdims=True)) \
         - z.max(axis=1, keepdims=True)
@@ -345,27 +345,29 @@ def test_cross_entropy_matches_log_softmax_oracle():
     assert abs(float(loss.data) - expect) < 1e-6
 
 
-def test_cross_entropy_ignore_index_and_errors():
+def test_cross_entropy_row_and_target_errors():
     logits = Tensor(np.zeros((3, 4), dtype=np.float32))
-    full = cross_entropy(logits, [1, 2, 3])
-    partial = cross_entropy(logits, [1, -1, 3], ignore_index=-1)
-    assert np.isclose(float(full.data), float(partial.data))  # uniform logits
-    all_ignored = cross_entropy(logits, [-1, -1, -1], ignore_index=-1)
-    assert float(all_ignored.data) == 0.0
-    with pytest.raises(IndexError):
-        cross_entropy(logits, [0, 4, 1])
-    with pytest.raises(ShapeError):
-        cross_entropy(logits, [0, 1])
+    full = cross_entropy(logits, [0, 1, 2], [1, 2, 3])
+    partial = cross_entropy(logits, [0, 2], [1, 3])
+    assert np.isclose(float(full.data), np.log(4)) and np.isclose(float(partial.data), np.log(4))
+    for rows, targets in (([], []), ([0, 1], [0]), ([[0, 1]], [[0, 1]]), ([1, 1], [0, 2]),
+                          ([0, 3], [0, 1]), ([-1, 0], [0, 1])):
+        with pytest.raises(ShapeError):  # no rows, unequal lengths, a repeated or missing row
+            cross_entropy(logits, rows, targets)
+    for targets in ([0, 4, 1], [0, -1, 1]):
+        with pytest.raises(IndexError):
+            cross_entropy(logits, [0, 1, 2], targets)
 
 
-def test_cross_entropy_ignored_rows_get_zero_gradient():
-    logits = Tensor(np.random.default_rng(3).standard_normal((3, 4)).astype(np.float32))
+def test_cross_entropy_unscored_rows_get_zero_gradient():
+    logits = Tensor(np.random.default_rng(3).standard_normal((4, 5)).astype(np.float32))
     tape = ComputeTape()
     with recording(tape):
-        loss = cross_entropy(logits, [1, -1, 2], ignore_index=-1)
+        loss = cross_entropy(logits, [2, 0], [1, 4])
     tape.backward(loss)
-    assert np.all(logits.grad[1] == 0.0)
-    assert np.any(logits.grad[0] != 0.0)
+    assert logits.grad[[1, 3]].tobytes() == np.zeros((2, 5), np.float32).tobytes()  # not -0.0
+    assert logits.grad[[0, 2]].all()
+    assert np.allclose(logits.grad.sum(axis=1), 0.0, atol=1e-7)  # each scored row: (p - onehot)/n
 
 
 def test_embedding_lookup_gather_and_scatter():
@@ -417,7 +419,7 @@ def test_replay_is_bit_deterministic():
         with recording(tape):
             h = per_op.relu(matmul(a, b))
             loss = cross_entropy(per_op.layer_norm(h, Tensor(np.ones(6)), Tensor(np.zeros(6))),
-                                 [0, 1, 2, 3, 4, 5])
+                                 np.arange(6), [0, 1, 2, 3, 4, 5])
         tape.backward(loss)
         return a.grad.tobytes(), b.grad.tobytes()
 

@@ -3,7 +3,7 @@
 Modules:
     tensor      float32 autodiff core (Tensor, ComputeTape, ops, grad_check)
     sharing     FFN sharing strategies and layer assignment
-    config      ModelConfig / SharingSpec, the key check, presets
+    config      ModelConfig / SharingSpec, the key, type and minimum checks, presets
     store       physical/logical parameter storage
     transformer blocks, builder, masks, forward passes, decode rows
     counting    exact parameter arithmetic

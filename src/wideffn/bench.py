@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import typed
 from .errors import ConfigError, DataError
 from .transformer import TransformerModel
 from .vocab import BOS, EOS, Corpus
@@ -45,10 +46,8 @@ def search(model: TransformerModel, srcs: list, beam: int = 1, max_len: int = 32
     order then token id, so beam=1 is greedy. Every search, one greedy sentence
     too, steps `model.decode_rows(srcs)`; no sources give no outputs.
     """
-    if beam < 1:
-        raise ConfigError("beam must be >= 1")
-    if max_len < 1:
-        raise ConfigError("max_len must be positive")
+    typed(int, beam, "beam")
+    typed(int, max_len, "max_len")
     if not srcs:
         return []
     rows = model.decode_rows(srcs)
@@ -128,8 +127,7 @@ class ThroughputReport:
 def _measuring(corpus: Corpus, batch_size: int):
     """The corpus's sources, while no other measurement runs in this process,
     since overlapping measurements would time each other."""
-    if batch_size < 1:
-        raise ConfigError("batch_size must be positive")
+    typed(int, batch_size, "batch_size")
     if len(corpus) == 0:
         raise DataError("empty corpus")
     if not _MEASURE_LOCK.acquire(blocking=False):

@@ -2,10 +2,11 @@
 
 Verbs: params | train | eval | compare | selfsim | bench | sweep.
 Runs are driven by a YAML config file whose every section is checked when
-it is read: unknown keys, mistyped values and fractional integers are
-rejected, whatever the verb. The WFN_SEED environment variable overrides
-the config seed. Exit codes: 0 success, 2 config error, 3 data error or a
-file that cannot be opened, 4 numeric failure.
+it is read, whatever the verb: a repeated or unknown key, a mistyped value
+and an integer below its setting's minimum (config.MINIMUMS) are rejected,
+and 1e-3 reads as a float. The WFN_SEED environment variable overrides the
+config seed. Exit codes: 0 success, 2 config error, 3 data error or a file
+that cannot be opened, 4 numeric failure.
 
 Every command's CSV/JSON output is byte-reproducible from (config, seed)
 except the timing commands, whose CSVs carry a '# nondeterministic:
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -24,7 +26,7 @@ import yaml
 
 from .bench import batch_size_sweep, corpus_bleu, decode_corpus
 from .checkpoint import load_model_checkpoint, replacing, save_model_checkpoint, write_json
-from .config import ModelConfig, apply_preset, check_keys
+from .config import ModelConfig, apply_preset, check_keys, typed
 from .counting import BREAKDOWN_KEYS, baseline_of, count_params
 from .errors import ConfigError, DataError, WideFFNError
 from .similarity import (
@@ -55,49 +57,47 @@ _TOP_KEYS = ("seed", "preset", "model", "training", "task", "corpus", "decode")
 EVAL_DECODE_BATCH = 8  # sources per search in `eval`
 
 
-def _typed(kind, value, what: str):
-    """`value` as a `kind`, or a ConfigError. An int must be a YAML integer (not
-    2.0), a str a string, a tuple a pair of ints, and no number a bool or a str."""
+def _int_text(text: str, name: str, what: str) -> int:
+    """An integer written as text (WFN_SEED, a --dims or --batch-sizes entry,
+    where an empty entry is an error), checked by `typed` as setting `name`."""
     try:
-        if kind is tuple:
-            if isinstance(value, (list, tuple)) and len(value) == 2:
-                return tuple(_typed(int, v, what) for v in value)
-        elif kind is str:
-            if isinstance(value, str):
-                return value
-        elif isinstance(value, (bool, str)):
-            pass
-        elif kind is not int or isinstance(value, int):
-            return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}")
-
-
-def _int_text(text: str, what: str) -> int:
-    """An integer written as text (WFN_SEED, a --dims or --batch-sizes entry)."""
-    try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ConfigError(f"{what} must be int, got {text!r}") from None
-
-
-def _int_list(text: str, what: str) -> list[int]:
-    """The integers of a comma-separated option (--batch-sizes, --dims); an
-    empty entry is an error."""
-    return [_int_text(v, f"{what} entry") for v in text.split(",")]
+    return typed(int, value, name, what)
 
 
 def _section(doc: dict, name: str, defaults: dict) -> dict:
     """Run-file section `name`: its keys are those of `defaults`, each value
     is typed like its default, and an omitted key takes its default."""
     given = check_keys(name, doc.get(name, {}), defaults)
-    return {key: _typed(type(default), given.get(key, default), f"{name} {key}")
+    return {key: typed(type(default), given.get(key, default), key, f"{name} {key}")
             for key, default in defaults.items()}
 
 
-# libyaml's parser when PyYAML was built with it: the documents of SafeLoader, parsed faster
-RUN_FILE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+def run_file_loader(base):
+    """PyYAML loader class `base`, extended for run files: a mapping that
+    repeats a key is an error, and an exponent float such as 1e-3 is a float."""
+
+    class RunFileLoader(base):
+        def construct_mapping(self, node, deep=False):
+            explicit = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+            mapping = super().construct_mapping(node, deep)  # refuses an unhashable key
+            keys = [self.construct_object(key, deep) for key in explicit]
+            for i, key in enumerate(keys):
+                if key in keys[:i]:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}", explicit[i].start_mark)
+            return mapping
+
+    # an exponent and no dot, as in 1e-3: a float in YAML 1.2, a string in YAML 1.1
+    RunFileLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+0123456789."))
+    return RunFileLoader
+
+
+# libyaml's parser when PyYAML was built with it: SafeLoader's documents, parsed faster
+RUN_FILE_LOADER = run_file_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -114,10 +114,8 @@ def load_run_config(path: str) -> RunConfig:
         model = apply_preset(model, doc["preset"])
     run = RunConfig(model=model)
     env_seed = os.environ.get("WFN_SEED")
-    run.seed = (_typed(int, doc.get("seed", run.seed), "seed") if env_seed is None
-                else _int_text(env_seed, "WFN_SEED"))
-    if run.seed < 0:
-        raise ConfigError(f"seed must not be negative, got {run.seed}")
+    run.seed = (typed(int, doc.get("seed", run.seed), "seed") if env_seed is None
+                else _int_text(env_seed, "seed", "WFN_SEED"))
     training = _section(doc, "training", {"steps": run.steps, "batch_size": run.batch_size,
                                           **vars(run.training)})
     run.steps, run.batch_size = training.pop("steps"), training.pop("batch_size")
@@ -311,9 +309,8 @@ def cmd_selfsim(args, run: RunConfig) -> int:
 
 def cmd_bench(args, run: RunConfig) -> int:
     corpus = build_corpus(run)
-    batch_sizes = _int_list(args.batch_sizes, "--batch-sizes")
-    if min(batch_sizes) < 1:
-        raise ConfigError(f"bad batch sizes {args.batch_sizes!r}")
+    batch_sizes = [_int_text(b, "batch_size", "--batch-sizes entry")
+                   for b in args.batch_sizes.split(",")]
     labels = [os.path.splitext(os.path.basename(path))[0] for path in args.checkpoints]
     if len(set(labels)) < len(labels):
         raise ConfigError(f"checkpoints {args.checkpoints} share a file name; "
@@ -336,7 +333,7 @@ def cmd_bench(args, run: RunConfig) -> int:
 
 def cmd_sweep(args, run: RunConfig) -> int:
     corpus = build_corpus(run)
-    dims = _int_list(args.dims, "--dims")
+    dims = [_int_text(d, "dims", "--dims entry") for d in args.dims.split(",")]
     rows = ffn_dim_sweep(run.model, args.side, dims, corpus, steps=run.steps,
                          batch_size=run.batch_size, seed=run.seed, schedule=run.training)
     write_csv(args.out, ["d_ff", "side", "token_accuracy", "params", "noop"], rows)

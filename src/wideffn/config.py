@@ -1,4 +1,5 @@
-"""Model configuration, validation, and the named experiment presets."""
+"""Model configuration, the named experiment presets, and the two rules each
+setting is checked by wherever it is read: its type (`typed`) and `MINIMUMS`."""
 
 from __future__ import annotations
 
@@ -11,6 +12,33 @@ from .sharing import FFNStrategy, resolve_ffn_assignment
 
 ARCHITECTURES = ("encoder-decoder", "decoder-only")
 ATTN_KINDS = ("Individual", "SharedAll")
+
+# The least value of each integer setting, under the name it has wherever it occurs: a
+# ModelConfig field, a run-file key or an argument. A vocabulary holds the 4 reserved ids
+# and one content id; only a shared FFN may be 0 wide, which makes it NoOp.
+MINIMUMS = {"n_enc": 0, "n_dec": 1, "d_model": 1, "d_ff": 1, "heads": 1, "vocab_size": 5,
+            "max_len": 1, "d_ff_shared": 0, "d_ff_enc": 1, "d_ff_dec": 1, "seed": 0,
+            "steps": 0, "batch_size": 1, "warmup_steps": 1, "count": 1, "beam": 1}
+
+
+def typed(kind, value, name: str, what: str | None = None):
+    """`value` as a `kind` (int, float, str, bool or tuple), or a ConfigError
+    calling it `what` (default `name`). A number is no bool and comes back as
+    a Python int (an Integral, at least `MINIMUMS[name]`) or float (a Real);
+    a tuple is a pair of ints."""
+    what = what or name
+    if kind is tuple and isinstance(value, (list, tuple)) and len(value) == 2:
+        return tuple(typed(int, v, name, what) for v in value)
+    if kind in (str, bool) and isinstance(value, kind):
+        return value
+    if kind in (int, float) and not isinstance(value, bool) and isinstance(
+            value, numbers.Integral if kind is int else numbers.Real):
+        value = kind(value)
+        if value < MINIMUMS.get(name, value):
+            raise ConfigError(f"{what} must not be negative, got {value}" if MINIMUMS[name] == 0
+                              else f"{what} must be at least {MINIMUMS[name]}, got {value}")
+        return value
+    raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}")
 
 
 def check_keys(what: str, d, allowed) -> dict:
@@ -42,9 +70,7 @@ class SharingSpec:
         for kind_name in ("enc_self_attn", "dec_self_attn", "dec_cross_attn"):
             if getattr(self, kind_name) not in ATTN_KINDS:
                 raise ConfigError(f"{kind_name} must be one of {ATTN_KINDS}")
-        if not isinstance(self.tie_enc_dec_ffn, bool):
-            raise ConfigError(f"tie_enc_dec_ffn must be true or false, got {self.tie_enc_dec_ffn!r}")
-        if self.tie_enc_dec_ffn:
+        if typed(bool, self.tie_enc_dec_ffn, "tie_enc_dec_ffn"):
             if self.enc_ffn.kind != "SharedAll" or self.dec_ffn.kind != "SharedAll":
                 raise ConfigError("tie_enc_dec_ffn requires SharedAll on both sides")
 
@@ -88,45 +114,23 @@ class ModelConfig:
     d_ff_dec: int | None = None
 
     def __post_init__(self):
-        """Check invariants and normalise a shared width of 0 to NoOp."""
+        """Check invariants, store numbers as `typed` returns them, make a 0 shared width NoOp."""
         for name in ("n_enc", "n_dec", "d_model", "d_ff", "heads", "vocab_size", "max_len",
-                     "d_ff_shared", "d_ff_enc", "d_ff_dec"):
+                     "d_ff_shared", "d_ff_enc", "d_ff_dec", "dropout"):
             v = getattr(self, name)
-            whole = isinstance(v, numbers.Integral) and not isinstance(v, bool)
-            if not whole and not (v is None and name.startswith("d_ff_")):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
-        if isinstance(self.dropout, bool) or not isinstance(self.dropout, numbers.Real):
-            raise ConfigError(f"dropout must be a number, got {self.dropout!r}")
+            if v is not None or not name.startswith("d_ff_"):  # the dataclass is frozen
+                object.__setattr__(self, name, typed(float if name == "dropout" else int, v, name))
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"architecture must be one of {ARCHITECTURES}")
-        if self.architecture == "decoder-only":
-            if self.n_enc != 0:
-                raise ConfigError("decoder-only models must have n_enc == 0")
-            if self.sharing.tie_enc_dec_ffn:
-                raise ConfigError("tie_enc_dec_ffn needs an encoder")
-        else:
-            if self.n_enc < 1 or self.n_dec < 1:
-                raise ConfigError("encoder-decoder models need n_enc >= 1 and n_dec >= 1")
-        if self.n_dec < 1:
-            raise ConfigError("need n_dec >= 1")
-        if self.d_model < 1 or self.heads < 1:
-            raise ConfigError("d_model and heads must be positive")
+        if (self.n_enc == 0) != (self.architecture == "decoder-only"):
+            need = "== 0" if self.n_enc else ">= 1"
+            raise ConfigError(f"{self.architecture} models need n_enc {need}")
+        if self.architecture == "decoder-only" and self.sharing.tie_enc_dec_ffn:
+            raise ConfigError("tie_enc_dec_ffn needs an encoder")
         if self.d_model % self.heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
-        if self.vocab_size < 5:
-            raise ConfigError("vocab_size must cover 4 reserved ids plus content")
-        if self.max_len < 1:
-            raise ConfigError("max_len must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.d_ff < 1:
-            raise ConfigError("d_ff must be positive; express a removed FFN as NoOp")
-        for name in ("d_ff_enc", "d_ff_dec"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ConfigError(f"{name} must be positive; express width 0 as NoOp")
-        if self.d_ff_shared is not None and self.d_ff_shared < 0:
-            raise ConfigError("d_ff_shared must be >= 0")
         # A shared width of exactly 0 means the shared FFN degenerates to NoOp.
         sharing = self.sharing
         if self.d_ff_shared == 0 and (sharing.enc_ffn.is_shared or sharing.dec_ffn.is_shared):

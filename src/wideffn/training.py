@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import ModelConfig, typed
 from .counting import count_params
 from .errors import ConfigError, NumericError
 from .sharing import FFNStrategy
@@ -29,8 +29,9 @@ class Schedule:
     warmup_steps: int = 4000
 
     def __post_init__(self):
-        if not (np.isfinite(self.base_lr) and self.base_lr > 0) or self.warmup_steps < 1:
-            raise ConfigError("schedule needs a finite base_lr > 0 and warmup_steps >= 1")
+        typed(int, self.warmup_steps, "warmup_steps")
+        if not (np.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ConfigError(f"base_lr must be finite and positive, got {self.base_lr}")
 
 
 def lr_at(schedule: Schedule, step: int) -> float:
@@ -104,8 +105,8 @@ def train(model: TransformerModel, corpus: Corpus, steps: int, batch_size: int,
     count (the default Schedule if None).
     steps=0 returns [] and touches nothing.
     """
-    if steps < 0 or batch_size < 1:
-        raise ConfigError("need steps >= 0 and batch_size >= 1")
+    typed(int, steps, "steps")
+    typed(int, batch_size, "batch_size")
     if len(corpus) == 0:
         raise ConfigError("empty corpus")
     if schedule is None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import typed
 from .errors import ConfigError, DataError
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
@@ -63,14 +64,12 @@ def check_toy_task(kind: str, count: int, len_range: tuple[int, int], vocab_size
     these same arguments."""
     if kind not in ("copy", "reverse", "sort"):
         raise ConfigError(f"unknown toy task {kind!r}")
-    if count < 1:
-        raise ConfigError("count must be positive")
-    if not (1 <= len_range[0] <= len_range[1]):
+    typed(int, count, "count")
+    typed(int, vocab_size, "vocab_size")
+    typed(int, seed, "seed", "task seed")
+    lo, hi = typed(tuple, len_range, "len_range")
+    if not 1 <= lo <= hi:
         raise ConfigError(f"bad length range {len_range}")
-    if vocab_size < 5:
-        raise ConfigError("toy tasks need at least one payload symbol")
-    if seed < 0:
-        raise ConfigError(f"task seed must not be negative, got {seed}")
 
 
 def generate_toy_task(kind: str, count: int, len_range: tuple[int, int], vocab_size: int,

@@ -92,10 +92,13 @@ def trained_copy_model(toy_corpus):
     return model
 
 
+PYTHON_RUN_FILE_LOADER = cli.run_file_loader(yaml.SafeLoader)
+
+
 class BothLoaders(cli.RUN_FILE_LOADER):
     """The CLI's run-file loader, which also parses the same text with
-    PyYAML's pure-Python SafeLoader and checks that the two agree: the same
-    document, or both reject the text."""
+    PyYAML's pure-Python SafeLoader, given the same run-file extensions, and
+    checks that the two agree: the same document, or both reject the text."""
 
     def __init__(self, stream):
         self.text = stream.read()
@@ -106,9 +109,9 @@ class BothLoaders(cli.RUN_FILE_LOADER):
             doc = super().get_single_data()
         except yaml.YAMLError:
             with pytest.raises(yaml.YAMLError):
-                yaml.load(self.text, Loader=yaml.SafeLoader)
+                yaml.load(self.text, Loader=PYTHON_RUN_FILE_LOADER)
             raise
-        assert repr(doc) == repr(yaml.load(self.text, Loader=yaml.SafeLoader)), self.text
+        assert repr(doc) == repr(yaml.load(self.text, Loader=PYTHON_RUN_FILE_LOADER)), self.text
         return doc
 
 

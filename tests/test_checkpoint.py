@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -215,6 +216,16 @@ def test_model_checkpoint_sidecar_round_trip(tmp_path):
     a, _ = encoder_forward(m, src)
     b, _ = encoder_forward(m2, src)
     assert np.array_equal(a.data, b.data)
+
+
+def test_a_config_given_numpy_numbers_saves_and_reloads(tmp_path):
+    # the config stores Python numbers, so its JSON sidecar is written whole
+    cfg = dataclasses.replace(tiny_config(), d_ff=np.int64(32), d_ff_enc=np.int32(24),
+                              dropout=np.float32(0.25))
+    assert (type(cfg.d_ff), type(cfg.d_ff_enc), type(cfg.dropout)) == (int, int, float)
+    p = str(tmp_path / "m.bin")
+    save_model_checkpoint(w.build_model(cfg, seed=2), p)
+    assert load_model_checkpoint(p).config == cfg
 
 
 def test_sharing_shrinks_checkpoint_by_predicted_bytes():

@@ -392,9 +392,9 @@ def test_sweep_checks_every_width_before_it_trains_any(tmp_path, capsys, monkeyp
 
 def test_run_files_are_read_with_libyaml_when_pyyaml_has_it(tmp_path, monkeypatch):
     """load_run_config parses with CSafeLoader when PyYAML has it; the
-    README's run file parses as under SafeLoader, and invalid YAML still
-    exits 2. (conftest.BothLoaders checks every other run file the tests
-    have the CLI read.)"""
+    README's run file parses as under SafeLoader and `params` runs on it,
+    and invalid YAML still exits 2. (conftest.BothLoaders checks every other
+    run file the tests have the CLI read.)"""
     assert issubclass(cli.RUN_FILE_LOADER, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     text = readme.split("Every verb takes `--config run.yaml`:\n\n```yaml\n")[1].split("```")[0]
@@ -411,12 +411,41 @@ def test_run_files_are_read_with_libyaml_when_pyyaml_has_it(tmp_path, monkeypatc
     run = load_run_config(str(path))
     assert len(made) == 1
     assert (run.seed, run.steps, run.model.d_model, run.task["count"]) == (3, 300, 16, 64)
+    assert main(["params", "--config", str(path)]) == 0  # the documented file stays valid
     for i, invalid in enumerate(["model: {d_model: [1\n", "seed: 'open\n", "a:\n\t- b\n",
                                  "seed: 1\nseed: [\n", "- a\nb: c\n"]):
         bad = tmp_path / f"invalid{i}.yaml"
         bad.write_text(invalid)
         assert main(["params", "--config", str(bad)]) == 2, invalid
-    assert len(made) == 1 + 5
+    assert len(made) == 2 + 5
+
+
+def test_a_repeated_key_exits_2_naming_it(tmp_path, capsys):
+    for name, text in (("top.yaml", "seed: 3\nmodel: {d_model: 16, heads: 2}\nseed: 9\n"),
+                       ("section.yaml", "decode: {beam: 1, max_len: 6, beam: 2}\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["params", "--config", str(path)]) == 2, text
+        err = capsys.readouterr().err
+        assert "error:" in err and "duplicate key" in err, text
+        assert ("'seed'" if name == "top.yaml" else "'beam'") in err, text
+    # a key given once beside a YAML merge key overrides the merged value
+    merged = tmp_path / "merged.yaml"
+    merged.write_text("decode: {<<: {beam: 1, max_len: 4}, beam: 2}\n")
+    run = load_run_config(str(merged))
+    assert (run.beam, run.decode_max_len) == (2, 4)
+
+
+def test_a_plain_exponent_is_a_float(tmp_path, capsys):
+    path = tmp_path / "lr.yaml"
+    for text, base_lr in (("1e-3", 1e-3), ("5E-4", 5e-4)):
+        path.write_text(f"training: {{base_lr: {text}}}\n")
+        assert load_run_config(str(path)).training.base_lr == base_lr, text
+    # a quoted exponent stays a string, and an exponent integer is a float, no int
+    for text in ('training: {base_lr: "1e-3"}\n', "training: {steps: 1e3}\n"):
+        path.write_text(text)
+        assert main(["params", "--config", str(path)]) == 2, text
+        assert "error:" in capsys.readouterr().err, text
 
 
 # ---------------------------------------------------------------- exit codes
@@ -487,6 +516,11 @@ def test_exit_code_2_for_config_errors(tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, **edit)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.ckpt")]) == 2, edit
         assert "error:" in capsys.readouterr().err, edit
+    # a value below its setting's minimum is refused when the file is read, whatever the verb
+    for edit in ({"training": {"steps": -1}}, {"training": {"batch_size": 0}},
+                 {"decode": {"beam": 0}}, {"decode": {"max_len": 0}}):
+        assert main(["params", "--config", write_config(tmp_path, **edit)]) == 2, edit
+        assert "error:" in capsys.readouterr().err, edit
     monkeypatch.setenv("WFN_SEED", "x")
     assert main(["params", "--config", write_config(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
@@ -513,6 +547,17 @@ def test_eval_decodes_with_the_run_file_beam(tmp_path, trained_ckpt, monkeypatch
     wide = write_config(tmp_path, name="beam2.yaml", decode={"beam": 2})
     assert main(["eval", "--config", wide, "--checkpoint", out, "--limit", "3"]) == 0
     assert beams == [(2, 6)] * 3
+
+
+def test_eval_refuses_beam_0_before_it_scores_anything(tmp_path, trained_ckpt, capsys,
+                                                      monkeypatch):
+    cfg, out = trained_ckpt
+    calls = []
+    monkeypatch.setattr(cli, "token_accuracy", lambda *a, **kw: calls.append(a))
+    narrow = write_config(tmp_path, name="beam0.yaml", decode={"beam": 0})
+    assert main(["eval", "--config", narrow, "--checkpoint", out]) == 2
+    assert "decode beam must be at least 1" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_exit_code_2_for_bad_verb_arguments(tmp_path, trained_ckpt, capsys):

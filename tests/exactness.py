@@ -13,9 +13,11 @@ One sha256 per family:
   real rows alone may leave it anything;
 - similarity: every file that `compare --metric lns` (default k, and
   `--k 3` with `--benchmark`), `compare --metric cka --benchmark` and
-  `selfsim` write at the analyze shape, and the kNN tables of one space
-  that spans several row blocks of `similarity.knn`, ties and all-zero rows
-  included;
+  `selfsim` write at the analyze shape, the kNN tables of one space that
+  spans several row blocks of `similarity.knn`, ties and all-zero rows
+  included, and, at k = 1 and 7, the LNS matrices and aggregates of three
+  synthetic tap sets of 1,000 rows with ties and all-zero rows: a full
+  matrix, an aggregate-only one and a self-similarity upper triangle;
 - dhead32: checkpoint bytes and losses after 12 training steps of a
   baseline whose heads are 32 wide (d=64, 2 heads), at dropout 0 and 0.3;
 - grad: the gradient bytes of every physical tensor after one taped
@@ -55,7 +57,7 @@ import wideffn as w
 from wideffn import cli
 from wideffn.bench import decode_beam, decode_corpus, decode_greedy
 from wideffn.checkpoint import checkpoint_bytes, save_model_checkpoint
-from wideffn.similarity import knn
+from wideffn.similarity import ActivationMatrix, knn, pairwise_layer_similarity
 from wideffn.tensor import ComputeTape, recording
 from wideffn.training import train
 from wideffn.vocab import BOS, generate_toy_task
@@ -155,6 +157,31 @@ def _similarity_family(h):
     space[[0, 517, 999]] = 0.0
     for k in (1, 7, 999):
         h.update(knn(space, k).tobytes())
+    a, b, c = _synthetic_tap_sets(rng)
+    for k in (1, 7):
+        for report in (pairwise_layer_similarity(a, b, metric="lns", k=k),
+                       pairwise_layer_similarity(a, c, metric="lns", k=k, aggregate_only=True),
+                       pairwise_layer_similarity(a, a, metric="lns", k=k)):
+            h.update(report.matrix.tobytes())
+            h.update(np.float64(report.aggregate).tobytes())
+
+
+def _synthetic_tap_sets(rng, n: int = 1000, d: int = 8):
+    """Three tap sets over one n-row probe, the third missing some of the
+    first's names, of float32 spaces with repeated rows (exact ties) and
+    all-zero rows: big enough that LNS over them spans several row blocks."""
+    base = rng.standard_normal((n, d)).astype(np.float32)
+    sets = []
+    for names in (("0.sa", "0.ffn", "1.sa", "1.ffn"), ("0.sa", "0.ffn", "1.sa", "1.ffn"),
+                  ("0.sa", "1.sa", "1.ffn")):
+        taps = {}
+        for name in names:
+            space = base + rng.normal(0.0, 0.5, (n, d)).astype(np.float32)
+            space[rng.integers(0, n, n // 5)] = space[rng.integers(0, n, n // 5)]
+            space[rng.integers(0, n, 3)] = 0.0
+            taps[name] = ActivationMatrix(space, "synthetic")
+        sets.append(taps)
+    return sets
 
 
 def _dhead32_family(h):

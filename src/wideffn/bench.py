@@ -97,6 +97,7 @@ def decode_beam(model: TransformerModel, src: list[int], beam: int = 5,
 
 def decode_corpus(model: TransformerModel, srcs: list, batch_size: int, beam: int, max_len: int):
     """`search` over consecutive batches of batch_size sources, outputs in order."""
+    batch_size = typed(int, batch_size, "batch_size")
     return [out for at in range(0, len(srcs), batch_size)
             for out in search(model, srcs[at : at + batch_size], beam, max_len)]
 

@@ -50,24 +50,29 @@ def collect_activations(model: TransformerModel, corpus: Corpus
     chunk, the reference fed: 'encoder' taps '<i>.sa'/'<i>.ffn' and 'decoder'
     taps '<i>.sa'/'<i>.ca'/'<i>.ffn'. A sentence mean covers the rows of that
     pair's `model.inputs` for the side only. Rows follow corpus order.
+
+    Each chunk's taps of one side are stacked, (taps, B, T, d), and all their
+    sentence means come from one masked sum over T, divided as np.mean does.
     """
     if not corpus.pairs:
         raise DataError("empty corpus")
-    rows: dict[str, dict[str, list[np.ndarray]]] = {}
+    names: dict[str, list[str]] = {}
+    means: dict[str, list[np.ndarray]] = {}
     for chunk, _, sides in model.eval_chunks(corpus.pairs):
         inputs = [model.inputs(src, tgt) for src, tgt in chunk]
         for side, taps in sides.items():
             lengths = np.array([len(ids[side]) for ids in inputs])[:, None]
-            for name, tensor in taps.items():
-                blocks = tensor.data.reshape(len(chunk), -1, tensor.shape[1])
-                real = np.arange(blocks.shape[1]) < lengths
-                means = np.add.reduce(blocks, axis=1, where=real[:, :, None])
-                np.true_divide(means, lengths, out=means, casting="unsafe")  # as np.mean does
-                rows.setdefault(side, {}).setdefault(name, []).append(means)
+            stack = np.stack([tensor.data for tensor in taps.values()])
+            blocks = stack.reshape(len(taps), len(chunk), -1, stack.shape[-1])
+            real = np.arange(blocks.shape[2]) < lengths
+            sums = np.add.reduce(blocks, axis=2, where=real[:, :, None])
+            np.true_divide(sums, lengths, out=sums, casting="unsafe")  # as np.mean does
+            names[side] = list(taps)
+            means.setdefault(side, []).append(sums)
     corpus_hash = corpus.content_hash()
-    return {side: {name: ActivationMatrix(np.concatenate(vals), corpus_hash)
-                   for name, vals in taps.items()}
-            for side, taps in rows.items()}
+    return {side: {name: ActivationMatrix(values, corpus_hash)
+                   for name, values in zip(names[side], np.concatenate(parts, axis=1))}
+            for side, parts in means.items()}
 
 
 def _values(x) -> np.ndarray:
@@ -113,32 +118,39 @@ def linear_cka(a, b) -> float:
 
 
 def knn(space, k: int) -> np.ndarray:
-    """The k nearest rows to every row in cosine distance, as an (n, k) table:
-    row i holds the neighbours of row i, nearest first.
+    """The k nearest rows to every row in cosine distance. One (n, d) space
+    gives an (n, k) table, and a stack of L spaces, an (L, n, d) array, gives
+    the (L, n, k) stack of their tables: row i of a table holds the
+    neighbours of row i, nearest first.
 
     No row is its own neighbour. Ties in distance break toward the lower
     index; all-zero rows sit at distance 1 from everything (a warning is
-    logged once per table when any are present). Distances come a block of
-    rows at a time, from one stacked product that makes the matrix-vector
-    product `unit @ unit[i]` of each row i: a Gram product `unit @ unit.T`
-    rounds some dot products differently and so reorders exact ties.
+    logged once per table that has any). Distances come a block of rows of
+    every space at a time, at most ROW_BLOCK_CELLS of them, from one stacked
+    product that makes the matrix-vector product `unit @ unit[i]` of each
+    row i: a Gram product `unit @ unit.T` rounds some dot products
+    differently and so reorders exact ties.
     """
     x = _values(space).astype(np.float64)
-    n = x.shape[0]
+    if x.ndim not in (2, 3):
+        raise DataError(f"knn needs an (n, d) space or an (L, n, d) stack, got {x.shape}")
+    stack = x if x.ndim == 3 else x[None]
+    layers, n = stack.shape[:2]
     if not 1 <= k <= n - 1:
         raise ConfigError(f"k must be in [1, {n - 1}], got {k}")
-    norms = np.linalg.norm(x, axis=1)
+    norms = np.linalg.norm(stack, axis=2)
     zero = norms == 0.0
-    if zero.any():
-        log.warning("knn: %d all-zero rows treated as distance 1 from everything", int(zero.sum()))
-    unit = x / np.where(zero, 1.0, norms)[:, None]  # zero rows stay zero: cosine 0
-    table = np.empty((n, k), dtype=np.intp)
-    step = max(1, ROW_BLOCK_CELLS // n)  # rows whose distances are held at once
-    for rows in (slice(lo, lo + step) for lo in range(0, n, step)):
-        dist = 1.0 - np.matmul(unit, unit[rows, :, None])[..., 0]
-        np.fill_diagonal(dist[:, rows], np.inf)  # no row is its own neighbour
-        table[rows] = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    return table
+    for count in zero.sum(axis=1)[zero.any(axis=1)]:
+        log.warning("knn: %d all-zero rows treated as distance 1 from everything", int(count))
+    unit = stack / np.where(zero, 1.0, norms)[..., None]  # zero rows stay zero: cosine 0
+    table = np.empty((layers, n, k), dtype=np.intp)
+    step = max(1, ROW_BLOCK_CELLS // (layers * n))  # rows whose distances are held at once
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        dist = 1.0 - np.matmul(unit[:, None], unit[:, rows, :, None])[..., 0]
+        dist[:, rows - lo, rows] = np.inf  # no row is its own neighbour
+        table[:, rows] = np.argsort(dist, axis=2, kind="stable")[..., :k]
+    return table if x.ndim == 3 else table[0]
 
 
 def default_k(n: int) -> int:
@@ -146,28 +158,86 @@ def default_k(n: int) -> int:
     return max(1, math.ceil(0.05 * n))
 
 
-def lns(a, b, k: int | None = None) -> float:
+def _spaces(x) -> tuple[list, bool]:
+    """`x` as a list of spaces, and whether it was one space: an
+    ActivationMatrix or an (n, d) array is one; a list of them or an
+    (L, n, d) array is several."""
+    if isinstance(x, (list, tuple)) and x and isinstance(x[0], (ActivationMatrix, np.ndarray)):
+        return list(x), False
+    if isinstance(x, ActivationMatrix):
+        return [x], True
+    values = np.asarray(x)
+    if values.ndim not in (2, 3):
+        raise DataError(f"lns needs an (n, d) space or a list of them, got {values.shape}")
+    return ([values], True) if values.ndim == 2 else (list(values), False)
+
+
+def _tables(spaces: list, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k-NN tables of the distinct spaces in `spaces`, transposed and
+    stacked: ids[l, j] holds the j-th neighbour of every row of space l, an
+    (L, k, n) array. Also the index in it of each entry of `spaces`. The
+    tables not kept on an ActivationMatrix yet come from one `knn` call over
+    their stacked spaces, and are kept on it."""
+    key = ("knn", k)
+    distinct = list({id(s): s for s in spaces}.values())
+    fresh = [s for s in distinct if not (isinstance(s, ActivationMatrix) and key in s._derived)]
+    made = {}
+    if fresh:
+        for s, table in zip(fresh, knn(np.stack([_values(s) for s in fresh]), k)):
+            made[id(s)] = table
+            if isinstance(s, ActivationMatrix):
+                s._derived[key] = table
+    ids = np.array([(made[id(s)] if id(s) in made else s._derived[key]).T for s in distinct])
+    where = {id(s): i for i, s in enumerate(distinct)}
+    return ids, np.array([where[id(s)] for s in spaces], dtype=np.intp)
+
+
+def _lns_cells(ids_a: np.ndarray, at_a: np.ndarray, ids_b: np.ndarray,
+               at_b: np.ndarray) -> np.ndarray:
+    """LNS of the tables ids_a[at_a[c]] and ids_b[at_b[c]], in `_tables`'
+    (L, k, n) layout, for every cell c: per row, the shared ids of the two
+    k-NN rows over the ids in either, |A & B| / (2k - |A & B|), summed in row
+    order and divided by n. The id tests are made a block of cells and rows
+    at a time, at most ROW_BLOCK_CELLS of them, with the rows innermost."""
+    k, n = ids_a.shape[1:]
+    rows = min(n, max(1, ROW_BLOCK_CELLS // (k * k)))  # rows and cells whose id tests
+    cells = max(1, ROW_BLOCK_CELLS // (k * k * rows))  # are held at once
+    shared = np.empty((len(at_a), n), dtype=np.intp)  # |A & B| of each cell's rows
+    for c in range(0, len(at_a), cells):
+        for r in range(0, n, rows):
+            a = ids_a[at_a[c:c + cells], :, None, r:r + rows]
+            b = ids_b[at_b[c:c + cells], None, :, r:r + rows]
+            shared[c:c + cells, r:r + rows] = (a == b).sum(axis=(1, 2))
+    return np.add.accumulate(shared / (2 * k - shared), axis=1)[:, -1] / n  # |A | B| = 2k - |A & B|
+
+
+def lns(a, b, k: int | None = None):
     """Local neighborhood similarity: mean Jaccard overlap of the rows of
     the two spaces' k-NN tables, summed in row order.
 
-    Both spaces must describe the same sentences in the same order; when
-    ActivationMatrix metadata is available the corpus hashes must agree.
+    `a` and `b` are two spaces, which give a float, or two equally long
+    lists of spaces (or (L, n, d) stacks), which give the LNS of each pair
+    a[c], b[c] as an array, from one `knn` call per side over its distinct
+    spaces and one blocked pass over every pair's rows. All spaces must
+    describe the same sentences in the same order; when ActivationMatrix
+    metadata is available the corpus hashes must agree.
     """
-    if isinstance(a, ActivationMatrix) and isinstance(b, ActivationMatrix):
-        if a.corpus_hash != b.corpus_hash:
-            raise DataError("activation matrices come from different corpora")
-    va, vb = _values(a), _values(b)
-    if va.shape[0] != vb.shape[0]:
-        raise DataError(f"row counts differ: {va.shape[0]} vs {vb.shape[0]}")
-    n = va.shape[0]
+    spaces_a, one = _spaces(a)
+    spaces_b, one_b = _spaces(b)
+    if one != one_b or len(spaces_a) != len(spaces_b):
+        raise DataError(f"lns pairs spaces: got {len(spaces_a)} and {len(spaces_b)}")
+    distinct = {id(s): s for s in spaces_a + spaces_b}.values()
+    if len({s.corpus_hash for s in distinct if isinstance(s, ActivationMatrix)}) > 1:
+        raise DataError("activation matrices come from different corpora")
+    counts = {_values(s).shape[0] for s in distinct}
+    if len(counts) != 1:
+        raise DataError(f"row counts differ: {sorted(counts)}")
+    n = counts.pop()
     if n < 2:
         raise DataError("need at least 2 rows for neighborhoods")
     k = default_k(n) if k is None else k
-    table_a, table_b = (_prepared(x, ("knn", k), lambda v: knn(v, k)) for x in (a, b))
-    step = max(1, ROW_BLOCK_CELLS // (k * k))  # rows whose id tests are held at once
-    shared = np.concatenate([(table_a[lo:lo + step, :, None] == table_b[lo:lo + step, None, :])
-                             .sum(axis=(1, 2)) for lo in range(0, n, step)])  # |A & B| per row
-    return float(np.add.accumulate(shared / (2 * k - shared))[-1] / n)  # |A | B| = 2k - |A & B|
+    scores = _lns_cells(*_tables(spaces_a, k), *_tables(spaces_b, k))
+    return float(scores[0]) if one else scores
 
 
 @dataclass
@@ -195,7 +265,8 @@ def pairwise_layer_similarity(taps_a: dict[str, ActivationMatrix],
 
     One tap set given twice (`selfsim`) gets its upper triangle mirrored.
     With `aggregate_only` only the cells the aggregate reads are scored,
-    and every other cell is NaN.
+    and every other cell is NaN. LNS scores all the cells in one `lns`
+    call; CKA takes one `linear_cka` call per cell.
 
     The aggregate averages the diagonal over module names present in both
     models; tap sets from `collect_activations` always share every layer's
@@ -214,10 +285,18 @@ def pairwise_layer_similarity(taps_a: dict[str, ActivationMatrix],
     if not common:
         raise DataError("the two tap sets share no module names; nothing comparable")
     matrix = np.full((len(rows), len(cols)), np.nan)
-    score = linear_cka if metric == "cka" else lambda a, b: lns(a, b, k=k)
-    for i, j in common if aggregate_only else np.ndindex(matrix.shape):
-        mirror = taps_a is taps_b and j < i
-        matrix[i, j] = matrix[j, i] if mirror else score(taps_a[rows[i]], taps_b[cols[j]])
+    mirror = taps_a is taps_b
+    cells = common if aggregate_only else [
+        (i, j) for i, j in np.ndindex(matrix.shape) if not (mirror and j < i)]
+    left = [taps_a[rows[i]] for i, _ in cells]
+    right = [taps_b[cols[j]] for _, j in cells]
+    if metric == "lns":
+        matrix[tuple(zip(*cells))] = lns(left, right, k=k)
+    else:
+        matrix[tuple(zip(*cells))] = [linear_cka(x, y) for x, y in zip(left, right)]
+    if mirror:
+        lower = np.tril_indices(len(rows), -1)
+        matrix[lower] = matrix.T[lower]
     aggregate = float(np.mean([matrix[i, j] for i, j in common]))
     return SimilarityReport(rows, cols, matrix, aggregate)
 

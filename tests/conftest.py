@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import wideffn as w
-from wideffn import cli
+from wideffn import cli, similarity
 from wideffn.tensor import Tensor, matmul
 from wideffn.training import AdamState, Schedule, token_accuracy, train
 from wideffn.vocab import EOS, generate_toy_task
@@ -24,6 +24,19 @@ def tiny_config(**overrides):
     kw = dict(n_enc=2, n_dec=2, d_model=16, d_ff=32, heads=2, vocab_size=12, dropout=0.0)
     kw.update(overrides)
     return w.ModelConfig(**kw)
+
+
+def count_scored_cells(monkeypatch) -> list[int]:
+    """A list that gets, for each similarity metric call, the cells it
+    scores: one for a `linear_cka` call or an `lns` call on two spaces, and
+    one per pair for an `lns` call on two lists of spaces."""
+    cells = []
+    cka, lns = similarity.linear_cka, similarity.lns
+    monkeypatch.setattr(similarity, "linear_cka",
+                        lambda *a, **k: cells.append(1) or cka(*a, **k))
+    monkeypatch.setattr(similarity, "lns", lambda a, b, **k: cells.append(
+        len(a) if isinstance(a, list) else 1) or lns(a, b, **k))
+    return cells
 
 
 def total(x):

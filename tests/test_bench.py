@@ -164,6 +164,13 @@ def test_a_search_of_no_sources_returns_no_outputs(arch):
         search(m, [], 0, 4)
 
 
+def test_decode_corpus_refuses_a_batch_size_that_is_no_positive_int():
+    m = w.build_model(tiny_config(), seed=6)
+    for batch_size in (0, 1.0):
+        with pytest.raises(ConfigError, match="batch_size"):
+            decode_corpus(m, [[4, 5, 6]], batch_size, 1, 4)
+
+
 def test_beam_one_equals_greedy_under_exact_ties():
     m = Scripted({(): {3: 0.4, 4: 0.4, EOS: 0.2}, (3,): {EOS: 0.9}})
     assert decode_greedy(m, [7], max_len=5) == [3]

@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 import yaml
 
-from wideffn import cli, similarity, training
+from wideffn import cli, training
 from wideffn.bench import decode_corpus
 from wideffn.cli import RunConfig, load_run_config, main, write_csv
 from wideffn.counting import count_params
 from wideffn.errors import ConfigError, NumericError
 from wideffn.training import Schedule
+
+from conftest import count_scored_cells
 
 BASE_DOC = {
     "seed": 3,
@@ -28,6 +30,15 @@ BASE_DOC = {
 }
 
 
+class RunFileDumper(yaml.SafeDumper):
+    """PyYAML's safe dumper, resolving plain scalars as the run-file loader
+    does, so it quotes a string such as '1e5' that would load as a float."""
+
+    yaml_implicit_resolvers = {
+        first: list(resolvers)
+        for first, resolvers in cli.run_file_loader(yaml.SafeLoader).yaml_implicit_resolvers.items()}
+
+
 def write_config(tmp_path, name="run.yaml", **edits):
     doc = json.loads(json.dumps(BASE_DOC))  # deep copy
     for key, val in edits.items():
@@ -39,8 +50,13 @@ def write_config(tmp_path, name="run.yaml", **edits):
         else:
             doc[key] = val
     p = tmp_path / name
-    p.write_text(yaml.safe_dump(doc))
+    p.write_text(yaml.dump(doc, Dumper=RunFileDumper))
     return str(p)
+
+
+def test_write_config_quotes_a_string_the_loader_would_read_as_a_float(tmp_path):
+    path = write_config(tmp_path, task=..., corpus={"src": "1e5", "tgt": "t.txt"})
+    assert load_run_config(path).corpus == {"src": "1e5", "tgt": "t.txt"}
 
 
 @pytest.fixture()
@@ -207,20 +223,16 @@ def test_compare_scores_a_benchmark_only_on_the_layers_it_reads(tmp_path, monkey
         paths.append(str(tmp_path / f"{seed}.ckpt"))
         cfg = write_config(tmp_path, name=f"run{seed}.yaml", seed=seed, **edit)
         assert main(["train", "--config", cfg, "--out", paths[-1]]) == 0
-    calls = []
-    for name in ("linear_cka", "lns"):
-        fn = getattr(similarity, name)
-        monkeypatch.setattr(similarity, name,
-                            lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    cells = count_scored_cells(monkeypatch)
     cfg = write_config(tmp_path)
     for metric, k in (("cka", []), ("lns", ["--k", "1"])):
-        calls.clear()
+        cells.clear()
         assert main(["compare", "--config", cfg, "--a", paths[0], "--b", paths[1],
                      "--benchmark", paths[2], "--metric", metric, *k,
                      "--out-dir", str(tmp_path / metric)]) == 0
         # a against b: 4 x 4 encoder and 6 x 6 decoder cells; a against the
         # NoDec benchmark: its 4 encoder and 4 decoder taps, one cell each
-        assert len(calls) == 16 + 36 + 4 + 4, metric
+        assert sum(cells) == 16 + 36 + 4 + 4, metric
 
 
 def test_compare_without_benchmark_has_no_normalized(tmp_path, trained_ckpt):

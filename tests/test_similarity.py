@@ -20,7 +20,7 @@ from wideffn.similarity import (
 from wideffn.transformer import EVAL_ROWS
 from wideffn.vocab import Corpus, generate_toy_task
 
-from conftest import tiny_config
+from conftest import count_scored_cells, tiny_config
 
 
 def _mat(values, h="hash"):
@@ -163,6 +163,35 @@ def test_knn_table_rows_equal_the_per_row_oracle(monkeypatch):
             assert knn(x, k).tolist() == _knn_oracle(x, k), (cells, k)
 
 
+def test_a_stack_of_spaces_gets_each_space_s_table_bytes(monkeypatch):
+    rng = np.random.default_rng(31)
+    stack = rng.standard_normal((5, 60, 7)).astype(np.float32)
+    stack[:, rng.integers(0, 60, 20)] = stack[:, rng.integers(0, 60, 20)]  # exact ties
+    stack[1, [0, 33]] = 0.0
+    stack[3, 59] = 0.0
+    want = {k: [knn(space, k) for space in stack] for k in (1, 4, 59)}
+    # blocks of one row, of a partial 7 rows of every space, of 13 rows, and
+    # of every row
+    for cells in (1, 7 * 5 * 60, 13 * 5 * 60, similarity.ROW_BLOCK_CELLS):
+        monkeypatch.setattr(similarity, "ROW_BLOCK_CELLS", cells)
+        for k, tables in want.items():
+            got = knn(stack, k)
+            assert got.shape == (5, 60, k)
+            for space, table in enumerate(tables):
+                assert got[space].tobytes() == table.tobytes(), (cells, k, space)
+            assert knn(stack[3:4], k)[0].tobytes() == tables[3].tobytes(), (cells, k)
+
+
+def test_a_stack_warns_once_per_table_with_zero_rows(caplog):
+    stack = np.ones((3, 4, 2))
+    stack[0, 1] = stack[2, :2] = 0.0
+    with caplog.at_level(logging.WARNING, logger="wideffn.similarity"):
+        knn(stack, 2)
+    assert [r.message for r in caplog.records] == [
+        "knn: 1 all-zero rows treated as distance 1 from everything",
+        "knn: 2 all-zero rows treated as distance 1 from everything"]
+
+
 def test_knn_and_lns_hold_a_row_block_not_the_whole_space():
     rng = np.random.default_rng(21)
     space = rng.standard_normal((3000, 16)).astype(np.float32)
@@ -263,6 +292,57 @@ def test_lns_needs_two_rows():
         lns(np.ones((1, 3)), np.ones((1, 3)))
 
 
+def test_lns_of_paired_spaces_equals_the_lns_of_each_pair_bytes(monkeypatch):
+    rng = np.random.default_rng(32)
+    spaces = _spaces_with_ties_and_zero_rows(rng)[:3]  # three 32 x 64 spaces
+    spaces.append(spaces[0] + rng.normal(0.0, 0.3, spaces[0].shape).astype(np.float32))
+    spaces[1][[3, 17]] = 0.0
+    cells = [(0, 1), (2, 2), (3, 0), (1, 3), (0, 1), (2, 0)]  # any set, repeats too
+    for k in (1, 3, 31):
+        want = [lns(spaces[i], spaces[j], k=k) for i, j in cells]
+        # blocks of one row, of 3 rows of one cell, of 2 whole cells, and of every cell
+        for block in (1, 3 * k * k, 2 * 32 * k * k, similarity.ROW_BLOCK_CELLS):
+            monkeypatch.setattr(similarity, "ROW_BLOCK_CELLS", block)
+            mats = [_mat(space) for space in spaces]
+            got = lns([mats[i] for i, _ in cells], [mats[j] for _, j in cells], k=k)
+            assert got.tolist() == want, (k, block)
+            assert lns(np.stack(spaces[:2]), np.stack(spaces[2:]), k=k).tolist() == \
+                [lns(spaces[0], spaces[2], k=k), lns(spaces[1], spaces[3], k=k)]
+
+
+def test_lns_of_paired_spaces_makes_one_knn_call_per_side(monkeypatch):
+    rng = np.random.default_rng(34)
+    a, b = ([_mat(rng.standard_normal((20, 4))) for _ in range(3)] for _ in range(2))
+    calls = []
+    monkeypatch.setattr(similarity, "knn", lambda x, k: calls.append(x.shape) or knn(x, k))
+    lns([a[0], a[1], a[0], a[2]], [b[0], b[0], b[1], b[2]], k=2)
+    assert calls == [(3, 20, 4), (3, 20, 4)]
+    lns(a[:2], b[1:], k=2)  # every table is kept on its matrix
+    assert len(calls) == 2
+    with pytest.raises(DataError):
+        lns(a, b[:2], k=2)
+
+
+def test_lns_over_tap_stacks_holds_blocks_not_every_id_test():
+    rng = np.random.default_rng(33)
+    taps_a, taps_b = ([_mat(rng.standard_normal((1000, 8))) for _ in range(8)] for _ in range(2))
+    left = [a for a in taps_a for _ in taps_b]
+    right = [b for _ in taps_a for b in taps_b]
+    lns(left, right, k=50)  # builds the tables and keeps them
+    tracemalloc.start()
+    try:
+        got = lns(left, right, k=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = 2 * 8 * 1000 * 50 * 8  # both sides' stacked tables
+    scores = 3 * 64 * 1000 * 8  # each cell's row counts, ratios and running sums
+    bound = tables + scores + 4 * similarity.ROW_BLOCK_CELLS * 8
+    assert peak < bound, (peak, bound)  # every (cell, row, id, id) test at once is 160 MB
+    assert got[[0, 9]].tolist() == [lns(taps_a[0].values, taps_b[0].values, k=50),
+                                    lns(taps_a[1].values, taps_b[1].values, k=50)]
+
+
 def test_normalization_reads_benchmark_as_100():
     assert normalize_against_benchmark(94.0, [96.0]) == pytest.approx(97.9166667)
     assert normalize_against_benchmark(0.5, [0.4, 0.6]) == pytest.approx(100.0)
@@ -350,6 +430,32 @@ def test_sentence_means_equal_np_mean_with_where_bytes():
             assert got[side][name].values.tobytes() == np.concatenate(parts).tobytes()
 
 
+@pytest.mark.parametrize("arch", ["encoder-decoder", "decoder-only"])
+def test_stacked_sentence_means_equal_each_tap_s_masked_mean_bytes(arch):
+    # a ragged probe of 1 to 12 tokens a sentence over several chunks; the
+    # oracle is one masked sum per tap, divided as np.mean does
+    n_enc = 0 if arch == "decoder-only" else 2
+    m = w.build_model(tiny_config(n_enc=n_enc, architecture=arch), seed=7)
+    corpus = generate_toy_task("copy", 3 * (EVAL_ROWS // 24) + 7, (1, 12), 12, seed=8)
+    assert {len(src) for src, _ in corpus.pairs} == set(range(1, 13))
+    oracle = {}
+    for chunk, _, sides in m.eval_chunks(corpus.pairs):
+        for side, taps in sides.items():
+            lengths = np.array([len(m.inputs(src, tgt)[side]) for src, tgt in chunk])[:, None]
+            for name, tensor in taps.items():
+                blocks = tensor.data.reshape(len(chunk), -1, tensor.shape[1])
+                real = (np.arange(blocks.shape[1]) < lengths)[:, :, None]
+                means = np.add.reduce(blocks, axis=1, where=real)
+                np.true_divide(means, lengths, out=means, casting="unsafe")
+                oracle.setdefault(side, {}).setdefault(name, []).append(means)
+    got = collect_activations(m, corpus)
+    assert list(got) == list(oracle)
+    for side, taps in oracle.items():
+        assert list(got[side]) == list(taps)
+        for name, parts in taps.items():
+            assert got[side][name].values.tobytes() == np.concatenate(parts).tobytes()
+
+
 def test_activation_values_are_a_read_only_copy():
     given = np.ones((3, 2), dtype=np.float32)
     mat = _mat(given)
@@ -375,6 +481,22 @@ def test_pairwise_matrices_equal_the_metric_on_raw_arrays():
                     assert rep.matrix[i, j] == want[r, c], (metric, k, r, c)
 
 
+def test_every_lns_cell_set_of_a_report_equals_per_cell_lns_bytes(monkeypatch):
+    ta, tb = _two_tap_sets()
+    tc = {name: tb[name] for name in ("0.sa", "1.sa", "1.ffn")}
+    for block in (1, 7, similarity.ROW_BLOCK_CELLS):
+        monkeypatch.setattr(similarity, "ROW_BLOCK_CELLS", block)
+        for a, b, only in ((ta, tb, False), (ta, tc, True), (ta, ta, False), (ta, ta, True)):
+            rep = pairwise_layer_similarity(a, b, metric="lns", k=3, aggregate_only=only)
+            scored = ~np.isnan(rep.matrix)
+            for i, r in enumerate(rep.row_labels):
+                for j, c in enumerate(rep.col_labels):
+                    if scored[i, j]:
+                        assert rep.matrix[i, j] == lns(a[r].values, b[c].values, k=3), (r, c)
+            assert scored.sum() == (len(a) * len(b) if not only else
+                                    len(set(a) & set(b))), (block, only)
+
+
 def test_pairwise_report_layout_and_aggregate():
     ta, tb = _two_tap_sets()
     rep = pairwise_layer_similarity(ta, tb, metric="cka")
@@ -388,16 +510,13 @@ def test_pairwise_report_layout_and_aggregate():
 def test_an_aggregate_only_report_scores_only_the_cells_its_aggregate_reads(monkeypatch):
     ta, tb = _two_tap_sets()
     tb = {name: tb[name] for name in ("0.sa", "1.sa", "1.ffn")}
-    calls = []
-    for name in ("linear_cka", "lns"):
-        fn = getattr(similarity, name)
-        monkeypatch.setattr(similarity, name,
-                            lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    cells = count_scored_cells(monkeypatch)
     for metric, k in (("cka", None), ("lns", 2)):
         full = pairwise_layer_similarity(ta, tb, metric=metric, k=k)
-        calls.clear()
+        cells.clear()
         rep = pairwise_layer_similarity(ta, tb, metric=metric, k=k, aggregate_only=True)
-        assert len(calls) == 3, metric
+        assert sum(cells) == 3, metric
+        assert len(cells) == (3 if metric == "cka" else 1), metric  # lns scores a list at once
         assert rep.aggregate == full.aggregate, metric
         assert (rep.row_labels, rep.col_labels) == (full.row_labels, full.col_labels)
         read = np.array([[r == c for c in rep.col_labels] for r in rep.row_labels])

@@ -85,11 +85,13 @@ def test_tracer_spans_and_counts_the_similarity_verbs(tmp_path):
     assert {"similarity.lns", "similarity.knn", "similarity.pairwise_layer_similarity",
             "checkpoint.load_checkpoint", "cli.main"} <= names
     assert selfsim_cells > 0
-    # one neighbour table per activation matrix of the compare, however many
-    # cells use it: --a's tables also serve the --benchmark comparison
+    # one knn call per side of each model of the compare, over that side's
+    # stacked taps, however many cells use them: --a's tables also serve the
+    # --benchmark comparison; one lns call per report, whatever its cells
     cfg = tiny_config()
     assert tracer.counts["similarity.cells"] > selfsim_cells
-    assert tracer.counts["similarity.knn_calls"] == 3 * (2 * cfg.n_enc + 3 * cfg.n_dec)
+    assert tracer.counts["similarity.knn_calls"] == 3 * 2
+    assert tracer.times_by_name(0, tracer.n_spans())["similarity.lns"]["calls"] == 2 * 2
     assert tracer.counts["checkpoint.bytes_read"] > 0
     # one encoder and one decoder forward per model per evaluation chunk of
     # the 8 probe pairs: one model for selfsim, three for compare

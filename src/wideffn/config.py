@@ -18,7 +18,7 @@ ATTN_KINDS = ("Individual", "SharedAll")
 # and one content id; only a shared FFN may be 0 wide, which makes it NoOp.
 MINIMUMS = {"n_enc": 0, "n_dec": 1, "d_model": 1, "d_ff": 1, "heads": 1, "vocab_size": 5,
             "max_len": 1, "d_ff_shared": 0, "d_ff_enc": 1, "d_ff_dec": 1, "seed": 0,
-            "steps": 0, "batch_size": 1, "warmup_steps": 1, "count": 1, "beam": 1}
+            "steps": 0, "batch_size": 1, "warmup_steps": 1, "count": 1, "beam": 1, "limit": 1}
 
 
 def typed(kind, value, name: str, what: str | None = None):

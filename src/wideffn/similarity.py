@@ -2,9 +2,13 @@
 
 Activation matrices are n_sentences x d_model, one row per sentence (mean
 over that sentence's real positions), collected with dropout off and the
-decoder force-decoding the reference. Cross-model pairings insist on an
-identical probe corpus, enforced through a content hash carried on every
-ActivationMatrix.
+decoder force-decoding the reference.
+
+Both metrics take their inputs by one rule: two spaces give a float, and
+two equally long lists of spaces give each pair's score as an array. A
+space is an ActivationMatrix or an (n, d) array (a matrix written as nested
+lists is one space); every space of a call has the same n, and every
+ActivationMatrix of a call carries the content hash of one probe corpus.
 """
 
 from __future__ import annotations
@@ -96,25 +100,46 @@ def _centred(values: np.ndarray) -> tuple[np.ndarray, float]:
     return c, np.linalg.norm(c.T @ c)
 
 
-def linear_cka(a, b) -> float:
-    """Linear CKA between two activation sets with matched rows.
+def _paired(a, b) -> tuple[list, list, bool]:
+    """`a` and `b` as two equally long lists of spaces, checked by the
+    module's one input rule, and whether they were two spaces. A list or
+    tuple whose first entry is an ActivationMatrix or an array is a list of
+    spaces; anything else is one space."""
+    lists = [isinstance(x, (list, tuple)) and len(x) > 0
+             and isinstance(x[0], (ActivationMatrix, np.ndarray)) for x in (a, b)]
+    left, right = ([s if isinstance(s, ActivationMatrix) else np.asarray(s)
+                    for s in (x if several else [x])] for x, several in zip((a, b), lists))
+    if lists[0] != lists[1] or len(left) != len(right):
+        raise DataError("a metric pairs two spaces or two equally long lists of spaces, "
+                        f"got {len(left)} and {len(right)}")
+    distinct = {id(s): s for s in left + right}.values()
+    for s in distinct:
+        if _values(s).ndim != 2:
+            raise DataError(f"a space is an (n, d) matrix, got shape {_values(s).shape}")
+    if len({s.corpus_hash for s in distinct if isinstance(s, ActivationMatrix)}) > 1:
+        raise DataError("activation matrices come from different corpora")
+    counts = sorted({len(_values(s)) for s in distinct})
+    if len(counts) != 1:
+        raise DataError(f"row counts differ: {counts}")
+    return left, right, not lists[0]
+
+
+def linear_cka(a, b):
+    """Linear CKA between two spaces with matched rows, or of each pair
+    a[c], b[c] of two lists of spaces.
 
     Columns are mean-centered internally; the statistic is
     ||A^T B||_F^2 / (||A^T A||_F * ||B^T B||_F), invariant to orthogonal
     maps and isotropic scaling of either side. Degenerate (all-constant)
     inputs give 0.
     """
-    va, vb = _values(a), _values(b)
-    if va.ndim != 2 or vb.ndim != 2:
-        raise DataError("linear_cka needs rank-2 inputs")
-    if va.shape[0] != vb.shape[0]:
-        raise DataError(f"row counts differ: {va.shape[0]} vs {vb.shape[0]}")
-    a, norm_a = _prepared(a, "centred", _centred)
-    b, norm_b = _prepared(b, "centred", _centred)
-    cross = np.linalg.norm(a.T @ b) ** 2
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return float(cross / (norm_a * norm_b))
+    left, right, one = _paired(a, b)
+    scores = []
+    for x, y in zip(left, right):
+        (cx, nx), (cy, ny) = _prepared(x, "centred", _centred), _prepared(y, "centred", _centred)
+        scores.append(0.0 if nx == 0.0 or ny == 0.0 else
+                      float(np.linalg.norm(cx.T @ cy) ** 2 / (nx * ny)))
+    return scores[0] if one else np.array(scores)
 
 
 def knn(space, k: int) -> np.ndarray:
@@ -158,20 +183,6 @@ def default_k(n: int) -> int:
     return max(1, math.ceil(0.05 * n))
 
 
-def _spaces(x) -> tuple[list, bool]:
-    """`x` as a list of spaces, and whether it was one space: an
-    ActivationMatrix or an (n, d) array is one; a list of them or an
-    (L, n, d) array is several."""
-    if isinstance(x, (list, tuple)) and x and isinstance(x[0], (ActivationMatrix, np.ndarray)):
-        return list(x), False
-    if isinstance(x, ActivationMatrix):
-        return [x], True
-    values = np.asarray(x)
-    if values.ndim not in (2, 3):
-        raise DataError(f"lns needs an (n, d) space or a list of them, got {values.shape}")
-    return ([values], True) if values.ndim == 2 else (list(values), False)
-
-
 def _tables(spaces: list, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k-NN tables of the distinct spaces in `spaces`, transposed and
     stacked: ids[l, j] holds the j-th neighbour of every row of space l, an
@@ -180,14 +191,9 @@ def _tables(spaces: list, k: int) -> tuple[np.ndarray, np.ndarray]:
     their stacked spaces, and are kept on it."""
     key = ("knn", k)
     distinct = list({id(s): s for s in spaces}.values())
-    fresh = [s for s in distinct if not (isinstance(s, ActivationMatrix) and key in s._derived)]
-    made = {}
-    if fresh:
-        for s, table in zip(fresh, knn(np.stack([_values(s) for s in fresh]), k)):
-            made[id(s)] = table
-            if isinstance(s, ActivationMatrix):
-                s._derived[key] = table
-    ids = np.array([(made[id(s)] if id(s) in made else s._derived[key]).T for s in distinct])
+    fresh = [s for s in distinct if key not in getattr(s, "_derived", ())]
+    made = dict(zip(map(id, fresh), knn(np.stack([_values(s) for s in fresh]), k))) if fresh else {}
+    ids = np.array([_prepared(s, key, lambda _: made[id(s)]).T for s in distinct])
     where = {id(s): i for i, s in enumerate(distinct)}
     return ids, np.array([where[id(s)] for s in spaces], dtype=np.intp)
 
@@ -215,28 +221,16 @@ def lns(a, b, k: int | None = None):
     """Local neighborhood similarity: mean Jaccard overlap of the rows of
     the two spaces' k-NN tables, summed in row order.
 
-    `a` and `b` are two spaces, which give a float, or two equally long
-    lists of spaces (or (L, n, d) stacks), which give the LNS of each pair
-    a[c], b[c] as an array, from one `knn` call per side over its distinct
-    spaces and one blocked pass over every pair's rows. All spaces must
-    describe the same sentences in the same order; when ActivationMatrix
-    metadata is available the corpus hashes must agree.
+    Two spaces give a float, and two equally long lists of spaces give the
+    LNS of each pair a[c], b[c] as an array, from one `knn` call per side
+    over its distinct spaces and one blocked pass over every pair's rows.
     """
-    spaces_a, one = _spaces(a)
-    spaces_b, one_b = _spaces(b)
-    if one != one_b or len(spaces_a) != len(spaces_b):
-        raise DataError(f"lns pairs spaces: got {len(spaces_a)} and {len(spaces_b)}")
-    distinct = {id(s): s for s in spaces_a + spaces_b}.values()
-    if len({s.corpus_hash for s in distinct if isinstance(s, ActivationMatrix)}) > 1:
-        raise DataError("activation matrices come from different corpora")
-    counts = {_values(s).shape[0] for s in distinct}
-    if len(counts) != 1:
-        raise DataError(f"row counts differ: {sorted(counts)}")
-    n = counts.pop()
+    left, right, one = _paired(a, b)
+    n = len(_values(left[0]))
     if n < 2:
         raise DataError("need at least 2 rows for neighborhoods")
     k = default_k(n) if k is None else k
-    scores = _lns_cells(*_tables(spaces_a, k), *_tables(spaces_b, k))
+    scores = _lns_cells(*_tables(left, k), *_tables(right, k))
     return float(scores[0]) if one else scores
 
 
@@ -265,8 +259,8 @@ def pairwise_layer_similarity(taps_a: dict[str, ActivationMatrix],
 
     One tap set given twice (`selfsim`) gets its upper triangle mirrored.
     With `aggregate_only` only the cells the aggregate reads are scored,
-    and every other cell is NaN. LNS scores all the cells in one `lns`
-    call; CKA takes one `linear_cka` call per cell.
+    and every other cell is NaN. Every scored cell comes from one metric
+    call over two lists of spaces.
 
     The aggregate averages the diagonal over module names present in both
     models; tap sets from `collect_activations` always share every layer's
@@ -276,9 +270,6 @@ def pairwise_layer_similarity(taps_a: dict[str, ActivationMatrix],
         raise DataError("empty activation tap set")
     if metric not in ("cka", "lns"):
         raise ConfigError(f"unknown metric {metric!r}; use 'cka' or 'lns'")
-    hashes = {m.corpus_hash for m in taps_a.values()} | {m.corpus_hash for m in taps_b.values()}
-    if len(hashes) != 1:
-        raise DataError("activation sets come from different corpora")
     rows = sorted(taps_a, key=_label_key)
     cols = sorted(taps_b, key=_label_key)
     common = [(i, cols.index(name)) for i, name in enumerate(rows) if name in taps_b]
@@ -288,12 +279,8 @@ def pairwise_layer_similarity(taps_a: dict[str, ActivationMatrix],
     mirror = taps_a is taps_b
     cells = common if aggregate_only else [
         (i, j) for i, j in np.ndindex(matrix.shape) if not (mirror and j < i)]
-    left = [taps_a[rows[i]] for i, _ in cells]
-    right = [taps_b[cols[j]] for _, j in cells]
-    if metric == "lns":
-        matrix[tuple(zip(*cells))] = lns(left, right, k=k)
-    else:
-        matrix[tuple(zip(*cells))] = [linear_cka(x, y) for x, y in zip(left, right)]
+    pairs = [taps_a[rows[i]] for i, _ in cells], [taps_b[cols[j]] for _, j in cells]
+    matrix[tuple(zip(*cells))] = lns(*pairs, k=k) if metric == "lns" else linear_cka(*pairs)
     if mirror:
         lower = np.tril_indices(len(rows), -1)
         matrix[lower] = matrix.T[lower]

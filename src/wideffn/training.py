@@ -2,8 +2,9 @@
 
 Batches are index groups over the corpus. A step runs its batch as one
 right-padded block on one tape, and the batch loss is the mean negative
-log-likelihood over all predicted (non-pad) positions in the batch, which
-equals the token-weighted mean of the per-pair losses.
+log-likelihood over the rows `target_labels` returns, those that predict
+each pair's tgt <eos>, which equals the token-weighted mean of the per-pair
+losses.
 """
 
 from __future__ import annotations
@@ -137,9 +138,7 @@ def token_accuracy(model: TransformerModel, corpus: Corpus, limit: int | None = 
     """Teacher-forced next-token accuracy over the corpus (or its first
     `limit` pairs): the share of tgt + <eos> labels that are the argmax of
     their logits row, run in the model's padded evaluation chunks."""
-    if limit is not None and limit < 1:
-        raise ConfigError(f"limit must be at least 1, got {limit}")
-    pairs = corpus.pairs[:limit]
+    pairs = corpus.pairs[:limit if limit is None else typed(int, limit, "limit")]
     if not pairs:
         raise ConfigError("empty corpus")
     hit = total = 0

@@ -27,15 +27,14 @@ def tiny_config(**overrides):
 
 
 def count_scored_cells(monkeypatch) -> list[int]:
-    """A list that gets, for each similarity metric call, the cells it
-    scores: one for a `linear_cka` call or an `lns` call on two spaces, and
-    one per pair for an `lns` call on two lists of spaces."""
+    """A list that gets, for each `linear_cka` or `lns` call, the cells it
+    scores: one for a call on two spaces, and one per pair for a call on two
+    lists of spaces."""
     cells = []
-    cka, lns = similarity.linear_cka, similarity.lns
-    monkeypatch.setattr(similarity, "linear_cka",
-                        lambda *a, **k: cells.append(1) or cka(*a, **k))
-    monkeypatch.setattr(similarity, "lns", lambda a, b, **k: cells.append(
-        len(a) if isinstance(a, list) else 1) or lns(a, b, **k))
+    for name in ("linear_cka", "lns"):
+        metric = getattr(similarity, name)
+        monkeypatch.setattr(similarity, name, lambda a, b, metric=metric, **k: cells.append(
+            len(a) if isinstance(a, list) else 1) or metric(a, b, **k))
     return cells
 
 

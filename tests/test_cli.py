@@ -230,9 +230,10 @@ def test_compare_scores_a_benchmark_only_on_the_layers_it_reads(tmp_path, monkey
         assert main(["compare", "--config", cfg, "--a", paths[0], "--b", paths[1],
                      "--benchmark", paths[2], "--metric", metric, *k,
                      "--out-dir", str(tmp_path / metric)]) == 0
-        # a against b: 4 x 4 encoder and 6 x 6 decoder cells; a against the
-        # NoDec benchmark: its 4 encoder and 4 decoder taps, one cell each
-        assert sum(cells) == 16 + 36 + 4 + 4, metric
+        # one call per report, side by side: a against b, 4 x 4 encoder and
+        # 6 x 6 decoder cells; a against the NoDec benchmark, its 4 encoder
+        # and 4 decoder taps, one cell each
+        assert cells == [16, 4, 36, 4], metric
 
 
 def test_compare_without_benchmark_has_no_normalized(tmp_path, trained_ckpt):

@@ -83,6 +83,40 @@ def test_cka_row_count_mismatch():
         linear_cka(np.zeros((3, 2)), np.zeros((4, 2)))
 
 
+def test_cka_of_paired_spaces_equals_the_cka_of_each_pair_bytes():
+    rng = np.random.default_rng(35)
+    spaces = [rng.standard_normal((16, d)).astype(np.float32) for d in (3, 8, 5)]
+    spaces.append(np.ones((16, 4), dtype=np.float32))  # a constant side scores 0
+    cells = [(0, 1), (2, 2), (3, 0), (1, 3), (0, 1), (2, 0), (3, 3)]  # repeats too
+    want = np.array([linear_cka(spaces[i], spaces[j]) for i, j in cells])
+    assert want[[2, 3, 6]].tolist() == [0.0, 0.0, 0.0]
+    mats = [_mat(space) for space in spaces]
+    for given in (spaces, mats):  # raw arrays, then matrices that keep their centring
+        for _ in range(2):
+            got = linear_cka([given[i] for i, _ in cells], [given[j] for _, j in cells])
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert linear_cka(tuple(mats[:2]), tuple(spaces[2:])).tolist() == \
+        [linear_cka(spaces[0], spaces[2]), linear_cka(spaces[1], spaces[3])]
+
+
+@pytest.mark.parametrize("metric", [linear_cka, lns])
+def test_both_metrics_take_inputs_by_one_rule(metric):
+    rng = np.random.default_rng(37)
+    space = rng.standard_normal((6, 3))
+    stack = np.stack([space, space])
+    for a, b in ((stack, stack), (space, stack), (stack, space), (space[0], space)):
+        with pytest.raises(DataError, match=r"an \(n, d\) matrix"):
+            metric(a, b)
+    for a, b in (([space], space), ([space, space], [space]), ([space], [space[:5]])):
+        with pytest.raises(DataError):
+            metric(a, b)
+    one, other = _mat(space, h="aaa"), _mat(space, h="bbb")
+    for a, b in ((one, other), ([one, one], [one, other])):
+        with pytest.raises(DataError, match="different corpora"):
+            metric(a, b)
+    assert metric(space.tolist(), space) == metric(space, space)  # nested lists: one space
+
+
 # ----------------------------------------------------------------------- kNN
 
 def test_knn_ordering_by_cosine_angle():
@@ -306,7 +340,7 @@ def test_lns_of_paired_spaces_equals_the_lns_of_each_pair_bytes(monkeypatch):
             mats = [_mat(space) for space in spaces]
             got = lns([mats[i] for i, _ in cells], [mats[j] for _, j in cells], k=k)
             assert got.tolist() == want, (k, block)
-            assert lns(np.stack(spaces[:2]), np.stack(spaces[2:]), k=k).tolist() == \
+            assert lns(spaces[:2], spaces[2:], k=k).tolist() == \
                 [lns(spaces[0], spaces[2], k=k), lns(spaces[1], spaces[3], k=k)]
 
 
@@ -515,8 +549,7 @@ def test_an_aggregate_only_report_scores_only_the_cells_its_aggregate_reads(monk
         full = pairwise_layer_similarity(ta, tb, metric=metric, k=k)
         cells.clear()
         rep = pairwise_layer_similarity(ta, tb, metric=metric, k=k, aggregate_only=True)
-        assert sum(cells) == 3, metric
-        assert len(cells) == (3 if metric == "cka" else 1), metric  # lns scores a list at once
+        assert cells == [3], metric  # one call scores every cell
         assert rep.aggregate == full.aggregate, metric
         assert (rep.row_labels, rep.col_labels) == (full.row_labels, full.col_labels)
         read = np.array([[r == c for c in rep.col_labels] for r in rep.row_labels])
@@ -535,17 +568,11 @@ def test_decoder_labels_follow_execution_order():
 def test_self_similarity_is_exactly_symmetric_from_the_upper_triangle(monkeypatch):
     corpus = generate_toy_task("copy", 8, (3, 5), 12, seed=2)
     taps = collect_activations(w.build_model(tiny_config(), seed=2), corpus)["decoder"]
-    calls = []
-
-    def counted(a, b):
-        calls.append((a, b))
-        return linear_cka(a, b)
-
-    monkeypatch.setattr(similarity, "linear_cka", counted)
+    cells = count_scored_cells(monkeypatch)
     rep = pairwise_layer_similarity(taps, taps)
     n = len(rep.row_labels)
     assert np.array_equal(rep.matrix, rep.matrix.T)
-    assert len(calls) == n * (n + 1) // 2
+    assert cells == [n * (n + 1) // 2]  # one call scores the upper triangle
     for i, r in enumerate(rep.row_labels):
         for j, c in enumerate(rep.col_labels[i:], start=i):
             assert rep.matrix[i, j] == linear_cka(taps[r], taps[c])

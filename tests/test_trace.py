@@ -79,22 +79,29 @@ def test_tracer_spans_and_counts_the_similarity_verbs(tmp_path):
         assert cli.main(["compare", "--config", str(run), "--a", ckpts[0], "--b", ckpts[1],
                          "--benchmark", ckpts[2], "--metric", "lns",
                          "--out-dir", str(tmp_path / "lns")]) == 0
+        assert cli.main(["compare", "--config", str(run), "--a", ckpts[0], "--b", ckpts[1],
+                         "--benchmark", ckpts[2], "--metric", "cka",
+                         "--out-dir", str(tmp_path / "cka")]) == 0
     finally:
         tracer.remove()
-    names = set(tracer.times_by_name(0, tracer.n_spans()))
+    calls = {name: t["calls"] for name, t in tracer.times_by_name(0, tracer.n_spans()).items()}
     assert {"similarity.lns", "similarity.knn", "similarity.pairwise_layer_similarity",
-            "checkpoint.load_checkpoint", "cli.main"} <= names
+            "checkpoint.load_checkpoint", "cli.main"} <= set(calls)
     assert selfsim_cells > 0
-    # one knn call per side of each model of the compare, over that side's
-    # stacked taps, however many cells use them: --a's tables also serve the
-    # --benchmark comparison; one lns call per report, whatever its cells
+    # one knn call per side of each model of the lns compare, over that
+    # side's stacked taps, however many cells use them: --a's tables also
+    # serve the --benchmark comparison; one metric call per report, whatever
+    # its cells: two sides of selfsim, and two sides of --b and of
+    # --benchmark for each compare
     cfg = tiny_config()
     assert tracer.counts["similarity.cells"] > selfsim_cells
     assert tracer.counts["similarity.knn_calls"] == 3 * 2
-    assert tracer.times_by_name(0, tracer.n_spans())["similarity.lns"]["calls"] == 2 * 2
+    assert calls["similarity.lns"] == 2 * 2
+    assert calls["similarity.linear_cka"] == 2 + 2 * 2
+    assert tracer.counts["similarity.metric_calls"] == 2 + 2 * 2 + 2 * 2
     assert tracer.counts["checkpoint.bytes_read"] > 0
     # one encoder and one decoder forward per model per evaluation chunk of
-    # the 8 probe pairs: one model for selfsim, three for compare
+    # the 8 probe pairs: one model for selfsim, three for each compare
     probe = cli.build_corpus(cli.load_run_config(str(run))).pairs
     chunks = len(wideffn.build_model(cfg).chunk_pairs(probe))
-    assert tracer.counts["transformer.forward_calls"] == 4 * 2 * chunks
+    assert tracer.counts["transformer.forward_calls"] == 7 * 2 * chunks

@@ -257,8 +257,12 @@ def test_token_accuracy_bounds_and_limit():
     acc = token_accuracy(m, c, limit=8)
     assert 0.0 <= acc <= 1.0
     for limit in (0, -1):  # as a slice bound, -1 would drop the last pair
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="limit must be at least 1"):
             token_accuracy(m, c, limit=limit)
+    for limit in (True, 2.5, "8"):  # True would score one pair
+        with pytest.raises(ConfigError, match="limit must be int"):
+            token_accuracy(m, c, limit=limit)
+    assert token_accuracy(m, c, limit=np.int64(8)) == acc
 
 
 def test_matmul_training_smoke():

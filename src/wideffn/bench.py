@@ -2,8 +2,11 @@
 
 `search` is the one decoder: a batch of sources, every live hypothesis one
 row of the decoding state that `model.decode_rows` returns, stepped
-together. Greedy and beam decoding of one source, `measure_throughput`,
-`eval` and `score_sequence` all step that state.
+together. Greedy and beam decoding of one source, the throughput
+measurement, `eval` and `score_sequence` all step that state.
+
+`batch_size_sweep` is the one timed measurement; `measure_throughput` and
+`paired_delta_pct` are its one- and two-model views at one batch size.
 
 Scoring convention shared by search and score_sequence: a hypothesis's
 score is its summed token log-probability divided by the number of scored
@@ -14,7 +17,6 @@ greedy decoding exactly (ties break toward the lower token id).
 
 from __future__ import annotations
 
-import contextlib
 import math
 import threading
 import time
@@ -124,90 +126,76 @@ class ThroughputReport:
     n_batches: int
 
 
-@contextlib.contextmanager
-def _measuring(corpus: Corpus, batch_size: int):
-    """The corpus's sources, while no other measurement runs in this process,
-    since overlapping measurements would time each other."""
-    typed(int, batch_size, "batch_size")
-    if len(corpus) == 0:
-        raise DataError("empty corpus")
-    if not _MEASURE_LOCK.acquire(blocking=False):
-        raise ConfigError("another throughput measurement is already running")
-    try:
-        yield [src for src, _ in corpus.pairs]
-    finally:
-        _MEASURE_LOCK.release()
-
-
 def measure_throughput(model: TransformerModel, corpus: Corpus, batch_size: int = 1,
                        beam: int = 1, runs: int = 5, max_len: int = 32,
                        config_id: str = "model") -> ThroughputReport:
-    """Decode the corpus `runs` times, batch_size sources per search, after one
-    untimed warmup pass; reports mean and sample std of generated tokens/second.
-
-    Refuses to run while another measurement is in flight in this process.
-    """
-    if runs < 2:
-        raise ConfigError("need at least 2 timed runs for a std")
-    with _measuring(corpus, batch_size) as srcs:
-        rates = []
-        for run in range(runs + 1):
-            t0 = time.perf_counter()
-            tokens = sum(map(len, decode_corpus(model, srcs, batch_size, beam, max_len)))
-            if tokens == 0:
-                raise DataError("decoder generated no tokens; nothing to measure")
-            if run > 0:  # run 0 is the warm-up
-                rates.append(tokens / (time.perf_counter() - t0))
-    n_batches = math.ceil(len(srcs) / batch_size)
-    return ThroughputReport(config_id, batch_size, float(np.mean(rates)),
-                            float(np.std(rates, ddof=1)), runs, n_batches)
+    """One model's `batch_size_sweep` at one batch size: the mean and sample
+    std of generated tokens/second over `runs` timed passes, after one
+    untimed pass."""
+    row = batch_size_sweep([(config_id, model)], [batch_size], corpus, beam, runs, max_len)[0]
+    del row["config"], row["delta_pct"]
+    return ThroughputReport(**row)
 
 
 def paired_delta_pct(reference: TransformerModel, model: TransformerModel, corpus: Corpus,
                      batch_size: int = 1, beam: int = 1, runs: int = 5,
                      max_len: int = 32) -> float:
-    """Percent by which `model` decodes more tokens/s than `reference`:
-    100 * (median ratio of their rates - 1) over `runs` passes of pairs, each
-    pair one batch of batch_size sources decoded by both back to back, the
-    reference first in even pairs. A slowdown that comes and goes between
-    pairs slows both sides of a pair alike. Pairs in which a side generated
-    nothing are left out."""
-    if runs < 1:
-        raise ConfigError("need at least 1 run")
-    with _measuring(corpus, batch_size) as srcs:
-        batches = [srcs[at : at + batch_size] for at in range(0, len(srcs), batch_size)]
-        sides, ratios = (reference, model), []
-        for pair, batch in enumerate(batches * runs):
-            rates = [0.0, 0.0]
-            for side in (0, 1) if pair % 2 == 0 else (1, 0):
-                t0 = time.perf_counter()
-                tokens = sum(map(len, search(sides[side], batch, beam, max_len)))
-                rates[side] = tokens / (time.perf_counter() - t0)
-            if min(rates) > 0:
-                ratios.append(rates[1] / rates[0])
-    if not ratios:
-        raise DataError("decoder generated no tokens; nothing to measure")
-    return 100.0 * (float(np.median(ratios)) - 1.0)
+    """Percent by which `model` decodes more tokens/s than `reference`: the
+    `delta_pct` of their `batch_size_sweep` at one batch size."""
+    return batch_size_sweep([("reference", reference), ("model", model)], [batch_size],
+                            corpus, beam, runs, max_len)[1]["delta_pct"]
 
 
 def batch_size_sweep(models: list[tuple[str, TransformerModel]], batch_sizes: list[int],
                      corpus: Corpus, beam: int = 1, runs: int = 5,
                      max_len: int = 32) -> list[dict]:
-    """Throughput grid over models x batch sizes: each row is a report's
-    fields plus `config` and `delta_pct`, the `paired_delta_pct` of the model
-    against the first model at the same batch size (None for the first
-    model itself).
+    """Throughput grid over models x batch sizes. At each batch size every
+    model decodes the corpus once untimed, then every batch `runs` times, all
+    models back to back with the first of them rotating batch by batch, so a
+    slowdown that comes and goes slows every model of a batch alike.
+
+    A row is a `ThroughputReport` (mean and sample std over runs of a run's
+    generated tokens over its seconds) plus `config` and `delta_pct`, 100 *
+    (median per-batch rate ratio to the first model - 1) over the batches in
+    which both generated tokens (None for the first model). Refuses to run
+    while another measurement is in flight in this process.
     """
     if not models:
         raise ConfigError("no models to measure")
-    rows = []
-    for bs in batch_sizes:
-        for i, (config_id, model) in enumerate(models):
-            report = measure_throughput(model, corpus, batch_size=bs, beam=beam, runs=runs,
-                                        max_len=max_len, config_id=config_id)
-            delta = paired_delta_pct(models[0][1], model, corpus, bs, beam, runs, max_len) \
-                if i else None
-            rows.append({**vars(report), "config": config_id, "delta_pct": delta})
+    runs = typed(int, runs, "runs")
+    if len(corpus) == 0:
+        raise DataError("empty corpus")
+    if not _MEASURE_LOCK.acquire(blocking=False):
+        raise ConfigError("another throughput measurement is already running")
+    try:
+        srcs, rows = [src for src, _ in corpus.pairs], []
+        for bs in batch_sizes:
+            for _, model in models:  # the warm-up
+                decode_corpus(model, srcs, bs, beam, max_len)
+            batches = [srcs[at : at + bs] for at in range(0, len(srcs), bs)]
+            tokens = np.zeros((runs * len(batches), len(models)))  # one row per timed batch
+            seconds = np.zeros_like(tokens)
+            for i, batch in enumerate(batches * runs):
+                for m in [(i + j) % len(models) for j in range(len(models))]:
+                    t0 = time.perf_counter()
+                    tokens[i, m] = sum(map(len, search(models[m][1], batch, beam, max_len)))
+                    seconds[i, m] = time.perf_counter() - t0
+            run_rates = (tokens.reshape(runs, len(batches), -1).sum(axis=1)
+                         / seconds.reshape(runs, len(batches), -1).sum(axis=1))
+            rates = tokens / seconds
+            for m, (config_id, _) in enumerate(models):
+                kept = (tokens[:, 0] > 0) & (tokens[:, m] > 0)
+                if not kept.any():
+                    raise DataError(f"{config_id} generated no tokens in any batch it is "
+                                    "compared on; nothing to measure")
+                report = ThroughputReport(config_id, bs, float(run_rates[:, m].mean()),
+                                          float(np.std(run_rates[:, m], ddof=1)), runs,
+                                          len(batches))
+                delta = 100.0 * (float(np.median(rates[kept, m] / rates[kept, 0])) - 1.0) \
+                    if m else None
+                rows.append({**vars(report), "config": config_id, "delta_pct": delta})
+    finally:
+        _MEASURE_LOCK.release()
     return rows
 
 

@@ -15,10 +15,12 @@ ATTN_KINDS = ("Individual", "SharedAll")
 
 # The least value of each integer setting, under the name it has wherever it occurs: a
 # ModelConfig field, a run-file key or an argument. A vocabulary holds the 4 reserved ids
-# and one content id; only a shared FFN may be 0 wide, which makes it NoOp.
+# and one content id; only a shared FFN may be 0 wide, which makes it NoOp; a sample std
+# of timed runs takes 2.
 MINIMUMS = {"n_enc": 0, "n_dec": 1, "d_model": 1, "d_ff": 1, "heads": 1, "vocab_size": 5,
             "max_len": 1, "d_ff_shared": 0, "d_ff_enc": 1, "d_ff_dec": 1, "seed": 0,
-            "steps": 0, "batch_size": 1, "warmup_steps": 1, "count": 1, "beam": 1, "limit": 1}
+            "steps": 0, "batch_size": 1, "warmup_steps": 1, "count": 1, "beam": 1, "limit": 1,
+            "runs": 2, "k": 1}
 
 
 def typed(kind, value, name: str, what: str | None = None):

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import typed
 from .errors import ConfigError, DataError
 from .transformer import TransformerModel
 from .vocab import Corpus
@@ -229,7 +230,7 @@ def lns(a, b, k: int | None = None):
     n = len(_values(left[0]))
     if n < 2:
         raise DataError("need at least 2 rows for neighborhoods")
-    k = default_k(n) if k is None else k
+    k = default_k(n) if k is None else typed(int, k, "k")
     scores = _lns_cells(*_tables(left, k), *_tables(right, k))
     return float(scores[0]) if one else scores
 

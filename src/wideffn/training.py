@@ -31,7 +31,7 @@ class Schedule:
 
     def __post_init__(self):
         typed(int, self.warmup_steps, "warmup_steps")
-        if not (np.isfinite(self.base_lr) and self.base_lr > 0):
+        if not (np.isfinite(typed(float, self.base_lr, "base_lr")) and self.base_lr > 0):
             raise ConfigError(f"base_lr must be finite and positive, got {self.base_lr}")
 
 

@@ -258,25 +258,26 @@ def test_throughput_decodes_batch_size_sources_per_step(trained_copy_model, toy_
     srcs = [src for src, _ in corpus.pairs]
     greedy = [decode_greedy(trained_copy_model, src, max_len=12) for src in srcs]
     widths, tokens = [], []
-    forward, decode = transformer.decoder_forward, bench.decode_corpus
+    forward, search_ = transformer.decoder_forward, bench.search
 
     def counted_forward(model, enc_out, ids, *args, **kwargs):
         widths.append(np.shape(ids))
         return forward(model, enc_out, ids, *args, **kwargs)
 
-    def counted_decode(*args, **kwargs):
-        outs = decode(*args, **kwargs)
+    def counted_search(*args, **kwargs):
+        outs = search_(*args, **kwargs)
         tokens.append(sum(map(len, outs)))
         return outs
 
     monkeypatch.setattr(transformer, "decoder_forward", counted_forward)
-    monkeypatch.setattr(bench, "decode_corpus", counted_decode)
+    monkeypatch.setattr(bench, "search", counted_search)
     for b in (1, 3, 8):
         widths.clear()
         tokens.clear()
         rep = measure_throughput(trained_copy_model, corpus, batch_size=b, runs=2, max_len=12)
         assert rep.n_batches == math.ceil(8 / b)
-        assert tokens == [sum(map(len, greedy))] * 3  # the warm-up and two timed passes
+        # one search per batch in the warm-up and in each of two timed passes
+        assert tokens == [sum(map(len, greedy[at : at + b])) for at in range(0, 8, b)] * 3
         # one call a step per batch, until its longest row has emitted <eos>
         steps = sum(max(min(len(out) + 1, 12) for out in greedy[at : at + b])
                     for at in range(0, 8, b))
@@ -314,6 +315,29 @@ def test_throughput_lock_released_after_error():
         measure_throughput(Scripted({}), c, runs=2)
     assert _MEASURE_LOCK.acquire(blocking=False)
     _MEASURE_LOCK.release()
+
+
+def test_sweep_decodes_every_batch_by_every_model_back_to_back(monkeypatch):
+    """Per batch size: one untimed pass per model, then `runs` passes over
+    the batches, each batch decoded by every model with the first rotating;
+    (1 + runs) x models x batches searches in all."""
+    models = [("a", _drifter(3)), ("b", _drifter(4)), ("c", _drifter(5))]
+    names = {id(model): name for name, model in models}
+    calls, search_ = [], bench.search
+
+    def counted_search(model, batch, *args):
+        calls.append((names[id(model)], len(batch)))
+        return search_(model, batch, *args)
+
+    monkeypatch.setattr(bench, "search", counted_search)
+    batch_size_sweep(models, [1, 2, 8], _tiny_corpus(5), runs=3, max_len=8)
+    expected = []
+    for lengths in ([1] * 5, [2, 2, 1], [5]):
+        expected += [(name, n) for name, _ in models for n in lengths]
+        for i, n in enumerate(lengths * 3):
+            expected += [(models[(i + j) % 3][0], n) for j in range(3)]
+    assert calls == expected
+    assert len(calls) == (1 + 3) * 3 * (5 + 3 + 1)
 
 
 def test_batch_size_sweep_rows_and_deltas():
@@ -382,21 +406,61 @@ def test_paired_delta_holds_where_round_medians_flip(monkeypatch):
     assert 20.0 < delta(lambda ref, m: paired_delta_pct(ref, m, corpus, runs=3)) < 30.0
 
 
+def test_sweep_rates_hold_where_consecutive_passes_flip(monkeypatch):
+    """A model 25% faster, timed while the machine halves its speed over the
+    steps in which two consecutive `measure_throughput` calls time the faster
+    model: those read it slower. The sweep times both models over the same
+    steps batch by batch, so its tokens/s and its delta both read it faster."""
+    corpus = _tiny_corpus(12)  # 48 steps a pass; a measure_throughput call of runs=2 is 144
+
+    def timed(measure):
+        clock = SlowWindowClock(range(144, 288))
+        monkeypatch.setattr(bench, "time", clock)
+        return measure(Slowed(clock, 1.0), Slowed(clock, 0.8))
+
+    reference, faster = timed(lambda ref, m: [measure_throughput(model, corpus, runs=2)
+                                              for model in (ref, m)])
+    assert faster.tokens_per_sec < 0.7 * reference.tokens_per_sec
+    rows = timed(lambda ref, m: batch_size_sweep([("ref", ref), ("m", m)], [1], corpus, runs=2))
+    assert rows[1]["tokens_per_sec"] == pytest.approx(1.25 * rows[0]["tokens_per_sec"])
+    assert rows[1]["delta_pct"] == pytest.approx(25.0)
+
+
+@pytest.mark.parametrize("runs", [1, 2.5, True])
+def test_every_measurement_takes_runs_by_one_rule(runs):
+    c = _tiny_corpus()
+    measures = (lambda: measure_throughput(_drifter(3), c, runs=runs),
+                lambda: paired_delta_pct(_drifter(3), _drifter(3), c, runs=runs),
+                lambda: batch_size_sweep([("a", _drifter(3))], [1], c, runs=runs))
+    for measure in measures:
+        with pytest.raises(ConfigError, match="runs must be"):
+            measure()
+
+
 def test_paired_delta_validation_and_lock():
     c = _tiny_corpus()
-    with pytest.raises(ConfigError):
-        paired_delta_pct(_drifter(3), _drifter(3), c, runs=0)
+    for runs in (0, 1):
+        with pytest.raises(ConfigError):
+            paired_delta_pct(_drifter(3), _drifter(3), c, runs=runs)
     with pytest.raises(ConfigError):
         paired_delta_pct(_drifter(3), _drifter(3), c, batch_size=0)
     with pytest.raises(DataError):
-        paired_delta_pct(_drifter(3), Scripted({}), c, runs=1)
+        paired_delta_pct(_drifter(3), Scripted({}), c, runs=2)
+    # each model generates on one source only, so no batch compares them
+    on_4, on_5 = _drifter(3), _drifter(3)
+    on_4.next_logits = lambda src, prefix, f=on_4.next_logits: f(src, prefix if src[0] == 4 else [9])
+    on_5.next_logits = lambda src, prefix, f=on_5.next_logits: f(src, prefix if src[0] == 5 else [9])
+    apart = Corpus([([4, 6], [4, 6]), ([5, 6], [5, 6])], c.vocab)
+    assert measure_throughput(on_4, apart, runs=2).tokens_per_sec > 0
+    with pytest.raises(DataError, match="no tokens in any batch"):
+        paired_delta_pct(on_4, on_5, apart, runs=2)
     assert _MEASURE_LOCK.acquire(blocking=False)
     try:
         with pytest.raises(ConfigError, match="already running"):
-            paired_delta_pct(_drifter(3), _drifter(3), c, runs=1)
+            paired_delta_pct(_drifter(3), _drifter(3), c, runs=2)
     finally:
         _MEASURE_LOCK.release()
-    assert isinstance(paired_delta_pct(_drifter(3), _drifter(3), c, batch_size=4, runs=1), float)
+    assert isinstance(paired_delta_pct(_drifter(3), _drifter(3), c, batch_size=4, runs=2), float)
 
 
 # ---------------------------------------------------------------------- BLEU

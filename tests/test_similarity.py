@@ -313,6 +313,18 @@ def test_lns_uses_default_k_when_unset():
     assert lns(a, b) == pytest.approx(lns(a, b, k=default_k(40)))
 
 
+def test_lns_reads_k_by_the_one_integer_rule():
+    x = np.random.default_rng(0).normal(size=(10, 3))
+    for k in (True, 2.5, np.float64(2.0), "2"):
+        with pytest.raises(ConfigError, match="k must be int"):
+            lns(x, x, k=k)
+    with pytest.raises(ConfigError, match="k must be at least 1"):
+        lns(x, x, k=0)
+    with pytest.raises(ConfigError, match=r"k must be in \[1, 9\]"):
+        lns(x, x, k=10)
+    assert lns(x, x, k=np.int64(2)) == lns(x, x, k=2) == 1.0
+
+
 def test_lns_rejects_mismatched_corpora():
     rng = np.random.default_rng(10)
     a = _mat(rng.standard_normal((6, 3)), h="aaa")

@@ -46,6 +46,13 @@ def test_schedule_validation():
         Schedule(warmup_steps=0)
 
 
+def test_schedule_reads_base_lr_as_a_float():
+    for base_lr in ("0.1", True, None):
+        with pytest.raises(ConfigError, match="base_lr must be float"):
+            Schedule(base_lr=base_lr)
+    assert lr_at(Schedule(base_lr=np.float32(0.5), warmup_steps=1), 1) == 0.5
+
+
 def _scalar_store(value):
     return ParamStore([("x", ())], flat=np.array([value], dtype=np.float32))
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from .config import typed
 from .errors import ConfigError, DataError
+from .tensor import first_k
 from .transformer import TransformerModel
 from .vocab import BOS, EOS, Corpus
 
@@ -58,8 +59,7 @@ def search(model: TransformerModel, srcs: list, beam: int = 1, max_len: int = 32
     for _ in range(max_len):
         flat = [(s, tokens, score) for s, live in enumerate(beams) for tokens, score in live]
         logp = _log_softmax(rows.step([tokens[-1] if tokens else BOS for _, tokens, _ in flat]))
-        top = np.argmax(logp, axis=1)[:, None] if beam == 1 else \
-            np.argsort(-logp, axis=1, kind="stable")[:, :beam]
+        top = np.argmax(logp, axis=1)[:, None] if beam == 1 else first_k(-logp, beam)
         by_source: list[list] = [[] for _ in srcs]
         for row, (s, tokens, score) in enumerate(flat):
             by_source[s] += [(tokens, score + logp[row, tok], int(tok), row) for tok in top[row]]

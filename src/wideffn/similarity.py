@@ -21,6 +21,7 @@ import numpy as np
 
 from .config import typed
 from .errors import ConfigError, DataError
+from .tensor import first_k
 from .transformer import TransformerModel
 from .vocab import Corpus
 
@@ -175,7 +176,7 @@ def knn(space, k: int) -> np.ndarray:
         rows = np.arange(lo, min(lo + step, n))
         dist = 1.0 - np.matmul(unit[:, None], unit[:, rows, :, None])[..., 0]
         dist[:, rows - lo, rows] = np.inf  # no row is its own neighbour
-        table[:, rows] = np.argsort(dist, axis=2, kind="stable")[..., :k]
+        table[:, rows] = first_k(dist, k)
     return table if x.ndim == 3 else table[0]
 
 

@@ -23,10 +23,12 @@ class ParamStore:
         self.flat = np.zeros(sum(sizes), dtype=np.float32) if flat is None else flat
         self.physical: dict[str, Tensor] = {}
         self.aliases: dict[str, str] = {}
-        for (canonical, shape), view in zip(tensors, np.split(self.flat, np.cumsum(sizes))):
+        at = 0
+        for (canonical, shape), size in zip(tensors, sizes):
             if canonical in self.physical:
                 raise ConfigError(f"duplicate physical tensor {canonical!r}")
-            self.physical[canonical] = Tensor(view.reshape(shape))
+            self.physical[canonical] = Tensor(self.flat[at : at + size].reshape(shape))
+            at += size
         for logical, canonical in aliases:
             if canonical not in self.physical:
                 raise ConfigError(f"alias target {canonical!r} does not exist")

@@ -9,7 +9,8 @@ twice among its inputs.
 
 `linear`, `attention_weights`, `layer_norm` and `dropout_keep` are kernels
 on plain arrays, from which each op that spans a whole stage (the embedding,
-an attention or FFN sublayer) composes its forward and its backward. The
+an attention or FFN sublayer) composes its forward and its backward.
+`first_k` is the stable first-k selection that kNN and beam search share. The
 Tensor ops here are the output projection's `matmul` and `transpose`, the
 loss `cross_entropy`, which scores the logits rows it is given by index, and
 the column ops `slice_cols` and `concat_cols`, which perfbench's tracer binds
@@ -261,6 +262,27 @@ def dropout_keep(shape, p: float, rng: np.random.Generator) -> np.ndarray | None
     if p == 0.0:
         return None
     return (rng.random(shape) >= p).astype(np.float32) / np.float32(1.0 - p)
+
+
+def first_k(v: np.ndarray, k: int) -> np.ndarray:
+    """`np.argsort(v, axis=-1, kind="stable")[..., :k]`, without sorting every
+    row whole. `np.partition` gives each row's k-th smallest value; a row with
+    exactly k entries at or below it keeps those k, in index order, re-sorted
+    stably by value. Any other row (a tie at the k-th value, a NaN among the
+    first k) and every row when k is outside [1, n) is sorted whole.
+    """
+    n = v.shape[-1]
+    if not 1 <= k < n:
+        return np.argsort(v, axis=-1, kind="stable")[..., :k]
+    rows = v.reshape(-1, n)
+    below = rows <= np.partition(rows, k - 1, axis=1)[:, k - 1 : k]
+    fast = np.count_nonzero(below, axis=1) == k
+    out = np.empty((len(rows), k), dtype=np.intp)
+    cols = np.nonzero(below[fast])[1].reshape(-1, k)
+    order = np.argsort(np.take_along_axis(rows[fast], cols, axis=1), axis=1, kind="stable")
+    out[fast] = np.take_along_axis(cols, order, axis=1)
+    out[~fast] = np.argsort(rows[~fast], axis=1, kind="stable")[:, :k]
+    return out.reshape(*v.shape[:-1], k)
 
 
 def cross_entropy(logits: Tensor, rows, targets) -> Tensor:

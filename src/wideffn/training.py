@@ -30,8 +30,10 @@ class Schedule:
     warmup_steps: int = 4000
 
     def __post_init__(self):
-        typed(int, self.warmup_steps, "warmup_steps")
-        if not (np.isfinite(typed(float, self.base_lr, "base_lr")) and self.base_lr > 0):
+        """Check both settings and store them as `typed` returns them."""
+        object.__setattr__(self, "warmup_steps", typed(int, self.warmup_steps, "warmup_steps"))
+        object.__setattr__(self, "base_lr", typed(float, self.base_lr, "base_lr"))
+        if not (np.isfinite(self.base_lr) and self.base_lr > 0):
             raise ConfigError(f"base_lr must be finite and positive, got {self.base_lr}")
 
 

@@ -44,8 +44,9 @@ FFN_PARTS = ("w1", "b1", "w2", "b2", "ln_gain", "ln_bias")
 # padded rows per side in one evaluation batch: 32 pairs of 8 rows run as one
 # forward, and an FFN hidden layer d_ff wide takes d_ff KB
 EVAL_ROWS = 256
-# float64 values per initialisation draw. A wide tensor drawn whole leaves a
-# float64 block of tens of MB resident in the malloc heap after it is freed.
+# float64 values per initialisation draw: the size of the one buffer that
+# `build_model` draws into with `Generator.random` and scales in place. A wide
+# tensor drawn whole would leave tens of MB resident in the malloc heap.
 DRAW_CHUNK = 1 << 14
 
 
@@ -306,17 +307,24 @@ def build_model(config: ModelConfig, seed: int = 0) -> TransformerModel:
     """Fill a store of `param_layout(config)` in creation order and wire the model.
 
     Rank-2 tensors are Xavier-uniform draws from one generator seeded with
-    `seed`, DRAW_CHUNK at a time; layer-norm gains are ones, the rest zeros.
+    `seed`, DRAW_CHUNK at a time: `Generator.random` fills one float64 buffer,
+    which is scaled by 2·limit and shifted by -limit in place. That is
+    `uniform(-limit, limit)` bit for bit (numpy computes low + (high - low) · u
+    from the same doubles). Layer-norm gains are ones, the rest zeros.
     """
     rng = np.random.default_rng(seed)
     tensors, aliases = param_layout(config)
     store = ParamStore(tensors, aliases)
+    draw = np.empty(DRAW_CHUNK)
     for name, shape in tensors:
         view = store.physical[name].data.reshape(-1)
         if len(shape) == 2:
             limit = math.sqrt(6.0 / sum(shape))
-            for part in np.split(view, range(DRAW_CHUNK, view.size, DRAW_CHUNK)):
-                part[...] = rng.uniform(-limit, limit, size=part.size)
+            for at in range(0, view.size, DRAW_CHUNK):
+                u = rng.random(out=draw[: view.size - at])
+                u *= limit - -limit
+                u += -limit
+                view[at : at + u.size] = u
         elif name.endswith(".ln_gain"):
             view[...] = 1
     return wire_model(config, store)

@@ -4,12 +4,37 @@ per-op reference that the embedding and the sublayers must equal bit for
 bit, and the `reshape` that tests use to flatten a result. `cross_entropy`
 is the loss as it was before it took its scored rows as an index: a target
 per logits row, rows whose target is `ignore_index` left out.
+`initial_flat` is build_model's weight fill as it was before it drew through
+one reused buffer: `Generator.uniform` a chunk at a time.
 """
+
+import math
 
 import numpy as np
 
 from wideffn.errors import ShapeError
 from wideffn.tensor import MASK_FILL_VALUE, Tensor, _require_rank, dropout_keep, emit, linear
+from wideffn.transformer import DRAW_CHUNK, param_layout
+
+
+def initial_flat(config, seed: int) -> np.ndarray:
+    """The flat float32 parameters `build_model(config, seed)` must hold:
+    rank-2 tensors drawn in layout order by `uniform(-limit, limit)`,
+    DRAW_CHUNK values per call, layer-norm gains one, the rest zero."""
+    rng = np.random.default_rng(seed)
+    tensors, _ = param_layout(config)
+    flat = np.zeros(sum(math.prod(shape) for _, shape in tensors), dtype=np.float32)
+    at = 0
+    for name, shape in tensors:
+        view = flat[at : at + math.prod(shape)]
+        at += view.size
+        if len(shape) == 2:
+            limit = math.sqrt(6.0 / sum(shape))
+            for part in np.split(view, range(DRAW_CHUNK, view.size, DRAW_CHUNK)):
+                part[...] = rng.uniform(-limit, limit, size=part.size)
+        elif name.endswith(".ln_gain"):
+            view[...] = 1
+    return flat
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:

@@ -8,7 +8,7 @@ import pytest
 import wideffn as w
 from wideffn import tensor, transformer
 from wideffn.bench import decode_beam, decode_greedy
-from wideffn.checkpoint import checkpoint_bytes
+from wideffn.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from wideffn.config import DECODER_ONLY_PRESETS, PRESETS, SharingSpec
 from wideffn.errors import ConfigError, DataError
 from wideffn.sharing import FFNStrategy
@@ -405,6 +405,51 @@ def test_initialisation_order_is_pinned():
     for digest, cfg in golden.items():
         blob = checkpoint_bytes(w.build_model(cfg, seed=5).store)
         assert hashlib.sha256(blob).hexdigest()[:12] == digest, cfg
+
+
+_CHUNK_ROWS = transformer.DRAW_CHUNK // 128
+
+
+@pytest.mark.parametrize("cfg", [
+    # FFN matrices that end mid-chunk, exactly on a chunk edge, one past it
+    tiny_config(d_model=128, d_ff=_CHUNK_ROWS - 1),
+    tiny_config(d_model=128, d_ff=_CHUNK_ROWS),
+    tiny_config(d_model=128, d_ff=_CHUNK_ROWS + 1),
+    # a 256 x 12,288 shared FFN spans 192 chunks
+    w.apply_preset(tiny_config(n_enc=6, n_dec=6, d_model=256, d_ff=1024, heads=8,
+                               vocab_size=1000), "OneWideFFN"),
+    tiny_config(n_enc=4, n_dec=4, sharing=SharingSpec(
+        enc_ffn=FFNStrategy.parse("Cycle(2)"), dec_ffn=FFNStrategy.parse("CycleRev(2)"))),
+], ids=["mid-chunk", "chunk-edge", "past-edge", "one-wide-base", "cycle"])
+def test_build_draws_what_generator_uniform_draws(cfg):
+    # the reference calls Generator.uniform itself, so a numpy whose uniform
+    # is not low + (high - low) * random() fails here
+    assert w.build_model(cfg, seed=7).store.flat.tobytes() == per_op.initial_flat(cfg, 7).tobytes()
+
+
+def test_build_allocates_its_flat_buffer_and_one_draw_buffer():
+    cfg = tiny_config(n_enc=0, n_dec=1, architecture="decoder-only", d_model=256, d_ff=12288,
+                      heads=4)
+    w.build_model(cfg, seed=0)
+    tracemalloc.start()
+    m = w.build_model(cfg, seed=0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    slack = 16 << 10  # layout lists, Tensor objects, the store's dicts
+    assert peak <= m.store.flat.nbytes + transformer.DRAW_CHUNK * 8 + slack
+
+
+def test_store_views_sit_at_their_running_offsets(tmp_path):
+    built = w.build_model(tiny_config(sharing=SharingSpec(enc_self_attn="SharedAll")), seed=0)
+    save_checkpoint(built.store, str(tmp_path / "m.ckpt"))
+    for store in (built.store, load_checkpoint(str(tmp_path / "m.ckpt"))):
+        start = store.flat.ctypes.data
+        at = 0
+        for name, t in store.physical.items():
+            assert np.shares_memory(t.data, store.flat), name
+            assert t.data.ctypes.data == start + at, name
+            at += t.data.nbytes
+        assert at == store.flat.nbytes
 
 
 def _teacher_forced_layout(m, src, tgt):

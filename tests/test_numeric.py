@@ -10,6 +10,7 @@ from wideffn.tensor import (
     concat_cols,
     cross_entropy,
     emit,
+    first_k,
     grad_check,
     layer_norm,
     linear,
@@ -477,3 +478,30 @@ def test_mask_fill_blocks_gradient():
     assert np.all(grad[~mask] == 0.0)
     several = mask & (mask.sum(axis=-1, keepdims=True) > 1)
     assert np.all(grad[several] != 0.0)
+
+
+def _rows(kind, shape, rng):
+    v = rng.standard_normal(shape)
+    if kind == "ties":
+        return np.round(v, 1)
+    if kind == "constant":
+        return np.full(shape, 0.5)
+    if kind == "inf":
+        v[rng.random(shape) < 0.3] = np.inf
+        v[rng.random(shape) < 0.1] = -np.inf
+    if kind == "nan":
+        v[rng.random(shape) < 0.1] = np.nan
+    return v
+
+
+@pytest.mark.parametrize("kind", ["random", "ties", "constant", "inf", "nan"])
+@pytest.mark.parametrize("shape", [(40, 9), (3, 12, 9)])
+def test_first_k_is_the_stable_argsort_prefix(kind, shape):
+    rng = np.random.default_rng(len(shape) * 10 + len(kind))
+    v = _rows(kind, shape, rng)
+    n = shape[-1]
+    for k in (1, 2, n // 2, n - 1, n, n + 3):
+        want = np.argsort(v, axis=-1, kind="stable")[..., :k]
+        got = first_k(v, k)
+        assert got.dtype == want.dtype and got.shape == want.shape, k
+        assert np.array_equal(got, want), (kind, k)

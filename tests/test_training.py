@@ -53,6 +53,16 @@ def test_schedule_reads_base_lr_as_a_float():
     assert lr_at(Schedule(base_lr=np.float32(0.5), warmup_steps=1), 1) == 0.5
 
 
+def test_schedule_stores_its_settings_as_typed_returns_them():
+    # a numpy float32 base_lr schedules in float64, as its Python float does
+    lr = lr_at(Schedule(np.float32(7e-4), 4000), 3)
+    assert type(lr) is float
+    assert lr == lr_at(Schedule(float(np.float32(7e-4)), 4000), 3)
+    s = Schedule(base_lr=np.float32(7e-4), warmup_steps=np.int64(4000))
+    assert type(s.base_lr) is float and type(s.warmup_steps) is int
+    assert s.warmup_steps == 4000
+
+
 def _scalar_store(value):
     return ParamStore([("x", ())], flat=np.array([value], dtype=np.float32))
 

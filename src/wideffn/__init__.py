@@ -1,9 +1,10 @@
 """Toy-scale Transformer laboratory for FFN sharing, dropping, and widening.
 
 Modules:
+    errors      the exception types and their exit codes
     tensor      float32 autodiff core (Tensor, ComputeTape, ops, grad_check)
-    sharing     FFN sharing strategies and layer assignment
-    config      ModelConfig / SharingSpec, the key, type and minimum checks, presets
+    config      sharing strategies and layer assignment, ModelConfig / SharingSpec,
+                the key, type and minimum checks, presets
     store       physical/logical parameter storage
     transformer blocks, builder, masks, forward passes, decode rows
     counting    exact parameter arithmetic
@@ -15,10 +16,10 @@ Modules:
     cli         command line front end
 """
 
-from .config import ModelConfig, SharingSpec, apply_preset, one_wide_dff
+from .config import (FFNStrategy, ModelConfig, SharingSpec, apply_preset, one_wide_dff,
+                     resolve_ffn_assignment)
 from .counting import count_params
 from .errors import ConfigError, DataError, NumericError, ShapeError, WideFFNError
-from .sharing import FFNStrategy, resolve_ffn_assignment
 from .store import ParamStore
 from .tensor import ComputeTape, Tensor, grad_check, recording
 from .transformer import TransformerModel, build_model

@@ -81,8 +81,6 @@ def search(model: TransformerModel, srcs: list, beam: int = 1, max_len: int = 32
             rows.keep(parents)
     for hyps, live in zip(finished, beams):
         hyps += [(tokens, score / len(tokens)) for tokens, score in live]
-    if not all(finished):
-        raise DataError("beam search produced no hypothesis")
     return [max(hyps, key=lambda h: h[1])[0] for hyps in finished]
 
 

@@ -1,26 +1,31 @@
-"""Model configuration, the named experiment presets, and the two rules each
+"""Model configuration: the sharing strategies and their layer assignment,
+ModelConfig / SharingSpec, the named experiment presets, and the two rules each
 setting is checked by wherever it is read: its type (`typed`) and `MINIMUMS`."""
 
 from __future__ import annotations
 
 import dataclasses
 import numbers
+import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .sharing import FFNStrategy, resolve_ffn_assignment
 
 ARCHITECTURES = ("encoder-decoder", "decoder-only")
 ATTN_KINDS = ("Individual", "SharedAll")
+SIMPLE_KINDS = ("Individual", "SharedAll", "NoOp")
+GROUPED_KINDS = ("Sequence", "Cycle", "CycleRev")
+
+_GROUPED_RE = re.compile(r"^(Sequence|Cycle|CycleRev)\((\d+)\)$")
 
 # The least value of each integer setting, under the name it has wherever it occurs: a
-# ModelConfig field, a run-file key or an argument. A vocabulary holds the 4 reserved ids
-# and one content id; only a shared FFN may be 0 wide, which makes it NoOp; a sample std
-# of timed runs takes 2.
+# ModelConfig field, a run-file key, an argument or a grouped strategy's group count m. A
+# vocabulary holds the 4 reserved ids and one content id; only a shared FFN may be 0 wide,
+# which makes it NoOp; a sample std of timed runs takes 2.
 MINIMUMS = {"n_enc": 0, "n_dec": 1, "d_model": 1, "d_ff": 1, "heads": 1, "vocab_size": 5,
             "max_len": 1, "d_ff_shared": 0, "d_ff_enc": 1, "d_ff_dec": 1, "seed": 0,
             "steps": 0, "batch_size": 1, "warmup_steps": 1, "count": 1, "beam": 1, "limit": 1,
-            "runs": 2, "k": 1}
+            "runs": 2, "k": 1, "m": 1}
 
 
 def typed(kind, value, name: str, what: str | None = None):
@@ -58,36 +63,116 @@ def _field_names(cls) -> list[str]:
 
 
 @dataclass(frozen=True)
+class FFNStrategy:
+    """One stack's sharing rule; m is the group count for grouped kinds."""
+
+    kind: str
+    m: int | None = None
+
+    def __post_init__(self):
+        if self.kind in SIMPLE_KINDS:
+            if self.m is not None:
+                raise ConfigError(f"{self.kind} takes no group count")
+        elif self.kind in GROUPED_KINDS:
+            m = typed(int, self.m, "m", f"{self.kind}'s group count")
+            object.__setattr__(self, "m", m)  # the dataclass is frozen
+        else:
+            raise ConfigError(f"unknown FFN strategy {self.kind!r}")
+
+    @staticmethod
+    def parse(text) -> "FFNStrategy":
+        if isinstance(text, FFNStrategy):
+            return text
+        text = str(text).strip()
+        if text in SIMPLE_KINDS:
+            return FFNStrategy(text)
+        match = _GROUPED_RE.match(text)
+        if match:
+            return FFNStrategy(match.group(1), int(match.group(2)))
+        raise ConfigError(
+            f"cannot parse FFN strategy {text!r}; expected one of "
+            f"{SIMPLE_KINDS + tuple(k + '(M)' for k in GROUPED_KINDS)}"
+        )
+
+    def __str__(self):
+        if self.m is None:
+            return self.kind
+        return f"{self.kind}({self.m})"
+
+    @property
+    def is_shared(self) -> bool:
+        """True when at least two layers can map to the same physical FFN."""
+        return self.kind in ("SharedAll",) + GROUPED_KINDS
+
+
+def resolve_ffn_assignment(strategy, n_layers: int) -> list[int]:
+    """Map each of n_layers layers (0-based) to a physical block index.
+
+    Sequence(M) splits the stack into M contiguous blocks, Cycle(M) rotates
+    through the M blocks, CycleRev(M) walks them forward then backward (a
+    palindrome), which pins M to n_layers // 2 with n_layers even.
+    """
+    strategy = FFNStrategy.parse(strategy)
+    if n_layers < 0:
+        raise ConfigError(f"negative layer count {n_layers}")
+    if strategy.kind == "NoOp":
+        return []
+    if strategy.kind == "Individual":
+        return list(range(n_layers))
+    if strategy.kind == "SharedAll":
+        return [0] * n_layers
+    m = strategy.m
+    if strategy.kind in ("Sequence", "Cycle"):
+        if n_layers % m != 0:
+            raise ConfigError(f"{strategy} needs group count dividing {n_layers} layers")
+        if strategy.kind == "Sequence":
+            span = n_layers // m
+            return [i // span for i in range(n_layers)]
+        return [i % m for i in range(n_layers)]
+    # CycleRev
+    if n_layers % 2 != 0 or m != n_layers // 2:
+        raise ConfigError(
+            f"CycleRev({m}) only defined for an even stack with group count "
+            f"n_layers/2, got {n_layers} layers"
+        )
+    forward = list(range(m))
+    return forward + forward[::-1]
+
+
+STRATEGY_FIELDS = ("enc_ffn", "dec_ffn", "enc_self_attn", "dec_self_attn", "dec_cross_attn")
+
+
+@dataclass(frozen=True)
 class SharingSpec:
-    """Per-side FFN strategies plus attention sharing switches, checked when made."""
+    """Per-stack FFN and attention strategies, each an FFNStrategy or its
+    text, plus the tie switch; parsed and checked when made. Attention takes
+    the kinds in ATTN_KINDS."""
 
     enc_ffn: FFNStrategy = FFNStrategy("Individual")
     dec_ffn: FFNStrategy = FFNStrategy("Individual")
     tie_enc_dec_ffn: bool = False
-    enc_self_attn: str = "Individual"
-    dec_self_attn: str = "Individual"
-    dec_cross_attn: str = "Individual"
+    enc_self_attn: FFNStrategy = FFNStrategy("Individual")
+    dec_self_attn: FFNStrategy = FFNStrategy("Individual")
+    dec_cross_attn: FFNStrategy = FFNStrategy("Individual")
 
     def __post_init__(self):
-        for kind_name in ("enc_self_attn", "dec_self_attn", "dec_cross_attn"):
-            if getattr(self, kind_name) not in ATTN_KINDS:
-                raise ConfigError(f"{kind_name} must be one of {ATTN_KINDS}")
+        for name in STRATEGY_FIELDS:
+            strategy = FFNStrategy.parse(getattr(self, name))
+            if name.endswith("_attn") and strategy.kind not in ATTN_KINDS:
+                raise ConfigError(f"{name} must be one of {ATTN_KINDS}, got {strategy}")
+            object.__setattr__(self, name, strategy)  # the dataclass is frozen
         if typed(bool, self.tie_enc_dec_ffn, "tie_enc_dec_ffn"):
             if self.enc_ffn.kind != "SharedAll" or self.dec_ffn.kind != "SharedAll":
                 raise ConfigError("tie_enc_dec_ffn requires SharedAll on both sides")
 
     @staticmethod
     def from_dict(d: dict) -> "SharingSpec":
-        d = dict(check_keys("sharing", d, _field_names(SharingSpec)))
-        for side in ("enc_ffn", "dec_ffn"):
-            if side in d:
-                d[side] = FFNStrategy.parse(d[side])
-        return SharingSpec(**d)
+        return SharingSpec(**check_keys("sharing", d, _field_names(SharingSpec)))
 
     def to_dict(self) -> dict:
-        """The fields by name, each FFN strategy as its text."""
+        """The fields by name, each strategy as its text."""
         return {name: getattr(self, name) for name in _field_names(self)} | {
-            "enc_ffn": str(self.enc_ffn), "dec_ffn": str(self.dec_ffn)}
+            name: str(getattr(self, name)) for name in STRATEGY_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -116,7 +201,10 @@ class ModelConfig:
     d_ff_dec: int | None = None
 
     def __post_init__(self):
-        """Check invariants, store numbers as `typed` returns them, make a 0 shared width NoOp."""
+        """Check invariants, store numbers as `typed` returns them and a sharing
+        mapping as its SharingSpec, make a 0 shared width NoOp."""
+        if not isinstance(self.sharing, SharingSpec):
+            object.__setattr__(self, "sharing", SharingSpec.from_dict(self.sharing))
         for name in ("n_enc", "n_dec", "d_model", "d_ff", "heads", "vocab_size", "max_len",
                      "d_ff_shared", "d_ff_enc", "d_ff_dec", "dropout"):
             v = getattr(self, name)
@@ -136,11 +224,10 @@ class ModelConfig:
         # A shared width of exactly 0 means the shared FFN degenerates to NoOp.
         sharing = self.sharing
         if self.d_ff_shared == 0 and (sharing.enc_ffn.is_shared or sharing.dec_ffn.is_shared):
-            noop = FFNStrategy("NoOp")
             sharing = dataclasses.replace(
                 sharing,
-                enc_ffn=noop if sharing.enc_ffn.is_shared else sharing.enc_ffn,
-                dec_ffn=noop if sharing.dec_ffn.is_shared else sharing.dec_ffn,
+                enc_ffn="NoOp" if sharing.enc_ffn.is_shared else sharing.enc_ffn,
+                dec_ffn="NoOp" if sharing.dec_ffn.is_shared else sharing.dec_ffn,
                 tie_enc_dec_ffn=False,
             )
             object.__setattr__(self, "sharing", sharing)  # the dataclass is frozen
@@ -166,10 +253,7 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        d = dict(check_keys("model", d, _field_names(ModelConfig)))
-        if "sharing" in d and not isinstance(d["sharing"], SharingSpec):
-            d["sharing"] = SharingSpec.from_dict(d["sharing"])
-        return ModelConfig(**d)
+        return ModelConfig(**check_keys("model", d, _field_names(ModelConfig)))
 
 
 def transformer_big(vocab_size: int = 32000) -> ModelConfig:
@@ -231,11 +315,6 @@ def apply_preset(config: ModelConfig, name: str) -> ModelConfig:
             f"support {DECODER_ONLY_PRESETS}"
         )
     enc, dec, tie = PRESETS[name]
-    sharing = dataclasses.replace(
-        config.sharing,
-        enc_ffn=FFNStrategy.parse(enc),
-        dec_ffn=FFNStrategy.parse(dec),
-        tie_enc_dec_ffn=tie,
-    )
+    sharing = dataclasses.replace(config.sharing, enc_ffn=enc, dec_ffn=dec, tie_enc_dec_ffn=tie)
     d_ff_shared = one_wide_dff(config) if name == "OneWideFFN" else config.d_ff_shared
     return dataclasses.replace(config, sharing=sharing, d_ff_shared=d_ff_shared)

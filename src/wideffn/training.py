@@ -17,7 +17,6 @@ import numpy as np
 from .config import ModelConfig, typed
 from .counting import count_params
 from .errors import ConfigError, NumericError
-from .sharing import FFNStrategy
 from .store import ParamStore
 from .tensor import ComputeTape, recording
 from .transformer import TransformerModel, build_model
@@ -174,7 +173,7 @@ def ffn_dim_sweep(base_config: ModelConfig, side: str, dims: list[int], corpus: 
     rows = []
     for dim in dims:
         if dim == 0:
-            sharing = dataclasses.replace(base_config.sharing, **{attr: FFNStrategy("NoOp")})
+            sharing = dataclasses.replace(base_config.sharing, **{attr: "NoOp"})
             cfg = dataclasses.replace(base_config, sharing=sharing)
         else:
             key = "d_ff_enc" if side == "encoder" else "d_ff_dec"

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import ModelConfig, resolve_ffn_assignment
 from .errors import ConfigError, DataError
-from .sharing import resolve_ffn_assignment
 from .store import ParamStore
 from .tensor import (
     Tensor,

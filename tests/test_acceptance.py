@@ -31,16 +31,17 @@ from wideffn.checkpoint import (
 )
 from wideffn.cli import write_csv
 from wideffn.config import (
+    FFNStrategy,
     ModelConfig,
     PRESETS,
     deep_enc_shallow_dec,
     one_wide_dff,
+    resolve_ffn_assignment,
     transformer_base,
     transformer_big,
 )
 from wideffn.counting import count_params
 from wideffn.errors import ConfigError
-from wideffn.sharing import FFNStrategy, resolve_ffn_assignment
 from wideffn.similarity import linear_cka, lns, normalize_against_benchmark
 from wideffn.tensor import ComputeTape, grad_check, recording
 from wideffn.training import AdamState, Schedule, adam_step, token_accuracy, train

@@ -294,6 +294,8 @@ def test_throughput_validation():
     with pytest.raises(DataError):
         # instant end-of-sequence everywhere: nothing is ever generated
         measure_throughput(Scripted({}), c, runs=2)
+    with pytest.raises(DataError, match="empty corpus"):
+        measure_throughput(_drifter(3), Corpus([], c.vocab), runs=2)
 
 
 def test_throughput_refuses_overlapping_measurements():

@@ -17,9 +17,8 @@ from wideffn.checkpoint import (
     save_model_checkpoint,
     sidecar_path,
 )
-from wideffn.config import SharingSpec
+from wideffn.config import PRESETS, STRATEGY_FIELDS, FFNStrategy, ModelConfig, SharingSpec
 from wideffn.errors import DataError
-from wideffn.sharing import FFNStrategy
 from wideffn.transformer import encoder_forward, param_layout
 
 from conftest import tiny_config
@@ -83,7 +82,10 @@ def test_corrupt_names_and_non_finite_payloads_rejected(tmp_path):
     dangling[at + 8] = ord("G")  # alias target 'embeddinG' does not exist
     duplicate = bytearray(blob)
     duplicate[blob.index(b"enc.sa0.bq") + 8] = ord("w")  # a second 'enc.sa0.wq'
-    cases = {"dangling": dangling, "duplicate": duplicate}
+    dtype = bytearray(blob)
+    dtype[blob.index(b"embedding") + len(b"embedding")] = 7  # the first tensor's dtype code
+    cut = blob[:blob.index(b"embedding") + 4]  # ends inside the first name
+    cases = {"dangling": dangling, "duplicate": duplicate, "dtype": dtype, "cut": cut}
     for value in (np.nan, np.inf):
         cases[f"{value}"] = blob[:-4] + struct.pack("<f", value)
     for label, data in cases.items():
@@ -225,6 +227,30 @@ def test_a_config_given_numpy_numbers_saves_and_reloads(tmp_path):
     assert (type(cfg.d_ff), type(cfg.d_ff_enc), type(cfg.dropout)) == (int, int, float)
     p = str(tmp_path / "m.bin")
     save_model_checkpoint(w.build_model(cfg, seed=2), p)
+    assert load_model_checkpoint(p).config == cfg
+
+
+# Grouped strategies given numpy group counts, and a sharing given as text.
+SHARINGS = {
+    "sequence-cycle": {"enc_ffn": FFNStrategy("Sequence", np.int64(2)),
+                       "dec_ffn": FFNStrategy("Cycle", np.int32(4))},
+    "cyclerev": {"enc_ffn": FFNStrategy("CycleRev", np.uint8(2)),
+                 "dec_ffn": FFNStrategy("CycleRev", np.int16(2)), "enc_self_attn": "SharedAll"},
+    "text": {"enc_ffn": "Cycle(2)", "dec_ffn": "Sequence(4)", "dec_cross_attn": "SharedAll"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRESETS) + sorted(SHARINGS))
+def test_every_config_round_trips_through_json_and_its_checkpoint(tmp_path, case):
+    if case in PRESETS:
+        cfg = w.apply_preset(tiny_config(), case)
+    else:
+        cfg = tiny_config(n_enc=4, n_dec=4, sharing=SHARINGS[case])
+    assert ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    for name in STRATEGY_FIELDS:
+        assert type(getattr(cfg.sharing, name).m) in (int, type(None)), name
+    p = str(tmp_path / "m.ckpt")
+    save_model_checkpoint(w.build_model(cfg, seed=0), p)
     assert load_model_checkpoint(p).config == cfg
 
 

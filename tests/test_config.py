@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from wideffn.config import (
+    FFNStrategy,
     ModelConfig,
     PRESETS,
     SharingSpec,
@@ -12,7 +13,6 @@ from wideffn.config import (
     transformer_big,
 )
 from wideffn.errors import ConfigError
-from wideffn.sharing import FFNStrategy
 
 
 def test_validation_catches_bad_shapes():
@@ -28,6 +28,11 @@ def test_validation_catches_bad_shapes():
         ModelConfig(architecture="decoder-only", n_enc=2)
     with pytest.raises(ConfigError):
         ModelConfig(d_ff=0)
+    with pytest.raises(ConfigError, match="architecture must be one of"):
+        ModelConfig(architecture="encoder-only")
+    with pytest.raises(ConfigError, match="needs an encoder"):
+        ModelConfig(architecture="decoder-only", n_enc=0, sharing={
+            "enc_ffn": "SharedAll", "dec_ffn": "SharedAll", "tie_enc_dec_ffn": True})
 
 
 def test_tie_requires_shared_all_on_both_sides():
@@ -49,6 +54,35 @@ def test_tie_flag_must_be_a_bool():
                                   dec_ffn=FFNStrategy("SharedAll"), tie_enc_dec_ffn=flag)
             ModelConfig(sharing=sharing)
     assert SharingSpec.from_dict({**both, "tie_enc_dec_ffn": False}).tie_enc_dec_ffn is False
+
+
+@pytest.mark.parametrize("name, text, bad", [
+    ("enc_ffn", "Cycle(2)", "Cycle(0)"),
+    ("dec_ffn", "SharedAll", "Shared"),
+    ("enc_self_attn", "SharedAll", "Cycle(2)"),
+    ("dec_self_attn", "SharedAll", FFNStrategy("NoOp")),
+    ("dec_cross_attn", "SharedAll", FFNStrategy("Sequence", 1)),
+])
+def test_every_strategy_field_takes_a_strategy_or_its_text(name, text, bad):
+    as_text = SharingSpec(**{name: text})
+    assert as_text == SharingSpec(**{name: FFNStrategy.parse(text)})
+    assert getattr(as_text, name) == FFNStrategy.parse(text)
+    assert as_text.to_dict()[name] == text
+    assert SharingSpec.from_dict({name: text}) == as_text
+    with pytest.raises(ConfigError):
+        SharingSpec(**{name: bad})
+
+
+def test_a_model_config_reads_a_sharing_mapping_as_from_dict_does():
+    d = {"enc_ffn": "Cycle(3)", "dec_ffn": "SharedAll", "dec_cross_attn": "SharedAll"}
+    cfg = ModelConfig(sharing=d)
+    assert cfg == ModelConfig.from_dict({"sharing": d})
+    assert cfg.sharing == SharingSpec.from_dict(d)
+    assert dataclasses.replace(cfg, sharing=d) == cfg
+    for bad in (None, "SharedAll", [("enc_ffn", "SharedAll")], {"enc_fnn": "SharedAll"},
+                {"enc_ffn": "Cycle(4)"}):  # 4 does not divide 6 layers
+        with pytest.raises(ConfigError):
+            ModelConfig(sharing=bad)
 
 
 def test_zero_shared_width_normalizes_to_noop():

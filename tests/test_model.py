@@ -9,9 +9,8 @@ import wideffn as w
 from wideffn import tensor, transformer
 from wideffn.bench import decode_beam, decode_greedy
 from wideffn.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
-from wideffn.config import DECODER_ONLY_PRESETS, PRESETS, SharingSpec
+from wideffn.config import DECODER_ONLY_PRESETS, PRESETS, FFNStrategy, SharingSpec
 from wideffn.errors import ConfigError, DataError
-from wideffn.sharing import FFNStrategy
 from wideffn.similarity import collect_activations
 from wideffn.tensor import ComputeTape, Tensor, cross_entropy, grad_check, matmul, recording
 from wideffn.training import token_accuracy
@@ -71,6 +70,9 @@ def test_prefix_mask_bidirectional_prefix_causal_suffix():
     m = w.build_model(tiny_config(n_enc=0, architecture="decoder-only"), seed=0)
     with pytest.raises(ConfigError):
         decoder_forward(m, None, [4, 5, 6], prefix_len=-1)
+    for whole in (3, 4):  # a prefix that leaves no suffix
+        with pytest.raises(ConfigError, match="must leave a suffix"):
+            decoder_forward(m, None, [4, 5, 6], prefix_len=whole)
 
 
 def test_attention_mask_covers_every_visibility_rule():
@@ -143,6 +145,18 @@ def test_shared_ffn_layers_hold_the_same_tensor():
     assert m.enc_ffn[0] is m.enc_ffn[1]
     # decoder side stays individual
     assert m.store.resolve("dec.layer0.ffn.w1") is not m.store.resolve("dec.layer1.ffn.w1")
+
+
+def test_a_sharing_spec_in_text_builds_what_its_strategies_build():
+    shared_enc = tiny_config(sharing=SharingSpec(enc_ffn="SharedAll"))
+    assert shared_enc == w.apply_preset(tiny_config(), "SharedEnc")
+    m = w.build_model(shared_enc, seed=0)
+    assert m.enc_ffn[0] is m.enc_ffn[1] and m.dec_ffn[0] is not m.dec_ffn[1]
+    assert [n for n in m.store.physical if n.startswith("enc.ffn")] == [
+        "enc.ffn0." + part for part in transformer.FFN_PARTS]
+    tied = SharingSpec(enc_ffn="SharedAll", dec_ffn="SharedAll", tie_enc_dec_ffn=True)
+    m = w.build_model(tiny_config(sharing=tied), seed=0)
+    assert m.enc_ffn[0] is m.enc_ffn[1] is m.dec_ffn[0] is m.dec_ffn[1]
 
 
 def test_tied_enc_dec_ffn_spans_both_sides():

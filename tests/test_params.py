@@ -3,10 +3,9 @@ import dataclasses
 import pytest
 
 import wideffn as w
-from wideffn.config import PRESETS, SharingSpec, one_wide_dff, transformer_big
+from wideffn.config import PRESETS, FFNStrategy, SharingSpec, one_wide_dff, transformer_big
 from wideffn.counting import BREAKDOWN_KEYS, baseline_of
 from wideffn.errors import ConfigError
-from wideffn.sharing import FFNStrategy
 
 from conftest import tiny_config
 

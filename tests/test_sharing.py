@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
+from wideffn.config import FFNStrategy, resolve_ffn_assignment
 from wideffn.errors import ConfigError
-from wideffn.sharing import FFNStrategy, resolve_ffn_assignment
 
 
 def test_parse_round_trips():
@@ -13,6 +14,21 @@ def test_parse_round_trips():
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ConfigError):
         FFNStrategy.parse(bad)
+
+
+@pytest.mark.parametrize("kind, m", [
+    ("Cycle", True), ("Sequence", 2.0), ("CycleRev", None), ("Cycle", 0), ("Sequence", "2"),
+    ("SharedAll", 2), ("Individual", 0), ("Shared", None), ("cycle", 2)])
+def test_a_strategy_is_checked_when_made(kind, m):
+    with pytest.raises(ConfigError):
+        FFNStrategy(kind, m)
+
+
+@pytest.mark.parametrize("m", [2, np.int64(2), np.int8(2), np.uint16(2)])
+def test_a_group_count_is_stored_as_a_python_int(m):
+    strategy = FFNStrategy("Cycle", m)
+    assert type(strategy.m) is int
+    assert str(strategy) == "Cycle(2)" and strategy == FFNStrategy.parse("Cycle(2)")
 
 
 def test_assignments_for_six_layers():

@@ -260,6 +260,8 @@ def test_knn_argument_guards():
         knn(pts, 0)
     with pytest.raises(ConfigError):
         knn(pts, 3)  # k can be at most n-1
+    with pytest.raises(DataError, match="knn needs"):
+        knn(pts[0], 1)  # one row is no space
 
 
 def test_default_k_is_five_percent_rounded_up():
@@ -511,6 +513,8 @@ def test_activation_values_are_a_read_only_copy():
         mat.values[0, 0] = 2.0
     with pytest.raises(AttributeError):
         mat.values = np.zeros((3, 2), dtype=np.float32)
+    with pytest.raises(DataError, match="must be rank 2"):
+        _mat(np.ones((2, 3, 2)))
 
 
 def test_pairwise_matrices_equal_the_metric_on_raw_arrays():
@@ -612,6 +616,10 @@ def test_zero_overlap_is_a_data_error():
         pairwise_layer_similarity(a, b, metric="cka")
     with pytest.raises(DataError, match="share no module names"):
         pairwise_layer_similarity(a, {"0.sa": b["0.sa"]})
+    with pytest.raises(DataError, match="empty activation tap set"):
+        pairwise_layer_similarity(a, {})
+    with pytest.raises(ConfigError, match="unknown metric"):
+        pairwise_layer_similarity(a, a, metric="cca")
 
 
 def test_pairwise_rejects_mixed_corpora():
